@@ -47,6 +47,7 @@ from .ryser import (
     ShortenAndDelete,
     ShortenRightmost,
     StarMatrix,
+    fixing_chain,
     gr_nonempty,
     initial_matrix,
     matrix_reducible,

@@ -46,10 +46,10 @@ from .errors import (
     WidthTooSmall,
 )
 from .kgr import (
-    build_graph,
     fast_reducibility,
     find_conservative_subtree,
     graph_payload,
+    pair_graph,
     to_dot,
 )
 from .lr import growth_table, verify_counterexample
@@ -65,6 +65,7 @@ from .partitions import (
 from .ryser import (
     DeleteColumn,
     ShortenRightmost,
+    fixing_chain,
     render_matrix,
     ryser_canonical,
     shape_sequence,
@@ -220,19 +221,20 @@ def ryser(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     """Canonical matrix, star matrix, and shape-peeling sequence."""
     pair = _build_pair(lam, mu, rank)
     canonical = ryser_canonical(pair)
+    chain = fixing_chain(canonical)
     star = star_matrix(canonical)
-    seq = shape_sequence(pair)
+    seq = shape_sequence(canonical, chain)
     payload = {
         "pair": _pair_payload(pair),
         "matrix": [list(row) for row in canonical.entries],
-        "chain": [[list(row) for row in stage] for stage in canonical.chain],
+        "chain": [[list(row) for row in stage] for stage in chain],
         "star": [list(row) for row in star.entries],
         "mu_star": list(star.mu_star),
         "shapes": [list(s) for s in seq.shapes],
         "steps": [_step_payload(s) for s in seq.steps],
     }
     lines = [f"pair: {pair}"]
-    for i, stage in enumerate(canonical.chain):
+    for i, stage in enumerate(chain):
         lines += [f"A^({i}):", render_matrix(stage)]
     lines += ["A*:", render_matrix(star.entries), f"mu*: {list(star.mu_star)}"]
     lines.append(
@@ -260,7 +262,7 @@ def kgr(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     """Arc graph of the star matrix, with a conservative subtree when
     one exists (highlighted in dot output)."""
     pair = _build_pair(lam, mu, rank)
-    graph = build_graph(star_matrix(ryser_canonical(pair)))
+    graph = pair_graph(pair)
     witness = find_conservative_subtree(graph)
     if fmt == "dot":
         click.echo(to_dot(graph, witness))
@@ -350,20 +352,10 @@ def reduce(lam: str, mu: str, rank: int | None, fmt: str, cap_boxes: int) -> Non
     envvar="KOSTKA_FIXTURES",
     help="directory of catalog fixtures (default: packaged)",
 )
-@click.option(
-    "--jobs",
-    type=int,
-    default=1,
-    envvar="KOSTKA_JOBS",
-    show_default=True,
-    help="accepted for compatibility; evaluation is serial",
-)
 @_guarded
-def basis(rank: int, fmt: str, fixtures: Path | None, jobs: int) -> None:
+def basis(rank: int, fmt: str, fixtures: Path | None) -> None:
     """Hilbert basis at a rank, compared against the persisted catalog
     when one is present (mismatch exits 3 with a structural diff)."""
-    if jobs < 1:
-        raise click.UsageError("--jobs must be >= 1")
     catalog = hilbert_basis(rank)
     path = (
         Path(fixtures) / f"basis_r{rank}.json" if fixtures else default_fixture_path(rank)

@@ -218,7 +218,7 @@ def hilbert_basis(rank: int, cap: int = config.RANK_CAP) -> BasisCatalog:
         for lam in enumerate_partitions(n, max_part=rank, max_len=rank):
             for mu in dominated_partitions(lam, max_len=rank):
                 pair = KostkaPair(lam, mu, rank)
-                if decompose(pair) is None:
+                if decompose(pair, rank * rank) is None:
                     elements.append(pair)
     elements.sort(key=lambda p: (p.n, p.lam, p.mu))
     return BasisCatalog(rank=rank, elements=tuple(elements))
@@ -310,11 +310,28 @@ def _family_membership(pair: KostkaPair) -> bool:
     return m >= beta >= 1 and y * m == v * beta
 
 
+def _integer_rank(rows: list[list[int]]) -> int:
+    """Exact rank of an integer matrix by fraction-free (Bareiss)
+    elimination: every division by the previous pivot is exact."""
+    m = [list(row) for row in rows]
+    width = len(m[0]) if m else 0
+    rank, prev = 0, 1
+    for c in range(width):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        p = m[rank][c]
+        for i in range(rank + 1, len(m)):
+            m[i] = [(p * m[i][j] - m[i][c] * m[rank][j]) // prev for j in range(width)]
+        prev = p
+        rank += 1
+    return rank
+
+
 def _tight_rank(pair: KostkaPair) -> int:
     """Rank of the system of facet constraints the pair saturates
-    (exact rational arithmetic)."""
-    import sympy
-
+    (exact integer arithmetic)."""
     r = pair.rank
     lam, mu = pair.padded()
     rows: list[list[int]] = []
@@ -340,7 +357,7 @@ def _tight_rank(pair: KostkaPair) -> int:
         if lam_pref[t - 1] == mu_pref[t - 1]:
             rows.append([1] * t + [0] * (r - t) + [-1] * t + [0] * (r - t))
     rows.append([1] * r + [-1] * r)
-    return sympy.Matrix(rows).rank()
+    return _integer_rank(rows)
 
 
 def is_extremal(pair: KostkaPair) -> bool:

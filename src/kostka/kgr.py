@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import MalformedStarMatrix
-from .partitions import KostkaPair, pad
+from .partitions import KostkaPair
 from .ryser import StarMatrix, ryser_canonical, split_pair, star_matrix
 
 
@@ -297,7 +297,8 @@ def fast_reducibility(pair: KostkaPair) -> FastReduction | None:
     matrix and graph, locate a conservative subtree, and split the pair
     along the subtree's columns.  None means no conservative subtree
     exists (which for these graphs means no column witness at all)."""
-    star = star_matrix(ryser_canonical(pair))
+    canonical = ryser_canonical(pair)
+    star = star_matrix(canonical)
     graph = build_graph(star)
     wit = find_conservative_subtree(graph)
     if wit is None:
@@ -308,7 +309,7 @@ def fast_reducibility(pair: KostkaPair) -> FastReduction | None:
     mu_star = np.asarray(star.mu_star, dtype=np.int64)
     if not ((v_star >= 0) & (v_star <= mu_star)).all():
         raise AssertionError(f"subtree columns {wit.columns} fail 0 <= v* <= mu*")
-    selected, complement = split_pair(pair, wit.columns)
+    selected, complement = split_pair(canonical, wit.columns)
     return FastReduction(
         columns=wit.columns, witness=wit, selected=selected, complement=complement
     )
@@ -381,11 +382,3 @@ def sink_of_component(graph: KgrGraph, start: Vertex) -> Vertex:
 def pair_graph(pair: KostkaPair) -> KgrGraph:
     """Convenience: canonical matrix -> star matrix -> graph."""
     return build_graph(star_matrix(ryser_canonical(pair)))
-
-
-def mu_star_of(pair: KostkaPair) -> tuple[int, ...]:
-    mu_padded = pad(pair.mu, pair.rank)
-    return tuple(
-        mu_padded[i] - (mu_padded[i + 1] if i + 1 < pair.rank else 0)
-        for i in range(pair.rank)
-    )

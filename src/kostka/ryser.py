@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -100,13 +100,11 @@ def _column_runs(column: Sequence[int]) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class CanonicalMatrix:
-    """Ryser's canonical matrix for a cone pair, with the full fixing
-    chain A^(0), ..., A^(lambda_1) retained (last entry equals
-    ``entries``)."""
+    """Ryser's canonical matrix for a cone pair.  The fixing chain that
+    produced it is rebuilt on demand by :func:`fixing_chain`."""
 
     pair: KostkaPair
     entries: Matrix
-    chain: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
         lam, mu = self.pair.lam, self.pair.mu
@@ -126,12 +124,6 @@ class CanonicalMatrix:
                 raise AssertionError(f"column {j + 1} has runs {runs}")
             if j == 0 and runs and runs[0][0] != 1:
                 raise AssertionError("leftmost column not anchored at the top")
-        if len(self.chain) != w + 1:
-            raise AssertionError("chain must have width + 1 matrices")
-        if self.chain[-1] != self.entries:
-            raise AssertionError("chain must end at the canonical matrix")
-        if w >= 1 and self.chain[-1] != self.chain[-2]:
-            raise AssertionError("the column-1 fixing step must be a no-op")
 
     @property
     def array(self) -> np.ndarray:
@@ -146,16 +138,17 @@ class CanonicalMatrix:
         return pad(conjugate(self.pair.lam), self.pair.width)
 
 
-def ryser_canonical(pair: KostkaPair) -> CanonicalMatrix:
-    """Run the column-fixing procedure and return the canonical matrix
-    together with its chain."""
+def _fixing_stages(pair: KostkaPair) -> Iterator[np.ndarray]:
+    """Run the column-fixing procedure, yielding the in-progress array
+    A^(0), ..., A^(lambda_1).  The same array is mutated between yields;
+    copy a stage to keep it."""
     r, w = pair.rank, pair.width
     mu_padded = pad(pair.mu, r)
     lam_conj = pad(conjugate(pair.lam), w)
     arr = np.zeros((r, w), dtype=np.int64)
     for i, v in enumerate(mu_padded):
         arr[i, :v] = 1
-    chain = [_to_matrix(arr)]
+    yield arr
     for s in range(w, 0, -1):
         sums = arr[:, :s].sum(axis=1)
         # largest current sum first; among ties the southmost row wins
@@ -168,8 +161,27 @@ def ryser_canonical(pair: KostkaPair) -> CanonicalMatrix:
             if j != s - 1:
                 arr[i, j] = 0
                 arr[i, s - 1] = 1
-        chain.append(_to_matrix(arr))
-    return CanonicalMatrix(pair=pair, entries=chain[-1], chain=tuple(chain))
+        yield arr
+
+
+def ryser_canonical(pair: KostkaPair) -> CanonicalMatrix:
+    """Run the column-fixing procedure and return the canonical matrix."""
+    *_, arr = _fixing_stages(pair)
+    return CanonicalMatrix(pair=pair, entries=_to_matrix(arr))
+
+
+def fixing_chain(canonical: CanonicalMatrix) -> tuple[Matrix, ...]:
+    """The fixing chain A^(0), ..., A^(lambda_1) that ends at the
+    canonical matrix."""
+    chain = tuple(_to_matrix(arr) for arr in _fixing_stages(canonical.pair))
+    w = canonical.pair.width
+    if len(chain) != w + 1:
+        raise AssertionError("chain must have width + 1 matrices")
+    if chain[-1] != canonical.entries:
+        raise AssertionError("chain must end at the canonical matrix")
+    if w >= 1 and chain[-1] != chain[-2]:
+        raise AssertionError("the column-1 fixing step must be a no-op")
+    return chain
 
 
 @dataclass(frozen=True)
@@ -292,8 +304,12 @@ def _step_multiset_delta(step: Step) -> tuple[Counter, Counter]:
     return Counter([step.length, step.deleted_length]), Counter([step.new_length])
 
 
-def shape_sequence(pair: KostkaPair) -> ShapeSequence:
-    canonical = ryser_canonical(pair)
+def shape_sequence(
+    canonical: CanonicalMatrix, chain: Sequence[Matrix]
+) -> ShapeSequence:
+    """Shape chain and step classification of a canonical matrix; the
+    prefix sums are cross-checked against its fixing chain."""
+    pair = canonical.pair
     star = star_matrix(canonical)
     arr = canonical.array
     w = pair.width
@@ -304,7 +320,7 @@ def shape_sequence(pair: KostkaPair) -> ShapeSequence:
             raise AssertionError(f"prefix row sums not weakly decreasing at step {i}")
         shapes.append(as_partition(int(v) for v in sums))
         # the same prefix of the in-progress matrix already has these sums
-        stage = _to_array(canonical.chain[i])
+        stage = _to_array(chain[i])
         if stage.size and not np.array_equal(stage[:, : w - i].sum(axis=1), sums):
             raise AssertionError(f"prefix row sums changed after stage {i}")
     if shapes[0] != pair.mu or shapes[-1] != ():
@@ -374,21 +390,22 @@ def star_reducible(
 
 
 def split_pair(
-    pair: KostkaPair, columns: Sequence[int]
+    canonical: CanonicalMatrix, columns: Sequence[int]
 ) -> tuple[KostkaPair, KostkaPair]:
-    """Split a pair along a witnessing column subset into (selected,
-    complement) summand pairs at the same rank.
+    """Split the canonical matrix's pair along a witnessing column subset
+    into (selected, complement) summand pairs at the same rank.
 
     Raises :class:`NotAWitness` when the subset is not a proper nonempty
     subset of the columns or either half's row sums fail to be weakly
     decreasing.
     """
+    pair = canonical.pair
     w = pair.width
     sel = sorted(set(int(j) for j in columns))
     if not sel or len(sel) == w or any(j < 1 or j > w for j in sel):
         raise NotAWitness(f"columns {columns} are not a proper nonempty subset")
-    arr = ryser_canonical(pair).array
-    lam_conj = pad(conjugate(pair.lam), w)
+    arr = canonical.array
+    lam_conj = canonical.col_sums
     halves: list[KostkaPair] = []
     for index_set in (sel, sorted(set(range(1, w + 1)) - set(sel))):
         cols = [j - 1 for j in index_set]
@@ -404,7 +421,7 @@ def split_pair(
             )
         )
     selected, complement = halves
-    if tuple(a + b for a, b in zip(pad(selected.mu, pair.rank), pad(complement.mu, pair.rank))) != pad(pair.mu, pair.rank):
+    if tuple(a + b for a, b in zip(pad(selected.mu, pair.rank), pad(complement.mu, pair.rank))) != canonical.row_sums:
         raise AssertionError("split halves do not add back to mu")
     if size(selected.lam) + size(complement.lam) != size(pair.lam):
         raise AssertionError("split halves do not add back to lambda")

@@ -27,6 +27,7 @@ from kostka.kgr import fast_reducibility, pair_graph, verify_subtree
 from kostka.lr import growth_table, verify_counterexample
 from kostka.partitions import KostkaPair, kostka_positive
 from kostka.ryser import (
+    fixing_chain,
     gr_nonempty,
     matrix_reducible,
     ryser_canonical,
@@ -116,7 +117,7 @@ def test_c04_worked_example_end_to_end():
     conservative subtree on columns (2,3,4,8), and the induced split."""
     canonical = ryser_canonical(WORKED)
     blocks = read_matrix_blocks("ryser_chain.txt")
-    assert list(canonical.chain) == blocks
+    assert list(fixing_chain(canonical)) == blocks
     star = star_matrix(canonical)
     [expected_star] = read_matrix_blocks("star_matrix.txt")
     assert star.entries == expected_star
@@ -132,7 +133,7 @@ def test_c04_worked_example_end_to_end():
     assert set(reduction.witness.vertices) == GOLDEN_SUBTREE
     assert verify_subtree(graph, reduction.witness.vertices)
 
-    selected, complement = split_pair(WORKED, reduction.columns)
+    selected, complement = split_pair(canonical, reduction.columns)
     assert (selected, complement) == (reduction.selected, reduction.complement)
     assert selected.lam == (4, 3, 3, 3, 2, 1)
     assert selected.mu == (3, 3, 2, 2, 2, 2, 2)

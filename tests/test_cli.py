@@ -187,9 +187,6 @@ class TestBasis:
         assert run(runner, "basis", "-r", "9").exit_code == 2
         assert run(runner, "basis", "-r", "0").exit_code == 2
 
-    def test_jobs_must_be_positive(self, runner):
-        assert run(runner, "basis", "-r", "2", "--jobs", "0").exit_code == 2
-
 
 class TestRays:
     def test_rank_ten_count(self, runner):

@@ -7,6 +7,7 @@ from hypothesis import given
 
 import oracles
 from conftest import cone_pair_pool, cone_pairs_st
+from kostka import cone
 from kostka.cone import (
     AuditReport,
     BasisCatalog,
@@ -83,6 +84,14 @@ class TestHilbertBasis:
             hilbert_basis(7)
         with pytest.raises(RankCapExceeded):
             hilbert_basis(0)
+
+    def test_raised_rank_cap_reaches_the_full_box(self, monkeypatch):
+        # rank 7 needs 49 boxes, more than the default splitting cap
+        def only_square(n, max_part=None, max_len=None):
+            return iter([(7,) * 7] if n == 49 else [])
+
+        monkeypatch.setattr(cone, "enumerate_partitions", only_square)
+        assert hilbert_basis(7, cap=7).count == 0
 
     def test_every_element_is_irreducible_and_in_cone(self):
         for rank in (1, 2, 3, 4):

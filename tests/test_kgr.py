@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import cone_pairs_st
+from kostka import kgr, ryser
 from kostka.errors import MalformedStarMatrix
 from kostka.kgr import (
     Vertex,
@@ -14,7 +15,6 @@ from kostka.kgr import (
     graph_payload,
     is_connected,
     is_forest,
-    mu_star_of,
     pair_graph,
     segment_crossings,
     sink_of_component,
@@ -85,7 +85,7 @@ class TestGoldenGraph:
     def test_source_census(self, running_pair):
         graph = pair_graph(running_pair)
         assert source_rows(graph) == {2: 3, 7: 4}
-        assert mu_star_of(running_pair) == (0, 3, 0, 0, 0, 0, 4)
+        assert star_matrix(ryser_canonical(running_pair)).mu_star == (0, 3, 0, 0, 0, 0, 4)
 
     def test_conservative_subtree(self, running_pair):
         graph = pair_graph(running_pair)
@@ -108,6 +108,22 @@ class TestGoldenGraph:
         assert fast.complement == KostkaPair(
             (4, 4, 4, 4, 1, 1), (4, 4, 2, 2, 2, 2, 2), rank=7
         )
+
+    def test_fast_reduction_builds_one_canonical_matrix(
+        self, running_pair, monkeypatch
+    ):
+        calls = []
+        real = ryser.ryser_canonical
+
+        def spy(pair):
+            calls.append(pair)
+            return real(pair)
+
+        # kgr imports ryser_canonical by name, so patch both bindings
+        monkeypatch.setattr(kgr, "ryser_canonical", spy)
+        monkeypatch.setattr(ryser, "ryser_canonical", spy)
+        assert fast_reducibility(running_pair) is not None
+        assert calls == [running_pair]
 
 
 class TestRefereeNegatives:
@@ -158,7 +174,7 @@ class TestInvariants:
         graph = pair_graph(pair)
         assert is_forest(graph)
         assert segment_crossings(graph) == 0
-        mu_star = pad(mu_star_of(pair), pair.rank)
+        mu_star = pad(star_matrix(ryser_canonical(pair)).mu_star, pair.rank)
         expected = {i + 1: c for i, c in enumerate(mu_star) if c}
         assert source_rows(graph) == expected
 

@@ -22,6 +22,7 @@ from kostka.ryser import (
     gr_nonempty,
     initial_matrix,
     matrix_reducible,
+    fixing_chain,
     render_matrix,
     ryser_canonical,
     shape_sequence,
@@ -84,13 +85,14 @@ class TestGaleRyser:
 class TestCanonicalMatrix:
     def test_golden_chain(self, running_pair):
         canonical = ryser_canonical(running_pair)
-        assert canonical.chain == tuple(read_matrix_blocks("ryser_chain.txt"))
-        assert canonical.entries == canonical.chain[-1]
+        chain = fixing_chain(canonical)
+        assert chain == tuple(read_matrix_blocks("ryser_chain.txt"))
+        assert canonical.entries == chain[-1]
 
     def test_margins_hold_along_the_whole_chain(self, running_pair):
         canonical = ryser_canonical(running_pair)
         mu_padded = pad(running_pair.mu, running_pair.rank)
-        for stage in canonical.chain:
+        for stage in fixing_chain(canonical):
             assert tuple(sum(row) for row in stage) == mu_padded
         cols = np.asarray(canonical.entries).sum(axis=0)
         assert tuple(int(c) for c in cols) == pad(
@@ -99,13 +101,13 @@ class TestCanonicalMatrix:
 
     def test_identity_pair_is_a_fixed_point(self):
         canonical = ryser_canonical(KostkaPair((4, 2), (4, 2)))
-        assert set(canonical.chain) == {canonical.entries}
+        assert set(fixing_chain(canonical)) == {canonical.entries}
         assert canonical.entries == ((1, 1, 1, 1), (1, 1, 0, 0))
 
     @given(cone_pairs_st(max_boxes=12))
     def test_construction_validates(self, pair):
         canonical = ryser_canonical(pair)  # __post_init__ re-checks everything
-        assert len(canonical.chain) == pair.width + 1
+        assert len(fixing_chain(canonical)) == pair.width + 1
 
     @given(cone_pairs_st(max_boxes=12))
     def test_columns_have_at_most_two_runs_anchored_at_top(self, pair):
@@ -161,9 +163,10 @@ class TestReducibility:
             star_reducible(star_matrix(ryser_canonical(running_pair)), cap=4)
 
     def test_witness_always_splits(self, running_pair):
-        witness = matrix_reducible(ryser_canonical(running_pair))
+        canonical = ryser_canonical(running_pair)
+        witness = matrix_reducible(canonical)
         assert witness is not None
-        selected, complement = split_pair(running_pair, witness)
+        selected, complement = split_pair(canonical, witness)
         assert size(selected.lam) + size(complement.lam) == running_pair.n
 
     def test_basis_elements_have_no_column_split(self):
@@ -174,7 +177,7 @@ class TestReducibility:
 
 class TestSplitPair:
     def test_golden_split(self, running_pair):
-        selected, complement = split_pair(running_pair, (2, 3, 4, 8))
+        selected, complement = split_pair(ryser_canonical(running_pair), (2, 3, 4, 8))
         assert selected == KostkaPair(
             (4, 3, 3, 3, 2, 1), (3, 3, 2, 2, 2, 2, 2), rank=7
         )
@@ -183,33 +186,39 @@ class TestSplitPair:
         )
 
     def test_rejects_improper_subsets(self, running_pair):
+        canonical = ryser_canonical(running_pair)
         with pytest.raises(NotAWitness):
-            split_pair(running_pair, ())
+            split_pair(canonical, ())
         with pytest.raises(NotAWitness):
-            split_pair(running_pair, range(1, 9))
+            split_pair(canonical, range(1, 9))
         with pytest.raises(NotAWitness):
-            split_pair(running_pair, (0, 3))
+            split_pair(canonical, (0, 3))
 
     def test_rejects_non_witness(self, running_pair):
         # column 1 alone leaves complement row sums (6,6,3,3,3,3,4)
         with pytest.raises(NotAWitness):
-            split_pair(running_pair, (1,))
+            split_pair(ryser_canonical(running_pair), (1,))
+
+
+def shape_of(pair):
+    canonical = ryser_canonical(pair)
+    return shape_sequence(canonical, fixing_chain(canonical))
 
 
 class TestShapeSequence:
     def test_golden_shapes_and_steps(self, running_pair):
-        seq = shape_sequence(running_pair)
+        seq = shape_of(running_pair)
         assert seq.shapes == GOLDEN_SHAPES
         assert seq.steps == GOLDEN_STEPS
 
     def test_single_row_peels_by_column_deletion(self):
-        seq = shape_sequence(KostkaPair((3,), (3,)))
+        seq = shape_of(KostkaPair((3,), (3,)))
         assert seq.steps == (DeleteColumn(length=1),) * 3
         assert seq.shapes == ((3,), (2,), (1,), ())
 
     @given(cone_pairs_st(max_boxes=12))
     def test_chain_runs_from_mu_to_empty(self, pair):
-        seq = shape_sequence(pair)
+        seq = shape_of(pair)
         assert seq.shapes[0] == pair.mu
         assert seq.shapes[-1] == ()
         assert len(seq.shapes) == pair.width + 1
@@ -217,7 +226,7 @@ class TestShapeSequence:
 
     @given(cone_pairs_st(max_boxes=12))
     def test_steps_only_touch_existing_columns(self, pair):
-        seq = shape_sequence(pair)
+        seq = shape_of(pair)
         for before, step in zip(seq.shapes, seq.steps):
             cols_before = list(conjugate(before))
             assert step.length in cols_before
