@@ -223,7 +223,7 @@ def ryser(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     canonical = ryser_canonical(pair)
     chain = fixing_chain(canonical)
     star = star_matrix(canonical)
-    seq = shape_sequence(canonical, chain)
+    seq = shape_sequence(canonical, star, chain)
     payload = {
         "pair": _pair_payload(pair),
         "matrix": [list(row) for row in canonical.entries],
@@ -296,7 +296,6 @@ def kgr(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     "--cap-boxes",
     type=int,
     default=config.SPLIT_CAP,
-    envvar="KOSTKA_CAP_BOXES",
     show_default=True,
     help="largest |lambda| for the decomposition search",
 )
@@ -305,8 +304,8 @@ def reduce(lam: str, mu: str, rank: int | None, fmt: str, cap_boxes: int) -> Non
     """Reducibility: graph-driven fast detection plus the complete
     decomposition search.  Exit 1 when the pair is irreducible."""
     pair = _build_pair(lam, mu, rank)
-    fast = fast_reducibility(pair)
     found = decompose(pair, cap_boxes)
+    fast = fast_reducibility(pair)
     if fast is not None and found is None:
         raise AssertionFailure(
             f"graph detection split {pair} but the decomposition search found nothing"
@@ -419,7 +418,6 @@ def rays(rank: int, fmt: str) -> None:
     "--cap-boxes",
     type=int,
     default=13,
-    envvar="KOSTKA_CAP_BOXES",
     show_default=True,
     help="box cap for the over-wide boundary sweep",
 )

@@ -41,8 +41,7 @@ from .partitions import (
     KostkaPair,
     Partition,
     as_partition,
-    dominated_partitions,
-    enumerate_partitions,
+    cone_pairs,
     pad,
     prefix_sums,
     size,
@@ -214,12 +213,10 @@ def hilbert_basis(rank: int, cap: int = config.RANK_CAP) -> BasisCatalog:
     if not 1 <= rank <= cap:
         raise RankCapExceeded(f"rank {rank} outside [1, {cap}]")
     elements: list[KostkaPair] = []
-    for n in range(1, rank * rank + 1):
-        for lam in enumerate_partitions(n, max_part=rank, max_len=rank):
-            for mu in dominated_partitions(lam, max_len=rank):
-                pair = KostkaPair(lam, mu, rank)
-                if decompose(pair, rank * rank) is None:
-                    elements.append(pair)
+    for lam, mu in cone_pairs(rank * rank, rank, rank):
+        pair = KostkaPair(lam, mu, rank)
+        if decompose(pair, rank * rank) is None:
+            elements.append(pair)
     elements.sort(key=lambda p: (p.n, p.lam, p.mu))
     return BasisCatalog(rank=rank, elements=tuple(elements))
 
@@ -378,14 +375,6 @@ def is_extremal(pair: KostkaPair) -> bool:
     return family
 
 
-def scale_pair(pair: KostkaPair, factor: int) -> KostkaPair:
-    return KostkaPair(
-        as_partition(factor * x for x in pair.lam),
-        as_partition(factor * x for x in pair.mu),
-        pair.rank,
-    )
-
-
 # --- width-bound audit ------------------------------------------------------
 
 
@@ -418,17 +407,13 @@ def width_bound_audit(rank: int, box_cap: int = 13) -> AuditReport:
                     f"width-saturating basis pair {pair} is not a rectangle pair"
                 )
     checked = 0
-    for n in range(rank + 1, box_cap + 1):
-        for lam in enumerate_partitions(n, max_part=rank + 1, max_len=rank):
-            if not lam or lam[0] != rank + 1:
-                continue
-            for mu in dominated_partitions(lam, max_len=rank):
-                pair = KostkaPair(lam, mu, rank)
-                checked += 1
-                if decompose(pair) is None:
-                    raise AssertionFailure(
-                        f"over-wide pair {pair} claims to be irreducible"
-                    )
+    for lam, mu in cone_pairs(box_cap, rank + 1, rank):
+        if lam[0] != rank + 1:
+            continue
+        pair = KostkaPair(lam, mu, rank)
+        checked += 1
+        if decompose(pair) is None:
+            raise AssertionFailure(f"over-wide pair {pair} claims to be irreducible")
     return AuditReport(
         rank=rank,
         basis_count=catalog.count,

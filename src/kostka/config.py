@@ -1,8 +1,9 @@
 """Default resource caps.
 
-All caps guard enumerations whose cost is exponential in the capped
-quantity.  They can be overridden per call; the CLI additionally reads
-``KOSTKA_*`` environment variables.
+The caps guard enumerations whose cost is exponential in the capped
+quantity, and the one allocation (a printed fixing chain) that grows
+as rank times width squared.  All but ``CHAIN_CAP`` can be overridden per
+call; the CLI additionally reads ``KOSTKA_*`` environment variables.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ SPLIT_CAP = 40
 
 # Widest matrix for which column subsets are swept exhaustively (2^w masks).
 WIDTH_CAP = 24
+
+# Most cells, (lambda_1 + 1) * rank * lambda_1, in a fixing chain that is
+# built to be printed.
+CHAIN_CAP = 1_000_000
 
 # Largest rank for which the Hilbert basis is computed.
 RANK_CAP = 6

@@ -47,7 +47,8 @@ class WidthTooSmall(KostkaError):
 
 
 class WidthCapExceeded(KostkaError):
-    """A column-subset sweep was refused: too many columns."""
+    """A column-subset sweep or a printed fixing chain was refused: too
+    many columns."""
 
 
 class RankCapExceeded(KostkaError):

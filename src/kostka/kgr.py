@@ -142,38 +142,6 @@ def is_connected(graph: KgrGraph) -> bool:
     return bfs
 
 
-def is_forest(graph: KgrGraph) -> bool:
-    return len(graph.arcs) == len(graph.vertices) - len(components(graph))
-
-
-def segment_crossings(graph: KgrGraph) -> int:
-    """Interior crossings when arcs are drawn as straight segments on the
-    matrix grid.  Horizontal and vertical segments in the same row or
-    column are also checked for interior overlap."""
-    horizontals = [
-        (t.row, h.col, t.col) for t, h in graph.arcs if t.row == h.row
-    ]  # (row, left col, right col)
-    verticals = [
-        (t.col, min(t.row, h.row), max(t.row, h.row))
-        for t, h in graph.arcs
-        if t.col == h.col
-    ]
-    crossings = 0
-    for row, left, right in horizontals:
-        for col, top, bottom in verticals:
-            if left < col < right and top < row < bottom:
-                crossings += 1
-    for i, (row, left, right) in enumerate(horizontals):
-        for row2, left2, right2 in horizontals[i + 1 :]:
-            if row == row2 and max(left, left2) < min(right, right2):
-                crossings += 1
-    for i, (col, top, bottom) in enumerate(verticals):
-        for col2, top2, bottom2 in verticals[i + 1 :]:
-            if col == col2 and max(top, top2) < min(bottom, bottom2):
-                crossings += 1
-    return crossings
-
-
 @dataclass(frozen=True)
 class SubtreeWitness:
     """A conservative subtree: either a full component of a disconnected
@@ -356,27 +324,6 @@ def graph_payload(
             else None,
         }
     return payload
-
-
-def source_rows(graph: KgrGraph) -> dict[int, int]:
-    """Number of sources in each row (keyed by row index)."""
-    counts: dict[int, int] = {}
-    for v in graph.vertices:
-        if not graph.incoming[v]:
-            counts[v.row] = counts.get(v.row, 0) + 1
-    return counts
-
-
-def sink_of_component(graph: KgrGraph, start: Vertex) -> Vertex:
-    """Follow out-arcs from ``start`` to the unique terminal vertex."""
-    x = start
-    seen = {x}
-    while x in graph.out:
-        x = graph.out[x]
-        if x in seen:
-            raise AssertionError("out-walk revisited a vertex; not a forest")
-        seen.add(x)
-    return x
 
 
 def pair_graph(pair: KostkaPair) -> KgrGraph:

@@ -242,14 +242,50 @@ def dominated_partitions(
     lam: Sequence[int], max_len: int
 ) -> Iterator[Partition]:
     """All mu with |mu| = |lambda|, at most ``max_len`` parts, and
-    lambda >= mu in dominance order."""
+    lambda >= mu in dominance order, in decreasing lexicographic order.
+
+    Depth-first under lambda's prefix sums: part i of mu is at most the
+    previous part and at most Lambda_i - M_{i-1}, so every branch stays
+    dominated and no candidate needs a separate check."""
     pl = as_partition(lam)
     if not pl:
         yield ()
         return
-    for mu in enumerate_partitions(size(pl), max_part=pl[0], max_len=max_len):
-        if dominates(pl, mu):
-            yield mu
+    if max_len < len(pl):  # a dominated mu has at least len(lambda) parts
+        return
+    n = size(pl)
+    lam_prefix = prefix_sums(pl, max_len)
+
+    def rec(i: int, remaining: int, bound: int, acc: list[int]) -> Iterator[Partition]:
+        if remaining == 0:
+            yield tuple(acc)
+            return
+        slots = max_len - i
+        if slots == 0:
+            return
+        top = min(bound, lam_prefix[i] - (n - remaining))
+        for part in range(top, 0, -1):
+            if part * slots < remaining:
+                break
+            acc.append(part)
+            yield from rec(i + 1, remaining - part, part, acc)
+            acc.pop()
+
+    yield from rec(0, n, pl[0], [])
+
+
+def cone_pairs(
+    max_boxes: int, max_part: int, max_len: int
+) -> Iterator[tuple[Partition, Partition]]:
+    """Every cone point (lambda, mu) with 1 <= |lambda| <= ``max_boxes``,
+    lambda_1 <= ``max_part`` and at most ``max_len`` parts on each side.
+
+    Ordered by size, then lambda, then mu, each in decreasing
+    lexicographic order."""
+    for n in range(1, max_boxes + 1):
+        for lam in enumerate_partitions(n, max_part, max_len):
+            for mu in dominated_partitions(lam, max_len):
+                yield lam, mu
 
 
 def parse_partition(text: str) -> Partition:
@@ -267,9 +303,3 @@ def parse_partition(text: str) -> Partition:
 def format_partition(p: Sequence[int]) -> str:
     q = as_partition(p)
     return ",".join(str(v) for v in q) if q else "0"
-
-
-def render_diagram(p: Sequence[int]) -> str:
-    """Young diagram as rows of '#' (English convention)."""
-    q = as_partition(p)
-    return "\n".join("#" * part for part in q)

@@ -172,9 +172,16 @@ def ryser_canonical(pair: KostkaPair) -> CanonicalMatrix:
 
 def fixing_chain(canonical: CanonicalMatrix) -> tuple[Matrix, ...]:
     """The fixing chain A^(0), ..., A^(lambda_1) that ends at the
-    canonical matrix."""
-    chain = tuple(_to_matrix(arr) for arr in _fixing_stages(canonical.pair))
+    canonical matrix.  Raises :class:`WidthCapExceeded` before building
+    anything when the chain would hold more than ``config.CHAIN_CAP``
+    cells."""
     w = canonical.pair.width
+    cells = (w + 1) * canonical.pair.rank * w
+    if cells > config.CHAIN_CAP:
+        raise WidthCapExceeded(
+            f"fixing chain of {cells} cells exceeds cap {config.CHAIN_CAP}"
+        )
+    chain = tuple(_to_matrix(arr) for arr in _fixing_stages(canonical.pair))
     if len(chain) != w + 1:
         raise AssertionError("chain must have width + 1 matrices")
     if chain[-1] != canonical.entries:
@@ -305,12 +312,12 @@ def _step_multiset_delta(step: Step) -> tuple[Counter, Counter]:
 
 
 def shape_sequence(
-    canonical: CanonicalMatrix, chain: Sequence[Matrix]
+    canonical: CanonicalMatrix, star: StarMatrix, chain: Sequence[Matrix]
 ) -> ShapeSequence:
-    """Shape chain and step classification of a canonical matrix; the
-    prefix sums are cross-checked against its fixing chain."""
+    """Shape chain and step classification of a canonical matrix, read
+    from its star matrix; the prefix sums are cross-checked against its
+    fixing chain."""
     pair = canonical.pair
-    star = star_matrix(canonical)
     arr = canonical.array
     w = pair.width
     shapes: list[Partition] = []

@@ -97,12 +97,6 @@ def catalan_reducible(
     return sweep_proper_subsets(t, predicate)
 
 
-def strip_zeros(entries: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(nonzero entries, their original 1-based positions)."""
-    kept = [(v, i) for i, v in enumerate(entries, start=1) if v != 0]
-    return tuple(v for v, _ in kept), tuple(i for _, i in kept)
-
-
 def pair_to_sequence(pair: KostkaPair) -> tuple[int, ...]:
     """Column-difference sequence mu'_j - lambda'_j for j = 1..lambda_1.
     Entries may be zero; total is zero and prefixes are nonnegative."""

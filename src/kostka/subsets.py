@@ -10,7 +10,7 @@ results are deterministic and stable across chunk sizes.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,13 +23,6 @@ Predicate = Callable[[np.ndarray], np.ndarray]
 def mask_indices(mask: int, width: int) -> tuple[int, ...]:
     """1-based positions of the set bits (bit 0 = position 1)."""
     return tuple(j + 1 for j in range(width) if mask >> j & 1)
-
-
-def indices_to_mask(indices: Sequence[int]) -> int:
-    out = 0
-    for j in indices:
-        out |= 1 << (j - 1)
-    return out
 
 
 def _bits(masks: np.ndarray, width: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kostka.partitions import (
     KostkaPair,
     Partition,
-    dominated_partitions,
+    cone_pairs,
     enumerate_partitions,
 )
 
@@ -56,13 +56,12 @@ def partition_pool(
 
 @lru_cache(maxsize=None)
 def cone_pair_pool(max_boxes: int, max_width: int = 0) -> tuple[KostkaPair, ...]:
-    """Every nonzero dominance pair with at most max_boxes boxes."""
-    pairs: list[KostkaPair] = []
-    for n in range(1, max_boxes + 1):
-        for lam in enumerate_partitions(n, max_part=max_width or None):
-            for mu in dominated_partitions(lam, max_len=n):
-                pairs.append(KostkaPair(lam, mu))
-    return tuple(pairs)
+    """Every nonzero dominance pair with at most max_boxes boxes, at
+    minimal rank."""
+    return tuple(
+        KostkaPair(lam, mu)
+        for lam, mu in cone_pairs(max_boxes, max_width or max_boxes, max_boxes)
+    )
 
 
 def partitions_st(max_boxes: int = 12, max_part: int = 0, max_len: int = 0):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from kostka import cli, ryser
 from kostka.cli import main
 
 WORKED = ["8,7,7,7,3,2", "7,7,4,4,4,4,4"]
@@ -94,6 +95,25 @@ class TestRyser:
         assert "A^(0):" in result.output
         assert "A*:" in result.output
 
+    def test_oversized_chain_is_a_usage_error(self, runner):
+        # (100+1) * 100 rows * 100 columns = 1,010,000 cells > CHAIN_CAP
+        result = run(runner, "ryser", "100", ",".join(["1"] * 100))
+        assert result.exit_code == 2
+
+    def test_star_matrix_is_built_once(self, runner, monkeypatch):
+        calls = []
+        real = ryser.star_matrix
+
+        def spy(canonical):
+            calls.append(canonical)
+            return real(canonical)
+
+        monkeypatch.setattr(cli, "star_matrix", spy)
+        monkeypatch.setattr(ryser, "star_matrix", spy)
+        result = run(runner, "ryser", *WORKED, "--format", "json")
+        assert result.exit_code == 0
+        assert len(calls) == 1
+
 
 class TestKgr:
     def test_json_graph(self, runner):
@@ -137,6 +157,17 @@ class TestReduce:
     def test_cap_is_a_usage_error(self, runner):
         result = run(runner, "reduce", *WORKED, "--cap-boxes", "10")
         assert result.exit_code == 2
+
+    def test_box_cap_is_checked_before_the_detector(self, runner, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "fast_reducibility", lambda pair: calls.append(pair))
+        result = run(runner, "reduce", "41", "41")
+        assert result.exit_code == 2
+        assert calls == []
+
+    def test_box_cap_ignores_the_check_environment(self, runner):
+        result = run(runner, "reduce", *WORKED, env={"KOSTKA_CAP_BOXES": "5"})
+        assert result.exit_code == 0
 
 
 class TestBasis:
@@ -207,6 +238,13 @@ class TestAudit:
         payload = json.loads(result.output)
         assert payload["ok"] is True
         assert payload["basis_count"] == 3
+
+    def test_box_cap_ignores_the_check_environment(self, runner):
+        result = run(
+            runner, "audit", "-r", "2", "--format", "json", env={"KOSTKA_CAP_BOXES": "5"}
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["box_cap"] == 13
 
 
 class TestCatalan:

@@ -7,6 +7,7 @@ from conftest import cone_pairs_st
 from kostka import kgr, ryser
 from kostka.errors import MalformedStarMatrix
 from kostka.kgr import (
+    KgrGraph,
     Vertex,
     build_graph,
     components,
@@ -14,11 +15,7 @@ from kostka.kgr import (
     find_conservative_subtree,
     graph_payload,
     is_connected,
-    is_forest,
     pair_graph,
-    segment_crossings,
-    sink_of_component,
-    source_rows,
     to_dot,
     verify_subtree,
 )
@@ -28,6 +25,59 @@ from kostka.ryser import StarMatrix, matrix_reducible, ryser_canonical, star_mat
 
 def _v(row: int, col: int, sign: int) -> Vertex:
     return Vertex(row=row, col=col, sign=sign)
+
+
+def is_forest(graph: KgrGraph) -> bool:
+    return len(graph.arcs) == len(graph.vertices) - len(components(graph))
+
+
+def segment_crossings(graph: KgrGraph) -> int:
+    """Interior crossings when arcs are drawn as straight segments on the
+    matrix grid.  Horizontal and vertical segments in the same row or
+    column are also checked for interior overlap."""
+    horizontals = [
+        (t.row, h.col, t.col) for t, h in graph.arcs if t.row == h.row
+    ]  # (row, left col, right col)
+    verticals = [
+        (t.col, min(t.row, h.row), max(t.row, h.row))
+        for t, h in graph.arcs
+        if t.col == h.col
+    ]
+    crossings = 0
+    for row, left, right in horizontals:
+        for col, top, bottom in verticals:
+            if left < col < right and top < row < bottom:
+                crossings += 1
+    for i, (row, left, right) in enumerate(horizontals):
+        for row2, left2, right2 in horizontals[i + 1 :]:
+            if row == row2 and max(left, left2) < min(right, right2):
+                crossings += 1
+    for i, (col, top, bottom) in enumerate(verticals):
+        for col2, top2, bottom2 in verticals[i + 1 :]:
+            if col == col2 and max(top, top2) < min(bottom, bottom2):
+                crossings += 1
+    return crossings
+
+
+def source_rows(graph: KgrGraph) -> dict[int, int]:
+    """Number of sources in each row (keyed by row index)."""
+    counts: dict[int, int] = {}
+    for v in graph.vertices:
+        if not graph.incoming[v]:
+            counts[v.row] = counts.get(v.row, 0) + 1
+    return counts
+
+
+def sink_of_component(graph: KgrGraph, start: Vertex) -> Vertex:
+    """Follow out-arcs from ``start`` to the unique terminal vertex."""
+    x = start
+    seen = {x}
+    while x in graph.out:
+        x = graph.out[x]
+        if x in seen:
+            raise AssertionError("out-walk revisited a vertex; not a forest")
+        seen.add(x)
+    return x
 
 
 GOLDEN_ARCS = {

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from kostka.errors import InvalidPair, InvalidPartition, SizeCapExceeded
 from kostka.partitions import (
     KostkaPair,
     as_partition,
+    cone_pairs,
     conjugate,
     dominated_partitions,
     dominates,
@@ -25,11 +27,16 @@ from kostka.partitions import (
     parse_partition,
     prefix_dominates,
     prefix_sums,
-    render_diagram,
     size,
 )
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]  # p(0..10)
+
+
+def render_diagram(p: Sequence[int]) -> str:
+    """Young diagram as rows of '#' (English convention)."""
+    q = as_partition(p)
+    return "\n".join("#" * part for part in q)
 
 
 class TestBasics:
@@ -151,6 +158,17 @@ class TestEnumeration:
                 mu for mu in enumerate_partitions(6) if oracles.dominance(lam, mu)
             ]
             assert sorted(listed) == sorted(brute)
+
+    def test_cone_pairs_against_filter(self):
+        for max_boxes, max_part, max_len in ((6, 6, 6), (10, 4, 3), (13, 7, 13)):
+            brute = [
+                (lam, mu)
+                for n in range(1, max_boxes + 1)
+                for lam in enumerate_partitions(n, max_part, max_len)
+                for mu in enumerate_partitions(n, max_len=max_len)
+                if oracles.dominance(lam, mu)
+            ]
+            assert list(cone_pairs(max_boxes, max_part, max_len)) == brute
 
     def test_pool_sizes_are_stable(self):
         assert len(partition_pool(10)) == sum(PARTITION_COUNTS)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from typing import Sequence
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import cone_pairs_st
+from conftest import cone_pair_pool, cone_pairs_st
 from kostka.errors import InvalidSequence, LengthCapExceeded, NotAWitness
 from kostka.partitions import KostkaPair, conjugate, dominates, pad
 from kostka.sequences import (
@@ -17,10 +19,15 @@ from kostka.sequences import (
     kim_theorem_check,
     pair_to_sequence,
     runs,
-    strip_zeros,
 )
 
 WORKED_SEQ = (3, 2, 1, -2, 1, -2, -1, -1, 2, -1, 2, 1, -2, -1, -1, -1)
+
+
+def strip_zeros(entries: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(nonzero entries, their original 1-based positions)."""
+    kept = [(v, i) for i, v in enumerate(entries, start=1) if v != 0]
+    return tuple(v for v, _ in kept), tuple(i for _, i in kept)
 
 
 def small_sequences() -> list[tuple[int, ...]]:
@@ -182,16 +189,11 @@ class TestCommonSplit:
 
     def test_wide_pairs_always_split(self):
         # lambda_1 > rank forces a common split (exhaustive, 13 boxes)
-        from kostka.partitions import dominated_partitions, enumerate_partitions
-
         wide = 0
-        for n in range(1, 14):
-            for lam in enumerate_partitions(n, max_part=7):
-                for mu in dominated_partitions(lam, max_len=n):
-                    pair = KostkaPair(lam, mu)
-                    if pair.width > pair.rank:
-                        assert commonly_reducible(pair) is not None, pair
-                        wide += 1
+        for pair in cone_pair_pool(13, max_width=7):
+            if pair.width > pair.rank:
+                assert commonly_reducible(pair) is not None, pair
+                wide += 1
         assert wide > 1900
 
 
