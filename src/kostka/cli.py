@@ -189,7 +189,7 @@ def check(lam: str, mu: str, rank: int | None, fmt: str, cap_boxes: int) -> None
     r = rank if rank is not None else max(len(pl), len(pm))
     member = in_kostka_cone(pl, pm, r)
     positive = kostka_positive(pl, pm)
-    count = kostka_count(pl, pm) if size(pl) <= cap_boxes else None
+    count = kostka_count(pl, pm, cap_boxes) if size(pl) <= cap_boxes else None
     payload = {
         "lambda": list(pl),
         "mu": list(pm),

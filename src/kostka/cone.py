@@ -40,11 +40,8 @@ from .errors import (
 from .partitions import (
     KostkaPair,
     Partition,
-    as_partition,
     cone_pairs,
-    pad,
     prefix_sums,
-    size,
 )
 
 _SPLIT_MEMO: dict[Partition, tuple[np.ndarray, np.ndarray]] = {}
@@ -101,9 +98,7 @@ def decompose(
     r = pair.rank
     lam_v, lam_sizes = _splittings(pair.lam)
     mu_v, mu_sizes = _splittings(pair.mu)
-    gap = np.asarray(prefix_sums(pair.lam, r), dtype=np.int64) - np.asarray(
-        prefix_sums(pair.mu, r), dtype=np.int64
-    )
+    gap = np.cumsum(np.subtract(*pair.padded()), dtype=np.int64)
     for m in range(1, n // 2 + 1):
         va = _lex_rows(lam_v[lam_sizes == m])
         if not va.shape[0]:
@@ -116,17 +111,14 @@ def decompose(
         hits = np.argwhere(ok)
         if hits.size:
             i, j = hits[0]
-            small_lam = as_partition(int(x) for x in va[i])
-            small_mu = as_partition(int(x) for x in vb[j])
-            large_lam = as_partition(
-                a - b for a, b in zip(pad(pair.lam, r), pad(tuple(small_lam), r))
-            )
-            large_mu = as_partition(
-                a - b for a, b in zip(pad(pair.mu, r), pad(tuple(small_mu), r))
-            )
+            small_lam, small_mu = va[i].tolist(), vb[j].tolist()
             return (
                 KostkaPair(small_lam, small_mu, r),
-                KostkaPair(large_lam, large_mu, r),
+                KostkaPair(
+                    [a - b for a, b in zip(pair.lam, small_lam)],
+                    [a - b for a, b in zip(pair.mu, small_mu)],
+                    r,
+                ),
             )
     return None
 
@@ -183,10 +175,7 @@ def load_catalog(path: Path | str) -> BasisCatalog:
     if data["sha256"] != _element_hash(data["elements"]):
         raise AssertionFailure(f"{path}: content hash mismatch")
     rank = int(data["rank"])
-    elements = tuple(
-        KostkaPair(as_partition(lam), as_partition(mu), rank)
-        for lam, mu in data["elements"]
-    )
+    elements = tuple(KostkaPair(lam, mu, rank) for lam, mu in data["elements"])
     if len(elements) != data["count"]:
         raise AssertionFailure(f"{path}: count field disagrees with elements")
     return BasisCatalog(rank=rank, elements=elements)
@@ -209,7 +198,7 @@ def default_fixture_path(rank: int) -> Path:
 def hilbert_basis(rank: int, cap: int = config.RANK_CAP) -> BasisCatalog:
     """Compute the Hilbert basis at the given rank by filtering every
     cone pair with lambda inside the rank x rank box through
-    :func:`is_irreducible`."""
+    :func:`decompose`."""
     if not 1 <= rank <= cap:
         raise RankCapExceeded(f"rank {rank} outside [1, {cap}]")
     elements: list[KostkaPair] = []
@@ -243,7 +232,7 @@ class RaySpec:
     def pair(self) -> KostkaPair:
         lam = (self.a,) * (self.b + self.ell)
         mu = (self.a,) * self.ell + (self.b,) * self.a
-        return KostkaPair(as_partition(lam), as_partition(mu), self.rank)
+        return KostkaPair(lam, mu, self.rank)
 
 
 def primitive_point(spec: RaySpec) -> KostkaPair:
@@ -252,7 +241,7 @@ def primitive_point(spec: RaySpec) -> KostkaPair:
     g = math.gcd(spec.a, spec.b)
     lam = (spec.a // g,) * (spec.b + spec.ell)
     mu = (spec.a // g,) * spec.ell + (spec.b // g,) * spec.a
-    return KostkaPair(as_partition(lam), as_partition(mu), spec.rank)
+    return KostkaPair(lam, mu, spec.rank)
 
 
 def extremal_rays(rank: int) -> tuple[RaySpec, ...]:
@@ -412,7 +401,7 @@ def width_bound_audit(rank: int, box_cap: int = 13) -> AuditReport:
             continue
         pair = KostkaPair(lam, mu, rank)
         checked += 1
-        if decompose(pair) is None:
+        if decompose(pair, box_cap) is None:
             raise AssertionFailure(f"over-wide pair {pair} claims to be irreducible")
     return AuditReport(
         rank=rank,

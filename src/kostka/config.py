@@ -12,7 +12,7 @@ from __future__ import annotations
 # by tableau.
 BOX_CAP = 30
 
-# Largest |lambda| for which is_irreducible enumerates splittings.
+# Largest |lambda| for which decompose enumerates splittings.
 SPLIT_CAP = 40
 
 # Widest matrix for which column subsets are swept exhaustively (2^w masks).

@@ -110,9 +110,7 @@ def counterexample_family(k: int) -> LrTriple:
     lam = (k,) * (k - 1) + (k - 1,) * k
     mu = tuple(j * (k - 1) for j in range(k - 1, 0, -1) for _ in range(3))
     nu = (k * (k - 1),) * 2 + mu
-    triple = LrTriple(
-        lam=as_partition(lam), mu=as_partition(mu), nu=as_partition(nu), rank=rank
-    )
+    triple = LrTriple(lam=lam, mu=mu, nu=nu, rank=rank)
     if size(triple.lam) != 2 * k * (k - 1):
         raise AssertionFailure(f"|lambda| wrong for k={k}")
     if 2 * size(triple.mu) != 3 * k * (k - 1) ** 2:

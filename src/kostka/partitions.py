@@ -1,8 +1,11 @@
 """Integer partitions, dominance order, and Kostka numbers.
 
 A partition is a trimmed, weakly decreasing tuple of positive integers;
-the empty tuple is the zero partition.  All functions accept any
-integer sequence and normalize through :func:`as_partition`.
+the empty tuple is the zero partition.  Every public function accepts
+any integer sequence and checks it once, through :func:`as_partition`,
+where it enters; the private kernel :func:`_dominated` and the shapes
+that :func:`kostka_count` builds work on tuples that are already
+partitions and are not checked again.
 
 The central object is :class:`KostkaPair`: a pair (lambda, mu) of equal
 size with mu dominated by lambda, carried together with an explicit
@@ -14,6 +17,7 @@ the pairs with K(lambda, mu) > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from . import config
@@ -65,15 +69,19 @@ def conjugate(p: Sequence[int]) -> Partition:
 
 def prefix_sums(p: Sequence[int], length: int) -> tuple[int, ...]:
     """Cumulative sums padded out to ``length`` coordinates."""
-    padded = pad(as_partition(p), max(length, len(as_partition(p))))
-    out, acc = [], 0
-    for v in padded[:length]:
-        acc += v
-        out.append(acc)
-    total = sum(p)
-    while len(out) < length:
-        out.append(total)
-    return tuple(out)
+    q = as_partition(p)
+    return tuple(accumulate(q[:length] + (0,) * (length - len(q))))
+
+
+def _dominated(pa: Partition, pb: Partition) -> bool:
+    """Every prefix sum of ``pa`` is >= the matching prefix sum of
+    ``pb``; both must already be partitions."""
+    gap = 0
+    for x, y in zip_longest(pa, pb, fillvalue=0):
+        gap += x - y
+        if gap < 0:
+            return False
+    return True
 
 
 def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -81,16 +89,12 @@ def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     the corresponding prefix sum of ``b``.  Unequal totals compare False
     rather than raising."""
     pa, pb = as_partition(a), as_partition(b)
-    if size(pa) != size(pb):
-        return False
-    return prefix_dominates(pa, pb)
+    return size(pa) == size(pb) and _dominated(pa, pb)
 
 
 def prefix_dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     """Prefix-sum comparison only (no total-equality requirement)."""
-    pa, pb = as_partition(a), as_partition(b)
-    n = max(len(pa), len(pb), 1)
-    return all(x >= y for x, y in zip(prefix_sums(pa, n), prefix_sums(pb, n)))
+    return _dominated(as_partition(a), as_partition(b))
 
 
 def in_kostka_cone(lam: Sequence[int], mu: Sequence[int], rank: int) -> bool:
@@ -98,9 +102,11 @@ def in_kostka_cone(lam: Sequence[int], mu: Sequence[int], rank: int) -> bool:
     both sides have at most ``rank`` parts, equal size, and lambda
     dominates mu."""
     pl, pm = as_partition(lam), as_partition(mu)
-    if rank < 0 or len(pl) > rank or len(pm) > rank:
-        return False
-    return dominates(pl, pm)
+    return (
+        max(len(pl), len(pm)) <= rank
+        and size(pl) == size(pm)
+        and _dominated(pl, pm)
+    )
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,11 @@ class KostkaPair:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rank", rank)
-        if not in_kostka_cone(lam, mu, rank):
+        if not (
+            max(len(lam), len(mu)) <= rank
+            and size(lam) == size(mu)
+            and _dominated(lam, mu)
+        ):
             raise InvalidPair(
                 f"({lam}, {mu}) is not in the Kostka cone at rank {rank}"
             )
@@ -183,7 +193,9 @@ def kostka_count(
         def rec(i: int, remaining: int, acc: list[int]) -> Iterator[Partition]:
             if i == rows:
                 if remaining == 0:
-                    yield as_partition(acc)
+                    # weakly decreasing by construction; only the last
+                    # row can empty, since shape is trimmed
+                    yield tuple(acc) if acc[-1] else tuple(acc[:-1])
                 return
             lo = shape[i + 1] if i + 1 < rows else 0
             hi = shape[i]

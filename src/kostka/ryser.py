@@ -150,14 +150,15 @@ def _fixing_stages(pair: KostkaPair) -> Iterator[np.ndarray]:
         arr[i, :v] = 1
     yield arr
     for s in range(w, 0, -1):
-        sums = arr[:, :s].sum(axis=1)
+        sums = arr[:, :s].sum(axis=1).tolist()
         # largest current sum first; among ties the southmost row wins
         order = sorted(range(r), key=lambda i: (-sums[i], -i))
         for i in order[: lam_conj[s - 1]]:
-            ones = np.flatnonzero(arr[i, :s])
-            if ones.size == 0:
+            # columns 1..s of every row are still flush-left, so the
+            # rightmost 1 left of column s + 1 sits at column sums[i]
+            if sums[i] == 0:
                 raise AssertionError(f"row {i + 1} has no 1 left of column {s}")
-            j = int(ones[-1])
+            j = sums[i] - 1
             if j != s - 1:
                 arr[i, j] = 0
                 arr[i, s - 1] = 1
@@ -421,11 +422,7 @@ def split_pair(
             raise NotAWitness(f"row sums for columns {index_set} are not decreasing")
         heights = tuple(sorted((lam_conj[j] for j in cols), reverse=True))
         halves.append(
-            KostkaPair(
-                lam=conjugate(as_partition(heights)),
-                mu=as_partition(int(v) for v in sums),
-                rank=pair.rank,
-            )
+            KostkaPair(lam=conjugate(heights), mu=sums.tolist(), rank=pair.rank)
         )
     selected, complement = halves
     if tuple(a + b for a, b in zip(pad(selected.mu, pair.rank), pad(complement.mu, pair.rank))) != canonical.row_sums:

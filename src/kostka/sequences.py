@@ -28,7 +28,6 @@ from . import config
 from .errors import InvalidSequence, LengthCapExceeded, NotAWitness
 from .partitions import (
     KostkaPair,
-    as_partition,
     conjugate,
     pad,
 )
@@ -129,12 +128,8 @@ def common_split(
     mu_conj = pad(conjugate(pair.mu), w)
     halves: list[KostkaPair] = []
     for index_set in (sel, sorted(set(range(1, w + 1)) - set(sel))):
-        lam_cols = as_partition(
-            sorted((lam_conj[j - 1] for j in index_set), reverse=True)
-        )
-        mu_cols = as_partition(
-            sorted((mu_conj[j - 1] for j in index_set), reverse=True)
-        )
+        lam_cols = sorted((lam_conj[j - 1] for j in index_set), reverse=True)
+        mu_cols = sorted((mu_conj[j - 1] for j in index_set), reverse=True)
         try:
             halves.append(
                 KostkaPair(conjugate(lam_cols), conjugate(mu_cols), pair.rank)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import AssertionFailure, InvalidInstance, SizeCapExceeded
-from .partitions import KostkaPair, as_partition, conjugate, pad, size
+from .partitions import KostkaPair, conjugate, pad, size
 from .cone import decompose
 
 
@@ -88,8 +88,8 @@ def reduce_to_kostka(inst: SubsetSumInstance) -> KostkaPair:
     resulting pair always lies in the cone."""
     values = tuple(sorted(inst.values, reverse=True))
     total, target = sum(values), inst.target
-    lam = conjugate(as_partition((total + 1,) + values))
-    mu = conjugate(as_partition((2 * total - target + 1, target)))
+    lam = conjugate((total + 1,) + values)
+    mu = conjugate((2 * total - target + 1, target))
     return KostkaPair(lam, mu, rank=2 * total - target + 1)
 
 
@@ -109,15 +109,9 @@ def proof_decomposition(
     rest = list(values)
     for v in chosen:
         rest.remove(v)
-    selected = KostkaPair(
-        conjugate(as_partition(sorted(chosen, reverse=True))),
-        as_partition((1,) * target),
-        rank,
-    )
+    selected = KostkaPair(conjugate(sorted(chosen, reverse=True)), (1,) * target, rank)
     complement = KostkaPair(
-        conjugate(as_partition(sorted([total + 1] + rest, reverse=True))),
-        as_partition((1,) * rank),
-        rank,
+        conjugate(sorted([total + 1] + rest, reverse=True)), (1,) * rank, rank
     )
     whole = reduce_to_kostka(inst)
     for side in ("lam", "mu"):

@@ -45,6 +45,14 @@ class TestCheck:
         assert result.exit_code == 0
         assert json.loads(result.output)["kostka_count"] is None
 
+    def test_cap_boxes_reaches_the_count(self, runner):
+        # above the default counting cap of 30 boxes
+        result = run(
+            runner, "check", "32", "32", "--cap-boxes", "35", "--format", "json"
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["kostka_count"] == 1
+
     def test_cap_from_environment(self, runner):
         result = run(
             runner,

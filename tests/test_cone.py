@@ -223,6 +223,19 @@ class TestWidthBoundAudit:
         assert report.full_width_count == 1  # only ((2),(1,1)) has lam_1 = rank
         assert report.boundary_pairs_checked > 0
 
+    def test_box_cap_reaches_decompose(self, monkeypatch):
+        # a 41-box over-wide pair, above the default splitting cap of 40
+        wide = (7, 7, 7, 7, 7, 6)
+
+        def only_wide(max_boxes, max_part, max_len):
+            return iter([(wide, wide)])
+
+        monkeypatch.setattr(cone, "cone_pairs", only_wide)
+        monkeypatch.setattr(
+            cone, "hilbert_basis", lambda rank: load_catalog(default_fixture_path(rank))
+        )
+        assert width_bound_audit(6, box_cap=41).boundary_pairs_checked == 1
+
     def test_rank_three(self):
         report = width_bound_audit(3)
         assert report.basis_count == 8

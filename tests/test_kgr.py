@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cone_pairs_st
 from kostka import kgr, ryser
+from kostka.cone import default_fixture_path, load_catalog
 from kostka.errors import MalformedStarMatrix
 from kostka.kgr import (
     KgrGraph,
@@ -20,7 +22,13 @@ from kostka.kgr import (
     verify_subtree,
 )
 from kostka.partitions import KostkaPair, pad
-from kostka.ryser import StarMatrix, matrix_reducible, ryser_canonical, star_matrix
+from kostka.ryser import (
+    StarMatrix,
+    matrix_reducible,
+    ryser_canonical,
+    star_matrix,
+    star_reducible,
+)
 
 
 def _v(row: int, col: int, sign: int) -> Vertex:
@@ -257,6 +265,31 @@ class TestInvariants:
             assert matrix_reducible(ryser_canonical(pair)) is not None
             total = fast.selected.n + fast.complement.n
             assert total == pair.n
+
+
+@st.composite
+def wide_basis_sums(draw) -> KostkaPair:
+    """A sum of rank-4 Hilbert basis elements with lambda_1 in 8..16."""
+    basis = load_catalog(default_fixture_path(4)).elements
+    width = draw(st.integers(8, 16))
+    lam, mu = (0,) * 4, (0,) * 4
+    while width:
+        part = draw(st.sampled_from([p for p in basis if p.width <= width]))
+        p_lam, p_mu = part.padded()
+        lam = tuple(a + b for a, b in zip(lam, p_lam))
+        mu = tuple(a + b for a, b in zip(mu, p_mu))
+        width -= part.width
+    return KostkaPair(lam, mu, 4)
+
+
+class TestWideDetectors:
+    @settings(max_examples=50)
+    @given(wide_basis_sums())
+    def test_three_detectors_agree(self, pair):
+        canonical = ryser_canonical(pair)
+        by_matrix = matrix_reducible(canonical)
+        assert star_reducible(star_matrix(canonical)) == by_matrix
+        assert (fast_reducibility(pair) is None) == (by_matrix is None)
 
 
 class TestRendering:

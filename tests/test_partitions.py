@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import cone_pairs_st, partition_pool, partitions_st
-from kostka import config
+from kostka import partitions
 from kostka.errors import InvalidPair, InvalidPartition, SizeCapExceeded
 from kostka.partitions import (
     KostkaPair,
@@ -31,6 +31,21 @@ from kostka.partitions import (
 )
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]  # p(0..10)
+WORKED = ((8, 7, 7, 7, 3, 2), (7, 7, 4, 4, 4, 4, 4))
+
+
+@pytest.fixture
+def as_partition_calls(monkeypatch) -> list:
+    """Every argument passed to ``partitions.as_partition`` from now on."""
+    calls = []
+    real = partitions.as_partition
+
+    def spy(seq):
+        calls.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(partitions, "as_partition", spy)
+    return calls
 
 
 def render_diagram(p: Sequence[int]) -> str:
@@ -129,6 +144,10 @@ class TestKostkaCount:
         with pytest.raises(SizeCapExceeded):
             kostka_count((4, 2, 1), (3, 2, 1, 1), cap=5)
 
+    def test_intermediate_shapes_are_not_rechecked(self, as_partition_calls):
+        assert kostka_count(*WORKED, cap=34) == 495
+        assert len(as_partition_calls) == 2
+
     @given(cone_pairs_st(max_boxes=8))
     def test_matches_cell_filling_oracle(self, pair):
         assert kostka_count(pair.lam, pair.mu) == oracles.ssyt_count(pair.lam, pair.mu)
@@ -182,6 +201,10 @@ class TestPairType:
         assert pair.n == 7
         assert pair.width == 4
         assert str(pair) == "(4,2,1 | 3,2,1,1; r=4)"
+
+    def test_each_side_is_checked_once(self, as_partition_calls):
+        KostkaPair(*WORKED)
+        assert as_partition_calls == list(WORKED)
 
     def test_padded(self):
         pair = KostkaPair((2, 1), (1, 1, 1))
