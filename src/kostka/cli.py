@@ -226,9 +226,9 @@ def ryser(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     seq = shape_sequence(canonical, star, chain)
     payload = {
         "pair": _pair_payload(pair),
-        "matrix": [list(row) for row in canonical.entries],
-        "chain": [[list(row) for row in stage] for stage in chain],
-        "star": [list(row) for row in star.entries],
+        "matrix": canonical.entries.tolist(),
+        "chain": [stage.tolist() for stage in chain],
+        "star": star.entries.tolist(),
         "mu_star": list(star.mu_star),
         "shapes": [list(s) for s in seq.shapes],
         "steps": [_step_payload(s) for s in seq.steps],

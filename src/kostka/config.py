@@ -1,9 +1,10 @@
 """Default resource caps.
 
 The caps guard enumerations whose cost is exponential in the capped
-quantity, and the one allocation (a printed fixing chain) that grows
-as rank times width squared.  All but ``CHAIN_CAP`` can be overridden per
-call; the CLI additionally reads ``KOSTKA_*`` environment variables.
+quantity, and the matrices of Ryser's procedure, whose cells grow as
+rank times width (rank times width squared for a printed fixing chain).
+All but ``CELL_CAP`` can be overridden per call; the CLI additionally
+reads ``KOSTKA_*`` environment variables.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ SPLIT_CAP = 40
 # Widest matrix for which column subsets are swept exhaustively (2^w masks).
 WIDTH_CAP = 24
 
-# Most cells, (lambda_1 + 1) * rank * lambda_1, in a fixing chain that is
-# built to be printed.
-CHAIN_CAP = 1_000_000
+# Most cells in a canonical matrix, rank * lambda_1, checked before the
+# fixing procedure runs (so before the star matrix and the graph), and in
+# a fixing chain built to be printed, (lambda_1 + 1) * rank * lambda_1.
+CELL_CAP = 1_000_000
 
 # Largest rank for which the Hilbert basis is computed.
 RANK_CAP = 6

@@ -19,7 +19,7 @@ this instead of sweeping all subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .partitions import KostkaPair
 from .ryser import StarMatrix, ryser_canonical, split_pair, star_matrix
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
+class Vertex(NamedTuple):
     row: int
     col: int
     sign: int
@@ -46,58 +45,42 @@ class KgrGraph:
     out: dict[Vertex, Vertex] = field(repr=False)
     incoming: dict[Vertex, tuple[Vertex, ...]] = field(repr=False)
 
-    @property
-    def width(self) -> int:
-        return self.star.pair.width
-
 
 def build_graph(star: StarMatrix) -> KgrGraph:
-    arr = star.array
-    r, w = arr.shape
-    by_cell: dict[tuple[int, int], Vertex] = {}
-    vertices: list[Vertex] = []
-    for i in range(r):
-        for j in range(w):
-            if arr[i, j]:
-                v = Vertex(row=i + 1, col=j + 1, sign=int(arr[i, j]))
-                by_cell[(i, j)] = v
-                vertices.append(v)
-    arcs: list[Arc] = []
-    for (i, j), v in by_cell.items():
+    arr = star.entries
+    rows, cols = np.nonzero(arr)  # row-major, so the vertices come out sorted
+    vertices = tuple(
+        map(Vertex, (rows + 1).tolist(), (cols + 1).tolist(), arr[rows, cols].tolist())
+    )
+    heads: dict[int, Vertex] = {}  # column -> its -1
+    for v in vertices:
         if v.sign == -1:
-            # nearest nonzero on the left must be a +1
-            for k in range(j - 1, -1, -1):
-                if arr[i, k] == 1:
-                    arcs.append((v, by_cell[(i, k)]))
-                    break
-                if arr[i, k] == -1:
-                    raise MalformedStarMatrix(
-                        f"-1 at {(i + 1, k + 1)} blocks the -1 at {(i + 1, j + 1)}"
-                    )
-            else:
-                raise MalformedStarMatrix(f"-1 at {(i + 1, j + 1)} has no +1 on its left")
-    for j in range(w):
-        minus_rows = [i for i in range(r) if arr[i, j] == -1]
-        if len(minus_rows) > 1:
-            raise MalformedStarMatrix(f"column {j + 1} has two -1 entries")
-        if minus_rows:
-            head = by_cell[(minus_rows[0], j)]
-            for i in range(r):
-                if arr[i, j] == 1:
-                    arcs.append((by_cell[(i, j)], head))
-    arcs.sort(key=lambda a: (a[0].row, a[0].col))
+            if v.col in heads:
+                raise MalformedStarMatrix(f"column {v.col} has two -1 entries")
+            heads[v.col] = v
+    # every vertex has at most one out-arc, so walking the vertices in
+    # order lists the arcs sorted by tail
     out: dict[Vertex, Vertex] = {}
-    for tail, head in arcs:
-        if tail in out:
-            raise MalformedStarMatrix(f"vertex {tail} has two outgoing arcs")
-        out[tail] = head
+    left = None  # the previous vertex, which must be a +1 in the same row
+    for v in vertices:
+        if v.sign == -1:
+            if left is None or left.row != v.row:
+                raise MalformedStarMatrix(f"-1 at {(v.row, v.col)} has no +1 on its left")
+            if left.sign == -1:
+                raise MalformedStarMatrix(
+                    f"-1 at {(left.row, left.col)} blocks the -1 at {(v.row, v.col)}"
+                )
+            out[v] = left
+        elif v.col in heads:
+            out[v] = heads[v.col]
+        left = v
     incoming: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
-    for tail, head in arcs:
+    for tail, head in out.items():
         incoming[head].append(tail)
     return KgrGraph(
         star=star,
-        vertices=tuple(sorted(vertices)),
-        arcs=tuple(arcs),
+        vertices=vertices,
+        arcs=tuple(out.items()),
         out=out,
         incoming={v: tuple(ins) for v, ins in incoming.items()},
     )
@@ -135,8 +118,7 @@ def is_connected(graph: KgrGraph) -> bool:
     if len(graph.vertices) <= 1:
         return True
     bfs = len(components(graph)) == 1
-    arr = graph.star.array
-    criterion = all((arr[:, j] == -1).any() for j in range(1, arr.shape[1]))
+    criterion = bool((graph.star.entries[:, 1:] == -1).any(axis=0).all())
     if bfs != criterion:
         raise AssertionError("connectivity criterion disagrees with traversal")
     return bfs
@@ -179,11 +161,10 @@ def verify_subtree(graph: KgrGraph, vertices: Iterable[Vertex]) -> bool:
     if seen != wanted or len(induced) != len(wanted) - 1:
         return False
     # vertical-arc column closure
-    for t, h in induced:
-        if t.col == h.col:
-            for t2, h2 in graph.arcs:
-                if t2.col == h2.col == t.col and (t2 not in wanted or h2 not in wanted):
-                    return False
+    closed = {t.col for t, h in induced if t.col == h.col}
+    for t, h in graph.arcs:
+        if t.col == h.col and t.col in closed and (t not in wanted or h not in wanted):
+            return False
     if wanted == _component_of(graph, next(iter(wanted))):
         return True
     heads = {t for t, h in induced}
@@ -222,13 +203,16 @@ def find_conservative_subtree(graph: KgrGraph) -> SubtreeWitness | None:
             columns=tuple(sorted({v.col for v in comp})),
         )
     else:
-        candidates = [
-            (v.col, v.row, u.col, v, u)
-            for v in graph.vertices
-            if v.sign == -1
-            for u in graph.vertices
-            if u.sign == 1 and u.row == v.row and u.col > v.col
-        ]
+        # pair each -1 with the nearest +1 to its right in its row
+        candidates = []
+        nearest = None
+        for v in reversed(graph.vertices):
+            if nearest is not None and nearest.row != v.row:
+                nearest = None
+            if v.sign == 1:
+                nearest = v
+            elif nearest is not None:
+                candidates.append((v.col, v.row, v, nearest))
         if not candidates:
             return None
         *_, sink, pivot = min(candidates)
@@ -271,9 +255,8 @@ def fast_reducibility(pair: KostkaPair) -> FastReduction | None:
     wit = find_conservative_subtree(graph)
     if wit is None:
         return None
-    arr = star.array
     cols = [j - 1 for j in wit.columns]
-    v_star = arr[:, cols].sum(axis=1)
+    v_star = star.entries[:, cols].sum(axis=1, dtype=np.int64)
     mu_star = np.asarray(star.mu_star, dtype=np.int64)
     if not ((v_star >= 0) & (v_star <= mu_star)).all():
         raise AssertionError(f"subtree columns {wit.columns} fail 0 <= v* <= mu*")

@@ -17,6 +17,11 @@ Reducibility of the pair along a column subset S (both the S-selected
 and complementary row-sum vectors stay weakly decreasing) is decided by
 exhaustive vectorized sweep, and :func:`split_pair` materializes the two
 summand pairs.
+
+Every matrix here, canonical, star or fixing-chain stage, is one
+read-only int8 array built once and validated column-wise by numpy
+expressions.  A canonical matrix of more than ``config.CELL_CAP`` cells
+is refused before the fixing procedure starts.
 """
 
 from __future__ import annotations
@@ -45,28 +50,17 @@ from .partitions import (
 )
 from .subsets import sweep_proper_subsets
 
-Matrix = tuple[tuple[int, ...], ...]
 
-
-def _to_matrix(arr: np.ndarray) -> Matrix:
-    return tuple(tuple(int(v) for v in row) for row in arr)
-
-
-def _to_array(entries: Matrix) -> np.ndarray:
-    rows = len(entries)
-    cols = len(entries[0]) if rows else 0
-    return np.asarray(entries, dtype=np.int64).reshape(rows, cols)
-
-
-def render_matrix(entries: Matrix) -> str:
+def render_matrix(entries: np.ndarray | Sequence[Sequence[int]]) -> str:
     """Whitespace-separated grid, cells right-justified to equal width."""
-    if not entries:
+    rows = np.asarray(entries).tolist()
+    if not rows:
         return ""
-    cell = max(len(str(v)) for row in entries for v in row)
-    return "\n".join(" ".join(str(v).rjust(cell) for v in row) for row in entries)
+    cell = max(len(str(v)) for row in rows for v in row)
+    return "\n".join(" ".join(str(v).rjust(cell) for v in row) for row in rows)
 
 
-def initial_matrix(mu: Sequence[int], width: int) -> Matrix:
+def initial_matrix(mu: Sequence[int], width: int) -> tuple[tuple[int, ...], ...]:
     """Flush-left 0/1 matrix with row sums mu, len(mu) rows, ``width``
     columns.  Raises :class:`WidthTooSmall` if a row does not fit."""
     pm = as_partition(mu)
@@ -83,59 +77,57 @@ def gr_nonempty(alpha: Sequence[int], beta: Sequence[int]) -> bool:
     return dominates(conjugate(alpha), beta)
 
 
-def _column_runs(column: Sequence[int]) -> list[tuple[int, int]]:
-    """Maximal runs of 1s as (first_row, last_row), 1-based."""
-    runs: list[tuple[int, int]] = []
-    start = None
-    for i, v in enumerate(column, start=1):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(column)))
-    return runs
+def _frozen_int8(entries, shape: tuple[int, int], error: type[Exception]) -> np.ndarray:
+    """A read-only int8 copy of ``entries`` with the given shape; raises
+    ``error`` on a shape mismatch or an entry that int8 cannot hold."""
+    raw = np.asarray(entries)
+    if raw.size == 0 and 0 in shape:
+        raw = raw.reshape(shape)
+    if raw.shape != shape:
+        raise error(f"matrix shape {raw.shape} != {shape}")
+    arr = raw.astype(np.int8)
+    if not np.array_equal(arr, raw):
+        raise error("entries do not fit in int8")
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
+def _cell_cap(cells: int, what: str) -> None:
+    if cells > config.CELL_CAP:
+        raise WidthCapExceeded(f"{what} of {cells} cells exceeds cap {config.CELL_CAP}")
+
+
+@dataclass(frozen=True, eq=False)
 class CanonicalMatrix:
-    """Ryser's canonical matrix for a cone pair.  The fixing chain that
-    produced it is rebuilt on demand by :func:`fixing_chain`."""
+    """Ryser's canonical matrix for a cone pair, held as one read-only
+    int8 array.  The fixing chain that produced it is rebuilt on demand
+    by :func:`fixing_chain`."""
 
     pair: KostkaPair
-    entries: Matrix
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
         lam, mu = self.pair.lam, self.pair.mu
         r, w = self.pair.rank, self.pair.width
-        arr = _to_array(self.entries)
-        if arr.shape != (r, w):
-            raise AssertionError(f"matrix shape {arr.shape} != ({r}, {w})")
-        if arr.size and not np.isin(arr, (0, 1)).all():
+        arr = _frozen_int8(self.entries, (r, w), AssertionError)
+        object.__setattr__(self, "entries", arr)
+        if arr.size and not ((arr == 0) | (arr == 1)).all():
             raise AssertionError("entries must be 0/1")
-        if tuple(arr.sum(axis=1)) != pad(mu, r):
+        if not np.array_equal(arr.sum(axis=1, dtype=np.int64), pad(mu, r)):
             raise AssertionError("row sums do not match mu")
-        if tuple(arr.sum(axis=0)) != pad(conjugate(lam), w):
+        if not np.array_equal(arr.sum(axis=0, dtype=np.int64), pad(conjugate(lam), w)):
             raise AssertionError("column sums do not match conjugate(lambda)")
-        for j in range(w):
-            runs = _column_runs(arr[:, j])
-            if len(runs) > 2 or (len(runs) == 2 and runs[0][0] != 1):
-                raise AssertionError(f"column {j + 1} has runs {runs}")
-            if j == 0 and runs and runs[0][0] != 1:
-                raise AssertionError("leftmost column not anchored at the top")
-
-    @property
-    def array(self) -> np.ndarray:
-        return _to_array(self.entries)
-
-    @property
-    def row_sums(self) -> tuple[int, ...]:
-        return pad(self.pair.mu, self.pair.rank)
-
-    @property
-    def col_sums(self) -> tuple[int, ...]:
-        return pad(conjugate(self.pair.lam), self.pair.width)
+        # a run of 1s starts at a 1 with a 0 or the top edge above it
+        starts = arr.copy()
+        starts[1:] &= 1 - arr[:-1]
+        runs = starts.sum(axis=0, dtype=np.int64)
+        top = arr[:1].any(axis=0)  # the top row, empty-safe
+        bad = np.flatnonzero((runs > 2) | ((runs == 2) & ~top))
+        if bad.size:
+            j = int(bad[0])
+            raise AssertionError(f"column {j + 1} has {runs[j]} runs of 1s")
+        if w and runs[0] and not top[0]:
+            raise AssertionError("leftmost column not anchored at the top")
 
 
 def _fixing_stages(pair: KostkaPair) -> Iterator[np.ndarray]:
@@ -143,75 +135,81 @@ def _fixing_stages(pair: KostkaPair) -> Iterator[np.ndarray]:
     A^(0), ..., A^(lambda_1).  The same array is mutated between yields;
     copy a stage to keep it."""
     r, w = pair.rank, pair.width
-    mu_padded = pad(pair.mu, r)
     lam_conj = pad(conjugate(pair.lam), w)
-    arr = np.zeros((r, w), dtype=np.int64)
-    for i, v in enumerate(mu_padded):
+    # sums[i] counts the 1s of row i in columns 1..s; those columns of
+    # every row stay flush-left, so row i's are exactly columns 1..sums[i]
+    sums = list(pad(pair.mu, r))
+    arr = np.zeros((r, w), dtype=np.int8)
+    for i, v in enumerate(sums):
         arr[i, :v] = 1
     yield arr
     for s in range(w, 0, -1):
-        sums = arr[:, :s].sum(axis=1).tolist()
         # largest current sum first; among ties the southmost row wins
         order = sorted(range(r), key=lambda i: (-sums[i], -i))
-        for i in order[: lam_conj[s - 1]]:
-            # columns 1..s of every row are still flush-left, so the
-            # rightmost 1 left of column s + 1 sits at column sums[i]
+        k = lam_conj[s - 1]
+        for i in order[:k]:
             if sums[i] == 0:
                 raise AssertionError(f"row {i + 1} has no 1 left of column {s}")
             j = sums[i] - 1
             if j != s - 1:
                 arr[i, j] = 0
                 arr[i, s - 1] = 1
+            sums[i] -= 1
+        # column s leaves the prefix; unselected runs are clipped to it
+        for i in order[k:]:
+            sums[i] = min(sums[i], s - 1)
         yield arr
 
 
 def ryser_canonical(pair: KostkaPair) -> CanonicalMatrix:
-    """Run the column-fixing procedure and return the canonical matrix."""
+    """Run the column-fixing procedure and return the canonical matrix.
+    Raises :class:`WidthCapExceeded` before building anything when the
+    matrix would hold more than ``config.CELL_CAP`` cells."""
+    _cell_cap(pair.rank * pair.width, "canonical matrix")
     *_, arr = _fixing_stages(pair)
-    return CanonicalMatrix(pair=pair, entries=_to_matrix(arr))
+    return CanonicalMatrix(pair=pair, entries=arr)
 
 
-def fixing_chain(canonical: CanonicalMatrix) -> tuple[Matrix, ...]:
+def fixing_chain(canonical: CanonicalMatrix) -> tuple[np.ndarray, ...]:
     """The fixing chain A^(0), ..., A^(lambda_1) that ends at the
-    canonical matrix.  Raises :class:`WidthCapExceeded` before building
-    anything when the chain would hold more than ``config.CHAIN_CAP``
-    cells."""
-    w = canonical.pair.width
-    cells = (w + 1) * canonical.pair.rank * w
-    if cells > config.CHAIN_CAP:
-        raise WidthCapExceeded(
-            f"fixing chain of {cells} cells exceeds cap {config.CHAIN_CAP}"
-        )
-    chain = tuple(_to_matrix(arr) for arr in _fixing_stages(canonical.pair))
+    canonical matrix, one read-only array per stage.  Raises
+    :class:`WidthCapExceeded` before building anything when the chain
+    would hold more than ``config.CELL_CAP`` cells."""
+    r, w = canonical.pair.rank, canonical.pair.width
+    _cell_cap((w + 1) * r * w, "fixing chain")
+    chain = []
+    for stage in _fixing_stages(canonical.pair):
+        stage = stage.copy()
+        stage.flags.writeable = False
+        chain.append(stage)
     if len(chain) != w + 1:
         raise AssertionError("chain must have width + 1 matrices")
-    if chain[-1] != canonical.entries:
+    if not np.array_equal(chain[-1], canonical.entries):
         raise AssertionError("chain must end at the canonical matrix")
-    if w >= 1 and chain[-1] != chain[-2]:
+    if w >= 1 and not np.array_equal(chain[-1], chain[-2]):
         raise AssertionError("the column-1 fixing step must be a no-op")
-    return chain
+    return tuple(chain)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StarMatrix:
     """Row-difference matrix A*_{i,j} = A_{i,j} - A_{i+1,j} of a
     canonical matrix (phantom zero row below), with row sums
-    mu*_i = mu_i - mu_{i+1}.
+    mu*_i = mu_i - mu_{i+1}, held as one read-only int8 array.
 
     Valid columns read, top to bottom, (+1), (-1, +1), or (+1, -1, +1);
     the leftmost column is a single +1 and the bottom row holds no -1.
     """
 
     pair: KostkaPair
-    entries: Matrix
+    entries: np.ndarray
     mu_star: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        arr = _to_array(self.entries)
         r, w = self.pair.rank, self.pair.width
-        if arr.shape != (r, w):
-            raise MalformedStarMatrix(f"shape {arr.shape} != ({r}, {w})")
-        if tuple(arr.sum(axis=1)) != self.mu_star:
+        arr = _frozen_int8(self.entries, (r, w), MalformedStarMatrix)
+        object.__setattr__(self, "entries", arr)
+        if not np.array_equal(arr.sum(axis=1, dtype=np.int64), self.mu_star):
             raise MalformedStarMatrix("row sums do not match mu*")
         mu_padded = pad(self.pair.mu, r)
         expected = tuple(
@@ -219,29 +217,31 @@ class StarMatrix:
         )
         if self.mu_star != expected:
             raise MalformedStarMatrix("mu* does not match consecutive differences")
-        for j in range(w):
-            sig = tuple(int(v) for v in arr[:, j] if v != 0)
-            if sig not in ((1,), (-1, 1), (1, -1, 1)):
-                raise MalformedStarMatrix(f"column {j + 1} pattern {sig}")
-            if j == 0 and sig != (1,):
-                raise MalformedStarMatrix("leftmost column must be a single +1")
-        if r and (arr[r - 1, :] < 0).any():
+        # the three signatures are exactly the columns with 1-3 nonzeros
+        # whose partial sums, read from the bottom, stay in {0, 1}
+        nonzeros = np.count_nonzero(arr, axis=0)
+        partial = np.cumsum(arr[::-1], axis=0, dtype=np.int64)
+        valid = (nonzeros >= 1) & (nonzeros <= 3)
+        valid &= ((partial == 0) | (partial == 1)).all(axis=0)
+        bad = np.flatnonzero(~valid)
+        if bad.size:
+            j = int(bad[0])
+            sig = arr[:, j][arr[:, j] != 0].tolist()
+            raise MalformedStarMatrix(f"column {j + 1} pattern {tuple(sig)}")
+        if w and nonzeros[0] != 1:
+            raise MalformedStarMatrix("leftmost column must be a single +1")
+        if r and (arr[r - 1] < 0).any():
             raise MalformedStarMatrix("bottom row contains a -1")
-
-    @property
-    def array(self) -> np.ndarray:
-        return _to_array(self.entries)
 
 
 def star_matrix(canonical: CanonicalMatrix) -> StarMatrix:
-    arr = canonical.array
-    r = canonical.pair.rank
-    below = np.vstack([arr[1:], np.zeros((1, arr.shape[1]), dtype=np.int64)]) if r else arr
-    star = arr - below
+    arr = canonical.entries
+    star = arr.copy()
+    star[:-1] -= arr[1:]
     return StarMatrix(
         pair=canonical.pair,
-        entries=_to_matrix(star),
-        mu_star=tuple(int(v) for v in star.sum(axis=1)),
+        entries=star,
+        mu_star=tuple(star.sum(axis=1, dtype=np.int64).tolist()),
     )
 
 
@@ -313,30 +313,31 @@ def _step_multiset_delta(step: Step) -> tuple[Counter, Counter]:
 
 
 def shape_sequence(
-    canonical: CanonicalMatrix, star: StarMatrix, chain: Sequence[Matrix]
+    canonical: CanonicalMatrix, star: StarMatrix, chain: Sequence[np.ndarray]
 ) -> ShapeSequence:
     """Shape chain and step classification of a canonical matrix, read
     from its star matrix; the prefix sums are cross-checked against its
     fixing chain."""
     pair = canonical.pair
-    arr = canonical.array
+    arr = canonical.entries
     w = pair.width
     shapes: list[Partition] = []
     for i in range(w + 1):
-        sums = arr[:, : w - i].sum(axis=1)
+        sums = arr[:, : w - i].sum(axis=1, dtype=np.int64)
         if np.any(sums[:-1] < sums[1:]):
             raise AssertionError(f"prefix row sums not weakly decreasing at step {i}")
         shapes.append(as_partition(int(v) for v in sums))
         # the same prefix of the in-progress matrix already has these sums
-        stage = _to_array(chain[i])
-        if stage.size and not np.array_equal(stage[:, : w - i].sum(axis=1), sums):
+        stage = chain[i]
+        if stage.size and not np.array_equal(
+            stage[:, : w - i].sum(axis=1, dtype=np.int64), sums
+        ):
             raise AssertionError(f"prefix row sums changed after stage {i}")
     if shapes[0] != pair.mu or shapes[-1] != ():
         raise AssertionError("shape chain endpoints are wrong")
-    star_arr = star.array
     steps: list[Step] = []
     for i in range(1, w + 1):
-        step = _classify_column(star_arr[:, w - i])
+        step = _classify_column(star.entries[:, w - i])
         removed, added = _step_multiset_delta(step)
         before = Counter(conjugate(shapes[i - 1]))
         after = Counter(conjugate(shapes[i]))
@@ -369,8 +370,8 @@ def matrix_reducible(
     w = canonical.pair.width
     if w > cap:
         raise WidthCapExceeded(f"width {w} exceeds cap {cap}")
-    arr = canonical.array
-    mu_padded = np.asarray(canonical.row_sums, dtype=np.int64)
+    arr = canonical.entries
+    mu_padded = np.asarray(pad(canonical.pair.mu, canonical.pair.rank), dtype=np.int64)
 
     def predicate(bits: np.ndarray) -> np.ndarray:
         sums = bits.astype(np.int64) @ arr.T
@@ -387,7 +388,7 @@ def star_reducible(
     w = star.pair.width
     if w > cap:
         raise WidthCapExceeded(f"width {w} exceeds cap {cap}")
-    arr = star.array
+    arr = star.entries
     mu_star = np.asarray(star.mu_star, dtype=np.int64)
 
     def predicate(bits: np.ndarray) -> np.ndarray:
@@ -412,20 +413,22 @@ def split_pair(
     sel = sorted(set(int(j) for j in columns))
     if not sel or len(sel) == w or any(j < 1 or j > w for j in sel):
         raise NotAWitness(f"columns {columns} are not a proper nonempty subset")
-    arr = canonical.array
-    lam_conj = canonical.col_sums
+    arr = canonical.entries
+    chosen = np.zeros(w, dtype=bool)
+    chosen[np.asarray(sel) - 1] = True
+    # column heights are lambda', checked when the matrix was built
+    heights = arr.sum(axis=0, dtype=np.int64)
     halves: list[KostkaPair] = []
-    for index_set in (sel, sorted(set(range(1, w + 1)) - set(sel))):
-        cols = [j - 1 for j in index_set]
-        sums = arr[:, cols].sum(axis=1)
+    for mask in (chosen, ~chosen):
+        sums = arr[:, mask].sum(axis=1, dtype=np.int64)
         if np.any(sums[:-1] < sums[1:]):
+            index_set = (np.flatnonzero(mask) + 1).tolist()
             raise NotAWitness(f"row sums for columns {index_set} are not decreasing")
-        heights = tuple(sorted((lam_conj[j] for j in cols), reverse=True))
-        halves.append(
-            KostkaPair(lam=conjugate(heights), mu=sums.tolist(), rank=pair.rank)
-        )
+        lam = conjugate(sorted(heights[mask].tolist(), reverse=True))
+        halves.append(KostkaPair(lam=lam, mu=sums.tolist(), rank=pair.rank))
     selected, complement = halves
-    if tuple(a + b for a, b in zip(pad(selected.mu, pair.rank), pad(complement.mu, pair.rank))) != canonical.row_sums:
+    mu_sum = (a + b for a, b in zip(selected.padded()[1], complement.padded()[1]))
+    if tuple(mu_sum) != pad(pair.mu, pair.rank):
         raise AssertionError("split halves do not add back to mu")
     if size(selected.lam) + size(complement.lam) != size(pair.lam):
         raise AssertionError("split halves do not add back to lambda")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from kostka import ryser
 from kostka.partitions import (
     KostkaPair,
     Partition,
@@ -23,6 +24,16 @@ settings.register_profile(
 settings.load_profile("suite")
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture()
+def fixing_forbidden(monkeypatch):
+    """Fail the test if Ryser's column-fixing procedure starts."""
+
+    def spy(pair):
+        pytest.fail(f"the fixing procedure ran on {pair}")
+
+    monkeypatch.setattr(ryser, "_fixing_stages", spy)
 
 
 def read_matrix_blocks(name: str) -> list[tuple[tuple[int, ...], ...]]:

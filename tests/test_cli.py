@@ -104,7 +104,7 @@ class TestRyser:
         assert "A*:" in result.output
 
     def test_oversized_chain_is_a_usage_error(self, runner):
-        # (100+1) * 100 rows * 100 columns = 1,010,000 cells > CHAIN_CAP
+        # (100+1) * 100 rows * 100 columns = 1,010,000 cells > CELL_CAP
         result = run(runner, "ryser", "100", ",".join(["1"] * 100))
         assert result.exit_code == 2
 
@@ -135,6 +135,11 @@ class TestKgr:
         result = run(runner, "kgr", *WORKED, "--format", "dot")
         assert result.output.startswith("digraph")
         assert '"red"' in result.output
+
+    def test_oversized_matrix_is_a_usage_error(self, runner, fixing_forbidden):
+        # 1 row * 1,000,001 columns > CELL_CAP, refused before the fixing procedure
+        result = run(runner, "kgr", "1000001", "1000001")
+        assert result.exit_code == 2
 
     def test_text_lists_arcs(self, runner):
         result = run(runner, "kgr", "2,2", "2,1,1")

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cone_pairs_st
 from kostka import kgr, ryser
-from kostka.cone import default_fixture_path, load_catalog
+from kostka.cone import RaySpec, default_fixture_path, load_catalog, primitive_point
 from kostka.errors import MalformedStarMatrix
 from kostka.kgr import (
     KgrGraph,
@@ -245,7 +247,7 @@ class TestInvariants:
     @given(cone_pairs_st(max_boxes=12))
     def test_connectivity_criterion(self, pair):
         graph = pair_graph(pair)
-        arr = graph.star.array
+        arr = graph.star.entries
         all_closed = all(
             (arr[:, j] == -1).any() for j in range(1, arr.shape[1])
         )
@@ -282,9 +284,19 @@ def wide_basis_sums(draw) -> KostkaPair:
     return KostkaPair(lam, mu, 4)
 
 
+@st.composite
+def wide_ray_points(draw) -> KostkaPair:
+    """The primitive point of an extremal ray with lambda_1 = a in 8..16,
+    a Hilbert basis element, so the detectors have no witness for it."""
+    a = draw(st.integers(8, 16))
+    b = draw(st.sampled_from([b for b in range(1, a) if math.gcd(a, b) == 1]))
+    ell = draw(st.integers(0, 1))
+    return primitive_point(RaySpec(a, b, ell, a + ell))
+
+
 class TestWideDetectors:
     @settings(max_examples=50)
-    @given(wide_basis_sums())
+    @given(st.one_of(wide_basis_sums(), wide_ray_points()))
     def test_three_detectors_agree(self, pair):
         canonical = ryser_canonical(pair)
         by_matrix = matrix_reducible(canonical)

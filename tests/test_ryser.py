@@ -6,7 +6,12 @@ from hypothesis import given
 
 import oracles
 from conftest import cone_pair_pool, cone_pairs_st, partitions_st, read_matrix_blocks
-from kostka.errors import NotAWitness, WidthCapExceeded, WidthTooSmall
+from kostka.errors import (
+    MalformedStarMatrix,
+    NotAWitness,
+    WidthCapExceeded,
+    WidthTooSmall,
+)
 from kostka.partitions import (
     KostkaPair,
     conjugate,
@@ -15,9 +20,11 @@ from kostka.partitions import (
     size,
 )
 from kostka.ryser import (
+    CanonicalMatrix,
     DeleteColumn,
     ShortenAndDelete,
     ShortenRightmost,
+    StarMatrix,
     gr_nonempty,
     initial_matrix,
     matrix_reducible,
@@ -85,8 +92,10 @@ class TestCanonicalMatrix:
     def test_golden_chain(self, running_pair):
         canonical = ryser_canonical(running_pair)
         chain = fixing_chain(canonical)
-        assert chain == tuple(read_matrix_blocks("ryser_chain.txt"))
-        assert canonical.entries == chain[-1]
+        assert [stage.tolist() for stage in chain] == [
+            [list(row) for row in block] for block in read_matrix_blocks("ryser_chain.txt")
+        ]
+        assert np.array_equal(canonical.entries, chain[-1])
 
     def test_margins_hold_along_the_whole_chain(self, running_pair):
         canonical = ryser_canonical(running_pair)
@@ -100,8 +109,10 @@ class TestCanonicalMatrix:
 
     def test_identity_pair_is_a_fixed_point(self):
         canonical = ryser_canonical(KostkaPair((4, 2), (4, 2)))
-        assert set(fixing_chain(canonical)) == {canonical.entries}
-        assert canonical.entries == ((1, 1, 1, 1), (1, 1, 0, 0))
+        assert all(
+            np.array_equal(stage, canonical.entries) for stage in fixing_chain(canonical)
+        )
+        assert canonical.entries.tolist() == [[1, 1, 1, 1], [1, 1, 0, 0]]
 
     @given(cone_pairs_st(max_boxes=12))
     def test_construction_validates(self, pair):
@@ -110,7 +121,7 @@ class TestCanonicalMatrix:
 
     @given(cone_pairs_st(max_boxes=12))
     def test_columns_have_at_most_two_runs_anchored_at_top(self, pair):
-        arr = ryser_canonical(pair).array
+        arr = ryser_canonical(pair).entries
         for j in range(arr.shape[1]):
             column = [int(v) for v in arr[:, j]]
             runs = [
@@ -123,11 +134,75 @@ class TestCanonicalMatrix:
                 assert column and column[0] == 1
 
 
+class TestCellCap:
+    def test_oversized_matrix_is_refused_before_fixing(self, fixing_forbidden):
+        with pytest.raises(WidthCapExceeded):
+            ryser_canonical(KostkaPair((1000001,), (1000001,)))
+
+
+# (lambda, mu, entries, message) per check of CanonicalMatrix.__post_init__
+CANONICAL_REJECTS = {
+    "shape": ((2,), (1, 1), ((1, 0),), "shape"),
+    "entry 2": ((2,), (1, 1), ((2, 0), (0, 1)), "0/1"),
+    "entry that wraps to 1 in int8": ((2,), (1, 1), ((257, 0), (0, 1)), "entries"),
+    "row sums": ((2,), (1, 1), ((1, 1), (0, 0)), "row sums"),
+    "column sums": ((2,), (1, 1), ((1, 0), (1, 0)), "column sums"),
+    "second run not at the top": (
+        (2, 2), (1, 1, 1, 1), ((1, 0), (0, 1), (1, 0), (0, 1)), "column 2 has"
+    ),
+    "three runs": (
+        (2, 2, 2), (2, 1, 1, 1, 1), ((1, 1), (1, 0), (0, 1), (1, 0), (0, 1)), "column 2 has"
+    ),
+    "leftmost column not anchored": ((2,), (1, 1), ((0, 1), (1, 0)), "leftmost column"),
+}
+
+# (lambda, mu, entries, mu_star, message) per check of StarMatrix.__post_init__
+STAR_REJECTS = {
+    "shape": ((2,), (1, 1), ((1, -1),), (0, 1), "shape"),
+    "row sums": ((2,), (1, 1), ((1, -1), (0, 1)), (1, 1), "row sums"),
+    "mu* differences": ((2,), (1, 1), ((1, 1), (0, 0)), (2, 0), "consecutive differences"),
+    "column (1, 1)": ((3, 3), (3, 3), ((0, 1, -1), (1, 1, 1)), (0, 3), "column 2 pattern"),
+    "column (-1)": (
+        (3,), (1, 1, 1), ((0, -1, 1), (0, 0, 0), (1, 0, 0)), (0, 0, 1), "column 2 pattern"
+    ),
+    "column (1, -1)": ((3,), (2, 1), ((0, 1, 0), (1, -1, 1)), (1, 1), "column 2 pattern"),
+    "column (-1, 1, -1, 1)": (
+        (3, 3, 2),
+        (2, 2, 2, 2),
+        ((0, -1, 1), (0, 1, -1), (0, -1, 1), (1, 1, 0)),
+        (0, 0, 0, 2),
+        "column 2 pattern",
+    ),
+    "leftmost column not a single +1": (
+        (2,), (1, 1), ((-1, 1), (1, 0)), (0, 1), "leftmost column"
+    ),
+    # a -1 in the bottom row leaves its column without a valid signature,
+    # so the signature check refuses it before the bottom-row check
+    "-1 in the bottom row": (
+        (3,), (2, 1), ((0, 0, 1), (1, 1, -1)), (1, 1), "column 3 pattern"
+    ),
+}
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize("case", CANONICAL_REJECTS)
+    def test_canonical_matrix_rejects(self, case):
+        lam, mu, entries, message = CANONICAL_REJECTS[case]
+        with pytest.raises(AssertionError, match=message):
+            CanonicalMatrix(pair=KostkaPair(lam, mu), entries=entries)
+
+    @pytest.mark.parametrize("case", STAR_REJECTS)
+    def test_star_matrix_rejects(self, case):
+        lam, mu, entries, mu_star, message = STAR_REJECTS[case]
+        with pytest.raises(MalformedStarMatrix, match=message):
+            StarMatrix(pair=KostkaPair(lam, mu), entries=entries, mu_star=mu_star)
+
+
 class TestStarMatrix:
     def test_golden_star(self, running_pair):
         star = star_matrix(ryser_canonical(running_pair))
         [expected] = read_matrix_blocks("star_matrix.txt")
-        assert star.entries == expected
+        assert np.array_equal(star.entries, expected)
         assert star.mu_star == (0, 3, 0, 0, 0, 0, 4)
 
     @given(cone_pairs_st(max_boxes=12))
