@@ -2,7 +2,7 @@
 """Recompute the shipped Hilbert-basis catalogs.
 
 Writes ``basis_r{1..N}.json`` into ``src/kostka/fixtures`` (or a chosen
-directory).  Run this after touching the decomposition code, then eyeball
+directory).  Run this after touching the basis engine, then eyeball
 ``git diff`` — the files are deterministic, so any churn is a behaviour
 change.
 """
@@ -13,12 +13,13 @@ import argparse
 import time
 from pathlib import Path
 
+from kostka import config
 from kostka.cone import default_fixture_path, hilbert_basis
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-rank", type=int, default=6)
+    ap.add_argument("--max-rank", type=int, default=config.RANK_CAP)
     ap.add_argument(
         "--out-dir",
         type=Path,

@@ -7,9 +7,17 @@ summand by enumerating the ways each side can split into two partitions
 (parameterized by choices in the consecutive-difference boxes) and
 checking the two dominance conditions with vectorized prefix sums.
 
-Irreducible pairs have lambda_1 <= rank (see :func:`width_bound_audit`),
-so :func:`hilbert_basis` only needs candidates inside the rank x rank
-box.
+The Hilbert basis needs no splitting search.  The cone is cut out by
+3 * rank - 1 facet inequalities (the consecutive differences of lambda
+and of mu, and the prefix-sum gaps of lambda - mu); writing s(p) for a
+pair's vector of slacks, q - p is a cone point iff s(p) <= s(q)
+componentwise.  So the basis is the set of nonzero cone points whose
+slack vectors are minimal among those of nonzero cone points, and
+:func:`hilbert_basis` finds it by comparing slack vectors one size
+block at a time.  It only visits candidates inside the rank x rank box:
+that irreducible pairs have lambda_1 <= rank is the paper's width
+theorem (checked by :func:`width_bound_audit`), and the completeness of
+the basis rests on it.
 
 Extremal rays are classified: every ray is spanned by
 lambda = a^(b+ell), mu = (a^ell, b^a) for r >= a+ell >= a >= b > 0, and
@@ -25,6 +33,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,17 +204,83 @@ def default_fixture_path(rank: int) -> Path:
     return Path(__file__).parent / "fixtures" / f"basis_r{rank}.json"
 
 
+def _slack_rows(pairs: Sequence[tuple[Partition, Partition]], rank: int) -> np.ndarray:
+    """The slack vectors s(p) of the pairs at the rank, one int64 row of
+    3 * rank - 1 entries each: the consecutive differences of lambda and
+    of mu (each padded with zeros to rank + 1 parts), then the prefix-sum
+    gaps Lambda_t - M_t for t < rank.
+
+    These are the facet inequalities of the cone, so for cone points p
+    and q, q - p is a cone point iff s(p) <= s(q) componentwise."""
+    sides = np.zeros((2, len(pairs), rank + 1), dtype=np.int64)
+    for side, parts in zip(sides, zip(*pairs)):
+        lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+        side[np.arange(rank + 1) < lengths[:, None]] = np.fromiter(
+            itertools.chain.from_iterable(parts), dtype=np.int64
+        )
+    lam, mu = sides
+    gaps = np.cumsum(lam[:, : rank - 1] - mu[:, : rank - 1], axis=1)
+    return np.hstack([lam[:, :-1] - lam[:, 1:], mu[:, :-1] - mu[:, 1:], gaps])
+
+
+def _covered(slacks: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """For each row of ``slacks``, whether some row of ``basis`` lies at or
+    below it componentwise.
+
+    Basis rows are tried in order, a few at a time, and a row of
+    ``slacks`` leaves the comparison once one lies below it, so the
+    first (smallest) basis rows do most of the work.  Each broadcast
+    holds at most 2^CHUNK_BITS cells."""
+    cells = 1 << config.CHUNK_BITS
+    width = slacks.shape[1]
+    rows = max(1, cells // width)
+    covered = np.zeros(slacks.shape[0], dtype=bool)
+    for start in range(0, slacks.shape[0], rows):
+        open_rows = np.arange(start, min(start + rows, slacks.shape[0]))
+        done = 0
+        while open_rows.size and done < basis.shape[0]:
+            step = max(1, cells // (open_rows.size * width))
+            below = basis[done : done + step]
+            hit = (below[None, :, :] <= slacks[open_rows][:, None, :]).all(axis=2).any(axis=1)
+            covered[open_rows[hit]] = True
+            open_rows = open_rows[~hit]
+            done += step
+    return covered
+
+
+def _size_blocks(
+    pairs: Iterable[tuple[Partition, Partition]],
+) -> Iterator[list[tuple[Partition, Partition]]]:
+    """Consecutive runs of equal |lambda| from a size-ordered stream."""
+    for _, block in itertools.groupby(pairs, key=lambda pair: sum(pair[0])):
+        yield list(block)
+
+
 def hilbert_basis(rank: int, cap: int = config.RANK_CAP) -> BasisCatalog:
-    """Compute the Hilbert basis at the given rank by filtering every
-    cone pair with lambda inside the rank x rank box through
-    :func:`decompose`."""
+    """The Hilbert basis at the given rank: the cone points inside the
+    rank x rank box whose slack vectors are minimal.
+
+    A nonzero cone point c is reducible iff some nonzero cone point
+    b != c has s(b) <= s(c).  Then every irreducible summand of b lies
+    below c as well, and is smaller; its lambda_1 is at most c's, so it
+    sits in the box too.  The candidates are therefore visited one size block at
+    a time, and a candidate is kept iff no element kept from a smaller
+    block lies below it in slack order.  Same-size candidates need no
+    comparison, since a cone point of size 0 is zero.  Every element
+    returned is irreducible; that none is missing rests on the paper's
+    width theorem, which puts every basis element inside the box
+    (lambda_1 <= rank; see :func:`width_bound_audit`).
+    """
     if not 1 <= rank <= cap:
         raise RankCapExceeded(f"rank {rank} outside [1, {cap}]")
-    elements: list[KostkaPair] = []
-    for lam, mu in cone_pairs(rank * rank, rank, rank):
-        pair = KostkaPair(lam, mu, rank)
-        if decompose(pair, rank * rank) is None:
-            elements.append(pair)
+    kept: list[tuple[Partition, Partition]] = []
+    basis = np.zeros((0, 3 * rank - 1), dtype=np.int64)
+    for block in _size_blocks(cone_pairs(rank * rank, rank, rank)):
+        slacks = _slack_rows(block, rank)
+        fresh = ~_covered(slacks, basis)
+        kept += itertools.compress(block, fresh)
+        basis = np.vstack([basis, slacks[fresh]])
+    elements = [KostkaPair(lam, mu, rank) for lam, mu in kept]
     elements.sort(key=lambda p: (p.n, p.lam, p.mu))
     return BasisCatalog(rank=rank, elements=tuple(elements))
 
@@ -382,7 +457,9 @@ def width_bound_audit(rank: int, box_cap: int = 13) -> AuditReport:
     - every basis element has lambda_1 <= rank;
     - basis elements with lambda_1 = rank have both sides rectangular;
     - every cone pair with lambda_1 = rank + 1 and at most ``box_cap``
-      boxes is reducible.
+      boxes is reducible, certified by a basis element below it in
+      slack order (the difference is then a nonzero cone point, so the
+      certificate does not lean on the width theorem).
     """
     catalog = hilbert_basis(rank)
     full_width = 0
@@ -395,14 +472,17 @@ def width_bound_audit(rank: int, box_cap: int = 13) -> AuditReport:
                 raise AssertionFailure(
                     f"width-saturating basis pair {pair} is not a rectangle pair"
                 )
+    basis = _slack_rows([p.key() for p in catalog.elements], rank)
     checked = 0
-    for lam, mu in cone_pairs(box_cap, rank + 1, rank):
-        if lam[0] != rank + 1:
-            continue
-        pair = KostkaPair(lam, mu, rank)
-        checked += 1
-        if decompose(pair, box_cap) is None:
-            raise AssertionFailure(f"over-wide pair {pair} claims to be irreducible")
+    for block in _size_blocks(cone_pairs(box_cap, rank + 1, rank)):
+        boundary = [(lam, mu) for lam, mu in block if lam[0] == rank + 1]
+        checked += len(boundary)
+        covered = _covered(_slack_rows(boundary, rank), basis)
+        if not covered.all():
+            pair = KostkaPair(*boundary[int(np.argmin(covered))], rank)
+            raise AssertionFailure(
+                f"over-wide pair {pair} has no basis element below it"
+            )
     return AuditReport(
         rank=rank,
         basis_count=catalog.count,

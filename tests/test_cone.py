@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -24,10 +25,23 @@ from kostka.cone import (
     width_bound_audit,
 )
 from kostka.errors import AssertionFailure, RankCapExceeded, SizeCapExceeded
-from kostka.partitions import KostkaPair, as_partition, size
+from kostka.partitions import KostkaPair, as_partition, cone_pairs, pad, size
 
-BASIS_COUNTS = {1: 1, 2: 3, 3: 8, 4: 19, 5: 50, 6: 111}
+BASIS_COUNTS = {1: 1, 2: 3, 3: 8, 4: 19, 5: 50, 6: 111, 7: 281}
 RAY_COUNTS = [1, 3, 7, 14, 25, 41, 63, 92, 129, 175, 231, 298, 377, 469, 575, 696, 833]
+
+
+def slack(lam, mu, rank: int) -> tuple[int, ...]:
+    """The facet slacks of a pair, written out independently of the
+    engine: consecutive differences of lambda and of mu, then the
+    prefix-sum gaps Lambda_t - M_t for t < rank."""
+    lam, mu = pad(lam, rank + 1), pad(mu, rank + 1)
+    diffs = [a - b for side in (lam, mu) for a, b in zip(side, side[1:])]
+    return tuple(diffs) + tuple(accumulate(a - b for a, b in zip(lam[: rank - 1], mu)))
+
+
+def below(small, large) -> bool:
+    return all(a <= b for a, b in zip(small, large))
 
 
 def scale_pair(pair: KostkaPair, factor: int) -> KostkaPair:
@@ -84,17 +98,59 @@ class TestDecompose:
 class TestHilbertBasis:
     def test_rank_cap(self):
         with pytest.raises(RankCapExceeded):
-            hilbert_basis(7)
+            hilbert_basis(8)
         with pytest.raises(RankCapExceeded):
             hilbert_basis(0)
 
-    def test_raised_rank_cap_reaches_the_full_box(self, monkeypatch):
-        # rank 7 needs 49 boxes, more than the default splitting cap
-        def only_square(max_boxes, max_part, max_len):
-            return iter([((7,) * 7, (7,) * 7)])
+    def test_rank_seven_matches_its_fixture_and_referees(self):
+        catalog = hilbert_basis(7)
+        assert catalog.payload() == json.loads(default_fixture_path(7).read_text())
+        for pair in catalog.elements:
+            assert pair.width <= 7, pair
+            assert decompose(pair, 49) is None, pair
+        rays = {primitive_point(spec).key() for spec in extremal_rays(7)}
+        assert len(rays) == 63
+        assert rays <= catalog.keys()
 
-        monkeypatch.setattr(cone, "cone_pairs", only_square)
-        assert hilbert_basis(7, cap=7).count == 0
+    def test_rejected_candidates_carry_certificates(self):
+        for rank in range(1, 6):
+            elements = hilbert_basis(rank).elements
+            returned = [(slack(*p.key(), rank), p) for p in elements]
+            keys = {p.key() for p in elements}
+            for lam, mu in cone_pairs(rank * rank, rank, rank):
+                if (lam, mu) in keys:
+                    continue
+                s = slack(lam, mu, rank)
+                b = next((b for sb, b in returned if below(sb, s)), None)
+                assert b is not None, (lam, mu)
+                lam_pad, mu_pad = pad(lam, rank), pad(mu, rank)
+                rest = KostkaPair(
+                    [x - y for x, y in zip(lam_pad, pad(b.lam, rank))],
+                    [x - y for x, y in zip(mu_pad, pad(b.mu, rank))],
+                    rank,
+                )
+                assert rest.n > 0
+
+    def test_matches_the_decompose_filter(self):
+        for rank in range(1, 6):
+            candidates = [
+                KostkaPair(lam, mu, rank) for lam, mu in cone_pairs(rank * rank, rank, rank)
+            ]
+            old = [p for p in candidates if decompose(p, rank * rank) is None]
+            old.sort(key=lambda p: (p.n, p.lam, p.mu))
+            assert hilbert_basis(rank).elements == tuple(old)
+
+    def test_makes_no_decompose_calls(self, monkeypatch):
+        calls = []
+        real = cone.decompose
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cone, "decompose", spy)
+        assert hilbert_basis(5).count == 50
+        assert calls == []
 
     def test_every_element_is_irreducible_and_in_cone(self):
         for rank in (1, 2, 3, 4):
@@ -117,7 +173,7 @@ class TestHilbertBasis:
 
 class TestCatalogIO:
     def test_shipped_fixtures_match_recomputation(self):
-        for rank in range(1, 7):
+        for rank in range(1, 8):
             shipped = load_catalog(default_fixture_path(rank))
             if rank <= 5:
                 fresh = hilbert_basis(rank)
@@ -235,6 +291,25 @@ class TestWidthBoundAudit:
             cone, "hilbert_basis", lambda rank: load_catalog(default_fixture_path(rank))
         )
         assert width_bound_audit(6, box_cap=41).boundary_pairs_checked == 1
+
+    def test_certificate_agrees_with_decompose(self):
+        for rank in range(2, 6):
+            basis = cone._slack_rows([p.key() for p in hilbert_basis(rank).elements], rank)
+            boundary = [
+                (lam, mu) for lam, mu in cone_pairs(13, rank + 1, rank) if lam[0] == rank + 1
+            ]
+            covered = cone._covered(cone._slack_rows(boundary, rank), basis)
+            assert len(covered) == len(boundary) > 0
+            for (lam, mu), certified in zip(boundary, covered):
+                found = decompose(KostkaPair(lam, mu, rank), 13)
+                assert bool(certified) == (found is not None), (lam, mu)
+
+    def test_uncertified_pair_fails_the_audit(self, monkeypatch):
+        monkeypatch.setattr(
+            cone, "hilbert_basis", lambda rank: BasisCatalog(rank=rank, elements=())
+        )
+        with pytest.raises(AssertionFailure, match="no basis element below it"):
+            width_bound_audit(2)
 
     def test_rank_three(self):
         report = width_bound_audit(3)
