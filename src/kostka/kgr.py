@@ -7,6 +7,14 @@ result is a planar forest in which every vertex has out-degree at most
 one, row i carries exactly mu*_i sources, and connectivity is
 equivalent to every non-leftmost column holding a -1.
 
+The graph is held as arrays over integer vertex ids 0..n-1, numbered
+in row-major order of the nonzeros: ``rows``, ``cols``, ``signs``, the
+head ``out`` of each vertex's out-arc, and the incoming tails as CSR
+lists.  Components come from one root-labelling pass (every vertex
+points, by pointer jumping, at the sink its out-walk ends in).
+:class:`Vertex` objects are built only for a witness and, lazily, for
+``graph.vertices`` and ``graph.arcs``, which the renderers read.
+
 A *conservative subtree* is a proper connected subgraph, closed under
 each column's vertical arcs, that is either a full connected component
 or has a unique sink at a -1 fed by a +1 source in the same row (all
@@ -19,6 +27,7 @@ this instead of sweeping all subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -37,91 +46,132 @@ class Vertex(NamedTuple):
 Arc = tuple[Vertex, Vertex]
 
 
-@dataclass
+def _roots(out: np.ndarray, width: int) -> np.ndarray:
+    """The sink that each vertex's out-walk ends in (``out`` is -1 at a
+    sink), by pointer jumping.  No arc moves right and every -1 has an
+    out-arc that moves left, so a walk has fewer than 2 * width arcs; a
+    walk that has not ended by then is refused as a cycle."""
+    root = out.copy()
+    sinks = (out < 0).nonzero()[0]
+    root[sinks] = sinks
+    for _ in range((2 * width).bit_length()):
+        root = root[root]
+    if np.count_nonzero(out[root] >= 0):
+        raise AssertionError("the arc graph has a cycle")
+    return root
+
+
+@dataclass(eq=False)
 class KgrGraph:
+    """The arc graph on vertex ids 0..n-1 in row-major order: vertex v
+    is the entry ``signs[v]`` at (``rows[v]``, ``cols[v]``), 1-based;
+    ``out[v]`` is the head of its out-arc or -1; the tails of its
+    incoming arcs, increasing, are ``in_ids[in_ptr[v]:in_ptr[v + 1]]``."""
+
     star: StarMatrix
-    vertices: tuple[Vertex, ...]
-    arcs: tuple[Arc, ...]
-    out: dict[Vertex, Vertex] = field(repr=False)
-    incoming: dict[Vertex, tuple[Vertex, ...]] = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    signs: np.ndarray = field(repr=False)
+    out: np.ndarray = field(repr=False)
+    in_ptr: np.ndarray = field(repr=False)
+    in_ids: np.ndarray = field(repr=False)
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Root label of every vertex: the id of the sink of its
+        component, so two vertices share a component iff they share a
+        root."""
+        return _roots(self.out, self.star.pair.width)
+
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(
+            map(Vertex, self.rows.tolist(), self.cols.tolist(), self.signs.tolist())
+        )
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """(tail, head) pairs sorted by tail."""
+        vs = self.vertices
+        tails = (self.out >= 0).nonzero()[0]
+        return tuple(
+            (vs[t], vs[h]) for t, h in zip(tails.tolist(), self.out[tails].tolist())
+        )
+
+
+def _vertices(graph: KgrGraph, ids: np.ndarray) -> tuple[Vertex, ...]:
+    return tuple(
+        map(
+            Vertex,
+            graph.rows[ids].tolist(),
+            graph.cols[ids].tolist(),
+            graph.signs[ids].tolist(),
+        )
+    )
+
+
+def _columns(graph: KgrGraph, ids: np.ndarray) -> tuple[int, ...]:
+    """The sorted distinct columns of the given vertices."""
+    hit = np.zeros(graph.star.pair.width + 1, dtype=bool)
+    hit[graph.cols[ids]] = True
+    return tuple(hit.nonzero()[0].tolist())
 
 
 def build_graph(star: StarMatrix) -> KgrGraph:
     arr = star.entries
-    rows, cols = np.nonzero(arr)  # row-major, so the vertices come out sorted
-    vertices = tuple(
-        map(Vertex, (rows + 1).tolist(), (cols + 1).tolist(), arr[rows, cols].tolist())
-    )
-    heads: dict[int, Vertex] = {}  # column -> its -1
-    for v in vertices:
-        if v.sign == -1:
-            if v.col in heads:
-                raise MalformedStarMatrix(f"column {v.col} has two -1 entries")
-            heads[v.col] = v
-    # every vertex has at most one out-arc, so walking the vertices in
-    # order lists the arcs sorted by tail
-    out: dict[Vertex, Vertex] = {}
-    left = None  # the previous vertex, which must be a +1 in the same row
-    for v in vertices:
-        if v.sign == -1:
-            if left is None or left.row != v.row:
-                raise MalformedStarMatrix(f"-1 at {(v.row, v.col)} has no +1 on its left")
-            if left.sign == -1:
-                raise MalformedStarMatrix(
-                    f"-1 at {(left.row, left.col)} blocks the -1 at {(v.row, v.col)}"
-                )
-            out[v] = left
-        elif v.col in heads:
-            out[v] = heads[v.col]
-        left = v
-    incoming: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
-    for tail, head in out.items():
-        incoming[head].append(tail)
+    w = star.pair.width
+    r0, c0 = arr.nonzero()  # row-major, so ids follow the sorted vertices
+    signs = arr[r0, c0]
+    n = signs.size
+    minus = (signs < 0).nonzero()[0]
+    if np.count_nonzero(np.bincount(c0[minus], minlength=w) > 1):
+        seen: set[int] = set()
+        for c in c0[minus].tolist():  # name the first repeat in row-major order
+            if c in seen:
+                raise MalformedStarMatrix(f"column {c + 1} has two -1 entries")
+            seen.add(c)
+    # a -1 points to the previous id, which must be a +1 in the same row
+    left = minus - 1
+    stray = (left < 0) | (r0[left] != r0[minus])
+    bad = (stray | (signs[left] < 0)).nonzero()[0]
+    if bad.size:
+        m, b = int(minus[bad[0]]), int(left[bad[0]])
+        where = (int(r0[m]) + 1, int(c0[m]) + 1)
+        if stray[bad[0]]:
+            raise MalformedStarMatrix(f"-1 at {where} has no +1 on its left")
+        raise MalformedStarMatrix(
+            f"-1 at {(int(r0[b]) + 1, int(c0[b]) + 1)} blocks the -1 at {where}"
+        )
+    # a +1 points to its column's -1 through the head table, if any
+    heads = np.full(w, -1, dtype=np.intp)
+    heads[c0[minus]] = minus
+    out = heads[c0]
+    out[minus] = left
+    tails = (out >= 0).nonzero()[0]
+    in_ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(out[tails], minlength=n), out=in_ptr[1:])
     return KgrGraph(
         star=star,
-        vertices=vertices,
-        arcs=tuple(out.items()),
+        rows=r0 + 1,
+        cols=c0 + 1,
+        signs=signs,
         out=out,
-        incoming={v: tuple(ins) for v, ins in incoming.items()},
+        in_ptr=in_ptr,
+        in_ids=tails[out[tails].argsort(kind="stable")],
     )
-
-
-def _component_of(graph: KgrGraph, start: Vertex) -> frozenset[Vertex]:
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        nbrs = list(graph.incoming[x])
-        if x in graph.out:
-            nbrs.append(graph.out[x])
-        for y in nbrs:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
-
-
-def components(graph: KgrGraph) -> tuple[frozenset[Vertex], ...]:
-    remaining = set(graph.vertices)
-    out: list[frozenset[Vertex]] = []
-    for v in graph.vertices:  # sorted, so components come out ordered
-        if v in remaining:
-            comp = _component_of(graph, v)
-            out.append(comp)
-            remaining -= comp
-    return tuple(out)
 
 
 def is_connected(graph: KgrGraph) -> bool:
     """Single component; cross-checked against the column criterion
     (every column after the first contains a -1)."""
-    if len(graph.vertices) <= 1:
+    if graph.out.size <= 1:
         return True
-    bfs = len(components(graph)) == 1
+    roots = graph.roots
+    labelled = not np.count_nonzero(roots != roots[0])
     criterion = bool((graph.star.entries[:, 1:] == -1).any(axis=0).all())
-    if bfs != criterion:
-        raise AssertionError("connectivity criterion disagrees with traversal")
-    return bfs
+    if labelled != criterion:
+        raise AssertionError("connectivity criterion disagrees with root labelling")
+    return labelled
 
 
 @dataclass(frozen=True)
@@ -136,52 +186,65 @@ class SubtreeWitness:
     source: Vertex | None = None
 
 
+def _ids_of(graph: KgrGraph, vertices: Iterable[Vertex]) -> np.ndarray | None:
+    """The ids of the given vertices (repeats kept), or None when one of
+    them is not a vertex of the graph."""
+    r, w = graph.star.entries.shape
+    cells, signs = [], []
+    for row, col, sign in vertices:
+        if not (1 <= row <= r and 1 <= col <= w and sign in (1, -1)):
+            return None
+        cells.append((row - 1) * w + col - 1)
+        signs.append(sign)
+    cell = np.array(cells, dtype=np.intp)
+    if np.count_nonzero(graph.star.entries.ravel()[cell] != signs):
+        return None
+    # row-major ids make the cells of the vertices increasing
+    return ((graph.rows - 1) * w + graph.cols - 1).searchsorted(cell)
+
+
 def verify_subtree(graph: KgrGraph, vertices: Iterable[Vertex]) -> bool:
     """Referee for the conservative-subtree conditions; checks everything
     from scratch and never trusts how the candidate was produced."""
-    wanted = set(vertices)
-    if not wanted or not wanted <= set(graph.vertices):
+    given = _ids_of(graph, vertices)
+    n = graph.out.size
+    if given is None or not given.size:
         return False
-    if wanted == set(graph.vertices):
+    inside = np.zeros(n + 1, dtype=bool)  # inside[-1], for no out-arc, stays False
+    inside[given] = True
+    ids = inside.nonzero()[0]
+    m = ids.size
+    if m == n:
         return False  # must be a proper subgraph
-    induced = [(t, h) for t, h in graph.arcs if t in wanted and h in wanted]
-    # tree: connected and |arcs| = |vertices| - 1
-    adj: dict[Vertex, list[Vertex]] = {v: [] for v in wanted}
-    for t, h in induced:
-        adj[t].append(h)
-        adj[h].append(t)
-    seen: set[Vertex] = set()
-    queue = [next(iter(wanted))]
-    seen.add(queue[0])
-    while queue:
-        for y in adj[queue.pop()]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if seen != wanted or len(induced) != len(wanted) - 1:
+    out = graph.out
+    into = inside[out]  # the vertex's out-arc ends inside the set
+    own = into[ids]
+    # tree: no arc moves right and every -1's arc moves left, so the
+    # graph has no cycle, and a set with one induced arc fewer than
+    # vertices is connected
+    if np.count_nonzero(own) != m - 1:
         return False
-    # vertical-arc column closure
-    closed = {t.col for t, h in induced if t.col == h.col}
-    for t, h in graph.arcs:
-        if t.col == h.col and t.col in closed and (t not in wanted or h not in wanted):
-            return False
-    if wanted == _component_of(graph, next(iter(wanted))):
-        return True
-    heads = {t for t, h in induced}
-    sinks = [v for v in wanted if v not in heads]
-    if len(sinks) != 1 or sinks[0].sign != -1:
+    # vertical-arc column closure: a +1's out-arc is its column's
+    # vertical arc, and every vertex of that column lies on one
+    closed = np.zeros(graph.star.pair.width + 1, dtype=bool)
+    closed[graph.cols[ids[own & (graph.signs[ids] > 0)]]] = True
+    if np.count_nonzero(closed[graph.cols] & ~inside[:n]):
         return False
-    sink = sinks[0]
-    with_in = {h for t, h in induced}
-    sources = [v for v in wanted if v not in with_in]
-    graph_sources = {v for v in graph.vertices if not graph.incoming[v]}
-    outsiders = [s for s in sources if s not in graph_sources]
-    if len(outsiders) > 1:
+    sink = int(ids[~own][0])
+    if out[sink] < 0 and np.count_nonzero(into) == m - 1:
+        return True  # no arc leaves or enters: a full component
+    if graph.signs[sink] != -1:
         return False
-    if outsiders:
-        pivot = outsiders[0]
-        return pivot.sign == 1 and pivot.row == sink.row
-    return any(s.sign == 1 and s.row == sink.row for s in sources)
+    fed = np.zeros(n + 1, dtype=bool)
+    fed[out[ids[own]]] = True
+    sources = ids[~fed[ids]]
+    # sources of the set that are not sources of the whole graph
+    outsiders = sources[graph.in_ptr[sources + 1] > graph.in_ptr[sources]]
+    if outsiders.size > 1:
+        return False
+    pivots = outsiders if outsiders.size else sources
+    row_plus = (graph.signs[pivots] == 1) & (graph.rows[pivots] == graph.rows[sink])
+    return bool(np.count_nonzero(row_plus))
 
 
 def find_conservative_subtree(graph: KgrGraph) -> SubtreeWitness | None:
@@ -193,43 +256,42 @@ def find_conservative_subtree(graph: KgrGraph) -> SubtreeWitness | None:
     col of +1) first; the subtree is that +1 together with everything
     that reaches the -1 without passing through it.
     """
-    if not graph.vertices:
+    if not graph.out.size:
         return None
     if not is_connected(graph):
-        comp = _component_of(graph, graph.vertices[0])
+        roots = graph.roots
+        ids = (roots == roots[0]).nonzero()[0]
         wit = SubtreeWitness(
             kind="component",
-            vertices=tuple(sorted(comp)),
-            columns=tuple(sorted({v.col for v in comp})),
+            vertices=_vertices(graph, ids),
+            columns=_columns(graph, ids),
         )
     else:
-        # pair each -1 with the nearest +1 to its right in its row
-        candidates = []
-        nearest = None
-        for v in reversed(graph.vertices):
-            if nearest is not None and nearest.row != v.row:
-                nearest = None
-            if v.sign == 1:
-                nearest = v
-            elif nearest is not None:
-                candidates.append((v.col, v.row, v, nearest))
-        if not candidates:
+        # a -1 is never followed by a -1 in its row (build_graph refuses
+        # that), so the nearest +1 to its right is the next id, if any
+        rows = graph.rows
+        minus = (graph.signs[:-1] < 0).nonzero()[0]
+        minus = minus[rows[minus + 1] == rows[minus]]
+        if not minus.size:
             return None
-        *_, sink, pivot = min(candidates)
-        reach = {sink}
-        queue = [sink]
-        while queue:
-            for t in graph.incoming[queue.pop()]:
-                if t != pivot and t not in reach:
-                    reach.add(t)
-                    queue.append(t)
-        reach.add(pivot)
+        # ids are row-major, so argmin's first hit among the smallest
+        # columns has the smallest row
+        sink = int(minus[graph.cols[minus].argmin()])
+        pivot = sink + 1
+        # with both out-arcs cut, the walks that end at the sink are the
+        # ones that reach it without passing through the pivot
+        cut = graph.out.copy()
+        cut[sink] = cut[pivot] = -1
+        reach = _roots(cut, graph.star.pair.width) == sink
+        reach[pivot] = True
+        ids = reach.nonzero()[0]
+        vertices = _vertices(graph, ids)
         wit = SubtreeWitness(
             kind="sink-source",
-            vertices=tuple(sorted(reach)),
-            columns=tuple(sorted({v.col for v in reach})),
-            sink=sink,
-            source=pivot,
+            vertices=vertices,
+            columns=_columns(graph, ids),
+            sink=vertices[int(ids.searchsorted(sink))],
+            source=vertices[int(ids.searchsorted(pivot))],
         )
     if not verify_subtree(graph, wit.vertices):
         raise AssertionError(f"constructed subtree fails the referee: {wit}")
@@ -256,9 +318,8 @@ def fast_reducibility(pair: KostkaPair) -> FastReduction | None:
     if wit is None:
         return None
     cols = [j - 1 for j in wit.columns]
-    v_star = star.entries[:, cols].sum(axis=1, dtype=np.int64)
-    mu_star = np.asarray(star.mu_star, dtype=np.int64)
-    if not ((v_star >= 0) & (v_star <= mu_star)).all():
+    v_star = star.entries[:, cols].sum(axis=1, dtype=np.int64).tolist()
+    if not all(0 <= v <= m for v, m in zip(v_star, star.mu_star)):
         raise AssertionError(f"subtree columns {wit.columns} fail 0 <= v* <= mu*")
     selected, complement = split_pair(canonical, wit.columns)
     return FastReduction(

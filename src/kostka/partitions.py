@@ -60,11 +60,17 @@ def pad(p: Sequence[int], length: int) -> Partition:
 
 
 def conjugate(p: Sequence[int]) -> Partition:
-    """Transpose of the Young diagram: lambda'_j = #{i : lambda_i >= j}."""
+    """Transpose of the Young diagram: lambda'_j = #{i : lambda_i >= j}.
+
+    Counts the parts of each length, then takes suffix sums of the
+    counts: O(len(lambda) + lambda_1)."""
     q = as_partition(p)
     if not q:
         return ()
-    return tuple(sum(1 for part in q if part >= j) for j in range(1, q[0] + 1))
+    counts = [0] * (q[0] + 1)
+    for part in q:
+        counts[part] += 1
+    return tuple(accumulate(counts[:0:-1]))[::-1]
 
 
 def prefix_sums(p: Sequence[int], length: int) -> tuple[int, ...]:

@@ -6,7 +6,10 @@ lambda' is nonempty, and Ryser's column-fixing procedure selects one
 canonical representative A(lambda, mu).  The procedure starts from the
 flush-left matrix with row sums mu and, for s = lambda_1 down to 1,
 moves the rightmost 1 of selected rows into column s; rows are selected
-by largest current sum, ties broken southmost.
+by largest current sum, ties broken southmost.  The procedure runs once
+and records its decisions, the rows selected at each column:
+:func:`ryser_canonical` writes the matrix from that record in one
+assignment and :func:`fixing_chain` replays it stage by stage.
 
 Differencing consecutive rows of A gives the star matrix A*, whose
 columns have one of three sign patterns; those patterns drive both the
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,9 +88,12 @@ def _frozen_int8(entries, shape: tuple[int, int], error: type[Exception]) -> np.
         raw = raw.reshape(shape)
     if raw.shape != shape:
         raise error(f"matrix shape {raw.shape} != {shape}")
-    arr = raw.astype(np.int8)
-    if not np.array_equal(arr, raw):
-        raise error("entries do not fit in int8")
+    if raw.dtype == np.int8:
+        arr = raw.copy()
+    else:
+        arr = raw.astype(np.int8)
+        if not np.array_equal(arr, raw):
+            raise error("entries do not fit in int8")
     arr.flags.writeable = False
     return arr
 
@@ -111,18 +117,18 @@ class CanonicalMatrix:
         r, w = self.pair.rank, self.pair.width
         arr = _frozen_int8(self.entries, (r, w), AssertionError)
         object.__setattr__(self, "entries", arr)
-        if arr.size and not ((arr == 0) | (arr == 1)).all():
+        if np.count_nonzero((arr != 0) & (arr != 1)):
             raise AssertionError("entries must be 0/1")
-        if not np.array_equal(arr.sum(axis=1, dtype=np.int64), pad(mu, r)):
+        if arr.sum(axis=1, dtype=np.int64).tolist() != list(pad(mu, r)):
             raise AssertionError("row sums do not match mu")
-        if not np.array_equal(arr.sum(axis=0, dtype=np.int64), pad(conjugate(lam), w)):
+        if arr.sum(axis=0, dtype=np.int64).tolist() != list(pad(conjugate(lam), w)):
             raise AssertionError("column sums do not match conjugate(lambda)")
         # a run of 1s starts at a 1 with a 0 or the top edge above it
         starts = arr.copy()
         starts[1:] &= 1 - arr[:-1]
         runs = starts.sum(axis=0, dtype=np.int64)
         top = arr[:1].any(axis=0)  # the top row, empty-safe
-        bad = np.flatnonzero((runs > 2) | ((runs == 2) & ~top))
+        bad = ((runs > 2) | ((runs == 2) & ~top)).nonzero()[0]
         if bad.size:
             j = int(bad[0])
             raise AssertionError(f"column {j + 1} has {runs[j]} runs of 1s")
@@ -130,58 +136,74 @@ class CanonicalMatrix:
             raise AssertionError("leftmost column not anchored at the top")
 
 
-def _fixing_stages(pair: KostkaPair) -> Iterator[np.ndarray]:
-    """Run the column-fixing procedure, yielding the in-progress array
-    A^(0), ..., A^(lambda_1).  The same array is mutated between yields;
-    copy a stage to keep it."""
+def _fixing_stages(pair: KostkaPair) -> tuple[np.ndarray, np.ndarray]:
+    """Run the column-fixing procedure and record its decisions.
+
+    Returns (rows, cols): for s = lambda_1 down to 1 in turn, the
+    lambda'_s rows selected at column s, each paired with column index
+    s - 1.  A selected row's rightmost 1 moves into column s, which no
+    later step touches, so the canonical matrix is 1 exactly at these
+    cells."""
     r, w = pair.rank, pair.width
-    lam_conj = pad(conjugate(pair.lam), w)
+    lam_conj = conjugate(pair.lam)
     # sums[i] counts the 1s of row i in columns 1..s; those columns of
     # every row stay flush-left, so row i's are exactly columns 1..sums[i]
     sums = list(pad(pair.mu, r))
-    arr = np.zeros((r, w), dtype=np.int8)
-    for i, v in enumerate(sums):
-        arr[i, :v] = 1
-    yield arr
+    south_first = list(range(r - 1, -1, -1))
+    rows: list[int] = []
     for s in range(w, 0, -1):
-        # largest current sum first; among ties the southmost row wins
-        order = sorted(range(r), key=lambda i: (-sums[i], -i))
+        # largest current sum first; the sort is stable, so among ties
+        # the southmost row wins
+        order = sorted(south_first, key=sums.__getitem__, reverse=True)
         k = lam_conj[s - 1]
-        for i in order[:k]:
-            if sums[i] == 0:
-                raise AssertionError(f"row {i + 1} has no 1 left of column {s}")
-            j = sums[i] - 1
-            if j != s - 1:
-                arr[i, j] = 0
-                arr[i, s - 1] = 1
+        if sums[order[k - 1]] == 0:
+            raise AssertionError(f"row {order[k - 1] + 1} has no 1 left of column {s}")
+        # column s leaves the prefix: no unselected row may still reach it
+        if k < r and sums[order[k]] >= s:
+            raise AssertionError(f"row {order[k] + 1} keeps a 1 in column {s}")
+        chosen = order[:k]
+        for i in chosen:
             sums[i] -= 1
-        # column s leaves the prefix; unselected runs are clipped to it
-        for i in order[k:]:
-            sums[i] = min(sums[i], s - 1)
-        yield arr
+        rows.extend(chosen)
+    cols = np.repeat(np.arange(w - 1, -1, -1), lam_conj[::-1])
+    return np.asarray(rows, dtype=np.intp), cols
 
 
 def ryser_canonical(pair: KostkaPair) -> CanonicalMatrix:
-    """Run the column-fixing procedure and return the canonical matrix.
-    Raises :class:`WidthCapExceeded` before building anything when the
-    matrix would hold more than ``config.CELL_CAP`` cells."""
+    """Run the column-fixing procedure and return the canonical matrix,
+    written from the recorded decisions in one assignment.  Raises
+    :class:`WidthCapExceeded` before building anything when the matrix
+    would hold more than ``config.CELL_CAP`` cells."""
     _cell_cap(pair.rank * pair.width, "canonical matrix")
-    *_, arr = _fixing_stages(pair)
+    rows, cols = _fixing_stages(pair)
+    arr = np.zeros((pair.rank, pair.width), dtype=np.int8)
+    arr[rows, cols] = 1
     return CanonicalMatrix(pair=pair, entries=arr)
 
 
 def fixing_chain(canonical: CanonicalMatrix) -> tuple[np.ndarray, ...]:
     """The fixing chain A^(0), ..., A^(lambda_1) that ends at the
-    canonical matrix, one read-only array per stage.  Raises
-    :class:`WidthCapExceeded` before building anything when the chain
-    would hold more than ``config.CELL_CAP`` cells."""
-    r, w = canonical.pair.rank, canonical.pair.width
+    canonical matrix, one read-only array per stage, replayed from the
+    decisions the procedure records.  Raises :class:`WidthCapExceeded`
+    before building anything when the chain would hold more than
+    ``config.CELL_CAP`` cells."""
+    pair = canonical.pair
+    r, w = pair.rank, pair.width
     _cell_cap((w + 1) * r * w, "fixing chain")
-    chain = []
-    for stage in _fixing_stages(canonical.pair):
-        stage = stage.copy()
+    rows, cols = _fixing_stages(pair)
+    sums = np.asarray(pad(pair.mu, r), dtype=np.intp)
+    arr = np.zeros((r, w), dtype=np.int8)
+    arr[np.arange(w) < sums[:, None]] = 1  # flush left
+    chain = [arr.copy()]
+    steps = np.split(rows, np.flatnonzero(np.diff(cols)) + 1) if w else []
+    for s, chosen in zip(range(w, 0, -1), steps):
+        # each selected row's rightmost 1 in columns 1..s moves to column s
+        sums[chosen] -= 1
+        arr[chosen, sums[chosen]] = 0
+        arr[chosen, s - 1] = 1
+        chain.append(arr.copy())
+    for stage in chain:
         stage.flags.writeable = False
-        chain.append(stage)
     if len(chain) != w + 1:
         raise AssertionError("chain must have width + 1 matrices")
     if not np.array_equal(chain[-1], canonical.entries):
@@ -209,7 +231,7 @@ class StarMatrix:
         r, w = self.pair.rank, self.pair.width
         arr = _frozen_int8(self.entries, (r, w), MalformedStarMatrix)
         object.__setattr__(self, "entries", arr)
-        if not np.array_equal(arr.sum(axis=1, dtype=np.int64), self.mu_star):
+        if arr.sum(axis=1, dtype=np.int64).tolist() != list(self.mu_star):
             raise MalformedStarMatrix("row sums do not match mu*")
         mu_padded = pad(self.pair.mu, r)
         expected = tuple(
@@ -223,14 +245,14 @@ class StarMatrix:
         partial = np.cumsum(arr[::-1], axis=0, dtype=np.int64)
         valid = (nonzeros >= 1) & (nonzeros <= 3)
         valid &= ((partial == 0) | (partial == 1)).all(axis=0)
-        bad = np.flatnonzero(~valid)
+        bad = (~valid).nonzero()[0]
         if bad.size:
             j = int(bad[0])
             sig = arr[:, j][arr[:, j] != 0].tolist()
             raise MalformedStarMatrix(f"column {j + 1} pattern {tuple(sig)}")
         if w and nonzeros[0] != 1:
             raise MalformedStarMatrix("leftmost column must be a single +1")
-        if r and (arr[r - 1] < 0).any():
+        if r and np.count_nonzero(arr[r - 1] < 0):
             raise MalformedStarMatrix("bottom row contains a -1")
 
 
@@ -421,7 +443,7 @@ def split_pair(
     halves: list[KostkaPair] = []
     for mask in (chosen, ~chosen):
         sums = arr[:, mask].sum(axis=1, dtype=np.int64)
-        if np.any(sums[:-1] < sums[1:]):
+        if np.count_nonzero(sums[:-1] < sums[1:]):
             index_set = (np.flatnonzero(mask) + 1).tolist()
             raise NotAWitness(f"row sums for columns {index_set} are not decreasing")
         lam = conjugate(sorted(heights[mask].tolist(), reverse=True))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -181,6 +182,33 @@ class TestReduce:
     def test_box_cap_ignores_the_check_environment(self, runner):
         result = run(runner, "reduce", *WORKED, env={"KOSTKA_CAP_BOXES": "5"})
         assert result.exit_code == 0
+
+
+# sha256 of stdout for the graph and matrix commands, pinned so that a
+# reordered vertex, arc or matrix entry shows up as a changed digest
+GOLDEN_BYTES = [
+    ("kgr", WORKED, "text", 0, "a515b335db32f9b8d32378a7620404c30757896fd1f3a8b9e09c48089e5f3b1c"),
+    ("kgr", WORKED, "json", 0, "78e631d0a9a25a13ebf9cb010fbc5f4d2eb2854650daebb66b5d60aae7a4e3eb"),
+    ("kgr", WORKED, "dot", 0, "e75d5e8336d218fb95237bb0ca905bb2045fa839614b7b46ca73414f24c30432"),
+    ("reduce", WORKED, "json", 0, "80d8ae24434801e6ee8ef3311b9a970a34a659f68e5157541ecedd6247f1a322"),
+    ("ryser", WORKED, "json", 0, "84957bd8ebfd74fc42d3d5c2158e7a6d236de9dc77755af0a5dee118f452397e"),
+    ("kgr", ["2", "1,1"], "text", 0, "c74ce7d5d4023191691535cd9a83847c49f0e250ab652baa914661e2bd97e990"),
+    ("kgr", ["2", "1,1"], "json", 0, "ce3f6011b6b6d7d8d300c61c4e6250daf638ef693daa4c08afe0c4d82525ba2b"),
+    ("kgr", ["2", "1,1"], "dot", 0, "52db8f219ce034b55683c2654eb39d25471aa669890f4cc0cddf81d7a4a6542f"),
+    ("reduce", ["2", "1,1"], "json", 1, "95ae071882777b5c211133637dcbbf3059adfea03228cb2311ea76d86ac15d63"),
+    ("ryser", ["2", "1,1"], "json", 0, "2e0fffbec28da7f43a9af0b6b5669d989f2f149a5a6516c5f0da3a54fae495fe"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, pair, fmt, code, digest",
+    GOLDEN_BYTES,
+    ids=[f"{c}-{'worked' if p is WORKED else '2_11'}-{f}" for c, p, f, _, _ in GOLDEN_BYTES],
+)
+def test_golden_bytes(runner, command, pair, fmt, code, digest):
+    result = run(runner, command, *pair, "--format", fmt)
+    assert result.exit_code == code
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
 class TestBasis:

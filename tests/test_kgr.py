@@ -1,20 +1,22 @@
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cone_pairs_st
+from conftest import cone_pair_pool, cone_pairs_st
 from kostka import kgr, ryser
 from kostka.cone import RaySpec, default_fixture_path, load_catalog, primitive_point
 from kostka.errors import MalformedStarMatrix
 from kostka.kgr import (
     KgrGraph,
+    SubtreeWitness,
     Vertex,
     build_graph,
-    components,
     fast_reducibility,
     find_conservative_subtree,
     graph_payload,
@@ -35,6 +37,162 @@ from kostka.ryser import (
 
 def _v(row: int, col: int, sign: int) -> Vertex:
     return Vertex(row=row, col=col, sign=sign)
+
+
+def components(graph: KgrGraph) -> tuple[frozenset[Vertex], ...]:
+    """Components by breadth-first search over the arcs, in order of
+    their smallest vertex: the traversal the library used before it
+    labelled roots on vertex ids, kept as an oracle."""
+    nbrs: dict[Vertex, list[Vertex]] = {v: [] for v in graph.vertices}
+    for t, h in graph.arcs:
+        nbrs[t].append(h)
+        nbrs[h].append(t)
+    remaining = set(graph.vertices)
+    out: list[frozenset[Vertex]] = []
+    for v in graph.vertices:  # sorted, so components come out ordered
+        if v in remaining:
+            seen = {v}
+            queue = [v]
+            while queue:
+                for y in nbrs[queue.pop()]:
+                    if y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+            out.append(frozenset(seen))
+            remaining -= seen
+    return tuple(out)
+
+
+def labelled_components(graph: KgrGraph) -> tuple[frozenset[Vertex], ...]:
+    """Components read from the library's root labels, in order of their
+    smallest vertex id."""
+    groups: dict[int, list[Vertex]] = {}
+    for v, root in zip(graph.vertices, graph.roots.tolist()):
+        groups.setdefault(root, []).append(v)
+    return tuple(frozenset(g) for g in groups.values())
+
+
+def _adjacency(
+    graph: KgrGraph,
+) -> tuple[dict[Vertex, Vertex], dict[Vertex, list[Vertex]]]:
+    out = dict(graph.arcs)
+    incoming: dict[Vertex, list[Vertex]] = {v: [] for v in graph.vertices}
+    for t, h in graph.arcs:
+        incoming[h].append(t)
+    return out, incoming
+
+
+def _reach(incoming: dict[Vertex, list[Vertex]], sink: Vertex, avoid: Vertex) -> set[Vertex]:
+    """Every vertex whose out-walk reaches ``sink`` without passing
+    through ``avoid``."""
+    reach = {sink}
+    queue = [sink]
+    while queue:
+        for t in incoming[queue.pop()]:
+            if t != avoid and t not in reach:
+                reach.add(t)
+                queue.append(t)
+    return reach
+
+
+def oracle_referee(graph: KgrGraph, vertices) -> bool:
+    """The conservative-subtree referee on vertex tuples and dicts, as the
+    library wrote it before vertex ids, kept as an oracle."""
+    wanted = set(vertices)
+    if not wanted or not wanted <= set(graph.vertices) or wanted == set(graph.vertices):
+        return False
+    out, incoming = _adjacency(graph)
+    induced = [(t, h) for t, h in graph.arcs if t in wanted and h in wanted]
+    adj: dict[Vertex, list[Vertex]] = {v: [] for v in wanted}
+    for t, h in induced:
+        adj[t].append(h)
+        adj[h].append(t)
+    seen = {next(iter(wanted))}
+    queue = list(seen)
+    while queue:
+        for y in adj[queue.pop()]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    if seen != wanted or len(induced) != len(wanted) - 1:
+        return False
+    closed = {t.col for t, h in induced if t.col == h.col}
+    for t, h in graph.arcs:
+        if t.col == h.col and t.col in closed and (t not in wanted or h not in wanted):
+            return False
+    start = next(iter(wanted))
+    if any(c == wanted for c in components(graph) if start in c):
+        return True
+    tails = {t for t, _ in induced}
+    sinks = [v for v in wanted if v not in tails]
+    if len(sinks) != 1 or sinks[0].sign != -1:
+        return False
+    sink = sinks[0]
+    heads = {h for _, h in induced}
+    sources = [v for v in wanted if v not in heads]
+    outsiders = [v for v in sources if incoming[v]]
+    if len(outsiders) > 1:
+        return False
+    if outsiders:
+        return outsiders[0].sign == 1 and outsiders[0].row == sink.row
+    return any(v.sign == 1 and v.row == sink.row for v in sources)
+
+
+def oracle_finder(graph: KgrGraph) -> SubtreeWitness | None:
+    """The canonical conservative subtree found by breadth-first search on
+    vertex tuples, as the library did before vertex ids."""
+    if not graph.vertices:
+        return None
+    comps = components(graph)
+    if len(comps) > 1:
+        comp = comps[0]
+        return SubtreeWitness(
+            kind="component",
+            vertices=tuple(sorted(comp)),
+            columns=tuple(sorted({v.col for v in comp})),
+        )
+    candidates = []
+    nearest = None  # the nearest +1 to the right in the row
+    for v in reversed(graph.vertices):
+        if nearest is not None and nearest.row != v.row:
+            nearest = None
+        if v.sign == 1:
+            nearest = v
+        elif nearest is not None:
+            candidates.append((v.col, v.row, v, nearest))
+    if not candidates:
+        return None
+    *_, sink, pivot = min(candidates)
+    reach = _reach(_adjacency(graph)[1], sink, pivot) | {pivot}
+    return SubtreeWitness(
+        kind="sink-source",
+        vertices=tuple(sorted(reach)),
+        columns=tuple(sorted({v.col for v in reach})),
+        sink=sink,
+        source=pivot,
+    )
+
+
+def candidate_sets(graph: KgrGraph, rng: random.Random) -> list[set[Vertex]]:
+    """Vertex sets for the referee: subtrees hanging off each vertex with
+    and without a pivot, the same with one inner subtree pruned, random
+    subsets, and some of these with one vertex more or fewer."""
+    vs = list(graph.vertices)
+    incoming = _adjacency(graph)[1]
+    sets: list[set[Vertex]] = [set(), set(vs)]
+    for i, sink in enumerate(vs):
+        # the next vertex, a pivot like the finder's, and two random ones
+        for pivot in vs[i + 1 : i + 2] + rng.sample(vs, min(2, len(vs))):
+            reach = _reach(incoming, sink, pivot)
+            sets += [reach, reach | {pivot}]
+            sets += [
+                (reach - _reach(incoming, y, pivot)) | {pivot} for y in reach - {sink}
+            ]
+    sets += [set(rng.sample(vs, rng.randint(1, len(vs)))) for _ in range(4) if vs]
+    for c in sets[2:14]:
+        if c:
+            sets += [c - {rng.choice(sorted(c))}, c | {rng.choice(vs)}]
+    return sets
 
 
 def is_forest(graph: KgrGraph) -> bool:
@@ -70,20 +228,22 @@ def segment_crossings(graph: KgrGraph) -> int:
 
 
 def source_rows(graph: KgrGraph) -> dict[int, int]:
-    """Number of sources in each row (keyed by row index)."""
+    """Number of sources (vertices no arc points to) in each row."""
+    fed = {h for _, h in graph.arcs}
     counts: dict[int, int] = {}
     for v in graph.vertices:
-        if not graph.incoming[v]:
+        if v not in fed:
             counts[v.row] = counts.get(v.row, 0) + 1
     return counts
 
 
-def sink_of_component(graph: KgrGraph, start: Vertex) -> Vertex:
-    """Follow out-arcs from ``start`` to the unique terminal vertex."""
+def sink_of_component(graph: KgrGraph, start: int) -> int:
+    """Follow out-arcs from vertex id ``start`` to the unique terminal
+    vertex id."""
     x = start
     seen = {x}
-    while x in graph.out:
-        x = graph.out[x]
+    while graph.out[x] >= 0:
+        x = int(graph.out[x])
         if x in seen:
             raise AssertionError("out-walk revisited a vertex; not a forest")
         seen.add(x)
@@ -185,6 +345,21 @@ class TestGoldenGraph:
         assert fast_reducibility(running_pair) is not None
         assert calls == [running_pair]
 
+    def test_fast_reduction_builds_only_witness_vertices(self, monkeypatch):
+        built = []
+        real = kgr.Vertex
+
+        def spy(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kgr, "Vertex", spy)
+        # one row of 2000 +1s: 2000 isolated vertices
+        fast = fast_reducibility(KostkaPair((2000,), (2000,)))
+        assert fast is not None
+        assert fast.witness.vertices == (_v(1, 1, 1),)
+        assert len(built) <= len(fast.witness.vertices)
+
 
 class TestRefereeNegatives:
     def test_non_column_closed_set(self, running_pair):
@@ -222,10 +397,9 @@ class TestDisconnectedGraphs:
 
     def test_sink_per_component(self, running_pair):
         graph = pair_graph(running_pair)
-        start = graph.vertices[0]
-        sink = sink_of_component(graph, start)
-        assert sink not in graph.out  # sinks have no outgoing arc
-        assert sink == _v(6, 1, 1)
+        sink = sink_of_component(graph, 0)
+        assert graph.out[sink] < 0  # sinks have no outgoing arc
+        assert graph.vertices[sink] == _v(6, 1, 1)
 
 
 class TestInvariants:
@@ -243,6 +417,14 @@ class TestInvariants:
         graph = pair_graph(pair)
         tails = [t for t, _ in graph.arcs]
         assert len(tails) == len(set(tails))
+
+    @given(cone_pairs_st(max_boxes=12))
+    def test_incoming_lists_invert_out(self, pair):
+        graph = pair_graph(pair)
+        tails = np.arange(graph.out.size)
+        for v in range(graph.out.size):
+            incoming = graph.in_ids[graph.in_ptr[v] : graph.in_ptr[v + 1]]
+            assert incoming.tolist() == tails[graph.out == v].tolist()
 
     @given(cone_pairs_st(max_boxes=12))
     def test_connectivity_criterion(self, pair):
@@ -292,6 +474,37 @@ def wide_ray_points(draw) -> KostkaPair:
     b = draw(st.sampled_from([b for b in range(1, a) if math.gcd(a, b) == 1]))
     ell = draw(st.integers(0, 1))
     return primitive_point(RaySpec(a, b, ell, a + ell))
+
+
+def assert_graph_matches_the_oracles(pair: KostkaPair) -> None:
+    graph = pair_graph(pair)
+    bfs = components(graph)
+    assert labelled_components(graph) == bfs
+    assert is_connected(graph) == (len(bfs) <= 1)
+    assert find_conservative_subtree(graph) == oracle_finder(graph)
+
+
+class TestOracles:
+    def test_pool_graphs_match_the_oracles(self):
+        for pair in cone_pair_pool(13, max_width=7):
+            assert_graph_matches_the_oracles(pair)
+
+    @settings(max_examples=50)
+    @given(st.one_of(wide_basis_sums(), wide_ray_points()))
+    def test_wide_graphs_match_the_oracles(self, pair):
+        assert_graph_matches_the_oracles(pair)
+
+    def test_referee_matches_the_oracle(self, running_pair):
+        rng = random.Random(3)
+        verdicts = []
+        # small pairs lack sets with two cut sources; the worked example has them
+        for pair in (running_pair, *cone_pair_pool(8)):
+            graph = pair_graph(pair)
+            for wanted in candidate_sets(graph, rng):
+                verdict = verify_subtree(graph, wanted)
+                assert verdict == oracle_referee(graph, wanted), (pair, sorted(wanted))
+                verdicts.append(verdict)
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestWideDetectors:

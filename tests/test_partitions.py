@@ -84,6 +84,15 @@ class TestBasics:
             assert len(conjugate(p)) == p[0]
             assert conjugate(p)[0] == len(p)
 
+    def test_conjugate_matches_the_definition_exhaustively(self):
+        for p in partition_pool(14):
+            width = p[0] if p else 0
+            expected = tuple(
+                sum(1 for part in p if part >= j) for j in range(1, width + 1)
+            )
+            assert conjugate(p) == expected
+            assert conjugate(expected) == p
+
     def test_render_diagram(self):
         assert render_diagram((3, 1)) == "###\n#"
 
