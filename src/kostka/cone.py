@@ -29,6 +29,7 @@ they agree.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -53,26 +54,23 @@ from .partitions import (
     prefix_sums,
 )
 
-_SPLIT_MEMO: dict[Partition, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=2048)
 def _splittings(p: Partition) -> tuple[np.ndarray, np.ndarray]:
     """All vectors v such that v and p - v are both partitions, as a
-    (count, len(p)) array plus the vector of sizes |v|.
+    read-only (count, len(p)) array plus the vector of sizes |v|.
 
     Such v correspond to independent choices d_i in
     [0, p_i - p_{i+1}]: v_i is the suffix sum of the d's.
     """
-    if p in _SPLIT_MEMO:
-        return _SPLIT_MEMO[p]
     length = len(p)
     deltas = [p[i] - (p[i + 1] if i + 1 < length else 0) for i in range(length)]
     combos = np.array(
         list(itertools.product(*(range(d + 1) for d in deltas))), dtype=np.int64
     ).reshape(-1, length)
     vectors = combos[:, ::-1].cumsum(axis=1)[:, ::-1] if length else combos
-    _SPLIT_MEMO[p] = (vectors, vectors.sum(axis=1))
-    return _SPLIT_MEMO[p]
+    sizes = vectors.sum(axis=1)
+    vectors.flags.writeable = sizes.flags.writeable = False
+    return vectors, sizes
 
 
 def _lex_rows(mat: np.ndarray) -> np.ndarray:

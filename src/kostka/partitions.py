@@ -3,9 +3,13 @@
 A partition is a trimmed, weakly decreasing tuple of positive integers;
 the empty tuple is the zero partition.  Every public function accepts
 any integer sequence and checks it once, through :func:`as_partition`,
-where it enters; the private kernel :func:`_dominated` and the shapes
-that :func:`kostka_count` builds work on tuples that are already
-partitions and are not checked again.
+where it enters; the private kernels :func:`_dominated` and
+:func:`_conjugate` and the shapes that :func:`kostka_count` peels work
+on tuples that are already partitions and are not checked again.
+
+There is one enumerator, :func:`dominated_partitions`, a depth-first
+search under lambda's prefix sums; :func:`enumerate_partitions` and
+:func:`cone_pairs` list what it yields.
 
 The central object is :class:`KostkaPair`: a pair (lambda, mu) of equal
 size with mu dominated by lambda, carried together with an explicit
@@ -17,7 +21,7 @@ the pairs with K(lambda, mu) > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
+from itertools import accumulate, product, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from . import config
@@ -60,11 +64,15 @@ def pad(p: Sequence[int], length: int) -> Partition:
 
 
 def conjugate(p: Sequence[int]) -> Partition:
-    """Transpose of the Young diagram: lambda'_j = #{i : lambda_i >= j}.
+    """Transpose of the Young diagram: lambda'_j = #{i : lambda_i >= j}."""
+    return _conjugate(as_partition(p))
+
+
+def _conjugate(q: Sequence[int]) -> Partition:
+    """:func:`conjugate` of a sequence that is already a partition.
 
     Counts the parts of each length, then takes suffix sums of the
     counts: O(len(lambda) + lambda_1)."""
-    q = as_partition(p)
     if not q:
         return ()
     counts = [0] * (q[0] + 1)
@@ -177,83 +185,52 @@ def kostka_count(
     """The Kostka number K(lambda, mu): semistandard tableaux of shape
     lambda and content mu.
 
-    Counted as chains of horizontal strips, memoized on intermediate
-    shapes.  Mismatched totals give 0.  Raises :class:`SizeCapExceeded`
-    when |lambda| > ``cap``.
+    A tableau is a chain of shapes, one horizontal strip per letter of
+    mu.  Peeling the letters off last first, the loop carries every
+    shape left so far with its number of ways: peeling m from a shape
+    leaves each prev with shape_{i+1} <= prev_i <= shape_i and m fewer
+    boxes, and prev must fit in the rows of the letters still to come.
+    Mismatched totals give 0.  Raises :class:`SizeCapExceeded` when
+    |lambda| > ``cap``.
     """
     pl, pm = as_partition(lam), as_partition(mu)
-    if size(pl) > cap:
-        raise SizeCapExceeded(f"|lambda| = {size(pl)} exceeds cap {cap}")
-    if size(pl) != size(pm):
+    left = size(pl)
+    if left > cap:
+        raise SizeCapExceeded(f"|lambda| = {left} exceeds cap {cap}")
+    if left != size(pm):
         return 0
-    if not pl:
-        return 1
-
-    memo: dict[tuple[Partition, int], int] = {}
-
-    def strip_removals(shape: Partition, k: int) -> Iterator[Partition]:
-        # All partitions prev <= shape with shape/prev a horizontal strip
-        # of size k: shape_{i+1} <= prev_i <= shape_i rowwise.
-        rows = len(shape)
-
-        def rec(i: int, remaining: int, acc: list[int]) -> Iterator[Partition]:
-            if i == rows:
-                if remaining == 0:
-                    # weakly decreasing by construction; only the last
-                    # row can empty, since shape is trimmed
-                    yield tuple(acc) if acc[-1] else tuple(acc[:-1])
-                return
-            lo = shape[i + 1] if i + 1 < rows else 0
-            hi = shape[i]
-            # prev_i = shape_i - t with t boxes removed from row i
-            for t in range(min(remaining, hi - lo), -1, -1):
-                acc.append(hi - t)
-                yield from rec(i + 1, remaining - t, acc)
-                acc.pop()
-
-        yield from rec(0, k, [])
-
-    def count(shape: Partition, i: int) -> int:
-        if i == 0:
-            return 1 if not shape else 0
-        key = (shape, i)
-        if key in memo:
-            return memo[key]
-        total = 0
-        if len(shape) <= i:  # at most i values available for i rows
-            for prev in strip_removals(shape, pm[i - 1]):
-                total += count(prev, i - 1)
-        memo[key] = total
-        return total
-
-    return count(pl, len(pm))
+    ways = {pl: 1}
+    for rows in range(len(pm) - 1, -1, -1):
+        left -= pm[rows]
+        peeled: dict[Partition, int] = {}
+        for shape, count in ways.items():
+            ranges = map(range, shape[1:] + (0,), [part + 1 for part in shape])
+            for prev in product(*ranges):
+                if sum(prev) == left:
+                    # shape is trimmed, so only the last row can empty
+                    prev = prev if prev[-1] else prev[:-1]
+                    if len(prev) <= rows:
+                        peeled[prev] = peeled.get(prev, 0) + count
+        ways = peeled
+    return ways.get((), 0)
 
 
 def enumerate_partitions(
     n: int, max_part: int | None = None, max_len: int | None = None
 ) -> Iterator[Partition]:
     """All partitions of ``n`` with the given bounds, in decreasing
-    lexicographic order."""
-    if n < 0:
-        return
-    first = n if max_part is None else min(max_part, n)
+    lexicographic order.
+
+    A partition of n has no part above a = min(max_part, n) exactly
+    when the widest one, (a, ..., a, n mod a), dominates it, so these
+    are the partitions :func:`dominated_partitions` lists under it; there
+    are none when n > a * max_len."""
+    a = n if max_part is None else max(0, min(max_part, n))
     length = n if max_len is None else max_len
-
-    def rec(remaining: int, bound: int, slots: int, acc: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        if slots == 0 or bound == 0:
-            return
-        top = min(bound, remaining)
-        for part in range(top, 0, -1):
-            if part * slots < remaining:
-                break
-            acc.append(part)
-            yield from rec(remaining - part, part, slots - 1, acc)
-            acc.pop()
-
-    yield from rec(n, first, length, [])
+    if n < 0 or n > a * length:
+        return
+    q, r = divmod(n, a or 1)  # a is 0 only when n is
+    yield from dominated_partitions((a,) * q + (r,), length)
 
 
 def dominated_partitions(

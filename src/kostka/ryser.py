@@ -45,6 +45,7 @@ from .errors import (
 from .partitions import (
     KostkaPair,
     Partition,
+    _conjugate,
     as_partition,
     conjugate,
     dominates,
@@ -438,7 +439,8 @@ def split_pair(
     arr = canonical.entries
     chosen = np.zeros(w, dtype=bool)
     chosen[np.asarray(sel) - 1] = True
-    # column heights are lambda', checked when the matrix was built
+    # column heights are lambda', checked when the matrix was built, so
+    # the heights of any columns are already a partition
     heights = arr.sum(axis=0, dtype=np.int64)
     halves: list[KostkaPair] = []
     for mask in (chosen, ~chosen):
@@ -446,7 +448,7 @@ def split_pair(
         if np.count_nonzero(sums[:-1] < sums[1:]):
             index_set = (np.flatnonzero(mask) + 1).tolist()
             raise NotAWitness(f"row sums for columns {index_set} are not decreasing")
-        lam = conjugate(sorted(heights[mask].tolist(), reverse=True))
+        lam = _conjugate(heights[mask].tolist())
         halves.append(KostkaPair(lam=lam, mu=sums.tolist(), rank=pair.rank))
     selected, complement = halves
     mu_sum = (a + b for a, b in zip(selected.padded()[1], complement.padded()[1]))

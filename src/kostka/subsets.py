@@ -31,42 +31,29 @@ def _bits(masks: np.ndarray, width: int) -> np.ndarray:
     )
 
 
-def _padded_index_rows(bits: np.ndarray, width: int) -> np.ndarray:
-    """Sorted 1-based index tuples padded with trailing zeros.
-
-    Padding with zeros at the end makes plain lexicographic comparison
-    of rows agree with lexicographic comparison of the index tuples
-    (a strict prefix sorts before its extensions)."""
-    sentinel = width + 2
-    vals = np.where(bits > 0, np.arange(1, width + 1, dtype=np.int8), np.int8(sentinel))
-    vals = np.sort(vals, axis=1)
-    vals[vals == sentinel] = 0
-    return vals
-
-
-def _lexmin_row(rows: np.ndarray) -> int:
-    """Index of the lexicographically smallest row."""
-    order = np.lexsort(tuple(rows[:, j] for j in range(rows.shape[1] - 1, -1, -1)))
-    return int(order[0])
-
-
-def sweep_proper_subsets(
-    width: int,
-    predicate: Predicate,
-    chunk_bits: int = config.CHUNK_BITS,
-) -> tuple[int, ...] | None:
+def sweep_proper_subsets(width: int, predicate: Predicate) -> tuple[int, ...] | None:
     """First (by sorted-index-tuple order) proper nonempty subset of
     [1..width] satisfying ``predicate``, or None.
 
-    The predicate is called on chunks of subset indicator matrices and
-    must return a boolean vector.  Every chunk is visited: the witness
-    minimal in tuple order need not be minimal as a bit mask.
+    The predicate is called on chunks of at most 2^CHUNK_BITS subset
+    indicator rows and must return a boolean vector.  Every chunk is
+    visited: the witness minimal in tuple order need not be minimal as a
+    bit mask.
+
+    Tuples are ranked by one integer.  Read the mask as R, position j
+    weighing 2^(width - j).  The tuples before (i_1 < ... < i_k) are its
+    k - 1 proper nonempty prefixes and, for each m and each j strictly
+    between i_(m-1) and i_m (i_0 = 0), the 2^(width - j) tuples that
+    agree with it before m and take j at m.  They add up to
+    2^width - 1 + k - R - (R & -R), so the sweep keeps the hit with the
+    smallest k - R - (R & -R).
     """
     if width < 2:
         return None
     total = 1 << width
-    chunk = 1 << chunk_bits
-    best: tuple[int, ...] | None = None
+    chunk = 1 << config.CHUNK_BITS
+    weights = np.left_shift(1, np.arange(width - 1, -1, -1, dtype=np.int64))
+    best_rank, best = 0, None
     for start in range(1, total - 1, chunk):
         stop = min(start + chunk, total - 1)
         masks = np.arange(start, stop, dtype=np.uint64 if width > 31 else np.uint32)
@@ -74,10 +61,10 @@ def sweep_proper_subsets(
         good = np.asarray(predicate(bits), dtype=bool)
         if not good.any():
             continue
-        rows = _padded_index_rows(bits[good], width)
-        local = mask_indices(int(masks[good][_lexmin_row(rows)]), width)
-        if best is None or local + (0,) * (width - len(local)) < best + (0,) * (
-            width - len(best)
-        ):
-            best = local
-    return best
+        hits = bits[good]
+        rev = hits @ weights
+        rank = hits.sum(axis=1, dtype=np.int64) - rev - (rev & -rev)
+        at = int(rank.argmin())
+        if best is None or rank[at] < best_rank:
+            best_rank, best = int(rank[at]), int(masks[good][at])
+    return None if best is None else mask_indices(best, width)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 import oracles
-from conftest import cone_pair_pool, cone_pairs_st
+from conftest import cone_pair_pool, cone_pairs_st, partition_pool
 from kostka import cone
 from kostka.cone import (
     AuditReport,
@@ -93,6 +93,15 @@ class TestDecompose:
                 for a, b in zip(small.padded()[side], large.padded()[side])
             )
             assert merged[:rank] == pair.padded()[side]
+
+    def test_splitting_cache_is_bounded(self):
+        limit = cone._splittings.cache_info().maxsize
+        shapes = partition_pool(20)[1:]  # decompose never splits the zero pair
+        assert len(shapes) > limit
+        for p in shapes:
+            vectors, sizes = cone._splittings(p)
+            assert not vectors.flags.writeable and not sizes.flags.writeable
+        assert cone._splittings.cache_info().currsize <= limit
 
 
 class TestHilbertBasis:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import cone_pairs_st, partition_pool, partitions_st
+from conftest import cone_pair_pool, cone_pairs_st, partition_pool, partitions_st
 from kostka import partitions
 from kostka.errors import InvalidPair, InvalidPartition, SizeCapExceeded
 from kostka.partitions import (
@@ -52,6 +52,19 @@ def render_diagram(p: Sequence[int]) -> str:
     """Young diagram as rows of '#' (English convention)."""
     q = as_partition(p)
     return "\n".join("#" * part for part in q)
+
+
+def partitions_by_definition(n: int) -> set[tuple[int, ...]]:
+    """The partitions of n as its compositions sorted into decreasing
+    order; a composition is fixed by its set of cut points in 1..n-1."""
+    if n <= 0:
+        return {()} if n == 0 else set()
+    return {
+        tuple(sorted((b - a for a, b in zip(ends, ends[1:])), reverse=True))
+        for k in range(n)
+        for cuts in itertools.combinations(range(1, n), k)
+        for ends in [(0, *cuts, n)]
+    }
 
 
 class TestBasics:
@@ -157,9 +170,14 @@ class TestKostkaCount:
         assert kostka_count(*WORKED, cap=34) == 495
         assert len(as_partition_calls) == 2
 
-    @given(cone_pairs_st(max_boxes=8))
-    def test_matches_cell_filling_oracle(self, pair):
-        assert kostka_count(pair.lam, pair.mu) == oracles.ssyt_count(pair.lam, pair.mu)
+    def test_matches_cell_filling_oracle(self):
+        for pair in cone_pair_pool(8):
+            assert kostka_count(pair.lam, pair.mu) == oracles.ssyt_count(pair.lam, pair.mu)
+
+    def test_cap_edge_golden(self):
+        # standard tableaux of the 3 x 10 rectangle: the 3-dimensional
+        # Catalan number 2 * 30! / (10! * 11! * 12!)
+        assert kostka_count((10, 10, 10), (1,) * 30) == 7_646_001_090
 
     @given(partitions_st(max_boxes=8), partitions_st(max_boxes=8))
     def test_positivity_iff_dominance(self, a, b):
@@ -172,6 +190,22 @@ class TestEnumeration:
     def test_partition_numbers(self):
         for n, expected in enumerate(PARTITION_COUNTS):
             assert sum(1 for _ in enumerate_partitions(n)) == expected
+
+    def test_matches_sorted_compositions(self):
+        bounds = (None, 0, 1, 2, 3, 5, 20)
+        for n in range(-1, 16):
+            brute = partitions_by_definition(n)
+            for max_part, max_len in itertools.product(bounds, repeat=2):
+                want = sorted(
+                    (
+                        p
+                        for p in brute
+                        if (max_part is None or not p or p[0] <= max_part)
+                        and (max_len is None or len(p) <= max_len)
+                    ),
+                    reverse=True,
+                )
+                assert list(enumerate_partitions(n, max_part, max_len)) == want
 
     def test_decreasing_lex_order_and_bounds(self):
         got = list(enumerate_partitions(6, max_part=3, max_len=3))
