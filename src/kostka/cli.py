@@ -417,12 +417,12 @@ def rays(rank: int, fmt: str) -> None:
 @click.option(
     "--cap-boxes",
     type=int,
-    default=13,
-    show_default=True,
-    help="box cap for the over-wide boundary sweep",
+    default=None,
+    help="box cap for the over-wide boundary sweep "
+    "(default: rank * (rank + 1), the whole lambda_1 = rank + 1 layer)",
 )
 @_guarded
-def audit(rank: int, fmt: str, cap_boxes: int) -> None:
+def audit(rank: int, fmt: str, cap_boxes: int | None) -> None:
     """Width-bound audit of the basis at a rank (exit 3 on violation)."""
     report = width_bound_audit(rank, box_cap=cap_boxes)
     payload = {

@@ -16,8 +16,11 @@ slack vectors are minimal among those of nonzero cone points, and
 :func:`hilbert_basis` finds it by comparing slack vectors one size
 block at a time.  It only visits candidates inside the rank x rank box:
 that irreducible pairs have lambda_1 <= rank is the paper's width
-theorem (checked by :func:`width_bound_audit`), and the completeness of
-the basis rests on it.
+theorem (checked by :func:`width_bound_audit` on the lambda_1 = rank + 1
+layer), and the completeness of the basis rests on it.  Both walk the
+box with one enumerator, :func:`_cone_blocks`, which lists a box's
+partitions as lattice paths and its dominance pairs as arrays, so no
+pair becomes a Python object until it is kept or reported.
 
 Extremal rays are classified: every ray is spanned by
 lambda = a^(b+ell), mu = (a^ell, b^a) for r >= a+ell >= a >= b > 0, and
@@ -34,7 +37,7 @@ import hashlib
 import itertools
 import json
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,12 +50,7 @@ from .errors import (
     RankCapExceeded,
     SizeCapExceeded,
 )
-from .partitions import (
-    KostkaPair,
-    Partition,
-    cone_pairs,
-    prefix_sums,
-)
+from .partitions import KostkaPair, Partition, prefix_sums
 
 @functools.lru_cache(maxsize=2048)
 def _splittings(p: Partition) -> tuple[np.ndarray, np.ndarray]:
@@ -202,23 +200,54 @@ def default_fixture_path(rank: int) -> Path:
     return Path(__file__).parent / "fixtures" / f"basis_r{rank}.json"
 
 
-def _slack_rows(pairs: Sequence[tuple[Partition, Partition]], rank: int) -> np.ndarray:
-    """The slack vectors s(p) of the pairs at the rank, one int64 row of
-    3 * rank - 1 entries each: the consecutive differences of lambda and
-    of mu (each padded with zeros to rank + 1 parts), then the prefix-sum
-    gaps Lambda_t - M_t for t < rank.
+def _cone_blocks(
+    max_part: int, max_len: int, max_boxes: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every cone point (lambda, mu) with 1 <= |lambda| <= ``max_boxes``,
+    lambda_1 <= ``max_part`` and at most ``max_len`` parts on each side,
+    one size at a time, as two (count, max_len) zero-padded int64 arrays.
+
+    A partition in the max_part x max_len box is a lattice path: its
+    parts, reversed, are the positions of the max_len up-steps among
+    max_part + max_len steps, less 0, 1, ..., max_len - 1.  A mu that
+    lambda dominates has mu_1 <= lambda_1, so it lies in the same box,
+    and one prefix-sum broadcast over a size's partitions yields all of
+    that size's pairs.  Sizes stop at the box's max_part * max_len.
+    Ordered by size, then lambda, then mu, each in decreasing
+    lexicographic order."""
+    top = min(max_boxes, max_part * max_len)
+    if top < 1:
+        return
+    steps = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(max_part + max_len), max_len)
+        ),
+        dtype=np.int64,
+    ).reshape(-1, max_len)
+    parts = (steps - np.arange(max_len))[:, ::-1]
+    sizes = parts.sum(axis=1)
+    # lexsort's last key is its first: size up, then each part down
+    order = np.lexsort((*(-parts.T[::-1]), sizes))
+    parts, sizes = parts[order], sizes[order]
+    bounds = np.searchsorted(sizes, np.arange(top + 2))
+    for n in range(1, top + 1):
+        block = parts[bounds[n] : bounds[n + 1]]
+        prefix = block.cumsum(axis=1)
+        lam, mu = (prefix[:, None, :] >= prefix[None, :, :]).all(axis=2).nonzero()
+        yield block[lam], block[mu]
+
+
+def _slack_rows(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The slack vectors s(p) of the pairs whose sides are the rows of
+    ``lam`` and ``mu``, zero-padded to the rank: one int64 row of
+    3 * rank - 1 entries each, the consecutive differences of lambda and
+    of mu (the last part counting as a difference from 0), then the
+    prefix-sum gaps Lambda_t - M_t for t < rank.
 
     These are the facet inequalities of the cone, so for cone points p
     and q, q - p is a cone point iff s(p) <= s(q) componentwise."""
-    sides = np.zeros((2, len(pairs), rank + 1), dtype=np.int64)
-    for side, parts in zip(sides, zip(*pairs)):
-        lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-        side[np.arange(rank + 1) < lengths[:, None]] = np.fromiter(
-            itertools.chain.from_iterable(parts), dtype=np.int64
-        )
-    lam, mu = sides
-    gaps = np.cumsum(lam[:, : rank - 1] - mu[:, : rank - 1], axis=1)
-    return np.hstack([lam[:, :-1] - lam[:, 1:], mu[:, :-1] - mu[:, 1:], gaps])
+    gaps = np.cumsum(lam[:, :-1] - mu[:, :-1], axis=1)
+    return np.hstack([-np.diff(lam, append=0), -np.diff(mu, append=0), gaps])
 
 
 def _covered(slacks: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -246,14 +275,6 @@ def _covered(slacks: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return covered
 
 
-def _size_blocks(
-    pairs: Iterable[tuple[Partition, Partition]],
-) -> Iterator[list[tuple[Partition, Partition]]]:
-    """Consecutive runs of equal |lambda| from a size-ordered stream."""
-    for _, block in itertools.groupby(pairs, key=lambda pair: sum(pair[0])):
-        yield list(block)
-
-
 def hilbert_basis(rank: int, cap: int = config.RANK_CAP) -> BasisCatalog:
     """The Hilbert basis at the given rank: the cone points inside the
     rank x rank box whose slack vectors are minimal.
@@ -271,12 +292,12 @@ def hilbert_basis(rank: int, cap: int = config.RANK_CAP) -> BasisCatalog:
     """
     if not 1 <= rank <= cap:
         raise RankCapExceeded(f"rank {rank} outside [1, {cap}]")
-    kept: list[tuple[Partition, Partition]] = []
+    kept = []
     basis = np.zeros((0, 3 * rank - 1), dtype=np.int64)
-    for block in _size_blocks(cone_pairs(rank * rank, rank, rank)):
-        slacks = _slack_rows(block, rank)
+    for lam, mu in _cone_blocks(rank, rank, rank * rank):
+        slacks = _slack_rows(lam, mu)
         fresh = ~_covered(slacks, basis)
-        kept += itertools.compress(block, fresh)
+        kept += zip(lam[fresh].tolist(), mu[fresh].tolist())
         basis = np.vstack([basis, slacks[fresh]])
     elements = [KostkaPair(lam, mu, rank) for lam, mu in kept]
     elements.sort(key=lambda p: (p.n, p.lam, p.mu))
@@ -449,7 +470,7 @@ class AuditReport:
     box_cap: int
 
 
-def width_bound_audit(rank: int, box_cap: int = 13) -> AuditReport:
+def width_bound_audit(rank: int, box_cap: int | None = None) -> AuditReport:
     """Checks, raising :class:`AssertionFailure` on any violation:
 
     - every basis element has lambda_1 <= rank;
@@ -458,7 +479,12 @@ def width_bound_audit(rank: int, box_cap: int = 13) -> AuditReport:
       boxes is reducible, certified by a basis element below it in
       slack order (the difference is then a nonzero cone point, so the
       certificate does not lean on the width theorem).
+
+    ``box_cap`` defaults to rank * (rank + 1), the most boxes such a
+    pair can have, so the whole lambda_1 = rank + 1 layer is checked.
     """
+    if box_cap is None:
+        box_cap = rank * (rank + 1)
     catalog = hilbert_basis(rank)
     full_width = 0
     for pair in catalog.elements:
@@ -470,14 +496,18 @@ def width_bound_audit(rank: int, box_cap: int = 13) -> AuditReport:
                 raise AssertionFailure(
                     f"width-saturating basis pair {pair} is not a rectangle pair"
                 )
-    basis = _slack_rows([p.key() for p in catalog.elements], rank)
+    sides = np.array([p.padded() for p in catalog.elements], dtype=np.int64)
+    sides = sides.reshape(-1, 2, rank)
+    basis = _slack_rows(sides[:, 0], sides[:, 1])
     checked = 0
-    for block in _size_blocks(cone_pairs(box_cap, rank + 1, rank)):
-        boundary = [(lam, mu) for lam, mu in block if lam[0] == rank + 1]
-        checked += len(boundary)
-        covered = _covered(_slack_rows(boundary, rank), basis)
+    for lam, mu in _cone_blocks(rank + 1, rank, box_cap):
+        wide = lam[:, 0] == rank + 1
+        lam, mu = lam[wide], mu[wide]
+        checked += len(lam)
+        covered = _covered(_slack_rows(lam, mu), basis)
         if not covered.all():
-            pair = KostkaPair(*boundary[int(np.argmin(covered))], rank)
+            i = int(np.argmin(covered))
+            pair = KostkaPair(lam[i].tolist(), mu[i].tolist(), rank)
             raise AssertionFailure(
                 f"over-wide pair {pair} has no basis element below it"
             )

@@ -24,9 +24,9 @@ WIDTH_CAP = 24
 # a fixing chain built to be printed, (lambda_1 + 1) * rank * lambda_1.
 CELL_CAP = 1_000_000
 
-# Largest rank for which the Hilbert basis is computed (rank 7 has 153,227
-# candidates in its 7 x 7 box; rank 8 has about 1.6 million).
-RANK_CAP = 7
+# Largest rank for which the Hilbert basis is computed (rank 8 has
+# 1,611,188 candidates in its 8 x 8 box; rank 9 would have 17,826,201).
+RANK_CAP = 8
 
 # Longest generalized Catalan sequence swept for sublist witnesses.
 LENGTH_CAP = 24

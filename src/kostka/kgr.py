@@ -9,9 +9,10 @@ equivalent to every non-leftmost column holding a -1.
 
 The graph is held as arrays over integer vertex ids 0..n-1, numbered
 in row-major order of the nonzeros: ``rows``, ``cols``, ``signs``, the
-head ``out`` of each vertex's out-arc, and the incoming tails as CSR
-lists.  Components come from one root-labelling pass (every vertex
-points, by pointer jumping, at the sink its out-walk ends in).
+head ``out`` of each vertex's out-arc; a vertex's incoming arcs are
+the ids whose ``out`` names it.  Components come from one root-labelling
+pass (every vertex points, by pointer jumping, at the sink its out-walk
+ends in).
 :class:`Vertex` objects are built only for a witness and, lazily, for
 ``graph.vertices`` and ``graph.arcs``, which the renderers read.
 
@@ -65,16 +66,13 @@ def _roots(out: np.ndarray, width: int) -> np.ndarray:
 class KgrGraph:
     """The arc graph on vertex ids 0..n-1 in row-major order: vertex v
     is the entry ``signs[v]`` at (``rows[v]``, ``cols[v]``), 1-based;
-    ``out[v]`` is the head of its out-arc or -1; the tails of its
-    incoming arcs, increasing, are ``in_ids[in_ptr[v]:in_ptr[v + 1]]``."""
+    ``out[v]`` is the head of its out-arc or -1."""
 
     star: StarMatrix
     rows: np.ndarray = field(repr=False)
     cols: np.ndarray = field(repr=False)
     signs: np.ndarray = field(repr=False)
     out: np.ndarray = field(repr=False)
-    in_ptr: np.ndarray = field(repr=False)
-    in_ids: np.ndarray = field(repr=False)
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -122,7 +120,6 @@ def build_graph(star: StarMatrix) -> KgrGraph:
     w = star.pair.width
     r0, c0 = arr.nonzero()  # row-major, so ids follow the sorted vertices
     signs = arr[r0, c0]
-    n = signs.size
     minus = (signs < 0).nonzero()[0]
     if np.count_nonzero(np.bincount(c0[minus], minlength=w) > 1):
         seen: set[int] = set()
@@ -147,18 +144,7 @@ def build_graph(star: StarMatrix) -> KgrGraph:
     heads[c0[minus]] = minus
     out = heads[c0]
     out[minus] = left
-    tails = (out >= 0).nonzero()[0]
-    in_ptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(out[tails], minlength=n), out=in_ptr[1:])
-    return KgrGraph(
-        star=star,
-        rows=r0 + 1,
-        cols=c0 + 1,
-        signs=signs,
-        out=out,
-        in_ptr=in_ptr,
-        in_ids=tails[out[tails].argsort(kind="stable")],
-    )
+    return KgrGraph(star=star, rows=r0 + 1, cols=c0 + 1, signs=signs, out=out)
 
 
 def is_connected(graph: KgrGraph) -> bool:
@@ -238,8 +224,11 @@ def verify_subtree(graph: KgrGraph, vertices: Iterable[Vertex]) -> bool:
     fed = np.zeros(n + 1, dtype=bool)
     fed[out[ids[own]]] = True
     sources = ids[~fed[ids]]
-    # sources of the set that are not sources of the whole graph
-    outsiders = sources[graph.in_ptr[sources + 1] > graph.in_ptr[sources]]
+    # sources of the set that are not sources of the whole graph (a
+    # sink's -1 lands in the spare slot)
+    headed = np.zeros(n + 1, dtype=bool)
+    headed[out] = True
+    outsiders = sources[headed[sources]]
     if outsiders.size > 1:
         return False
     pivots = outsiders if outsiders.size else sources

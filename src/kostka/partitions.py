@@ -7,9 +7,8 @@ where it enters; the private kernels :func:`_dominated` and
 :func:`_conjugate` and the shapes that :func:`kostka_count` peels work
 on tuples that are already partitions and are not checked again.
 
-There is one enumerator, :func:`dominated_partitions`, a depth-first
-search under lambda's prefix sums; :func:`enumerate_partitions` and
-:func:`cone_pairs` list what it yields.
+Nothing here enumerates partitions: the cone points of a box are
+listed, one size at a time as arrays, by :mod:`kostka.cone`.
 
 The central object is :class:`KostkaPair`: a pair (lambda, mu) of equal
 size with mu dominated by lambda, carried together with an explicit
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, product, zip_longest
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import config
 from .errors import InvalidPair, InvalidPartition, SizeCapExceeded
@@ -213,74 +212,6 @@ def kostka_count(
                         peeled[prev] = peeled.get(prev, 0) + count
         ways = peeled
     return ways.get((), 0)
-
-
-def enumerate_partitions(
-    n: int, max_part: int | None = None, max_len: int | None = None
-) -> Iterator[Partition]:
-    """All partitions of ``n`` with the given bounds, in decreasing
-    lexicographic order.
-
-    A partition of n has no part above a = min(max_part, n) exactly
-    when the widest one, (a, ..., a, n mod a), dominates it, so these
-    are the partitions :func:`dominated_partitions` lists under it; there
-    are none when n > a * max_len."""
-    a = n if max_part is None else max(0, min(max_part, n))
-    length = n if max_len is None else max_len
-    if n < 0 or n > a * length:
-        return
-    q, r = divmod(n, a or 1)  # a is 0 only when n is
-    yield from dominated_partitions((a,) * q + (r,), length)
-
-
-def dominated_partitions(
-    lam: Sequence[int], max_len: int
-) -> Iterator[Partition]:
-    """All mu with |mu| = |lambda|, at most ``max_len`` parts, and
-    lambda >= mu in dominance order, in decreasing lexicographic order.
-
-    Depth-first under lambda's prefix sums: part i of mu is at most the
-    previous part and at most Lambda_i - M_{i-1}, so every branch stays
-    dominated and no candidate needs a separate check."""
-    pl = as_partition(lam)
-    if not pl:
-        yield ()
-        return
-    if max_len < len(pl):  # a dominated mu has at least len(lambda) parts
-        return
-    n = size(pl)
-    lam_prefix = prefix_sums(pl, max_len)
-
-    def rec(i: int, remaining: int, bound: int, acc: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        slots = max_len - i
-        if slots == 0:
-            return
-        top = min(bound, lam_prefix[i] - (n - remaining))
-        for part in range(top, 0, -1):
-            if part * slots < remaining:
-                break
-            acc.append(part)
-            yield from rec(i + 1, remaining - part, part, acc)
-            acc.pop()
-
-    yield from rec(0, n, pl[0], [])
-
-
-def cone_pairs(
-    max_boxes: int, max_part: int, max_len: int
-) -> Iterator[tuple[Partition, Partition]]:
-    """Every cone point (lambda, mu) with 1 <= |lambda| <= ``max_boxes``,
-    lambda_1 <= ``max_part`` and at most ``max_len`` parts on each side.
-
-    Ordered by size, then lambda, then mu, each in decreasing
-    lexicographic order."""
-    for n in range(1, max_boxes + 1):
-        for lam in enumerate_partitions(n, max_part, max_len):
-            for mu in dominated_partitions(lam, max_len):
-                yield lam, mu
 
 
 def parse_partition(text: str) -> Partition:

@@ -122,7 +122,7 @@ class CanonicalMatrix:
             raise AssertionError("entries must be 0/1")
         if arr.sum(axis=1, dtype=np.int64).tolist() != list(pad(mu, r)):
             raise AssertionError("row sums do not match mu")
-        if arr.sum(axis=0, dtype=np.int64).tolist() != list(pad(conjugate(lam), w)):
+        if arr.sum(axis=0, dtype=np.int64).tolist() != list(pad(_conjugate(lam), w)):
             raise AssertionError("column sums do not match conjugate(lambda)")
         # a run of 1s starts at a 1 with a 0 or the top edge above it
         starts = arr.copy()
@@ -146,7 +146,7 @@ def _fixing_stages(pair: KostkaPair) -> tuple[np.ndarray, np.ndarray]:
     later step touches, so the canonical matrix is 1 exactly at these
     cells."""
     r, w = pair.rank, pair.width
-    lam_conj = conjugate(pair.lam)
+    lam_conj = _conjugate(pair.lam)
     # sums[i] counts the 1s of row i in columns 1..s; those columns of
     # every row stay flush-left, so row i's are exactly columns 1..sums[i]
     sums = list(pad(pair.mu, r))

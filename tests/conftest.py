@@ -7,13 +7,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from kostka import ryser
-from kostka.partitions import (
-    KostkaPair,
-    Partition,
-    cone_pairs,
-    enumerate_partitions,
-)
+import oracles
+from kostka import partitions, ryser
+from kostka.partitions import KostkaPair, Partition
 
 settings.register_profile(
     "suite",
@@ -34,6 +30,20 @@ def fixing_forbidden(monkeypatch):
         pytest.fail(f"the fixing procedure ran on {pair}")
 
     monkeypatch.setattr(ryser, "_fixing_stages", spy)
+
+
+@pytest.fixture
+def as_partition_calls(monkeypatch) -> list:
+    """Every argument passed to ``partitions.as_partition`` from now on."""
+    calls = []
+    real = partitions.as_partition
+
+    def spy(seq):
+        calls.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(partitions, "as_partition", spy)
+    return calls
 
 
 def read_matrix_blocks(name: str) -> list[tuple[tuple[int, ...], ...]]:
@@ -59,9 +69,7 @@ def partition_pool(
     """Every partition of 0..max_boxes under the given bounds."""
     pool: list[Partition] = []
     for n in range(max_boxes + 1):
-        pool.extend(
-            enumerate_partitions(n, max_part=max_part or None, max_len=max_len or None)
-        )
+        pool.extend(oracles.partitions(n, max_part or None, max_len or None))
     return tuple(pool)
 
 
@@ -71,7 +79,7 @@ def cone_pair_pool(max_boxes: int, max_width: int = 0) -> tuple[KostkaPair, ...]
     minimal rank."""
     return tuple(
         KostkaPair(lam, mu)
-        for lam, mu in cone_pairs(max_boxes, max_width or max_boxes, max_boxes)
+        for lam, mu in oracles.cone_pairs(max_boxes, max_width or max_boxes, max_boxes)
     )
 
 

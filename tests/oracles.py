@@ -27,6 +27,42 @@ def dominance(a: Sequence[int], b: Sequence[int]) -> bool:
     return sum(a) == sum(b) and prefix_dom(a, b)
 
 
+def partitions(
+    n: int, max_part: int | None = None, max_len: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The partitions of n with parts at most ``max_part`` and at most
+    ``max_len`` parts (no bound for None), in decreasing lexicographic
+    order: each part in turn, largest first."""
+
+    def rec(remaining: int, bound: int, slots: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield ()
+            return
+        if slots == 0:
+            return
+        for part in range(min(bound, remaining), 0, -1):
+            for rest in rec(remaining - part, part, slots - 1):
+                yield (part,) + rest
+
+    yield from rec(
+        n, n if max_part is None else max_part, n if max_len is None else max_len
+    )
+
+
+def cone_pairs(
+    max_boxes: int, max_part: int, max_len: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every dominance pair (lambda, mu) with 1 <= |lambda| <= max_boxes,
+    lambda_1 <= max_part and at most max_len parts on each side, by
+    filtering all pairs of partitions: ordered by size, then lambda, then
+    mu, each in decreasing lexicographic order.  A mu that lambda
+    dominates has mu_1 <= lambda_1, so both sides come from one list."""
+    for n in range(1, max_boxes + 1):
+        shapes = list(partitions(n, max_part, max_len))
+        for lam in shapes:
+            yield from ((lam, mu) for mu in shapes if dominance(lam, mu))
+
+
 def gr_matrix_exists(row_sums: Sequence[int], col_sums: Sequence[int]) -> bool:
     """Is there a 0/1 matrix with these exact margins?  Row-by-row DFS."""
     rows = [int(v) for v in row_sums]

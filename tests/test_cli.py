@@ -285,7 +285,7 @@ class TestAudit:
             runner, "audit", "-r", "2", "--format", "json", env={"KOSTKA_CAP_BOXES": "5"}
         )
         assert result.exit_code == 0
-        assert json.loads(result.output)["box_cap"] == 13
+        assert json.loads(result.output)["box_cap"] == 6
 
 
 class TestCatalan:

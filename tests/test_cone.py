@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -25,9 +26,11 @@ from kostka.cone import (
     width_bound_audit,
 )
 from kostka.errors import AssertionFailure, RankCapExceeded, SizeCapExceeded
-from kostka.partitions import KostkaPair, as_partition, cone_pairs, pad, size
+from kostka.partitions import KostkaPair, as_partition, pad, size
 
-BASIS_COUNTS = {1: 1, 2: 3, 3: 8, 4: 19, 5: 50, 6: 111, 7: 281}
+BASIS_COUNTS = {1: 1, 2: 3, 3: 8, 4: 19, 5: 50, 6: 111, 7: 281, 8: 635}
+# cone pairs with lambda_1 = rank + 1 and at most rank parts, by rank
+LAYER_COUNTS = {2: 6, 3: 42, 4: 336, 5: 3030, 6: 29772}
 RAY_COUNTS = [1, 3, 7, 14, 25, 41, 63, 92, 129, 175, 231, 298, 377, 469, 575, 696, 833]
 
 
@@ -104,29 +107,67 @@ class TestDecompose:
         assert cone._splittings.cache_info().currsize <= limit
 
 
+def unpadded(row) -> tuple[int, ...]:
+    return tuple(v for v in row if v)
+
+
+class TestConeBlocks:
+    def test_matches_the_oracle_filter(self):
+        boxes = [(r, r, r * r) for r in range(1, 6)] + [(r + 1, r, 13) for r in range(1, 6)]
+        boxes += [(7, 13, 13), (0, 3, 5), (3, 0, 5)]
+        for max_part, max_len, max_boxes in boxes:
+            want: dict[int, list] = {}
+            for lam, mu in oracles.cone_pairs(max_boxes, max_part, max_len):
+                want.setdefault(sum(lam), []).append((lam, mu))
+            blocks = list(cone._cone_blocks(max_part, max_len, max_boxes))
+            assert len(blocks) == min(max_boxes, max_part * max_len)
+            for n, (lam, mu) in enumerate(blocks, start=1):
+                pairs = want.get(n, [])
+                assert lam.dtype == mu.dtype == np.int64
+                assert lam.shape == mu.shape == (len(pairs), max_len)
+                got = [(unpadded(a), unpadded(b)) for a, b in zip(lam.tolist(), mu.tolist())]
+                assert got == pairs, (max_part, max_len, n)
+
+    def test_slack_rows_match_the_definition(self):
+        rank = 4
+        for lam, mu in cone._cone_blocks(rank, rank, rank * rank):
+            rows = cone._slack_rows(lam, mu).tolist()
+            assert rows == [
+                list(slack(unpadded(a), unpadded(b), rank))
+                for a, b in zip(lam.tolist(), mu.tolist())
+            ]
+
+
+def assert_matches_fixture_and_referees(rank: int) -> None:
+    catalog = hilbert_basis(rank)
+    assert catalog.payload() == json.loads(default_fixture_path(rank).read_text())
+    for pair in catalog.elements:
+        assert pair.width <= rank, pair
+        assert decompose(pair, rank * rank) is None, pair
+    rays = {primitive_point(spec).key() for spec in extremal_rays(rank)}
+    assert len(rays) == RAY_COUNTS[rank - 1]
+    assert rays <= catalog.keys()
+
+
 class TestHilbertBasis:
     def test_rank_cap(self):
         with pytest.raises(RankCapExceeded):
-            hilbert_basis(8)
+            hilbert_basis(9)
         with pytest.raises(RankCapExceeded):
             hilbert_basis(0)
 
     def test_rank_seven_matches_its_fixture_and_referees(self):
-        catalog = hilbert_basis(7)
-        assert catalog.payload() == json.loads(default_fixture_path(7).read_text())
-        for pair in catalog.elements:
-            assert pair.width <= 7, pair
-            assert decompose(pair, 49) is None, pair
-        rays = {primitive_point(spec).key() for spec in extremal_rays(7)}
-        assert len(rays) == 63
-        assert rays <= catalog.keys()
+        assert_matches_fixture_and_referees(7)
+
+    def test_rank_eight_matches_its_fixture_and_referees(self):
+        assert_matches_fixture_and_referees(8)
 
     def test_rejected_candidates_carry_certificates(self):
         for rank in range(1, 6):
             elements = hilbert_basis(rank).elements
             returned = [(slack(*p.key(), rank), p) for p in elements]
             keys = {p.key() for p in elements}
-            for lam, mu in cone_pairs(rank * rank, rank, rank):
+            for lam, mu in oracles.cone_pairs(rank * rank, rank, rank):
                 if (lam, mu) in keys:
                     continue
                 s = slack(lam, mu, rank)
@@ -143,7 +184,8 @@ class TestHilbertBasis:
     def test_matches_the_decompose_filter(self):
         for rank in range(1, 6):
             candidates = [
-                KostkaPair(lam, mu, rank) for lam, mu in cone_pairs(rank * rank, rank, rank)
+                KostkaPair(lam, mu, rank)
+                for lam, mu in oracles.cone_pairs(rank * rank, rank, rank)
             ]
             old = [p for p in candidates if decompose(p, rank * rank) is None]
             old.sort(key=lambda p: (p.n, p.lam, p.mu))
@@ -182,7 +224,7 @@ class TestHilbertBasis:
 
 class TestCatalogIO:
     def test_shipped_fixtures_match_recomputation(self):
-        for rank in range(1, 8):
+        for rank in range(1, 9):
             shipped = load_catalog(default_fixture_path(rank))
             if rank <= 5:
                 fresh = hilbert_basis(rank)
@@ -286,32 +328,37 @@ class TestWidthBoundAudit:
         assert report.rank == 2
         assert report.basis_count == 3
         assert report.full_width_count == 1  # only ((2),(1,1)) has lam_1 = rank
-        assert report.boundary_pairs_checked > 0
+        assert report.boundary_pairs_checked == LAYER_COUNTS[2]
+        assert report.box_cap == 6
 
-    def test_box_cap_reaches_decompose(self, monkeypatch):
-        # a 41-box over-wide pair, above the default splitting cap of 40
-        wide = (7, 7, 7, 7, 7, 6)
+    def test_box_cap_bounds_the_layer(self):
+        # ((7^6), (7^6)) is the only 42-box pair of the rank-6 layer
+        report = width_bound_audit(6)
+        assert (report.box_cap, report.boundary_pairs_checked) == (42, LAYER_COUNTS[6])
+        assert width_bound_audit(6, box_cap=42).boundary_pairs_checked == LAYER_COUNTS[6]
+        assert width_bound_audit(6, box_cap=41).boundary_pairs_checked == LAYER_COUNTS[6] - 1
 
-        def only_wide(max_boxes, max_part, max_len):
-            return iter([(wide, wide)])
-
-        monkeypatch.setattr(cone, "cone_pairs", only_wide)
-        monkeypatch.setattr(
-            cone, "hilbert_basis", lambda rank: load_catalog(default_fixture_path(rank))
-        )
-        assert width_bound_audit(6, box_cap=41).boundary_pairs_checked == 1
+    def test_huge_box_cap_stops_at_the_box(self):
+        report = width_bound_audit(2, box_cap=10**12)
+        assert (report.box_cap, report.boundary_pairs_checked) == (10**12, LAYER_COUNTS[2])
 
     def test_certificate_agrees_with_decompose(self):
+        # the whole lambda_1 = rank + 1 layer, at most rank * (rank + 1) boxes
         for rank in range(2, 6):
-            basis = cone._slack_rows([p.key() for p in hilbert_basis(rank).elements], rank)
-            boundary = [
-                (lam, mu) for lam, mu in cone_pairs(13, rank + 1, rank) if lam[0] == rank + 1
-            ]
-            covered = cone._covered(cone._slack_rows(boundary, rank), basis)
-            assert len(covered) == len(boundary) > 0
-            for (lam, mu), certified in zip(boundary, covered):
-                found = decompose(KostkaPair(lam, mu, rank), 13)
-                assert bool(certified) == (found is not None), (lam, mu)
+            cap = rank * (rank + 1)
+            basis = cone._slack_rows(
+                *map(np.array, zip(*(p.padded() for p in hilbert_basis(rank).elements)))
+            )
+            checked = 0
+            for lam, mu in cone._cone_blocks(rank + 1, rank, cap):
+                wide = lam[:, 0] == rank + 1
+                lam, mu = lam[wide], mu[wide]
+                covered = cone._covered(cone._slack_rows(lam, mu), basis)
+                for pair, certified in zip(zip(lam.tolist(), mu.tolist()), covered):
+                    found = decompose(KostkaPair(*pair, rank), cap)
+                    assert bool(certified) == (found is not None), pair
+                checked += len(covered)
+            assert checked == LAYER_COUNTS[rank]
 
     def test_uncertified_pair_fails_the_audit(self, monkeypatch):
         monkeypatch.setattr(

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -417,14 +416,6 @@ class TestInvariants:
         graph = pair_graph(pair)
         tails = [t for t, _ in graph.arcs]
         assert len(tails) == len(set(tails))
-
-    @given(cone_pairs_st(max_boxes=12))
-    def test_incoming_lists_invert_out(self, pair):
-        graph = pair_graph(pair)
-        tails = np.arange(graph.out.size)
-        for v in range(graph.out.size):
-            incoming = graph.in_ids[graph.in_ptr[v] : graph.in_ptr[v + 1]]
-            assert incoming.tolist() == tails[graph.out == v].tolist()
 
     @given(cone_pairs_st(max_boxes=12))
     def test_connectivity_criterion(self, pair):

@@ -9,16 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import cone_pair_pool, cone_pairs_st, partition_pool, partitions_st
-from kostka import partitions
 from kostka.errors import InvalidPair, InvalidPartition, SizeCapExceeded
 from kostka.partitions import (
     KostkaPair,
     as_partition,
-    cone_pairs,
     conjugate,
-    dominated_partitions,
     dominates,
-    enumerate_partitions,
     format_partition,
     in_kostka_cone,
     kostka_count,
@@ -32,20 +28,6 @@ from kostka.partitions import (
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]  # p(0..10)
 WORKED = ((8, 7, 7, 7, 3, 2), (7, 7, 4, 4, 4, 4, 4))
-
-
-@pytest.fixture
-def as_partition_calls(monkeypatch) -> list:
-    """Every argument passed to ``partitions.as_partition`` from now on."""
-    calls = []
-    real = partitions.as_partition
-
-    def spy(seq):
-        calls.append(seq)
-        return real(seq)
-
-    monkeypatch.setattr(partitions, "as_partition", spy)
-    return calls
 
 
 def render_diagram(p: Sequence[int]) -> str:
@@ -120,7 +102,7 @@ class TestDominance:
         assert not dominates((2,), (2, 1))
 
     def test_transitive_and_antisymmetric_exhaustive(self):
-        parts = list(enumerate_partitions(6))
+        parts = list(oracles.partitions(6))
         for a, b in itertools.product(parts, repeat=2):
             if dominates(a, b) and dominates(b, a):
                 assert a == b
@@ -134,8 +116,9 @@ class TestDominance:
 
     @given(partitions_st(max_boxes=10))
     def test_conjugation_reverses_dominance(self, a):
-        for b in dominated_partitions(a, max_len=size(a)):
-            assert dominates(conjugate(b), conjugate(a))
+        for b in oracles.partitions(size(a)):
+            if dominates(a, b):
+                assert dominates(conjugate(b), conjugate(a))
 
     def test_in_kostka_cone_respects_rank(self):
         assert in_kostka_cone((2, 1), (1, 1, 1), 3)
@@ -155,7 +138,7 @@ class TestKostkaCount:
 
     def test_same_shape_gives_one_and_single_row_counts_once(self):
         for n in range(1, 7):
-            for lam in enumerate_partitions(n):
+            for lam in oracles.partitions(n):
                 assert kostka_count(lam, lam) == 1
                 assert kostka_count((n,), lam) == 1
 
@@ -187,9 +170,11 @@ class TestKostkaCount:
 
 
 class TestEnumeration:
+    """The oracle enumerators behind the pools, against the definition."""
+
     def test_partition_numbers(self):
         for n, expected in enumerate(PARTITION_COUNTS):
-            assert sum(1 for _ in enumerate_partitions(n)) == expected
+            assert sum(1 for _ in oracles.partitions(n)) == expected
 
     def test_matches_sorted_compositions(self):
         bounds = (None, 0, 1, 2, 3, 5, 20)
@@ -205,32 +190,30 @@ class TestEnumeration:
                     ),
                     reverse=True,
                 )
-                assert list(enumerate_partitions(n, max_part, max_len)) == want
+                assert list(oracles.partitions(n, max_part, max_len)) == want
 
     def test_decreasing_lex_order_and_bounds(self):
-        got = list(enumerate_partitions(6, max_part=3, max_len=3))
+        got = list(oracles.partitions(6, max_part=3, max_len=3))
         assert got == sorted(got, reverse=True)
         assert all(p[0] <= 3 and len(p) <= 3 for p in got)
         assert got == [(3, 3), (3, 2, 1), (2, 2, 2)]
 
-    def test_dominated_partitions_against_filter(self):
-        for lam in enumerate_partitions(6):
-            listed = list(dominated_partitions(lam, max_len=6))
-            brute = [
-                mu for mu in enumerate_partitions(6) if oracles.dominance(lam, mu)
-            ]
-            assert sorted(listed) == sorted(brute)
-
     def test_cone_pairs_against_filter(self):
         for max_boxes, max_part, max_len in ((6, 6, 6), (10, 4, 3), (13, 7, 13)):
-            brute = [
-                (lam, mu)
-                for n in range(1, max_boxes + 1)
-                for lam in enumerate_partitions(n, max_part, max_len)
-                for mu in enumerate_partitions(n, max_len=max_len)
-                if oracles.dominance(lam, mu)
-            ]
-            assert list(cone_pairs(max_boxes, max_part, max_len)) == brute
+            brute = []
+            for n in range(1, max_boxes + 1):
+                shapes = sorted(
+                    (p for p in partitions_by_definition(n) if len(p) <= max_len),
+                    reverse=True,
+                )
+                brute += [
+                    (lam, mu)
+                    for lam in shapes
+                    if lam[0] <= max_part
+                    for mu in shapes
+                    if oracles.prefix_dom(lam, mu)
+                ]
+            assert list(oracles.cone_pairs(max_boxes, max_part, max_len)) == brute
 
     def test_pool_sizes_are_stable(self):
         assert len(partition_pool(10)) == sum(PARTITION_COUNTS)

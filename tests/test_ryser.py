@@ -15,7 +15,6 @@ from kostka.errors import (
 from kostka.partitions import (
     KostkaPair,
     conjugate,
-    enumerate_partitions,
     pad,
     size,
 )
@@ -80,7 +79,7 @@ class TestGaleRyser:
 
     def test_matches_matrix_search_exhaustively(self):
         for n in range(1, 9):
-            shapes = list(enumerate_partitions(n))
+            shapes = list(oracles.partitions(n))
             for alpha in shapes:
                 for beta in shapes:
                     assert gr_nonempty(alpha, beta) == oracles.gr_matrix_exists(
@@ -113,6 +112,10 @@ class TestCanonicalMatrix:
             np.array_equal(stage, canonical.entries) for stage in fixing_chain(canonical)
         )
         assert canonical.entries.tolist() == [[1, 1, 1, 1], [1, 1, 0, 0]]
+
+    def test_built_pair_is_not_rechecked(self, running_pair, as_partition_calls):
+        ryser_canonical(running_pair)
+        assert as_partition_calls == []
 
     @given(cone_pairs_st(max_boxes=12))
     def test_construction_validates(self, pair):
