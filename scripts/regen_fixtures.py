@@ -4,12 +4,14 @@
 Writes ``basis_r{1..N}.json`` into ``src/kostka/fixtures`` (or a chosen
 directory).  Run this after touching the basis engine, then eyeball
 ``git diff`` — the files are deterministic, so any churn is a behaviour
-change.
+change.  Beside each rank it prints the time taken and the process's
+peak resident memory so far (Linux reports ``ru_maxrss`` in KiB).
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import time
 from pathlib import Path
 
@@ -38,7 +40,11 @@ def main() -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         catalog.save(path)
         dt = time.perf_counter() - t0
-        print(f"rank {rank}: {catalog.count:4d} elements  {dt:7.2f}s  -> {path}")
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(
+            f"rank {rank}: {catalog.count:4d} elements  {dt:7.2f}s  "
+            f"peak {peak_mb:6.1f} MB  -> {path}"
+        )
 
 
 if __name__ == "__main__":

@@ -18,9 +18,19 @@ block at a time.  It only visits candidates inside the rank x rank box:
 that irreducible pairs have lambda_1 <= rank is the paper's width
 theorem (checked by :func:`width_bound_audit` on the lambda_1 = rank + 1
 layer), and the completeness of the basis rests on it.  Both walk the
-box with one enumerator, :func:`_cone_blocks`, which lists a box's
-partitions as lattice paths and its dominance pairs as arrays, so no
-pair becomes a Python object until it is kept or reported.
+box with one enumerator, :func:`_box_partitions`, which lists a box's
+partitions as lattice paths, and pair them by one dominance broadcast,
+:func:`_dominance_pairs` (the audit pairs only the lambdas with
+lambda_1 = rank + 1), so no pair becomes a Python object until it is
+kept or reported.
+
+Both then share one slack scan, :func:`_covered`: is some basis row at
+or below a candidate's?  Every slack is at most |lambda|, which is at
+most 72 in the largest box walked (the rank-8 audit's 9 x 8), so the
+rows are held byte-wide; a larger bound widens the dtype rather than
+wrap.  Most candidates are covered by one of the first few basis rows,
+so the scan starts with a short step through the basis and doubles it,
+never broadcasting more than 2^CHUNK_BITS cells.
 
 Extremal rays are classified: every ray is spanned by
 lambda = a^(b+ell), mu = (a^ell, b^a) for r >= a+ell >= a >= b > 0, and
@@ -200,21 +210,16 @@ def default_fixture_path(rank: int) -> Path:
     return Path(__file__).parent / "fixtures" / f"basis_r{rank}.json"
 
 
-def _cone_blocks(
-    max_part: int, max_len: int, max_boxes: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every cone point (lambda, mu) with 1 <= |lambda| <= ``max_boxes``,
-    lambda_1 <= ``max_part`` and at most ``max_len`` parts on each side,
-    one size at a time, as two (count, max_len) zero-padded int64 arrays.
+def _box_partitions(max_part: int, max_len: int, max_boxes: int) -> Iterator[np.ndarray]:
+    """The partitions with lambda_1 <= ``max_part``, at most ``max_len``
+    parts and 1 <= |lambda| <= ``max_boxes``, one size at a time, as a
+    (count, max_len) zero-padded int64 array in decreasing lexicographic
+    order.
 
     A partition in the max_part x max_len box is a lattice path: its
     parts, reversed, are the positions of the max_len up-steps among
-    max_part + max_len steps, less 0, 1, ..., max_len - 1.  A mu that
-    lambda dominates has mu_1 <= lambda_1, so it lies in the same box,
-    and one prefix-sum broadcast over a size's partitions yields all of
-    that size's pairs.  Sizes stop at the box's max_part * max_len.
-    Ordered by size, then lambda, then mu, each in decreasing
-    lexicographic order."""
+    max_part + max_len steps, less 0, 1, ..., max_len - 1.  Sizes stop
+    at the box's max_part * max_len."""
     top = min(max_boxes, max_part * max_len)
     if top < 1:
         return
@@ -231,47 +236,99 @@ def _cone_blocks(
     parts, sizes = parts[order], sizes[order]
     bounds = np.searchsorted(sizes, np.arange(top + 2))
     for n in range(1, top + 1):
-        block = parts[bounds[n] : bounds[n + 1]]
-        prefix = block.cumsum(axis=1)
-        lam, mu = (prefix[:, None, :] >= prefix[None, :, :]).all(axis=2).nonzero()
-        yield block[lam], block[mu]
+        yield parts[bounds[n] : bounds[n + 1]]
+
+
+def _dominance_pairs(lams: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (lambda, mu) with lambda a row of ``lams``, mu a row of
+    ``mus`` and lambda dominating mu, by one prefix-sum broadcast; every
+    row must have the same size.  Ordered by lambda's row, then mu's."""
+    lam, mu = (
+        (lams.cumsum(axis=1)[:, None, :] >= mus.cumsum(axis=1)[None, :, :])
+        .all(axis=2)
+        .nonzero()
+    )
+    return lams[lam], mus[mu]
+
+
+def _cone_blocks(
+    max_part: int, max_len: int, max_boxes: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every cone point (lambda, mu) with 1 <= |lambda| <= ``max_boxes``,
+    lambda_1 <= ``max_part`` and at most ``max_len`` parts on each side,
+    one size at a time, as two (count, max_len) zero-padded int64 arrays.
+
+    A mu that lambda dominates has mu_1 <= lambda_1, so it lies in the
+    same box as lambda, and one dominance broadcast over a size's
+    partitions yields all of that size's pairs.  Ordered by size, then
+    lambda, then mu, each in decreasing lexicographic order."""
+    for block in _box_partitions(max_part, max_len, max_boxes):
+        yield _dominance_pairs(block, block)
 
 
 def _slack_rows(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """The slack vectors s(p) of the pairs whose sides are the rows of
-    ``lam`` and ``mu``, zero-padded to the rank: one int64 row of
-    3 * rank - 1 entries each, the consecutive differences of lambda and
-    of mu (the last part counting as a difference from 0), then the
-    prefix-sum gaps Lambda_t - M_t for t < rank.
+    ``lam`` and ``mu``, zero-padded to the rank: one row of 3 * rank - 1
+    entries each, the consecutive differences of lambda and of mu (the
+    last part counting as a difference from 0), then the prefix-sum
+    gaps Lambda_t - M_t for t < rank.
 
     These are the facet inequalities of the cone, so for cone points p
-    and q, q - p is a cone point iff s(p) <= s(q) componentwise."""
-    gaps = np.cumsum(lam[:, :-1] - mu[:, :-1], axis=1)
-    return np.hstack([-np.diff(lam, append=0), -np.diff(mu, append=0), gaps])
+    and q, q - p is a cone point iff s(p) <= s(q) componentwise.
+
+    Every entry, and every prefix sum on the way, is at most |lambda|
+    (or |mu|) in absolute value, so at most rank times the largest first
+    part: the rows are held in the smallest signed dtype that fits that
+    bound, a byte up to the rank-8 audit's 8 * 9 = 72.  A larger bound
+    widens the dtype; nothing wraps."""
+    count, rank = lam.shape
+    bound = rank * int(max(lam[:, 0].max(initial=0), mu[:, 0].max(initial=0)))
+    dtype = np.min_scalar_type(-max(bound, 1))
+    lam, mu = lam.astype(dtype), mu.astype(dtype)
+    rows = np.empty((count, 3 * rank - 1), dtype=dtype)
+    for offset, side in ((0, lam), (rank, mu)):
+        np.subtract(side[:, :-1], side[:, 1:], out=rows[:, offset : offset + rank - 1])
+        rows[:, offset + rank - 1] = side[:, -1]
+    np.subtract(
+        lam[:, :-1].cumsum(axis=1, dtype=dtype),
+        mu[:, :-1].cumsum(axis=1, dtype=dtype),
+        out=rows[:, 2 * rank :],
+    )
+    return rows
 
 
 def _covered(slacks: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """For each row of ``slacks``, whether some row of ``basis`` lies at or
     below it componentwise.
 
-    Basis rows are tried in order, a few at a time, and a row of
-    ``slacks`` leaves the comparison once one lies below it, so the
-    first (smallest) basis rows do most of the work.  Each broadcast
-    holds at most 2^CHUNK_BITS cells."""
+    The rows of ``slacks`` are taken in chunks of 2^CHUNK_BITS cells.
+    Each chunk is sliced once and compared with the basis rows in
+    order, a step of rows at a time; covered rows leave the chunk (it
+    is compressed only when some row was covered), so the first
+    (smallest) basis rows do most of the work.  Most rows are covered
+    by one of the first few basis rows, so the first step spans
+    2^(CHUNK_BITS - 6) cells, enough for a small basis in one pass, and
+    each later step doubles that up to 2^CHUNK_BITS.  No broadcast
+    holds more than 2^CHUNK_BITS cells (unless one row is wider).  Rows
+    from :func:`_slack_rows` are byte-wide while rank * lambda_1 <= 127,
+    which covers every box walked here, so a cell costs a byte."""
     cells = 1 << config.CHUNK_BITS
     width = slacks.shape[1]
-    rows = max(1, cells // width)
+    chunk_rows = max(1, cells // width)
     covered = np.zeros(slacks.shape[0], dtype=bool)
-    for start in range(0, slacks.shape[0], rows):
-        open_rows = np.arange(start, min(start + rows, slacks.shape[0]))
-        done = 0
-        while open_rows.size and done < basis.shape[0]:
-            step = max(1, cells // (open_rows.size * width))
+    for start in range(0, slacks.shape[0], chunk_rows):
+        chunk = slacks[start : start + chunk_rows]
+        index = np.arange(start, start + chunk.shape[0])
+        budget, done = cells >> 6, 0
+        while index.size and done < basis.shape[0]:
+            step = max(1, budget // chunk.size)
             below = basis[done : done + step]
-            hit = (below[None, :, :] <= slacks[open_rows][:, None, :]).all(axis=2).any(axis=1)
-            covered[open_rows[hit]] = True
-            open_rows = open_rows[~hit]
+            hit = (below[None, :, :] <= chunk[:, None, :]).all(axis=2).any(axis=1)
+            if hit.any():
+                covered[index[hit]] = True
+                chunk, index = chunk[~hit], index[~hit]
             done += step
+            budget = min(2 * budget, cells)
     return covered
 
 
@@ -293,7 +350,7 @@ def hilbert_basis(rank: int, cap: int = config.RANK_CAP) -> BasisCatalog:
     if not 1 <= rank <= cap:
         raise RankCapExceeded(f"rank {rank} outside [1, {cap}]")
     kept = []
-    basis = np.zeros((0, 3 * rank - 1), dtype=np.int64)
+    basis = np.zeros((0, 3 * rank - 1), dtype=np.int8)
     for lam, mu in _cone_blocks(rank, rank, rank * rank):
         slacks = _slack_rows(lam, mu)
         fresh = ~_covered(slacks, basis)
@@ -500,9 +557,8 @@ def width_bound_audit(rank: int, box_cap: int | None = None) -> AuditReport:
     sides = sides.reshape(-1, 2, rank)
     basis = _slack_rows(sides[:, 0], sides[:, 1])
     checked = 0
-    for lam, mu in _cone_blocks(rank + 1, rank, box_cap):
-        wide = lam[:, 0] == rank + 1
-        lam, mu = lam[wide], mu[wide]
+    for block in _box_partitions(rank + 1, rank, box_cap):
+        lam, mu = _dominance_pairs(block[block[:, 0] == rank + 1], block)
         checked += len(lam)
         covered = _covered(_slack_rows(lam, mu), basis)
         if not covered.all():

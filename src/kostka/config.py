@@ -44,5 +44,7 @@ LR_BOX_CAP = 30
 # 64-bit integer so numpy paths never overflow.
 INT_CAP = 2**63 - 1
 
-# numpy mask sweeps are chunked to keep peak memory flat.
+# numpy broadcasts are chunked to at most 2^CHUNK_BITS cells to keep
+# peak memory flat: the subset mask sweeps (subsets.py) and the
+# Hilbert-basis slack scan (cone._covered).
 CHUNK_BITS = 20

@@ -170,7 +170,8 @@ class KostkaPair:
         return (self.lam, self.mu)
 
     def __str__(self) -> str:
-        return f"({format_partition(self.lam)} | {format_partition(self.mu)}; r={self.rank})"
+        # the sides are validated partitions already
+        return f"({_joined(self.lam)} | {_joined(self.mu)}; r={self.rank})"
 
 
 def kostka_positive(lam: Sequence[int], mu: Sequence[int]) -> bool:
@@ -227,5 +228,8 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(p: Sequence[int]) -> str:
-    q = as_partition(p)
-    return ",".join(str(v) for v in q) if q else "0"
+    return _joined(as_partition(p))
+
+
+def _joined(parts: Partition) -> str:
+    return ",".join(map(str, parts)) or "0"

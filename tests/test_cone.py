@@ -9,7 +9,7 @@ from hypothesis import given
 
 import oracles
 from conftest import cone_pair_pool, cone_pairs_st, partition_pool
-from kostka import cone
+from kostka import cone, config
 from kostka.cone import (
     AuditReport,
     BasisCatalog,
@@ -136,6 +136,81 @@ class TestConeBlocks:
                 list(slack(unpadded(a), unpadded(b), rank))
                 for a, b in zip(lam.tolist(), mu.tolist())
             ]
+
+    def test_layer_pairs_match_the_filtered_blocks(self):
+        for rank in range(1, 6):
+            box = (rank + 1, rank, rank * (rank + 1))
+            for block, (lam, mu) in zip(cone._box_partitions(*box), cone._cone_blocks(*box)):
+                wide = lam[:, 0] == rank + 1
+                got = cone._dominance_pairs(block[block[:, 0] == rank + 1], block)
+                assert np.array_equal(got[0], lam[wide])
+                assert np.array_equal(got[1], mu[wide])
+
+
+def covered_by_definition(slacks: np.ndarray, basis: np.ndarray) -> list[bool]:
+    return [any(below(b, s) for b in basis.tolist()) for s in slacks.tolist()]
+
+
+class BroadcastLog(np.ndarray):
+    """An array whose comparisons record the broadcast shape they fill."""
+
+    shapes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        arrays = [np.asarray(x) for x in inputs]
+        if ufunc is np.less_equal:
+            BroadcastLog.shapes.append(np.broadcast_shapes(*(a.shape for a in arrays)))
+        return getattr(ufunc, method)(*arrays, **kwargs)
+
+
+class TestSlackScan:
+    @pytest.mark.parametrize("chunk_bits", [3, 6, 8, 20])
+    def test_matches_all_pairs_on_random_slacks(self, monkeypatch, chunk_bits):
+        # small CHUNK_BITS forces several chunks, steps clamped at the cap
+        # and doubling past the end of the basis
+        monkeypatch.setattr(config, "CHUNK_BITS", chunk_bits)
+        rng = np.random.default_rng(chunk_bits)
+        for width in (2, 5, 11):
+            for rows, basis_rows, top in ((0, 4, 3), (7, 0, 3), (60, 3, 4), (150, 40, 5), (300, 200, 9)):
+                slacks = rng.integers(0, top, size=(rows, width), dtype=np.int8)
+                basis = rng.integers(0, top, size=(basis_rows, width), dtype=np.int8)
+                BroadcastLog.shapes = []
+                got = cone._covered(slacks, basis.view(BroadcastLog))
+                assert got.dtype == bool and got.shape == (rows,)
+                assert got.tolist() == covered_by_definition(slacks, basis)
+                assert all(
+                    np.prod(shape) <= max(1 << chunk_bits, width)
+                    for shape in BroadcastLog.shapes
+                )
+
+    def test_edge_cases(self, monkeypatch):
+        monkeypatch.setattr(config, "CHUNK_BITS", 5)
+        rows = np.array([[0, 2, 1], [3, 3, 3], [1, 0, 0]], dtype=np.int8)
+        assert cone._covered(rows, rows[:0]).tolist() == [False] * 3
+        assert cone._covered(rows[:0], rows).tolist() == []
+        # <= is inclusive: every row lies at or below itself
+        assert cone._covered(rows, rows[::-1]).tolist() == [True] * 3
+        # a basis longer than any step, covering only through its last row
+        basis = np.vstack([np.full((100, 3), 4, dtype=np.int8), rows[2:]])
+        assert cone._covered(rows, basis).tolist() == [False, True, True]
+
+    def test_slack_rows_are_byte_wide_in_every_shipped_box(self):
+        # the widest box the library walks: the rank-8 audit layer, 9 x 8
+        pairs = [((9,) * 8, (9,) * 8), ((9, 9, 9), (6, 6, 6, 6, 3)), ((9,), (2,) + (1,) * 7)]
+        lam, mu = (np.array([pad(side, 8) for side in sides]) for sides in zip(*pairs))
+        rows = cone._slack_rows(lam, mu)
+        assert rows.dtype.itemsize == 1
+        assert rows.tolist() == [list(slack(a, b, 8)) for a, b in pairs]
+
+    @pytest.mark.parametrize("top", [127, 128, 200, 40_000])
+    def test_slacks_past_a_byte_are_widened(self, top):
+        lam, mu = (top,), ((top + 1) // 2, top // 2)
+        rows = cone._slack_rows(np.array([pad(lam, 2)]), np.array([pad(mu, 2)]))
+        assert rows.tolist() == [list(slack(lam, mu, 2))]
+        assert rows.max() == top <= np.iinfo(rows.dtype).max
+        # a wrapped row would fall below ((2) | (1, 1))'s and go uncovered
+        basis = cone._slack_rows(np.array([[2, 0]]), np.array([[1, 1]]))
+        assert cone._covered(rows, basis).tolist() == [True]
 
 
 def assert_matches_fixture_and_referees(rank: int) -> None:

@@ -232,6 +232,13 @@ class TestPairType:
         KostkaPair(*WORKED)
         assert as_partition_calls == list(WORKED)
 
+    def test_str_does_not_recheck(self, as_partition_calls):
+        pair, zero = KostkaPair(*WORKED), KostkaPair((), (), rank=2)
+        as_partition_calls.clear()
+        assert str(pair) == "(8,7,7,7,3,2 | 7,7,4,4,4,4,4; r=7)"
+        assert str(zero) == "(0 | 0; r=2)"
+        assert as_partition_calls == []
+
     def test_padded(self):
         pair = KostkaPair((2, 1), (1, 1, 1))
         assert pair.padded() == ((2, 1, 0), (1, 1, 1))
@@ -263,6 +270,8 @@ class TestParsing:
     def test_rejects_garbage(self):
         with pytest.raises(InvalidPartition):
             parse_partition("1,2")
+        with pytest.raises(InvalidPartition):
+            format_partition((1, 2))
         with pytest.raises(InvalidPartition):
             parse_partition("a,b")
         with pytest.raises(InvalidPartition):
