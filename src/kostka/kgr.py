@@ -23,12 +23,19 @@ its other sources being sources of the whole graph).  Such a subtree
 exists exactly when the pair splits along a column subset, and its
 column set is always such a witness; :func:`fast_reducibility` exploits
 this instead of sweeping all subsets.
+
+:func:`verify_subtree` is the referee for those conditions: it maps the
+given vertices to ids and checks everything from scratch on masks over
+all n vertices.  :func:`find_conservative_subtree` checks every witness
+it builds with the same referee body, run on the vertex ids it already
+holds, so its self-check does not map its own vertices back to ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import le
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -50,12 +57,13 @@ Arc = tuple[Vertex, Vertex]
 def _roots(out: np.ndarray, width: int) -> np.ndarray:
     """The sink that each vertex's out-walk ends in (``out`` is -1 at a
     sink), by pointer jumping.  No arc moves right and every -1 has an
-    out-arc that moves left, so a walk has fewer than 2 * width arcs; a
-    walk that has not ended by then is refused as a cycle."""
+    out-arc that moves left, so a walk has fewer than 2 * width arcs,
+    and fewer arcs than the graph has vertices; a walk that has not
+    ended by then is refused as a cycle."""
     root = out.copy()
     sinks = (out < 0).nonzero()[0]
     root[sinks] = sinks
-    for _ in range((2 * width).bit_length()):
+    for _ in range((min(2 * width, out.size) - 1).bit_length()):
         root = root[root]
     if np.count_nonzero(out[root] >= 0):
         raise AssertionError("the arc graph has a cycle")
@@ -97,67 +105,73 @@ class KgrGraph:
         )
 
 
-def _vertices(graph: KgrGraph, ids: np.ndarray) -> tuple[Vertex, ...]:
-    return tuple(
-        map(
-            Vertex,
-            graph.rows[ids].tolist(),
-            graph.cols[ids].tolist(),
-            graph.signs[ids].tolist(),
-        )
-    )
-
-
-def _columns(graph: KgrGraph, ids: np.ndarray) -> tuple[int, ...]:
-    """The sorted distinct columns of the given vertices."""
-    hit = np.zeros(graph.star.pair.width + 1, dtype=bool)
-    hit[graph.cols[ids]] = True
-    return tuple(hit.nonzero()[0].tolist())
+def _vertices(
+    graph: KgrGraph, ids: np.ndarray
+) -> tuple[tuple[Vertex, ...], tuple[int, ...]]:
+    """The vertices with the given ids, and their sorted distinct columns."""
+    cols = graph.cols[ids].tolist()
+    vertices = map(Vertex, graph.rows[ids].tolist(), cols, graph.signs[ids].tolist())
+    return tuple(vertices), tuple(sorted({*cols}))
 
 
 def build_graph(star: StarMatrix) -> KgrGraph:
+    """The arc graph of a star matrix.  Refuses a column with two -1
+    entries and a -1 whose nearest nonzero on its left is not a +1 of
+    its row, naming the first offender in row-major order."""
     arr = star.entries
     w = star.pair.width
     r0, c0 = arr.nonzero()  # row-major, so ids follow the sorted vertices
     signs = arr[r0, c0]
-    minus = (signs < 0).nonzero()[0]
-    if np.count_nonzero(np.bincount(c0[minus], minlength=w) > 1):
+    neg = signs < 0
+    minus = neg.nonzero()[0]
+    heads = c0[minus]
+    head_cols = heads.tolist()
+    if len(set(head_cols)) < len(head_cols):
         seen: set[int] = set()
-        for c in c0[minus].tolist():  # name the first repeat in row-major order
+        for c in head_cols:  # name the first repeat in row-major order
             if c in seen:
                 raise MalformedStarMatrix(f"column {c + 1} has two -1 entries")
             seen.add(c)
     # a -1 points to the previous id, which must be a +1 in the same row
-    left = minus - 1
-    stray = (left < 0) | (r0[left] != r0[minus])
-    bad = (stray | (signs[left] < 0)).nonzero()[0]
-    if bad.size:
-        m, b = int(minus[bad[0]]), int(left[bad[0]])
+    follows_plus = (r0[1:] == r0[:-1]) > neg[:-1]  # same row, and not a -1
+    bad = (neg[1:] > follows_plus).nonzero()[0]
+    if bad.size or (minus.size and not minus[0]):
+        m = int(bad[0]) + 1 if minus[0] else 0
         where = (int(r0[m]) + 1, int(c0[m]) + 1)
-        if stray[bad[0]]:
+        if not m or r0[m - 1] != r0[m]:
             raise MalformedStarMatrix(f"-1 at {where} has no +1 on its left")
         raise MalformedStarMatrix(
-            f"-1 at {(int(r0[b]) + 1, int(c0[b]) + 1)} blocks the -1 at {where}"
+            f"-1 at {(int(r0[m - 1]) + 1, int(c0[m - 1]) + 1)} blocks the -1 at {where}"
         )
     # a +1 points to its column's -1 through the head table, if any
-    heads = np.full(w, -1, dtype=np.intp)
-    heads[c0[minus]] = minus
-    out = heads[c0]
-    out[minus] = left
+    head = np.empty(w, dtype=np.intp)
+    head.fill(-1)
+    head[heads] = minus
+    out = head[c0]
+    out[minus] = minus - 1
     return KgrGraph(star=star, rows=r0 + 1, cols=c0 + 1, signs=signs, out=out)
+
+
+def _first_component(graph: KgrGraph) -> tuple[np.ndarray, bool]:
+    """The mask of vertex 0's component in a nonempty graph, and whether
+    it is the whole graph, cross-checked against the column criterion
+    (every column after the first contains a -1)."""
+    roots = graph.roots
+    first = roots == roots[0]
+    labelled = bool(np.count_nonzero(first) == first.size)
+    # a star column holds at most one -1 and the leftmost none, so the
+    # columns after the first all hold one exactly when w - 1 vertices
+    # are -1s
+    criterion = np.count_nonzero(graph.signs < 0) == graph.star.pair.width - 1
+    if labelled != criterion:
+        raise AssertionError("connectivity criterion disagrees with root labelling")
+    return first, labelled
 
 
 def is_connected(graph: KgrGraph) -> bool:
     """Single component; cross-checked against the column criterion
     (every column after the first contains a -1)."""
-    if graph.out.size <= 1:
-        return True
-    roots = graph.roots
-    labelled = not np.count_nonzero(roots != roots[0])
-    criterion = bool((graph.star.entries[:, 1:] == -1).any(axis=0).all())
-    if labelled != criterion:
-        raise AssertionError("connectivity criterion disagrees with root labelling")
-    return labelled
+    return graph.out.size <= 1 or _first_component(graph)[1]
 
 
 @dataclass(frozen=True)
@@ -193,46 +207,55 @@ def verify_subtree(graph: KgrGraph, vertices: Iterable[Vertex]) -> bool:
     """Referee for the conservative-subtree conditions; checks everything
     from scratch and never trusts how the candidate was produced."""
     given = _ids_of(graph, vertices)
+    return given is not None and _referee(graph, given)
+
+
+def _referee(graph: KgrGraph, given: np.ndarray) -> bool:
+    """:func:`verify_subtree` on the vertex ids ``given`` (repeats
+    allowed), which :func:`find_conservative_subtree` holds already.
+    Every test is a mask over all n vertices."""
     n = graph.out.size
-    if given is None or not given.size:
-        return False
     inside = np.zeros(n + 1, dtype=bool)  # inside[-1], for no out-arc, stays False
     inside[given] = True
-    ids = inside.nonzero()[0]
-    m = ids.size
-    if m == n:
-        return False  # must be a proper subgraph
+    member = inside[:n]
+    m = np.count_nonzero(member)
+    if not m or m == n:
+        return False  # must be a nonempty proper subgraph
     out = graph.out
     into = inside[out]  # the vertex's out-arc ends inside the set
-    own = into[ids]
+    own = into & member  # the arcs of the set
     # tree: no arc moves right and every -1's arc moves left, so the
     # graph has no cycle, and a set with one induced arc fewer than
     # vertices is connected
     if np.count_nonzero(own) != m - 1:
         return False
+    sink = int((member > into).argmax())  # the member whose out-arc leaves
+    if out[sink] < 0 and np.count_nonzero(into) == m - 1:
+        # no arc leaves or enters: a full component, closed under the
+        # vertical arcs as under every arc
+        return True
     # vertical-arc column closure: a +1's out-arc is its column's
     # vertical arc, and every vertex of that column lies on one
+    plus = graph.signs > 0
     closed = np.zeros(graph.star.pair.width + 1, dtype=bool)
-    closed[graph.cols[ids[own & (graph.signs[ids] > 0)]]] = True
-    if np.count_nonzero(closed[graph.cols] & ~inside[:n]):
+    closed[graph.cols[own & plus]] = True
+    if np.count_nonzero(closed[graph.cols] > member):
         return False
-    sink = int(ids[~own][0])
-    if out[sink] < 0 and np.count_nonzero(into) == m - 1:
-        return True  # no arc leaves or enters: a full component
     if graph.signs[sink] != -1:
         return False
     fed = np.zeros(n + 1, dtype=bool)
-    fed[out[ids[own]]] = True
-    sources = ids[~fed[ids]]
+    fed[out[own]] = True
+    sources = member > fed[:n]
     # sources of the set that are not sources of the whole graph (a
     # sink's -1 lands in the spare slot)
     headed = np.zeros(n + 1, dtype=bool)
     headed[out] = True
-    outsiders = sources[headed[sources]]
-    if outsiders.size > 1:
+    outsiders = sources & headed[:n]
+    count = np.count_nonzero(outsiders)
+    if count > 1:
         return False
-    pivots = outsiders if outsiders.size else sources
-    row_plus = (graph.signs[pivots] == 1) & (graph.rows[pivots] == graph.rows[sink])
+    pivots = outsiders if count else sources
+    row_plus = pivots & plus & (graph.rows == graph.rows[sink])
     return bool(np.count_nonzero(row_plus))
 
 
@@ -247,14 +270,11 @@ def find_conservative_subtree(graph: KgrGraph) -> SubtreeWitness | None:
     """
     if not graph.out.size:
         return None
-    if not is_connected(graph):
-        roots = graph.roots
-        ids = (roots == roots[0]).nonzero()[0]
-        wit = SubtreeWitness(
-            kind="component",
-            vertices=_vertices(graph, ids),
-            columns=_columns(graph, ids),
-        )
+    first, connected = _first_component(graph)
+    if not connected:
+        ids = first.nonzero()[0]
+        vertices, columns = _vertices(graph, ids)
+        wit = SubtreeWitness(kind="component", vertices=vertices, columns=columns)
     else:
         # a -1 is never followed by a -1 in its row (build_graph refuses
         # that), so the nearest +1 to its right is the next id, if any
@@ -274,15 +294,15 @@ def find_conservative_subtree(graph: KgrGraph) -> SubtreeWitness | None:
         reach = _roots(cut, graph.star.pair.width) == sink
         reach[pivot] = True
         ids = reach.nonzero()[0]
-        vertices = _vertices(graph, ids)
+        vertices, columns = _vertices(graph, ids)
         wit = SubtreeWitness(
             kind="sink-source",
             vertices=vertices,
-            columns=_columns(graph, ids),
+            columns=columns,
             sink=vertices[int(ids.searchsorted(sink))],
             source=vertices[int(ids.searchsorted(pivot))],
         )
-    if not verify_subtree(graph, wit.vertices):
+    if not _referee(graph, ids):
         raise AssertionError(f"constructed subtree fails the referee: {wit}")
     return wit
 
@@ -307,8 +327,8 @@ def fast_reducibility(pair: KostkaPair) -> FastReduction | None:
     if wit is None:
         return None
     cols = [j - 1 for j in wit.columns]
-    v_star = star.entries[:, cols].sum(axis=1, dtype=np.int64).tolist()
-    if not all(0 <= v <= m for v, m in zip(v_star, star.mu_star)):
+    v_star = np.add.reduce(star.entries.take(cols, axis=1), axis=1).tolist()
+    if min(v_star) < 0 or not all(map(le, v_star, star.mu_star)):
         raise AssertionError(f"subtree columns {wit.columns} fail 0 <= v* <= mu*")
     selected, complement = split_pair(canonical, wit.columns)
     return FastReduction(

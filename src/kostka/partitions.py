@@ -6,6 +6,9 @@ any integer sequence and checks it once, through :func:`as_partition`,
 where it enters; the private kernels :func:`_dominated` and
 :func:`_conjugate` and the shapes that :func:`kostka_count` peels work
 on tuples that are already partitions and are not checked again.
+:func:`as_partition` checks a sequence of plain ``int`` parts with a few
+builtins that run in C and walks it part by part only when that check
+fails, to name the offending part exactly as the walk always has.
 
 Nothing here enumerates partitions: the cone points of a box are
 listed, one size at a time as arrays, by :mod:`kostka.cone`.
@@ -28,14 +31,32 @@ from .errors import InvalidPair, InvalidPartition, SizeCapExceeded
 
 Partition = tuple[int, ...]
 
+_INT_ONLY = frozenset({int})
+
 
 def as_partition(seq: Sequence[int] | Iterable[int]) -> Partition:
     """Validate and normalize to a trimmed partition tuple.
 
     Trailing zeros are removed; anything not weakly decreasing and
     nonnegative raises :class:`InvalidPartition`.
+
+    Parts of type ``int`` are checked by builtins that run in C: one
+    type census, one comparison against the sorted parts, and the two
+    ends against 0 and ``config.INT_CAP``.  Any other sequence (one
+    holding a ``bool``, a numpy integer, an ``int`` subclass or a bad
+    part) is walked part by part, which accepts ``int`` subclasses and
+    names the first offending part.
     """
     parts = tuple(seq)
+    if (
+        {*map(type, parts)} <= _INT_ONLY
+        and list(parts) == sorted(parts, reverse=True)
+        and (not parts or (parts[-1] >= 0 and parts[0] <= config.INT_CAP))
+    ):
+        if not parts or parts[-1]:
+            return parts
+        # decreasing and nonnegative, so the zeros are the trailing parts
+        return parts[: len(parts) - parts.count(0)]
     for p in parts:
         if not isinstance(p, (int,)) or isinstance(p, bool):
             raise InvalidPartition(f"non-integer part {p!r}")
@@ -146,7 +167,7 @@ class KostkaPair:
         object.__setattr__(self, "rank", rank)
         if not (
             max(len(lam), len(mu)) <= rank
-            and size(lam) == size(mu)
+            and sum(lam) == sum(mu)
             and _dominated(lam, mu)
         ):
             raise InvalidPair(

@@ -22,15 +22,30 @@ exhaustive vectorized sweep, and :func:`split_pair` materializes the two
 summand pairs.
 
 Every matrix here, canonical, star or fixing-chain stage, is one
-read-only int8 array built once and validated column-wise by numpy
-expressions.  A canonical matrix of more than ``config.CELL_CAP`` cells
-is refused before the fixing procedure starts.
+read-only int8 array built once.  The canonical and star constructors
+validate it in a few fused whole-array numpy passes, since on the small
+matrices of most queries each numpy call costs more than its work:
+
+- canonical: 0/1 entries (one unsigned compare), row sums mu, column
+  sums lambda', and at most one run of 1s starting below the top row of
+  each column, anchored at the top in the leftmost column;
+- star: row sums mu*, mu* the consecutive differences of mu, and each
+  column one of the three signatures, read off its int8 partial sums
+  from the bottom and its count of nonzeros.
+
+A failed check is located column by column only on the way to its error
+message.  :func:`star_matrix` takes mu* from the pair, so the star
+constructor's row-sum check compares the entries against the pair rather
+than against themselves.  A canonical matrix of more than
+``config.CELL_CAP`` cells is refused before the fixing procedure starts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Sequence
 
 import numpy as np
@@ -118,22 +133,21 @@ class CanonicalMatrix:
         r, w = self.pair.rank, self.pair.width
         arr = _frozen_int8(self.entries, (r, w), AssertionError)
         object.__setattr__(self, "entries", arr)
-        if np.count_nonzero((arr != 0) & (arr != 1)):
+        if np.count_nonzero(arr.view(np.uint8) > 1):  # a -1 reads as 255
             raise AssertionError("entries must be 0/1")
-        if arr.sum(axis=1, dtype=np.int64).tolist() != list(pad(mu, r)):
+        if np.add.reduce(arr, axis=1).tolist() != list(pad(mu, r)):
             raise AssertionError("row sums do not match mu")
-        if arr.sum(axis=0, dtype=np.int64).tolist() != list(pad(_conjugate(lam), w)):
+        if np.add.reduce(arr, axis=0).tolist() != list(pad(_conjugate(lam), w)):
             raise AssertionError("column sums do not match conjugate(lambda)")
-        # a run of 1s starts at a 1 with a 0 or the top edge above it
-        starts = arr.copy()
-        starts[1:] &= 1 - arr[:-1]
-        runs = starts.sum(axis=0, dtype=np.int64)
-        top = arr[:1].any(axis=0)  # the top row, empty-safe
-        bad = ((runs > 2) | ((runs == 2) & ~top)).nonzero()[0]
-        if bad.size:
-            j = int(bad[0])
-            raise AssertionError(f"column {j + 1} has {runs[j]} runs of 1s")
-        if w and runs[0] and not top[0]:
+        # a column holds at most two runs of 1s, and a second one only
+        # under a run at the top: at most one run starts below the top
+        # row, at a 1 under a 0
+        below = np.add.reduce(arr[1:] > arr[:-1], axis=0).tolist()
+        if w and max(below) > 1:
+            j = next(j for j, starts in enumerate(below) if starts > 1)
+            runs = below[j] + int(arr[0, j])
+            raise AssertionError(f"column {j + 1} has {runs} runs of 1s")
+        if w and below[0] and not arr[0, 0]:
             raise AssertionError("leftmost column not anchored at the top")
 
 
@@ -166,7 +180,7 @@ def _fixing_stages(pair: KostkaPair) -> tuple[np.ndarray, np.ndarray]:
         for i in chosen:
             sums[i] -= 1
         rows.extend(chosen)
-    cols = np.repeat(np.arange(w - 1, -1, -1), lam_conj[::-1])
+    cols = np.arange(w - 1, -1, -1).repeat(lam_conj[::-1])
     return np.asarray(rows, dtype=np.intp), cols
 
 
@@ -232,39 +246,44 @@ class StarMatrix:
         r, w = self.pair.rank, self.pair.width
         arr = _frozen_int8(self.entries, (r, w), MalformedStarMatrix)
         object.__setattr__(self, "entries", arr)
-        if arr.sum(axis=1, dtype=np.int64).tolist() != list(self.mu_star):
+        if np.add.reduce(arr, axis=1).tolist() != list(self.mu_star):
             raise MalformedStarMatrix("row sums do not match mu*")
-        mu_padded = pad(self.pair.mu, r)
-        expected = tuple(
-            mu_padded[i] - (mu_padded[i + 1] if i + 1 < r else 0) for i in range(r)
-        )
-        if self.mu_star != expected:
+        if self.mu_star != _differences(self.pair.mu, r):
             raise MalformedStarMatrix("mu* does not match consecutive differences")
         # the three signatures are exactly the columns with 1-3 nonzeros
-        # whose partial sums, read from the bottom, stay in {0, 1}
-        nonzeros = np.count_nonzero(arr, axis=0)
-        partial = np.cumsum(arr[::-1], axis=0, dtype=np.int64)
-        valid = (nonzeros >= 1) & (nonzeros <= 3)
-        valid &= ((partial == 0) | (partial == 1)).all(axis=0)
-        bad = (~valid).nonzero()[0]
-        if bad.size:
-            j = int(bad[0])
+        # whose partial sums, read from the bottom, stay in {0, 1}; in
+        # int8 a partial sum leaves {0, 1} before it could wrap
+        nonzeros = np.bincount(arr.nonzero()[1], minlength=w).tolist()
+        partial = np.add.accumulate(arr[::-1], axis=0, dtype=np.int8)
+        outside = partial.view(np.uint8) > 1  # a -1 reads as 255
+        miscounted = w and not 1 <= min(nonzeros) <= max(nonzeros) <= 3
+        if miscounted or np.count_nonzero(outside):
+            bad = outside.any(axis=0).tolist()
+            j = next(j for j, k in enumerate(nonzeros) if bad[j] or not 1 <= k <= 3)
             sig = arr[:, j][arr[:, j] != 0].tolist()
             raise MalformedStarMatrix(f"column {j + 1} pattern {tuple(sig)}")
         if w and nonzeros[0] != 1:
             raise MalformedStarMatrix("leftmost column must be a single +1")
-        if r and np.count_nonzero(arr[r - 1] < 0):
+        if r and w and arr[r - 1, arr[r - 1].argmin()] < 0:
             raise MalformedStarMatrix("bottom row contains a -1")
 
 
+def _differences(mu: Partition, rank: int) -> tuple[int, ...]:
+    """mu*_i = mu_i - mu_{i+1} over ``rank`` coordinates."""
+    padded = pad(mu, rank)
+    return tuple(map(sub, padded, padded[1:] + (0,)))
+
+
 def star_matrix(canonical: CanonicalMatrix) -> StarMatrix:
+    """The star matrix of a canonical matrix; mu* is taken from the
+    pair, so the constructor's row-sum check compares the entries
+    against it."""
     arr = canonical.entries
     star = arr.copy()
     star[:-1] -= arr[1:]
+    pair = canonical.pair
     return StarMatrix(
-        pair=canonical.pair,
-        entries=star,
-        mu_star=tuple(star.sum(axis=1, dtype=np.int64).tolist()),
+        pair=pair, entries=star, mu_star=_differences(pair.mu, pair.rank)
     )
 
 
@@ -432,27 +451,32 @@ def split_pair(
     decreasing.
     """
     pair = canonical.pair
-    w = pair.width
-    sel = sorted(set(int(j) for j in columns))
-    if not sel or len(sel) == w or any(j < 1 or j > w for j in sel):
+    r, w = pair.rank, pair.width
+    chosen = {*map(int, columns)}
+    sel = sorted(chosen)
+    if not sel or len(sel) == w or sel[0] < 1 or sel[-1] > w:
         raise NotAWitness(f"columns {columns} are not a proper nonempty subset")
-    arr = canonical.entries
-    chosen = np.zeros(w, dtype=bool)
-    chosen[np.asarray(sel) - 1] = True
-    # column heights are lambda', checked when the matrix was built, so
-    # the heights of any columns are already a partition
-    heights = arr.sum(axis=0, dtype=np.int64)
+    # the row sums are mu, checked when the matrix was built, so the
+    # complement's are what the selection leaves
+    mu = pad(pair.mu, r)
+    picked = canonical.entries.take([j - 1 for j in sel], axis=1)
+    sums = np.add.reduce(picked, axis=1).tolist()
+    # the column heights are lambda', checked when the matrix was built:
+    # column j reaches row i exactly when j <= lambda_i, so row i of the
+    # diagram of some columns counts those among the first lambda_i
+    lam = [bisect_right(sel, part) for part in pair.lam]
     halves: list[KostkaPair] = []
-    for mask in (chosen, ~chosen):
-        sums = arr[:, mask].sum(axis=1, dtype=np.int64)
-        if np.count_nonzero(sums[:-1] < sums[1:]):
-            index_set = (np.flatnonzero(mask) + 1).tolist()
+    for index_set, half_lam, row_sums in (
+        (sel, lam, sums),
+        (None, list(map(sub, pair.lam, lam)), list(map(sub, mu, sums))),
+    ):
+        if row_sums != sorted(row_sums, reverse=True):
+            if index_set is None:  # the complement, listed for the message
+                index_set = [j for j in range(1, w + 1) if j not in chosen]
             raise NotAWitness(f"row sums for columns {index_set} are not decreasing")
-        lam = _conjugate(heights[mask].tolist())
-        halves.append(KostkaPair(lam=lam, mu=sums.tolist(), rank=pair.rank))
+        halves.append(KostkaPair(lam=half_lam, mu=row_sums, rank=r))
     selected, complement = halves
-    mu_sum = (a + b for a, b in zip(selected.padded()[1], complement.padded()[1]))
-    if tuple(mu_sum) != pad(pair.mu, pair.rank):
+    if tuple(map(add, pad(selected.mu, r), pad(complement.mu, r))) != mu:
         raise AssertionError("split halves do not add back to mu")
     if size(selected.lam) + size(complement.lam) != size(pair.lam):
         raise AssertionError("split halves do not add back to lambda")

@@ -99,7 +99,16 @@ def proof_decomposition(
     """The explicit decomposition induced by a yes-witness ``subset``
     (1-based positions into the decreasingly sorted values): the subset
     columns with mu-part (1^target), and everything else with mu-part
-    (1^rank)."""
+    (1^rank).  The halves are checked to add back to the reduction
+    pair."""
+    return _proof_decomposition(inst, subset, reduce_to_kostka(inst))
+
+
+def _proof_decomposition(
+    inst: SubsetSumInstance, subset: tuple[int, ...], whole: KostkaPair
+) -> tuple[KostkaPair, KostkaPair]:
+    """:func:`proof_decomposition` checked against ``whole``, the
+    reduction pair of ``inst``, which the caller has built already."""
     values = tuple(sorted(inst.values, reverse=True))
     total, target = sum(values), inst.target
     rank = 2 * total - target + 1
@@ -113,7 +122,6 @@ def proof_decomposition(
     complement = KostkaPair(
         conjugate(sorted([total + 1] + rest, reverse=True)), (1,) * rank, rank
     )
-    whole = reduce_to_kostka(inst)
     for side in ("lam", "mu"):
         added = tuple(
             a + b
@@ -149,7 +157,9 @@ def reduction_equivalence_check(
         raise AssertionFailure(
             f"oracle says {witness}, decomposition search says {found} for {inst}"
         )
-    decomposition = proof_decomposition(canonical, witness) if witness else None
+    decomposition = (
+        _proof_decomposition(canonical, witness, pair) if witness else None
+    )
     if size(pair.lam) != 2 * canonical.total + 1:
         raise AssertionFailure("reduction pair has the wrong box count")
     return EquivalenceReport(

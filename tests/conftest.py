@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterator
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -95,3 +98,53 @@ def cone_pairs_st(max_boxes: int = 12, max_width: int = 0):
 def running_pair() -> KostkaPair:
     """The worked 34-box example used throughout the golden tests."""
     return KostkaPair((8, 7, 7, 7, 3, 2), (7, 7, 4, 4, 4, 4, 4))
+
+
+def outcome(fn, *args, **kwargs) -> tuple[type, str] | None:
+    """The exception type and message if the call raises, else None."""
+    try:
+        fn(*args, **kwargs)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return None
+
+
+def random_int8_matrices(rng: random.Random, count: int) -> Iterator[np.ndarray]:
+    """Seeded int8 matrices of up to 8 x 8 with entries -1..2.  Every
+    other one is a 0/1 matrix with its rows and columns sorted by
+    decreasing sum and its empty columns dropped, so that its margins
+    are partitions; one in three of those then has one cell set to -1,
+    0, 1 or 2."""
+    for k in range(count):
+        r, w = rng.randint(0, 8), rng.randint(0, 8)
+        if k % 2:
+            arr = np.array(
+                [[rng.choice((-1, 0, 1, 2)) for _ in range(w)] for _ in range(r)],
+                dtype=np.int8,
+            ).reshape(r, w)
+        else:
+            arr = np.array(
+                [[int(rng.random() < 0.5) for _ in range(w)] for _ in range(r)],
+                dtype=np.int8,
+            ).reshape(r, w)
+            arr = arr[np.argsort(-arr.sum(axis=1), kind="stable")]
+            arr = arr[:, np.argsort(-arr.sum(axis=0), kind="stable")]
+            arr = arr[:, arr.sum(axis=0) > 0]
+            if arr.size and k % 3 == 0:
+                i, j = rng.randrange(arr.shape[0]), rng.randrange(arr.shape[1])
+                arr[i, j] = rng.choice((-1, 0, 1, 2))
+        yield arr
+
+
+def one_cell_mutations(
+    arr: np.ndarray, rng: random.Random, count: int
+) -> Iterator[np.ndarray]:
+    """``count`` copies of ``arr``, each with one cell moved to another
+    value in -1..2."""
+    if not arr.size:
+        return
+    for _ in range(count):
+        i, j = rng.randrange(arr.shape[0]), rng.randrange(arr.shape[1])
+        mutant = arr.copy()
+        mutant[i, j] = rng.choice([v for v in (-1, 0, 1, 2) if v != arr[i, j]])
+        yield mutant

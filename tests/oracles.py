@@ -10,6 +10,11 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
+import numpy as np
+
+from kostka.config import INT_CAP
+from kostka.errors import InvalidPartition, MalformedStarMatrix
+
 
 def prefix_dom(a: Sequence[int], b: Sequence[int]) -> bool:
     """All prefix sums of ``a`` at least those of ``b`` (after padding)."""
@@ -223,3 +228,125 @@ def schur_product_monomial(
 
 def sorted_desc(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted((x for x in v if x), reverse=True))
+
+
+# --- validation as first written ---------------------------------------
+#
+# The constructors of kostka.ryser and kostka.kgr and the partition check
+# of kostka.partitions validate in fused passes.  These are the
+# straightforward versions they replaced, check by check in the same
+# order; each raises the same exception with the same message, or
+# returns None (as_partition: the trimmed tuple) when the input passes.
+
+
+def as_partition(seq) -> tuple[int, ...]:
+    parts = tuple(seq)
+    for p in parts:
+        if not isinstance(p, (int,)) or isinstance(p, bool):
+            raise InvalidPartition(f"non-integer part {p!r}")
+        if p < 0:
+            raise InvalidPartition(f"negative part {p}")
+        if p > INT_CAP:
+            raise InvalidPartition(f"part {p} exceeds 64-bit range")
+    for a, b in zip(parts, parts[1:]):
+        if a < b:
+            raise InvalidPartition(f"parts not weakly decreasing: {parts}")
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    return parts
+
+
+def _frozen_int8(entries, shape, error):
+    raw = np.asarray(entries)
+    if raw.size == 0 and 0 in shape:
+        raw = raw.reshape(shape)
+    if raw.shape != shape:
+        raise error(f"matrix shape {raw.shape} != {shape}")
+    arr = raw.astype(np.int8)
+    if not np.array_equal(arr, raw):
+        raise error("entries do not fit in int8")
+    return arr
+
+
+def _padded(p: Sequence[int], length: int) -> list[int]:
+    return list(p) + [0] * (length - len(p))
+
+
+def _conjugate(p: Sequence[int]) -> list[int]:
+    return [sum(1 for part in p if part >= j) for j in range(1, (p[0] if p else 0) + 1)]
+
+
+def canonical_matrix_checks(pair, entries) -> None:
+    """``CanonicalMatrix(pair, entries)`` validation."""
+    r, w = pair.rank, pair.width
+    arr = _frozen_int8(entries, (r, w), AssertionError)
+    if np.count_nonzero((arr != 0) & (arr != 1)):
+        raise AssertionError("entries must be 0/1")
+    if arr.sum(axis=1, dtype=np.int64).tolist() != _padded(pair.mu, r):
+        raise AssertionError("row sums do not match mu")
+    if arr.sum(axis=0, dtype=np.int64).tolist() != _padded(_conjugate(pair.lam), w):
+        raise AssertionError("column sums do not match conjugate(lambda)")
+    starts = arr.copy()
+    starts[1:] &= 1 - arr[:-1]
+    runs = starts.sum(axis=0, dtype=np.int64)
+    top = arr[:1].any(axis=0)
+    bad = ((runs > 2) | ((runs == 2) & ~top)).nonzero()[0]
+    if bad.size:
+        j = int(bad[0])
+        raise AssertionError(f"column {j + 1} has {runs[j]} runs of 1s")
+    if w and runs[0] and not top[0]:
+        raise AssertionError("leftmost column not anchored at the top")
+
+
+def star_matrix_checks(pair, entries, mu_star) -> None:
+    """``StarMatrix(pair, entries, mu_star)`` validation."""
+    r, w = pair.rank, pair.width
+    arr = _frozen_int8(entries, (r, w), MalformedStarMatrix)
+    if arr.sum(axis=1, dtype=np.int64).tolist() != list(mu_star):
+        raise MalformedStarMatrix("row sums do not match mu*")
+    mu_padded = _padded(pair.mu, r)
+    expected = tuple(
+        mu_padded[i] - (mu_padded[i + 1] if i + 1 < r else 0) for i in range(r)
+    )
+    if mu_star != expected:
+        raise MalformedStarMatrix("mu* does not match consecutive differences")
+    nonzeros = np.count_nonzero(arr, axis=0)
+    partial = np.cumsum(arr[::-1], axis=0, dtype=np.int64)
+    valid = (nonzeros >= 1) & (nonzeros <= 3)
+    valid &= ((partial == 0) | (partial == 1)).all(axis=0)
+    bad = (~valid).nonzero()[0]
+    if bad.size:
+        j = int(bad[0])
+        sig = arr[:, j][arr[:, j] != 0].tolist()
+        raise MalformedStarMatrix(f"column {j + 1} pattern {tuple(sig)}")
+    if w and nonzeros[0] != 1:
+        raise MalformedStarMatrix("leftmost column must be a single +1")
+    if r and np.count_nonzero(arr[r - 1] < 0):
+        raise MalformedStarMatrix("bottom row contains a -1")
+
+
+def graph_checks(entries) -> None:
+    """``build_graph`` validation of a star matrix's entries: at most one
+    -1 per column, each with a +1 as its nearest nonzero on the left."""
+    arr = np.asarray(entries)
+    w = arr.shape[1]
+    r0, c0 = arr.nonzero()
+    signs = arr[r0, c0]
+    minus = (signs < 0).nonzero()[0]
+    if np.count_nonzero(np.bincount(c0[minus], minlength=w) > 1):
+        seen: set[int] = set()
+        for c in c0[minus].tolist():
+            if c in seen:
+                raise MalformedStarMatrix(f"column {c + 1} has two -1 entries")
+            seen.add(c)
+    left = minus - 1
+    stray = (left < 0) | (r0[left] != r0[minus])
+    bad = (stray | (signs[left] < 0)).nonzero()[0]
+    if bad.size:
+        m, b = int(minus[bad[0]]), int(left[bad[0]])
+        where = (int(r0[m]) + 1, int(c0[m]) + 1)
+        if stray[bad[0]]:
+            raise MalformedStarMatrix(f"-1 at {where} has no +1 on its left")
+        raise MalformedStarMatrix(
+            f"-1 at {(int(r0[b]) + 1, int(c0[b]) + 1)} blocks the -1 at {where}"
+        )

@@ -9,6 +9,7 @@ are exhaustive over their stated domains.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import time
@@ -18,6 +19,7 @@ import numpy as np
 
 import oracles
 from conftest import cone_pair_pool, partition_pool, read_matrix_blocks
+from kostka import subsetsum
 from kostka.cone import (
     decompose,
     extremal_rays,
@@ -169,6 +171,32 @@ def test_c05_fast_detector_agrees_with_exhaustive_search():
     )
 
 
+POOL_WITNESS_SHA256 = "b43723c52e53720334ed6bbfeed6abc795c0c4a6f730f2c3002dabd5f22acb03"
+
+
+def test_c05_pool_witnesses_are_pinned():
+    """Every answer of the graph detector over the c05 pool, witness
+    and all, hashes to a pinned value: kind, columns, vertices, sink and
+    source, and both halves."""
+    digest = hashlib.sha256()
+    for pair in cone_pair_pool(13, max_width=7):
+        red = fast_reducibility(pair)
+        record = None
+        if red is not None:
+            wit = red.witness
+            record = (
+                wit.kind,
+                red.columns,
+                [tuple(v) for v in wit.vertices],
+                wit.sink and tuple(wit.sink),
+                wit.source and tuple(wit.source),
+                red.selected.key(),
+                red.complement.key(),
+            )
+        digest.update(repr(record).encode() + b"\n")
+    assert digest.hexdigest() == POOL_WITNESS_SHA256
+
+
 def test_c06_width_bound_audit():
     """For ranks 2..5: no basis element is wider than the rank, the
     full-width elements are rectangle pairs, and every width rank+1 cone
@@ -222,6 +250,22 @@ def test_c08_subset_sum_reduction_equivalence():
         f"PASS criterion 8: subset-sum reduction equivalence, "
         f"{checked} instances ({elapsed:.1f}s)"
     )
+
+
+def test_c08_each_check_builds_one_reduction_pair(monkeypatch):
+    """The equivalence check reduces its instance once: the proof
+    decomposition is checked against the pair already built."""
+    calls = []
+    real = subsetsum.reduce_to_kostka
+
+    def spy(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(subsetsum, "reduce_to_kostka", spy)
+    report = reduction_equivalence_check(SubsetSumInstance((3, 1, 2), 4))
+    assert report.decomposition is not None
+    assert len(calls) == 1
 
 
 def test_c09_catalan_cost_bound():

@@ -2,12 +2,20 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cone_pair_pool, cone_pairs_st
+import oracles
+from conftest import (
+    cone_pair_pool,
+    cone_pairs_st,
+    one_cell_mutations,
+    outcome,
+    random_int8_matrices,
+)
 from kostka import kgr, ryser
 from kostka.cone import RaySpec, default_fixture_path, load_catalog, primitive_point
 from kostka.errors import MalformedStarMatrix
@@ -527,7 +535,36 @@ class TestRendering:
         assert payload["witness"]["sink"] == [6, 2]
 
 
+def _graph_inputs():
+    rng = random.Random(22)
+    yield from random_int8_matrices(rng, 3000)
+    for pair in cone_pair_pool(9):
+        entries = star_matrix(ryser_canonical(pair)).entries
+        yield entries
+        yield from one_cell_mutations(entries, rng, 4)
+
+
+# a phrase of each build_graph check's message, in the order they run
+GRAPH_CHECKS = ("two -1 entries", "no +1 on its left", "blocks the -1")
+
+
 class TestStarValidation:
+    def test_build_graph_refuses_as_before(self):
+        """build_graph checks in fused passes; on star-shaped stand-ins
+        that no StarMatrix would admit it must refuse exactly what the
+        checks it replaced (kept in oracles) refuse, with the same
+        exception type and message."""
+        seen = set()
+        for entries in _graph_inputs():
+            star = SimpleNamespace(
+                entries=entries, pair=SimpleNamespace(width=entries.shape[1])
+            )
+            expected = outcome(oracles.graph_checks, entries)
+            assert outcome(build_graph, star) == expected, entries.tolist()
+            if expected:
+                seen.update(c for c in GRAPH_CHECKS if c in expected[1])
+        assert seen == set(GRAPH_CHECKS)
+
     def test_bad_column_signature_is_rejected(self, running_pair):
         with pytest.raises(MalformedStarMatrix):
             StarMatrix(

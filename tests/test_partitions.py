@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
 from conftest import cone_pair_pool, cone_pairs_st, partition_pool, partitions_st
+from kostka.config import INT_CAP
 from kostka.errors import InvalidPair, InvalidPartition, SizeCapExceeded
 from kostka.partitions import (
     KostkaPair,
@@ -276,3 +279,71 @@ class TestParsing:
             parse_partition("a,b")
         with pytest.raises(InvalidPartition):
             parse_partition("3,-1")
+
+
+class _Part(int):
+    """An int subclass: accepted as a part, and walked part by part."""
+
+
+AS_PARTITION_INPUTS = {
+    "empty": [],
+    "all zeros": [0, 0, 0],
+    "trailing zeros": [4, 2, 2, 0, 0],
+    "already trimmed": [3, 3, 1],
+    "bool parts": [True, False],
+    "a bool among ints": [2, True],
+    "numpy int64 parts": [np.int64(3), np.int64(1)],
+    "numpy int64 among ints": [3, np.int64(1), 0],
+    "int subclass parts": [_Part(3), _Part(1), _Part(0)],
+    "int subclass among ints": [4, _Part(2), 0],
+    "increasing int subclass": [_Part(1), 2],
+    "negative part": [3, -1],
+    "negative first": [-1, -2],
+    "negative zero tail": [2, 0, -1],
+    "at INT_CAP": [INT_CAP, INT_CAP, 5],
+    "above INT_CAP": [INT_CAP + 1, 1],
+    "above INT_CAP last": [INT_CAP + 1],
+    "increasing": [1, 2, 3],
+    "increasing after zero": [2, 0, 1],
+    "increasing and negative": [1, 2, -1],
+    "float part": [2.0, 1],
+    "string part": ["3"],
+    "none part": [None],
+}
+
+
+def _outcome(fn, parts):
+    try:
+        value = fn(parts)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return value, tuple(map(type, value))
+
+
+class TestAsPartitionFastPath:
+    """as_partition checks int parts with C-level builtins and walks part
+    by part only on failure; it must agree with the part-by-part check
+    (oracles.as_partition) on every input, value, part types, exception
+    and message."""
+
+    @pytest.mark.parametrize("case", AS_PARTITION_INPUTS)
+    def test_agrees_with_the_walk(self, case):
+        parts = AS_PARTITION_INPUTS[case]
+        for wrap in (list, tuple, iter, lambda p: (v for v in p)):
+            assert _outcome(as_partition, wrap(parts)) == _outcome(
+                oracles.as_partition, wrap(parts)
+            ), (case, wrap)
+
+    def test_agrees_on_random_sequences(self):
+        rng = random.Random(12)
+        for _ in range(3000):
+            parts = [rng.randint(-2, 5) for _ in range(rng.randint(0, 7))]
+            if rng.random() < 0.5:
+                parts.sort(reverse=True)
+            if parts and rng.random() < 0.2:
+                parts[rng.randrange(len(parts))] = rng.choice(
+                    [True, np.int64(1), _Part(2), INT_CAP + 1, 1.0]
+                )
+            assert _outcome(as_partition, parts) == _outcome(
+                oracles.as_partition, parts
+            ), parts

@@ -1,12 +1,25 @@
 from __future__ import annotations
 
+import random
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given
 
 import oracles
-from conftest import cone_pair_pool, cone_pairs_st, partitions_st, read_matrix_blocks
+from conftest import (
+    cone_pair_pool,
+    cone_pairs_st,
+    one_cell_mutations,
+    outcome,
+    partitions_st,
+    random_int8_matrices,
+    read_matrix_blocks,
+)
 from kostka.errors import (
+    InvalidPair,
+    InvalidPartition,
     MalformedStarMatrix,
     NotAWitness,
     WidthCapExceeded,
@@ -201,6 +214,156 @@ class TestConstructorChecks:
             StarMatrix(pair=KostkaPair(lam, mu), entries=entries, mu_star=mu_star)
 
 
+def _margin_pair(heights, mu, rank: int, width: int) -> KostkaPair | None:
+    """The cone pair with lambda' = ``heights`` and the given mu at
+    ``rank``, if there is one of this width."""
+    try:
+        pair = KostkaPair(conjugate(heights), mu, rank=rank)
+    except (InvalidPartition, InvalidPair):
+        return None
+    return pair if pair.width == width else None
+
+
+def _switches(arr: np.ndarray, rng: random.Random, count: int):
+    """Copies of a 0/1 matrix with one 2 x 2 switch each, [[1, 0], [0, 1]]
+    to [[0, 1], [1, 0]]: row and column sums stay, runs move."""
+    r, w = arr.shape
+    for _ in range(count * 10):
+        if r < 2 or w < 2 or not count:
+            return
+        i, k = rng.sample(range(r), 2)
+        j, m = rng.sample(range(w), 2)
+        if arr[i, j] == arr[k, m] == 1 and arr[i, m] == arr[k, j] == 0:
+            mutant = arr.copy()
+            mutant[i, j] = mutant[k, m] = 0
+            mutant[i, m] = mutant[k, j] = 1
+            count -= 1
+            yield mutant
+
+
+def _differences(pair: KostkaPair) -> tuple[int, ...]:
+    mu = pad(pair.mu, pair.rank)
+    return tuple(a - b for a, b in zip(mu, mu[1:] + (0,)))
+
+
+def _canonical_cases():
+    rng = random.Random(20)
+    pool = cone_pair_pool(9)
+    for arr in random_int8_matrices(rng, 2000):
+        r, w = arr.shape
+        own = _margin_pair(arr.sum(axis=0).tolist(), arr.sum(axis=1).tolist(), r, w)
+        if own is not None:
+            yield own, arr
+        other = rng.choice(pool)
+        yield KostkaPair(other.lam, other.mu, rank=max(other.rank, r)), arr
+    for k, pair in enumerate(pool):
+        entries = ryser_canonical(pair).entries
+        yield pair, entries
+        yield from ((pair, m) for m in one_cell_mutations(entries, rng, 3))
+        yield from ((pair, m) for m in _switches(entries, rng, 3))
+        # a 1 moved along its row: the row sums stay, two column sums move
+        i = rng.randrange(pair.rank)
+        ones, zeros = entries[i].nonzero()[0], (entries[i] == 0).nonzero()[0]
+        if ones.size and zeros.size:
+            mutant = entries.copy()
+            mutant[i, rng.choice(ones.tolist())] = 0
+            mutant[i, rng.choice(zeros.tolist())] = 1
+            yield pair, mutant
+        if k % 50 == 0:  # an entry that int8 cannot hold
+            wide = entries.astype(np.int64)
+            wide[-1, -1] = 300
+            yield pair, wide
+
+
+def _star_cases():
+    rng = random.Random(21)
+    pool = cone_pair_pool(9)
+
+    def own_pair(arr):
+        # mu from the row sums as differences, lambda' from the column
+        # sums of the matrix the star differences
+        r, w = arr.shape
+        mu = list(accumulate(arr.sum(axis=1).tolist()[::-1]))[::-1]
+        heights = np.cumsum(arr[::-1], axis=0)[::-1].sum(axis=0).tolist()
+        return _margin_pair(heights, mu, r, w)
+
+    for arr in random_int8_matrices(rng, 2000):
+        own = own_pair(arr)
+        if own is not None:
+            yield own, arr, tuple(arr.sum(axis=1).tolist())
+        other = rng.choice(pool)
+        other = KostkaPair(other.lam, other.mu, rank=max(other.rank, arr.shape[0]))
+        yield other, arr, _differences(other)
+    for k, pair in enumerate(pool):
+        star = star_matrix(ryser_canonical(pair))
+        yield pair, star.entries, star.mu_star
+        for mutant in one_cell_mutations(star.entries, rng, 3):
+            own_sums = tuple(mutant.sum(axis=1).tolist())
+            yield pair, mutant, star.mu_star
+            yield pair, mutant, own_sums
+            own = own_pair(mutant)
+            if own is not None:
+                yield own, mutant, own_sums
+        # the differences of a switched canonical matrix: same margins,
+        # and columns with more runs read as longer signatures
+        for switched in _switches(ryser_canonical(pair).entries, rng, 2):
+            diffs = switched.copy()
+            diffs[:-1] -= switched[1:]
+            yield pair, diffs, star.mu_star
+        # +1 and -1 in one row keep the row sums and break two columns
+        i = rng.randrange(pair.rank)
+        if pair.width > 1:
+            j, m = rng.sample(range(pair.width), 2)
+            mutant = star.entries.copy()
+            mutant[i, j] += 1
+            mutant[i, m] -= 1
+            yield pair, mutant, star.mu_star
+        if k % 50 == 0:
+            wide = star.entries.astype(np.int64)
+            wide[0, 0] = -300
+            yield pair, wide, star.mu_star
+
+
+# a phrase of each check's message, in the order the checks run
+CANONICAL_CHECKS = (
+    "shape", "fit in int8", "0/1", "row sums", "column sums", "runs of 1s",
+    "leftmost column",
+)
+STAR_CHECKS = (
+    "shape", "fit in int8", "row sums", "consecutive differences", "pattern",
+    "leftmost column",
+)
+
+
+class TestFusedChecks:
+    """The constructors validate in fused passes; they must refuse
+    exactly what the checks they replaced (kept in oracles) refuse, with
+    the same exception type and message, on seeded random matrices and
+    on mutations of real canonical and star matrices."""
+
+    def test_canonical_matrix_refuses_as_before(self):
+        seen = set()
+        for pair, entries in _canonical_cases():
+            expected = outcome(oracles.canonical_matrix_checks, pair, entries)
+            got = outcome(CanonicalMatrix, pair=pair, entries=entries)
+            assert got == expected, (pair, np.asarray(entries).tolist())
+            if expected:
+                seen.update(c for c in CANONICAL_CHECKS if c in expected[1])
+        assert seen == set(CANONICAL_CHECKS)
+
+    def test_star_matrix_refuses_as_before(self):
+        seen = set()
+        for pair, entries, mu_star in _star_cases():
+            expected = outcome(oracles.star_matrix_checks, pair, entries, mu_star)
+            got = outcome(StarMatrix, pair=pair, entries=entries, mu_star=mu_star)
+            assert got == expected, (pair, np.asarray(entries).tolist(), mu_star)
+            if expected:
+                seen.update(c for c in STAR_CHECKS if c in expected[1])
+        # the bottom-row check never fires: a -1 there leaves its column
+        # without a valid signature first (see STAR_REJECTS)
+        assert seen == set(STAR_CHECKS)
+
+
 class TestStarMatrix:
     def test_golden_star(self, running_pair):
         star = star_matrix(ryser_canonical(running_pair))
@@ -272,6 +435,13 @@ class TestSplitPair:
         # column 1 alone leaves complement row sums (6,6,3,3,3,3,4)
         with pytest.raises(NotAWitness):
             split_pair(ryser_canonical(running_pair), (1,))
+
+    def test_names_the_half_that_fails(self, running_pair):
+        canonical = ryser_canonical(running_pair)
+        with pytest.raises(NotAWitness, match=r"columns \[2, 3, 4, 5, 6, 7, 8\] "):
+            split_pair(canonical, (1,))  # the complement fails
+        with pytest.raises(NotAWitness, match=r"columns \[8\] "):
+            split_pair(canonical, (8,))  # the selection fails
 
 
 def shape_of(pair):
