@@ -12,25 +12,23 @@ The Hilbert basis needs no splitting search.  The cone is cut out by
 and of mu, and the prefix-sum gaps of lambda - mu); writing s(p) for a
 pair's vector of slacks, q - p is a cone point iff s(p) <= s(q)
 componentwise.  So the basis is the set of nonzero cone points whose
-slack vectors are minimal among those of nonzero cone points, and
-:func:`hilbert_basis` finds it by comparing slack vectors one size
-block at a time.  It only visits candidates inside the rank x rank box:
-that irreducible pairs have lambda_1 <= rank is the paper's width
-theorem (checked by :func:`width_bound_audit` on the lambda_1 = rank + 1
-layer), and the completeness of the basis rests on it.  Both walk the
-box with one enumerator, :func:`_box_partitions`, which lists a box's
-partitions as lattice paths, and pair them by one dominance broadcast,
-:func:`_dominance_pairs` (the audit pairs only the lambdas with
-lambda_1 = rank + 1), so no pair becomes a Python object until it is
-kept or reported.
+slack vectors are minimal among those of nonzero cone points.  It only
+takes candidates inside the rank x rank box: that irreducible pairs
+have lambda_1 <= rank is the paper's width theorem (checked by
+:func:`width_bound_audit` on the lambda_1 = rank + 1 layer), and the
+completeness of the basis rests on it.
 
-Both then share one slack scan, :func:`_covered`: is some basis row at
-or below a candidate's?  Every slack is at most |lambda|, which is at
-most 72 in the largest box walked (the rank-8 audit's 9 x 8), so the
-rows are held byte-wide; a larger bound widens the dtype rather than
-wrap.  Most candidates are covered by one of the first few basis rows,
-so the scan starts with a short step through the basis and doubles it,
-never broadcasting more than 2^CHUNK_BITS cells.
+One pass serves the basis and the audit.  :func:`_box_partitions` lists
+a box's partitions one size at a time, as lattice paths, in the
+smallest dtype that holds the box's sizes (a byte in every box walked
+here).  :func:`_cone_slacks` takes each row's differences and prefix
+sums once, reads dominance off the prefix-sum gaps of one broadcast and
+writes the pairs' slack rows, so no pair becomes a Python object until
+it is kept or reported.  :func:`_minimal_slacks` keeps the rows that no
+smaller kept row lies below, by one scan, :func:`_covered`; it returns
+the basis in catalog order with its slack matrix, which
+:func:`hilbert_basis` wraps and :func:`width_bound_audit` reads to
+certify the wide layer.
 
 Extremal rays are classified: every ray is spanned by
 lambda = a^(b+ell), mu = (a^ell, b^a) for r >= a+ell >= a >= b > 0, and
@@ -65,7 +63,8 @@ from .partitions import KostkaPair, Partition, prefix_sums
 @functools.lru_cache(maxsize=2048)
 def _splittings(p: Partition) -> tuple[np.ndarray, np.ndarray]:
     """All vectors v such that v and p - v are both partitions, as a
-    read-only (count, len(p)) array plus the vector of sizes |v|.
+    read-only (count, len(p)) array sorted by size |v|, then
+    lexicographically, plus the vector of sizes.
 
     Such v correspond to independent choices d_i in
     [0, p_i - p_{i+1}]: v_i is the suffix sum of the d's.
@@ -77,15 +76,11 @@ def _splittings(p: Partition) -> tuple[np.ndarray, np.ndarray]:
     ).reshape(-1, length)
     vectors = combos[:, ::-1].cumsum(axis=1)[:, ::-1] if length else combos
     sizes = vectors.sum(axis=1)
+    # lexsort's last key is its first: size, then each entry in turn
+    order = np.lexsort((*vectors.T[::-1], sizes))
+    vectors, sizes = vectors[order], sizes[order]
     vectors.flags.writeable = sizes.flags.writeable = False
     return vectors, sizes
-
-
-def _lex_rows(mat: np.ndarray) -> np.ndarray:
-    if mat.shape[0] <= 1 or mat.shape[1] == 0:
-        return mat
-    order = np.lexsort(tuple(mat[:, k] for k in range(mat.shape[1] - 1, -1, -1)))
-    return mat[order]
 
 
 def _padded_prefixes(vectors: np.ndarray, rank: int) -> np.ndarray:
@@ -115,10 +110,10 @@ def decompose(
     mu_v, mu_sizes = _splittings(pair.mu)
     gap = np.cumsum(np.subtract(*pair.padded()), dtype=np.int64)
     for m in range(1, n // 2 + 1):
-        va = _lex_rows(lam_v[lam_sizes == m])
+        va = lam_v[lam_sizes == m]
         if not va.shape[0]:
             continue
-        vb = _lex_rows(mu_v[mu_sizes == m])
+        vb = mu_v[mu_sizes == m]
         if not vb.shape[0]:
             continue
         diff = _padded_prefixes(va, r)[:, None, :] - _padded_prefixes(vb, r)[None, :, :]
@@ -213,13 +208,18 @@ def default_fixture_path(rank: int) -> Path:
 def _box_partitions(max_part: int, max_len: int, max_boxes: int) -> Iterator[np.ndarray]:
     """The partitions with lambda_1 <= ``max_part``, at most ``max_len``
     parts and 1 <= |lambda| <= ``max_boxes``, one size at a time, as a
-    (count, max_len) zero-padded int64 array in decreasing lexicographic
+    (count, max_len) zero-padded array in decreasing lexicographic
     order.
 
     A partition in the max_part x max_len box is a lattice path: its
     parts, reversed, are the positions of the max_len up-steps among
     max_part + max_len steps, less 0, 1, ..., max_len - 1.  Sizes stop
-    at the box's max_part * max_len."""
+    at the box's max_part * max_len.
+
+    The arrays are in the smallest signed dtype that holds that largest
+    size.  Every part, slack and prefix sum of a pair in the box is at
+    most its size, so :func:`_cone_slacks` keeps the dtype: a byte up to
+    the rank-8 audit's 9 x 8 = 72, wider rather than wrapped past 127."""
     top = min(max_boxes, max_part * max_len)
     if top < 1:
         return
@@ -233,68 +233,41 @@ def _box_partitions(max_part: int, max_len: int, max_boxes: int) -> Iterator[np.
     sizes = parts.sum(axis=1)
     # lexsort's last key is its first: size up, then each part down
     order = np.lexsort((*(-parts.T[::-1]), sizes))
-    parts, sizes = parts[order], sizes[order]
+    dtype = np.min_scalar_type(-max_part * max_len - 1)
+    parts, sizes = parts[order].astype(dtype), sizes[order]
     bounds = np.searchsorted(sizes, np.arange(top + 2))
     for n in range(1, top + 1):
         yield parts[bounds[n] : bounds[n + 1]]
 
 
-def _dominance_pairs(lams: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (lambda, mu) with lambda a row of ``lams``, mu a row of
-    ``mus`` and lambda dominating mu, by one prefix-sum broadcast; every
-    row must have the same size.  Ordered by lambda's row, then mu's."""
-    lam, mu = (
-        (lams.cumsum(axis=1)[:, None, :] >= mus.cumsum(axis=1)[None, :, :])
-        .all(axis=2)
-        .nonzero()
-    )
-    return lams[lam], mus[mu]
+def _cone_slacks(block: np.ndarray, wide: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cone points (lambda, mu) of one size block of
+    :func:`_box_partitions`, lambda among its first ``wide`` rows and mu
+    among all of them, with their slack vectors s(p).
 
+    Returns the block rows of lambda and of mu, ordered by lambda's row,
+    then mu's, and one slack row per pair in the block's dtype: 3 * rank
+    - 1 entries, the consecutive differences of lambda and of mu (the
+    last part counting as a difference from 0), then the prefix-sum gaps
+    Lambda_t - M_t for t < rank.  These are the facet inequalities of
+    the cone, so for cone points p and q, q - p is a cone point iff
+    s(p) <= s(q) componentwise.
 
-def _cone_blocks(
-    max_part: int, max_len: int, max_boxes: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every cone point (lambda, mu) with 1 <= |lambda| <= ``max_boxes``,
-    lambda_1 <= ``max_part`` and at most ``max_len`` parts on each side,
-    one size at a time, as two (count, max_len) zero-padded int64 arrays.
-
-    A mu that lambda dominates has mu_1 <= lambda_1, so it lies in the
-    same box as lambda, and one dominance broadcast over a size's
-    partitions yields all of that size's pairs.  Ordered by size, then
-    lambda, then mu, each in decreasing lexicographic order."""
-    for block in _box_partitions(max_part, max_len, max_boxes):
-        yield _dominance_pairs(block, block)
-
-
-def _slack_rows(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """The slack vectors s(p) of the pairs whose sides are the rows of
-    ``lam`` and ``mu``, zero-padded to the rank: one row of 3 * rank - 1
-    entries each, the consecutive differences of lambda and of mu (the
-    last part counting as a difference from 0), then the prefix-sum
-    gaps Lambda_t - M_t for t < rank.
-
-    These are the facet inequalities of the cone, so for cone points p
-    and q, q - p is a cone point iff s(p) <= s(q) componentwise.
-
-    Every entry, and every prefix sum on the way, is at most |lambda|
-    (or |mu|) in absolute value, so at most rank times the largest first
-    part: the rows are held in the smallest signed dtype that fits that
-    bound, a byte up to the rank-8 audit's 8 * 9 = 72.  A larger bound
-    widens the dtype; nothing wraps."""
-    count, rank = lam.shape
-    bound = rank * int(max(lam[:, 0].max(initial=0), mu[:, 0].max(initial=0)))
-    dtype = np.min_scalar_type(-max(bound, 1))
-    lam, mu = lam.astype(dtype), mu.astype(dtype)
-    rows = np.empty((count, 3 * rank - 1), dtype=dtype)
-    for offset, side in ((0, lam), (rank, mu)):
-        np.subtract(side[:, :-1], side[:, 1:], out=rows[:, offset : offset + rank - 1])
-        rows[:, offset + rank - 1] = side[:, -1]
-    np.subtract(
-        lam[:, :-1].cumsum(axis=1, dtype=dtype),
-        mu[:, :-1].cumsum(axis=1, dtype=dtype),
-        out=rows[:, 2 * rank :],
-    )
-    return rows
+    Each row's differences and prefix sums are taken once.  A mu that
+    lambda dominates lies in the same box, and lambda dominates mu iff
+    every gap is >= 0, so the gaps of one broadcast pick the pairs and
+    become their slacks."""
+    rank = block.shape[1]
+    diffs = block.copy()
+    diffs[:, :-1] -= block[:, 1:]
+    sums = block[:, :-1].cumsum(axis=1, dtype=block.dtype)
+    gaps = sums[:wide, None, :] - sums[None, :, :]
+    lam, mu = (gaps >= 0).all(axis=2).nonzero()
+    rows = np.empty((len(lam), 3 * rank - 1), dtype=block.dtype)
+    np.take(diffs, lam, axis=0, out=rows[:, :rank])
+    np.take(diffs, mu, axis=0, out=rows[:, rank : 2 * rank])
+    rows[:, 2 * rank :] = gaps[lam, mu]
+    return lam, mu, rows
 
 
 def _covered(slacks: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -310,8 +283,8 @@ def _covered(slacks: np.ndarray, basis: np.ndarray) -> np.ndarray:
     2^(CHUNK_BITS - 6) cells, enough for a small basis in one pass, and
     each later step doubles that up to 2^CHUNK_BITS.  No broadcast
     holds more than 2^CHUNK_BITS cells (unless one row is wider).  Rows
-    from :func:`_slack_rows` are byte-wide while rank * lambda_1 <= 127,
-    which covers every box walked here, so a cell costs a byte."""
+    from :func:`_cone_slacks` are byte-wide in every box walked here, so
+    a cell costs a byte."""
     cells = 1 << config.CHUNK_BITS
     width = slacks.shape[1]
     chunk_rows = max(1, cells // width)
@@ -332,33 +305,47 @@ def _covered(slacks: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return covered
 
 
-def hilbert_basis(rank: int, cap: int = config.RANK_CAP) -> BasisCatalog:
-    """The Hilbert basis at the given rank: the cone points inside the
-    rank x rank box whose slack vectors are minimal.
+def _minimal_slacks(
+    rank: int, cap: int = config.RANK_CAP
+) -> tuple[tuple[KostkaPair, ...], np.ndarray]:
+    """The Hilbert basis at the given rank in catalog order, and its
+    slack matrix: row k is s(element k).
 
     A nonzero cone point c is reducible iff some nonzero cone point
     b != c has s(b) <= s(c).  Then every irreducible summand of b lies
     below c as well, and is smaller; its lambda_1 is at most c's, so it
-    sits in the box too.  The candidates are therefore visited one size block at
-    a time, and a candidate is kept iff no element kept from a smaller
-    block lies below it in slack order.  Same-size candidates need no
-    comparison, since a cone point of size 0 is zero.  Every element
-    returned is irreducible; that none is missing rests on the paper's
-    width theorem, which puts every basis element inside the box
-    (lambda_1 <= rank; see :func:`width_bound_audit`).
+    sits in the box too.  The candidates are therefore visited one size
+    block at a time, and a candidate is kept iff no element kept from a
+    smaller block lies below it in slack order.  Same-size candidates
+    need no comparison, since a cone point of size 0 is zero.  A block's
+    pairs come by lambda, then mu, each in decreasing lexicographic
+    order, so its kept rows, reversed, are in catalog order.
     """
     if not 1 <= rank <= cap:
         raise RankCapExceeded(f"rank {rank} outside [1, {cap}]")
-    kept = []
+    lams, mus = [], []
     basis = np.zeros((0, 3 * rank - 1), dtype=np.int8)
-    for lam, mu in _cone_blocks(rank, rank, rank * rank):
-        slacks = _slack_rows(lam, mu)
-        fresh = ~_covered(slacks, basis)
-        kept += zip(lam[fresh].tolist(), mu[fresh].tolist())
-        basis = np.vstack([basis, slacks[fresh]])
-    elements = [KostkaPair(lam, mu, rank) for lam, mu in kept]
-    elements.sort(key=lambda p: (p.n, p.lam, p.mu))
-    return BasisCatalog(rank=rank, elements=tuple(elements))
+    for block in _box_partitions(rank, rank, rank * rank):
+        lam, mu, slacks = _cone_slacks(block, len(block))
+        kept = np.flatnonzero(~_covered(slacks, basis))[::-1]
+        lams += block[lam[kept]].tolist()
+        mus += block[mu[kept]].tolist()
+        basis = np.vstack([basis, slacks[kept]])
+    elements = tuple(KostkaPair(lam, mu, rank) for lam, mu in zip(lams, mus))
+    return elements, basis
+
+
+def hilbert_basis(rank: int, cap: int = config.RANK_CAP) -> BasisCatalog:
+    """The Hilbert basis at the given rank: the cone points inside the
+    rank x rank box whose slack vectors are minimal (see
+    :func:`_minimal_slacks`).
+
+    Every element returned is irreducible; that none is missing rests on
+    the paper's width theorem, which puts every basis element inside the
+    box (lambda_1 <= rank; see :func:`width_bound_audit`).
+    """
+    elements, _ = _minimal_slacks(rank, cap)
+    return BasisCatalog(rank=rank, elements=elements)
 
 
 # --- extremal rays ----------------------------------------------------------
@@ -397,7 +384,10 @@ def primitive_point(spec: RaySpec) -> KostkaPair:
 
 def extremal_rays(rank: int) -> tuple[RaySpec, ...]:
     """All extremal rays at the given rank, deduplicated ((a, a, ell) is
-    parallel to (1, 1, a+ell-1)) and sorted by (a, b, ell)."""
+    parallel to (1, 1, a+ell-1)) and sorted by (a, b, ell).  Raises
+    :class:`RankCapExceeded` above ``config.RAY_RANK_CAP``."""
+    if rank > config.RAY_RANK_CAP:
+        raise RankCapExceeded(f"rank {rank} exceeds cap {config.RAY_RANK_CAP}")
     if rank < 1:
         return ()
     specs = [
@@ -542,9 +532,9 @@ def width_bound_audit(rank: int, box_cap: int | None = None) -> AuditReport:
     """
     if box_cap is None:
         box_cap = rank * (rank + 1)
-    catalog = hilbert_basis(rank)
+    elements, basis = _minimal_slacks(rank)
     full_width = 0
-    for pair in catalog.elements:
+    for pair in elements:
         if pair.width > rank:
             raise AssertionFailure(f"basis pair {pair} is wider than the rank")
         if pair.width == rank:
@@ -553,23 +543,21 @@ def width_bound_audit(rank: int, box_cap: int | None = None) -> AuditReport:
                 raise AssertionFailure(
                     f"width-saturating basis pair {pair} is not a rectangle pair"
                 )
-    sides = np.array([p.padded() for p in catalog.elements], dtype=np.int64)
-    sides = sides.reshape(-1, 2, rank)
-    basis = _slack_rows(sides[:, 0], sides[:, 1])
     checked = 0
     for block in _box_partitions(rank + 1, rank, box_cap):
-        lam, mu = _dominance_pairs(block[block[:, 0] == rank + 1], block)
+        # the lambdas with lambda_1 = rank + 1 come first in the block
+        lam, mu, slacks = _cone_slacks(block, np.count_nonzero(block[:, 0] > rank))
         checked += len(lam)
-        covered = _covered(_slack_rows(lam, mu), basis)
+        covered = _covered(slacks, basis)
         if not covered.all():
             i = int(np.argmin(covered))
-            pair = KostkaPair(lam[i].tolist(), mu[i].tolist(), rank)
+            pair = KostkaPair(block[lam[i]].tolist(), block[mu[i]].tolist(), rank)
             raise AssertionFailure(
                 f"over-wide pair {pair} has no basis element below it"
             )
     return AuditReport(
         rank=rank,
-        basis_count=catalog.count,
+        basis_count=len(elements),
         full_width_count=full_width,
         boundary_pairs_checked=checked,
         box_cap=box_cap,

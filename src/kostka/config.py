@@ -3,7 +3,7 @@
 The caps guard enumerations whose cost is exponential in the capped
 quantity, and the matrices of Ryser's procedure, whose cells grow as
 rank times width (rank times width squared for a printed fixing chain).
-All but ``CELL_CAP`` can be overridden per call; the CLI additionally
+All but ``CELL_CAP`` and ``RAY_RANK_CAP`` can be overridden per call; the CLI additionally
 reads ``KOSTKA_*`` environment variables.
 """
 
@@ -27,6 +27,11 @@ CELL_CAP = 1_000_000
 # Largest rank for which the Hilbert basis is computed (rank 8 has
 # 1,611,188 candidates in its 8 x 8 box; rank 9 would have 17,826,201).
 RANK_CAP = 8
+
+# Largest rank whose extremal rays are listed: C(r,3) + C(r,2) + r of
+# them, 4,525 at rank 30, where ``kostka rays --format json`` takes
+# about a second.  Checked before any ray is built.
+RAY_RANK_CAP = 30
 
 # Longest generalized Catalan sequence swept for sublist witnesses.
 LENGTH_CAP = 24

@@ -235,7 +235,8 @@ class StarMatrix:
     mu*_i = mu_i - mu_{i+1}, held as one read-only int8 array.
 
     Valid columns read, top to bottom, (+1), (-1, +1), or (+1, -1, +1);
-    the leftmost column is a single +1 and the bottom row holds no -1.
+    the leftmost column is a single +1.  The bottom row holds no -1, as
+    a column's first partial sum from the bottom would leave {0, 1}.
     """
 
     pair: KostkaPair
@@ -264,8 +265,6 @@ class StarMatrix:
             raise MalformedStarMatrix(f"column {j + 1} pattern {tuple(sig)}")
         if w and nonzeros[0] != 1:
             raise MalformedStarMatrix("leftmost column must be a single +1")
-        if r and w and arr[r - 1, arr[r - 1].argmin()] < 0:
-            raise MalformedStarMatrix("bottom row contains a -1")
 
 
 def _differences(mu: Partition, rank: int) -> tuple[int, ...]:

@@ -197,6 +197,19 @@ def test_c05_pool_witnesses_are_pinned():
     assert digest.hexdigest() == POOL_WITNESS_SHA256
 
 
+POOL_DECOMPOSE_SHA256 = "27240021a873b10a05a4e2d78a54b994d20fba02d0eaa6c18f8ee011445686f8"
+
+
+def test_c05_pool_decompositions_are_pinned():
+    """Every answer of the splitting search over the c05 pool, both
+    halves of each witness, hashes to a pinned value."""
+    digest = hashlib.sha256()
+    for pair in cone_pair_pool(13, max_width=7):
+        found = decompose(pair)
+        digest.update(repr(found and (found[0].key(), found[1].key())).encode() + b"\n")
+    assert digest.hexdigest() == POOL_DECOMPOSE_SHA256
+
+
 def test_c06_width_bound_audit():
     """For ranks 2..5: no basis element is wider than the rank, the
     full-width elements are rectangle pairs, and every width rank+1 cone

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from kostka import cli, ryser
+from kostka import cli, config, ryser
 from kostka.cli import main
 
 WORKED = ["8,7,7,7,3,2", "7,7,4,4,4,4,4"]
@@ -270,6 +270,11 @@ class TestRays:
     def test_text_format(self, runner):
         result = run(runner, "rays", "-r", "2")
         assert "3 extremal rays" in result.output
+
+    def test_rank_cap_is_usage_error(self, runner):
+        result = run(runner, "rays", "-r", str(config.RAY_RANK_CAP + 1))
+        assert result.exit_code == 2
+        assert f"exceeds cap {config.RAY_RANK_CAP}" in result.output
 
 
 class TestAudit:

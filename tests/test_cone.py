@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +116,12 @@ def unpadded(row) -> tuple[int, ...]:
     return tuple(v for v in row if v)
 
 
+def block_pairs(block: np.ndarray, wide: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of one size block as lambda rows, mu rows and slack rows."""
+    lam, mu, rows = cone._cone_slacks(block, wide)
+    return block[lam], block[mu], rows
+
+
 class TestConeBlocks:
     def test_matches_the_oracle_filter(self):
         boxes = [(r, r, r * r) for r in range(1, 6)] + [(r + 1, r, 13) for r in range(1, 6)]
@@ -119,32 +130,36 @@ class TestConeBlocks:
             want: dict[int, list] = {}
             for lam, mu in oracles.cone_pairs(max_boxes, max_part, max_len):
                 want.setdefault(sum(lam), []).append((lam, mu))
-            blocks = list(cone._cone_blocks(max_part, max_len, max_boxes))
+            blocks = list(cone._box_partitions(max_part, max_len, max_boxes))
             assert len(blocks) == min(max_boxes, max_part * max_len)
-            for n, (lam, mu) in enumerate(blocks, start=1):
+            for n, block in enumerate(blocks, start=1):
+                lam, mu, _ = block_pairs(block, len(block))
                 pairs = want.get(n, [])
-                assert lam.dtype == mu.dtype == np.int64
+                assert np.iinfo(block.dtype).max >= max_part * max_len
                 assert lam.shape == mu.shape == (len(pairs), max_len)
                 got = [(unpadded(a), unpadded(b)) for a, b in zip(lam.tolist(), mu.tolist())]
                 assert got == pairs, (max_part, max_len, n)
 
     def test_slack_rows_match_the_definition(self):
         rank = 4
-        for lam, mu in cone._cone_blocks(rank, rank, rank * rank):
-            rows = cone._slack_rows(lam, mu).tolist()
-            assert rows == [
+        for block in cone._box_partitions(rank, rank, rank * rank):
+            lam, mu, rows = block_pairs(block, len(block))
+            assert rows.tolist() == [
                 list(slack(unpadded(a), unpadded(b), rank))
                 for a, b in zip(lam.tolist(), mu.tolist())
             ]
 
     def test_layer_pairs_match_the_filtered_blocks(self):
         for rank in range(1, 6):
-            box = (rank + 1, rank, rank * (rank + 1))
-            for block, (lam, mu) in zip(cone._box_partitions(*box), cone._cone_blocks(*box)):
-                wide = lam[:, 0] == rank + 1
-                got = cone._dominance_pairs(block[block[:, 0] == rank + 1], block)
-                assert np.array_equal(got[0], lam[wide])
-                assert np.array_equal(got[1], mu[wide])
+            for block in cone._box_partitions(rank + 1, rank, rank * (rank + 1)):
+                # the lambdas with lambda_1 = rank + 1 open the block
+                wide = int(np.count_nonzero(block[:, 0] == rank + 1))
+                assert (block[wide:, 0] <= rank).all()
+                lam, mu, rows = block_pairs(block, len(block))
+                keep = lam[:, 0] == rank + 1
+                got = block_pairs(block, wide)
+                for part, want in zip(got, (lam, mu, rows)):
+                    assert np.array_equal(part, want[keep])
 
 
 def covered_by_definition(slacks: np.ndarray, basis: np.ndarray) -> list[bool]:
@@ -196,21 +211,29 @@ class TestSlackScan:
 
     def test_slack_rows_are_byte_wide_in_every_shipped_box(self):
         # the widest box the library walks: the rank-8 audit layer, 9 x 8
+        dtype = next(cone._box_partitions(9, 8, 1)).dtype
+        assert dtype.itemsize == 1
         pairs = [((9,) * 8, (9,) * 8), ((9, 9, 9), (6, 6, 6, 6, 3)), ((9,), (2,) + (1,) * 7)]
-        lam, mu = (np.array([pad(side, 8) for side in sides]) for sides in zip(*pairs))
-        rows = cone._slack_rows(lam, mu)
-        assert rows.dtype.itemsize == 1
-        assert rows.tolist() == [list(slack(a, b, 8)) for a, b in pairs]
+        for lam, mu in pairs:
+            _, _, rows = block_pairs(np.array([pad(lam, 8), pad(mu, 8)], dtype=dtype), 1)
+            assert rows.dtype == dtype
+            assert rows[-1].tolist() == list(slack(lam, mu, 8))
 
     @pytest.mark.parametrize("top", [127, 128, 200, 40_000])
     def test_slacks_past_a_byte_are_widened(self, top):
+        # the top x 1 box holds sizes up to top: its dtype is the smallest
+        # signed one that holds top
+        dtype = next(cone._box_partitions(top, 1, 1)).dtype
+        assert np.iinfo(dtype).max >= top
+        assert dtype.itemsize == 1 or np.iinfo(f"int{4 * dtype.itemsize}").max < top
         lam, mu = (top,), ((top + 1) // 2, top // 2)
-        rows = cone._slack_rows(np.array([pad(lam, 2)]), np.array([pad(mu, 2)]))
+        _, _, rows = block_pairs(np.array([pad(lam, 2), pad(mu, 2)], dtype=dtype), 1)
+        rows = rows[-1:]
         assert rows.tolist() == [list(slack(lam, mu, 2))]
         assert rows.max() == top <= np.iinfo(rows.dtype).max
         # a wrapped row would fall below ((2) | (1, 1))'s and go uncovered
-        basis = cone._slack_rows(np.array([[2, 0]]), np.array([[1, 1]]))
-        assert cone._covered(rows, basis).tolist() == [True]
+        _, _, basis = block_pairs(np.array([[2, 0], [1, 1]], dtype=np.int8), 1)
+        assert cone._covered(rows, basis[-1:]).tolist() == [True]
 
 
 def assert_matches_fixture_and_referees(rank: int) -> None:
@@ -266,6 +289,12 @@ class TestHilbertBasis:
             old.sort(key=lambda p: (p.n, p.lam, p.mu))
             assert hilbert_basis(rank).elements == tuple(old)
 
+    def test_slack_matrix_follows_the_catalog(self):
+        for rank in range(1, 7):
+            elements, basis = cone._minimal_slacks(rank)
+            assert elements == hilbert_basis(rank).elements
+            assert basis.tolist() == [list(slack(*p.key(), rank)) for p in elements]
+
     def test_makes_no_decompose_calls(self, monkeypatch):
         calls = []
         real = cone.decompose
@@ -308,6 +337,24 @@ class TestCatalogIO:
             assert shipped.rank == rank
             assert shipped.count == BASIS_COUNTS[rank]
 
+    def test_regen_script_reproduces_the_shipped_fixtures(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        subprocess.run(
+            [sys.executable, str(root / "scripts" / "regen_fixtures.py"),
+             "--max-rank", "6", "--out-dir", str(tmp_path)],
+            env=env, check=True, capture_output=True,
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"basis_r{rank}.json" for rank in range(1, 7)
+        ]
+        for rank in range(1, 7):
+            shipped = default_fixture_path(rank).read_bytes()
+            assert (tmp_path / f"basis_r{rank}.json").read_bytes() == shipped, rank
+
     def test_tampering_is_detected(self, tmp_path):
         catalog = hilbert_basis(2)
         path = tmp_path / "basis.json"
@@ -337,6 +384,16 @@ class TestExtremalRays:
             rays = extremal_rays(rank)
             assert len(rays) == expected
             assert expected == comb(rank, 3) + comb(rank, 2) + comb(rank, 1)
+
+    def test_rank_cap_refuses_before_building(self, monkeypatch):
+        assert config.RAY_RANK_CAP >= len(RAY_COUNTS)  # the highest rank tested
+        cap = config.RAY_RANK_CAP
+        assert len(extremal_rays(cap)) == sum(math.comb(cap, k) for k in (1, 2, 3))
+        built = []
+        monkeypatch.setattr(cone, "RaySpec", lambda **spec: built.append(spec))
+        with pytest.raises(RankCapExceeded):
+            extremal_rays(cap + 1)
+        assert built == []
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -421,14 +478,13 @@ class TestWidthBoundAudit:
         # the whole lambda_1 = rank + 1 layer, at most rank * (rank + 1) boxes
         for rank in range(2, 6):
             cap = rank * (rank + 1)
-            basis = cone._slack_rows(
-                *map(np.array, zip(*(p.padded() for p in hilbert_basis(rank).elements)))
-            )
+            _, basis = cone._minimal_slacks(rank)
             checked = 0
-            for lam, mu in cone._cone_blocks(rank + 1, rank, cap):
+            for block in cone._box_partitions(rank + 1, rank, cap):
+                lam, mu, rows = block_pairs(block, len(block))
                 wide = lam[:, 0] == rank + 1
                 lam, mu = lam[wide], mu[wide]
-                covered = cone._covered(cone._slack_rows(lam, mu), basis)
+                covered = cone._covered(rows[wide], basis)
                 for pair, certified in zip(zip(lam.tolist(), mu.tolist()), covered):
                     found = decompose(KostkaPair(*pair, rank), cap)
                     assert bool(certified) == (found is not None), pair
@@ -437,7 +493,9 @@ class TestWidthBoundAudit:
 
     def test_uncertified_pair_fails_the_audit(self, monkeypatch):
         monkeypatch.setattr(
-            cone, "hilbert_basis", lambda rank: BasisCatalog(rank=rank, elements=())
+            cone,
+            "_minimal_slacks",
+            lambda rank: ((), np.zeros((0, 3 * rank - 1), dtype=np.int8)),
         )
         with pytest.raises(AssertionFailure, match="no basis element below it"):
             width_bound_audit(2)
