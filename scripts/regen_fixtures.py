@@ -6,6 +6,8 @@ directory).  Run this after touching the basis engine, then eyeball
 ``git diff`` — the files are deterministic, so any churn is a behaviour
 change.  Beside each rank it prints the time taken and the process's
 peak resident memory so far (Linux reports ``ru_maxrss`` in KiB).
+``--max-rank`` above ``config.RANK_CAP`` is refused before any file is
+written.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ def main() -> None:
         help="target directory (default: the installed package's fixtures/)",
     )
     args = ap.parse_args()
+    if args.max_rank > config.RANK_CAP:
+        ap.error(f"--max-rank {args.max_rank} exceeds config.RANK_CAP = {config.RANK_CAP}")
 
     for rank in range(1, args.max_rank + 1):
         t0 = time.perf_counter()
-        catalog = hilbert_basis(rank, cap=args.max_rank)
+        catalog = hilbert_basis(rank)
         if args.out_dir is None:
             path = default_fixture_path(rank)
         else:

@@ -174,22 +174,15 @@ def main() -> None:
 @click.argument("mu")
 @_rank_option
 @_format_option
-@click.option(
-    "--cap-boxes",
-    type=int,
-    default=config.BOX_CAP,
-    envvar="KOSTKA_CAP_BOXES",
-    show_default=True,
-    help="largest |lambda| for which the Kostka number is counted",
-)
 @_guarded
-def check(lam: str, mu: str, rank: int | None, fmt: str, cap_boxes: int) -> None:
-    """Cone membership and Kostka positivity of a pair."""
+def check(lam: str, mu: str, rank: int | None, fmt: str) -> None:
+    """Cone membership and Kostka positivity of a pair, with its Kostka
+    number when |lambda| is within the counting cap."""
     pl, pm = parse_partition(lam), parse_partition(mu)
     r = rank if rank is not None else max(len(pl), len(pm))
     member = in_kostka_cone(pl, pm, r)
     positive = kostka_positive(pl, pm)
-    count = kostka_count(pl, pm, cap_boxes) if size(pl) <= cap_boxes else None
+    count = kostka_count(pl, pm) if size(pl) <= config.BOX_CAP else None
     payload = {
         "lambda": list(pl),
         "mu": list(pm),
@@ -292,19 +285,12 @@ def kgr(lam: str, mu: str, rank: int | None, fmt: str) -> None:
 @click.argument("mu")
 @_rank_option
 @_format_option
-@click.option(
-    "--cap-boxes",
-    type=int,
-    default=config.SPLIT_CAP,
-    show_default=True,
-    help="largest |lambda| for the decomposition search",
-)
 @_guarded
-def reduce(lam: str, mu: str, rank: int | None, fmt: str, cap_boxes: int) -> None:
+def reduce(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     """Reducibility: graph-driven fast detection plus the complete
     decomposition search.  Exit 1 when the pair is irreducible."""
     pair = _build_pair(lam, mu, rank)
-    found = decompose(pair, cap_boxes)
+    found = decompose(pair)
     fast = fast_reducibility(pair)
     if fast is not None and found is None:
         raise AssertionFailure(
@@ -387,44 +373,37 @@ def basis(rank: int, fmt: str, fixtures: Path | None) -> None:
 def rays(rank: int, fmt: str) -> None:
     """Extremal rays at a rank with their primitive lattice points."""
     specs = extremal_rays(rank)
-    payload = {
-        "rank": rank,
-        "count": len(specs),
-        "rays": [
+    points = [primitive_point(s) for s in specs]
+    if fmt == "text":
+        click.echo(f"rank {rank}: {len(specs)} extremal rays")
+        for s, point in zip(specs, points):
+            click.echo(f"  (a={s.a}, b={s.b}, ell={s.ell}): primitive {point}")
+        return
+    rays = []
+    for s, point in zip(specs, points):
+        pair = s.pair()
+        rays.append(
             {
                 "a": s.a,
                 "b": s.b,
                 "ell": s.ell,
-                "lambda": list(s.pair().lam),
-                "mu": list(s.pair().mu),
-                "primitive_lambda": list(primitive_point(s).lam),
-                "primitive_mu": list(primitive_point(s).mu),
+                "lambda": list(pair.lam),
+                "mu": list(pair.mu),
+                "primitive_lambda": list(point.lam),
+                "primitive_mu": list(point.mu),
             }
-            for s in specs
-        ],
-    }
-    lines = [f"rank {rank}: {len(specs)} extremal rays"]
-    lines += [
-        f"  (a={s.a}, b={s.b}, ell={s.ell}): primitive {primitive_point(s)}"
-        for s in specs
-    ]
-    _emit(payload, fmt, lines)
+        )
+    _emit({"rank": rank, "count": len(specs), "rays": rays}, fmt, ())
 
 
 @main.command()
 @click.option("--rank", "-r", type=int, required=True)
 @_format_option
-@click.option(
-    "--cap-boxes",
-    type=int,
-    default=None,
-    help="box cap for the over-wide boundary sweep "
-    "(default: rank * (rank + 1), the whole lambda_1 = rank + 1 layer)",
-)
 @_guarded
-def audit(rank: int, fmt: str, cap_boxes: int | None) -> None:
-    """Width-bound audit of the basis at a rank (exit 3 on violation)."""
-    report = width_bound_audit(rank, box_cap=cap_boxes)
+def audit(rank: int, fmt: str) -> None:
+    """Width-bound audit of the basis at a rank, over the whole
+    lambda_1 = rank + 1 layer (exit 3 on violation)."""
+    report = width_bound_audit(rank)
     payload = {
         "rank": report.rank,
         "basis_count": report.basis_count,
@@ -448,16 +427,8 @@ def audit(rank: int, fmt: str, cap_boxes: int | None) -> None:
 @main.command()
 @click.argument("sequence")
 @_format_option
-@click.option(
-    "--cap-width",
-    type=int,
-    default=config.LENGTH_CAP,
-    envvar="KOSTKA_CAP_WIDTH",
-    show_default=True,
-    help="longest sequence swept for witnesses",
-)
 @_guarded
-def catalan(sequence: str, fmt: str, cap_width: int) -> None:
+def catalan(sequence: str, fmt: str) -> None:
     """Cost, width, and sublist reducibility of a generalized Catalan
     sequence (comma-separated entries).  Exit 1 when irreducible."""
     try:
@@ -466,7 +437,7 @@ def catalan(sequence: str, fmt: str, cap_width: int) -> None:
         raise click.UsageError(f"cannot parse sequence {sequence!r}") from exc
     x = CatalanSeq(entries)
     c, t = cost(x), x.width
-    witness = catalan_reducible(x, cap_width)
+    witness = catalan_reducible(x)
     if c < t and witness is None:
         raise AssertionFailure(
             f"cost {c} < width {t} but no witness found for {x.entries}"

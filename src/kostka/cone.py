@@ -89,20 +89,19 @@ def _padded_prefixes(vectors: np.ndarray, rank: int) -> np.ndarray:
     return out.cumsum(axis=1)
 
 
-def decompose(
-    pair: KostkaPair, cap: int = config.SPLIT_CAP
-) -> tuple[KostkaPair, KostkaPair] | None:
+def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
     """A decomposition (small, large) of the pair into two nonzero cone
     points at the same rank, or None if the pair is irreducible (or
     zero).
 
     Deterministic: the witness is the first hit in (size of the small
     half, lexicographic small lambda-half, lexicographic small mu-half)
-    order.  Raises :class:`SizeCapExceeded` when |lambda| > ``cap``.
+    order.  Raises :class:`SizeCapExceeded` when |lambda| >
+    ``config.SPLIT_CAP``.
     """
     n = pair.n
-    if n > cap:
-        raise SizeCapExceeded(f"|lambda| = {n} exceeds cap {cap}")
+    if n > config.SPLIT_CAP:
+        raise SizeCapExceeded(f"|lambda| = {n} exceeds cap {config.SPLIT_CAP}")
     if n == 0:
         return None
     r = pair.rank
@@ -133,10 +132,10 @@ def decompose(
     return None
 
 
-def is_irreducible(pair: KostkaPair, cap: int = config.SPLIT_CAP) -> bool:
+def is_irreducible(pair: KostkaPair) -> bool:
     """Nonzero and admitting no decomposition (the zero pair is not
     irreducible by convention)."""
-    return pair.n > 0 and decompose(pair, cap) is None
+    return pair.n > 0 and decompose(pair) is None
 
 
 # --- Hilbert basis ----------------------------------------------------------
@@ -305,9 +304,7 @@ def _covered(slacks: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return covered
 
 
-def _minimal_slacks(
-    rank: int, cap: int = config.RANK_CAP
-) -> tuple[tuple[KostkaPair, ...], np.ndarray]:
+def _minimal_slacks(rank: int) -> tuple[tuple[KostkaPair, ...], np.ndarray]:
     """The Hilbert basis at the given rank in catalog order, and its
     slack matrix: row k is s(element k).
 
@@ -321,8 +318,8 @@ def _minimal_slacks(
     pairs come by lambda, then mu, each in decreasing lexicographic
     order, so its kept rows, reversed, are in catalog order.
     """
-    if not 1 <= rank <= cap:
-        raise RankCapExceeded(f"rank {rank} outside [1, {cap}]")
+    if not 1 <= rank <= config.RANK_CAP:
+        raise RankCapExceeded(f"rank {rank} outside [1, {config.RANK_CAP}]")
     lams, mus = [], []
     basis = np.zeros((0, 3 * rank - 1), dtype=np.int8)
     for block in _box_partitions(rank, rank, rank * rank):
@@ -335,7 +332,7 @@ def _minimal_slacks(
     return elements, basis
 
 
-def hilbert_basis(rank: int, cap: int = config.RANK_CAP) -> BasisCatalog:
+def hilbert_basis(rank: int) -> BasisCatalog:
     """The Hilbert basis at the given rank: the cone points inside the
     rank x rank box whose slack vectors are minimal (see
     :func:`_minimal_slacks`).
@@ -344,7 +341,7 @@ def hilbert_basis(rank: int, cap: int = config.RANK_CAP) -> BasisCatalog:
     the paper's width theorem, which puts every basis element inside the
     box (lambda_1 <= rank; see :func:`width_bound_audit`).
     """
-    elements, _ = _minimal_slacks(rank, cap)
+    elements, _ = _minimal_slacks(rank)
     return BasisCatalog(rank=rank, elements=elements)
 
 
@@ -517,21 +514,20 @@ class AuditReport:
     box_cap: int
 
 
-def width_bound_audit(rank: int, box_cap: int | None = None) -> AuditReport:
+def width_bound_audit(rank: int) -> AuditReport:
     """Checks, raising :class:`AssertionFailure` on any violation:
 
     - every basis element has lambda_1 <= rank;
     - basis elements with lambda_1 = rank have both sides rectangular;
-    - every cone pair with lambda_1 = rank + 1 and at most ``box_cap``
-      boxes is reducible, certified by a basis element below it in
-      slack order (the difference is then a nonzero cone point, so the
-      certificate does not lean on the width theorem).
+    - every cone pair with lambda_1 = rank + 1 is reducible, certified
+      by a basis element below it in slack order (the difference is
+      then a nonzero cone point, so the certificate does not lean on
+      the width theorem).
 
-    ``box_cap`` defaults to rank * (rank + 1), the most boxes such a
-    pair can have, so the whole lambda_1 = rank + 1 layer is checked.
+    Such a pair has at most rank * (rank + 1) boxes, the report's
+    ``box_cap``, so the whole lambda_1 = rank + 1 layer is checked.
     """
-    if box_cap is None:
-        box_cap = rank * (rank + 1)
+    box_cap = rank * (rank + 1)
     elements, basis = _minimal_slacks(rank)
     full_width = 0
     for pair in elements:

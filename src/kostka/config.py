@@ -1,10 +1,12 @@
-"""Default resource caps.
+"""Resource caps.
 
 The caps guard enumerations whose cost is exponential in the capped
 quantity, and the matrices of Ryser's procedure, whose cells grow as
 rank times width (rank times width squared for a printed fixing chain).
-All but ``CELL_CAP`` and ``RAY_RANK_CAP`` can be overridden per call; the CLI additionally
-reads ``KOSTKA_*`` environment variables.
+Each cap is read from this module by the function it guards, when that
+function is called, and no keyword, CLI flag or environment variable
+sets it.  A run beyond a cap assigns the constant here first (say
+``config.RANK_CAP = 9`` before ``hilbert_basis(9)``).
 """
 
 from __future__ import annotations
@@ -33,14 +35,12 @@ RANK_CAP = 8
 # about a second.  Checked before any ray is built.
 RAY_RANK_CAP = 30
 
-# Longest generalized Catalan sequence swept for sublist witnesses.
+# Longest generalized Catalan sequence swept for sublist witnesses, and
+# so the longest one the cost-vs-width theorem check accepts.
 LENGTH_CAP = 24
 
 # Most values a subset-sum instance may have for the brute-force oracle.
 SUBSET_CAP = 24
-
-# Longest sequence accepted by the cost-vs-width theorem check.
-KIM_CAP = 20
 
 # Largest |nu| for which Littlewood-Richardson coefficients are counted.
 LR_BOX_CAP = 30
@@ -50,6 +50,7 @@ LR_BOX_CAP = 30
 INT_CAP = 2**63 - 1
 
 # numpy broadcasts are chunked to at most 2^CHUNK_BITS cells to keep
-# peak memory flat: the subset mask sweeps (subsets.py) and the
-# Hilbert-basis slack scan (cone._covered).
+# peak memory flat: the subset mask sweeps (subsets.py), whose chunks
+# take fewer masks the wider each mask's row, and the Hilbert-basis
+# slack scan (cone._covered).
 CHUNK_BITS = 20

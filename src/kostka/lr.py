@@ -43,16 +43,16 @@ class LrTriple:
             )
 
 
-def lr_coefficient(triple: LrTriple, cap: int = config.LR_BOX_CAP) -> int:
+def lr_coefficient(triple: LrTriple) -> int:
     """The coefficient c(lambda, mu; nu), counted tableau by tableau.
 
     Raises :class:`ShapeError` when lambda is not contained in nu and
-    :class:`SizeCapExceeded` when |nu| > ``cap``; returns 0 when the
-    sizes cannot match.
+    :class:`SizeCapExceeded` when |nu| > ``config.LR_BOX_CAP``; returns
+    0 when the sizes cannot match.
     """
     lam, mu, nu = triple.lam, triple.mu, triple.nu
-    if size(nu) > cap:
-        raise SizeCapExceeded(f"|nu| = {size(nu)} exceeds cap {cap}")
+    if size(nu) > config.LR_BOX_CAP:
+        raise SizeCapExceeded(f"|nu| = {size(nu)} exceeds cap {config.LR_BOX_CAP}")
     lam_padded = pad(lam, len(nu)) if len(lam) <= len(nu) else None
     if lam_padded is None or any(l > n for l, n in zip(lam_padded, nu)):
         raise ShapeError(f"lambda {lam} is not contained in nu {nu}")
@@ -156,15 +156,15 @@ class CounterexampleReport:
     coefficient: int | None  # None when |nu| is beyond the counting cap
 
 
-def verify_counterexample(k: int, cap: int = config.LR_BOX_CAP) -> CounterexampleReport:
+def verify_counterexample(k: int) -> CounterexampleReport:
     """Build the family triple, re-check its identities, and (within the
     counting cap) confirm the coefficient is positive."""
     triple = counterexample_family(k)
     nu1 = triple.nu[0]
     growth_table(max(k, 2))  # identity checks up through this k
     coefficient: int | None = None
-    if size(triple.nu) <= cap:
-        coefficient = lr_coefficient(triple, cap)
+    if size(triple.nu) <= config.LR_BOX_CAP:
+        coefficient = lr_coefficient(triple)
         if coefficient < 1:
             raise AssertionFailure(f"family coefficient vanished for k={k}")
     return CounterexampleReport(

@@ -200,9 +200,7 @@ def kostka_positive(lam: Sequence[int], mu: Sequence[int]) -> bool:
     return dominates(lam, mu)
 
 
-def kostka_count(
-    lam: Sequence[int], mu: Sequence[int], cap: int = config.BOX_CAP
-) -> int:
+def kostka_count(lam: Sequence[int], mu: Sequence[int]) -> int:
     """The Kostka number K(lambda, mu): semistandard tableaux of shape
     lambda and content mu.
 
@@ -212,12 +210,12 @@ def kostka_count(
     leaves each prev with shape_{i+1} <= prev_i <= shape_i and m fewer
     boxes, and prev must fit in the rows of the letters still to come.
     Mismatched totals give 0.  Raises :class:`SizeCapExceeded` when
-    |lambda| > ``cap``.
+    |lambda| > ``config.BOX_CAP``.
     """
     pl, pm = as_partition(lam), as_partition(mu)
     left = size(pl)
-    if left > cap:
-        raise SizeCapExceeded(f"|lambda| = {left} exceeds cap {cap}")
+    if left > config.BOX_CAP:
+        raise SizeCapExceeded(f"|lambda| = {left} exceeds cap {config.BOX_CAP}")
     if left != size(pm):
         return 0
     ways = {pl: 1}

@@ -402,15 +402,14 @@ def _decreasing_rows(mat: np.ndarray) -> np.ndarray:
     return (mat[:, :-1] >= mat[:, 1:]).all(axis=1)
 
 
-def matrix_reducible(
-    canonical: CanonicalMatrix, cap: int = config.WIDTH_CAP
-) -> tuple[int, ...] | None:
+def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:
     """Smallest (sorted-index-tuple order) proper nonempty column subset S
     such that the S row sums and the complementary row sums are both
-    weakly decreasing, or None."""
+    weakly decreasing, or None.  Raises :class:`WidthCapExceeded` above
+    ``config.WIDTH_CAP`` columns."""
     w = canonical.pair.width
-    if w > cap:
-        raise WidthCapExceeded(f"width {w} exceeds cap {cap}")
+    if w > config.WIDTH_CAP:
+        raise WidthCapExceeded(f"width {w} exceeds cap {config.WIDTH_CAP}")
     arr = canonical.entries
     mu_padded = np.asarray(pad(canonical.pair.mu, canonical.pair.rank), dtype=np.int64)
 
@@ -418,17 +417,15 @@ def matrix_reducible(
         sums = bits.astype(np.int64) @ arr.T
         return _decreasing_rows(sums) & _decreasing_rows(mu_padded[None, :] - sums)
 
-    return sweep_proper_subsets(w, predicate)
+    return sweep_proper_subsets(w, predicate, canonical.pair.rank)
 
 
-def star_reducible(
-    star: StarMatrix, cap: int = config.WIDTH_CAP
-) -> tuple[int, ...] | None:
+def star_reducible(star: StarMatrix) -> tuple[int, ...] | None:
     """Same witnesses as :func:`matrix_reducible`, decided on the star
     matrix: the S row sums v* must satisfy 0 <= v* <= mu* entrywise."""
     w = star.pair.width
-    if w > cap:
-        raise WidthCapExceeded(f"width {w} exceeds cap {cap}")
+    if w > config.WIDTH_CAP:
+        raise WidthCapExceeded(f"width {w} exceeds cap {config.WIDTH_CAP}")
     arr = star.entries
     mu_star = np.asarray(star.mu_star, dtype=np.int64)
 
@@ -436,7 +433,7 @@ def star_reducible(
         v = bits.astype(np.int64) @ arr.T
         return ((v >= 0) & (v <= mu_star[None, :])).all(axis=1)
 
-    return sweep_proper_subsets(w, predicate)
+    return sweep_proper_subsets(w, predicate, star.pair.rank)
 
 
 def split_pair(

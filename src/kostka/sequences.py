@@ -72,15 +72,14 @@ def cost(x: CatalanSeq) -> int:
     return sum(max(abs(v) for v in run) for run in runs(x))
 
 
-def catalan_reducible(
-    x: CatalanSeq, cap: int = config.LENGTH_CAP
-) -> tuple[int, ...] | None:
+def catalan_reducible(x: CatalanSeq) -> tuple[int, ...] | None:
     """Positions (1-based, sorted) of a proper nonempty sublist that is
     Catalan with Catalan complement, smallest in index-tuple order, or
-    None.  Raises :class:`LengthCapExceeded` beyond ``cap`` entries."""
+    None.  Raises :class:`LengthCapExceeded` beyond
+    ``config.LENGTH_CAP`` entries."""
     t = x.width
-    if t > cap:
-        raise LengthCapExceeded(f"length {t} exceeds cap {cap}")
+    if t > config.LENGTH_CAP:
+        raise LengthCapExceeded(f"length {t} exceeds cap {config.LENGTH_CAP}")
     arr = np.asarray(x.entries, dtype=np.int64)
     full = arr.cumsum()
 
@@ -93,7 +92,7 @@ def catalan_reducible(
             & (rest >= 0).all(axis=1)
         )
 
-    return sweep_proper_subsets(t, predicate)
+    return sweep_proper_subsets(t, predicate, t)
 
 
 def pair_to_sequence(pair: KostkaPair) -> tuple[int, ...]:
@@ -141,9 +140,7 @@ def common_split(
     return halves[0], halves[1]
 
 
-def commonly_reducible(
-    pair: KostkaPair, cap: int = config.LENGTH_CAP
-) -> CommonSplit | None:
+def commonly_reducible(pair: KostkaPair) -> CommonSplit | None:
     """A common-column decomposition of the pair, or None.
 
     A zero entry of the column-difference sequence (a column of equal
@@ -151,8 +148,8 @@ def commonly_reducible(
     sequence has no zeros and the sublist sweep decides.
     """
     w = pair.width
-    if w > cap:
-        raise LengthCapExceeded(f"width {w} exceeds cap {cap}")
+    if w > config.LENGTH_CAP:
+        raise LengthCapExceeded(f"width {w} exceeds cap {config.LENGTH_CAP}")
     if w <= 1:
         return None
     x = pair_to_sequence(pair)
@@ -160,7 +157,7 @@ def commonly_reducible(
         if v == 0:
             selected, complement = common_split(pair, (j,))
             return CommonSplit(columns=(j,), selected=selected, complement=complement)
-    witness = catalan_reducible(CatalanSeq(x), cap)
+    witness = catalan_reducible(CatalanSeq(x))
     if witness is None:
         return None
     selected, complement = common_split(pair, witness)
@@ -175,14 +172,16 @@ class KimReport:
     witness: tuple[int, ...] | None
 
 
-def kim_theorem_check(x: CatalanSeq, cap: int = config.KIM_CAP) -> KimReport:
+def kim_theorem_check(x: CatalanSeq) -> KimReport:
     """Checks on concrete data that cost < width implies a sublist
     witness; the implication is tested, never assumed.  Raises
-    :class:`AssertionFailure` on a violation."""
+    :class:`AssertionFailure` on a violation, and
+    :class:`LengthCapExceeded` beyond ``config.LENGTH_CAP`` entries (the
+    cap of the sweep it runs)."""
     from .errors import AssertionFailure
 
-    if x.width > cap:
-        raise LengthCapExceeded(f"length {x.width} exceeds cap {cap}")
+    if x.width > config.LENGTH_CAP:
+        raise LengthCapExceeded(f"length {x.width} exceeds cap {config.LENGTH_CAP}")
     c, t = cost(x), x.width
     if c >= t:
         return KimReport(cost=c, width=t, hypothesis=False, witness=None)

@@ -2,10 +2,11 @@
 
 Reducibility questions below all reduce to: find a proper nonempty
 subset of [1..w] whose indicator vector satisfies a linear feasibility
-condition.  This module enumerates all 2^w - 2 masks in fixed-size
-chunks (bounded memory for w up to the configured caps) and returns the
-witness whose sorted index tuple is lexicographically smallest, so
-results are deterministic and stable across chunk sizes.
+condition.  This module enumerates all 2^w - 2 masks in chunks of at
+most 2^CHUNK_BITS cells, so peak memory does not grow with w or with
+the predicate's rows, and returns the witness whose sorted index tuple
+is lexicographically smallest, so results are deterministic and stable
+across chunk sizes.
 """
 
 from __future__ import annotations
@@ -31,14 +32,19 @@ def _bits(masks: np.ndarray, width: int) -> np.ndarray:
     )
 
 
-def sweep_proper_subsets(width: int, predicate: Predicate) -> tuple[int, ...] | None:
+def sweep_proper_subsets(
+    width: int, predicate: Predicate, cells: int
+) -> tuple[int, ...] | None:
     """First (by sorted-index-tuple order) proper nonempty subset of
     [1..width] satisfying ``predicate``, or None.
 
-    The predicate is called on chunks of at most 2^CHUNK_BITS subset
-    indicator rows and must return a boolean vector.  Every chunk is
-    visited: the witness minimal in tuple order need not be minimal as a
-    bit mask.
+    The predicate must return a boolean vector, and ``cells`` is the
+    widest row it builds per subset (a matrix sweep's rank, a sequence
+    sweep's length).  It is called on chunks of
+    2^CHUNK_BITS // max(width, cells) indicator rows (at least one), so
+    no row block it builds holds more than 2^CHUNK_BITS cells.  Every
+    chunk is visited: the witness minimal in tuple order need not be
+    minimal as a bit mask.
 
     Tuples are ranked by one integer.  Read the mask as R, position j
     weighing 2^(width - j).  The tuples before (i_1 < ... < i_k) are its
@@ -51,7 +57,7 @@ def sweep_proper_subsets(width: int, predicate: Predicate) -> tuple[int, ...] | 
     if width < 2:
         return None
     total = 1 << width
-    chunk = 1 << config.CHUNK_BITS
+    chunk = max(1, (1 << config.CHUNK_BITS) // max(width, cells))
     weights = np.left_shift(1, np.arange(width - 1, -1, -1, dtype=np.int64))
     best_rank, best = 0, None
     for start in range(1, total - 1, chunk):

@@ -54,15 +54,13 @@ class SubsetSumInstance:
         )
 
 
-def subset_sum_oracle(
-    inst: SubsetSumInstance, cap: int = config.SUBSET_CAP
-) -> tuple[int, ...] | None:
+def subset_sum_oracle(inst: SubsetSumInstance) -> tuple[int, ...] | None:
     """First (in sorted-index-tuple order) subset of positions summing to
     the target, or None.  Depth-first with include-before-skip, so the
     first hit is the lexicographically smallest witness."""
     d = len(inst.values)
-    if d > cap:
-        raise SizeCapExceeded(f"{d} values exceed cap {cap}")
+    if d > config.SUBSET_CAP:
+        raise SizeCapExceeded(f"{d} values exceed cap {config.SUBSET_CAP}")
     values, target = inst.values, inst.target
     suffix = [0] * (d + 1)
     for i in range(d - 1, -1, -1):
@@ -143,16 +141,14 @@ class EquivalenceReport:
     coordinates: int
 
 
-def reduction_equivalence_check(
-    inst: SubsetSumInstance, cap: int = config.SPLIT_CAP
-) -> EquivalenceReport:
+def reduction_equivalence_check(inst: SubsetSumInstance) -> EquivalenceReport:
     """Run both sides and insist they agree: the brute-force subset
     oracle on one hand, pair irreducibility of the reduction on the
     other.  Disagreement raises :class:`AssertionFailure`."""
     canonical = inst.sorted_desc()
     pair = reduce_to_kostka(canonical)
     witness = subset_sum_oracle(canonical)
-    found = decompose(pair, cap)
+    found = decompose(pair)
     if (witness is None) != (found is None):
         raise AssertionFailure(
             f"oracle says {witness}, decomposition search says {found} for {inst}"

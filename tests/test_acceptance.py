@@ -296,7 +296,7 @@ def test_c09_catalan_cost_bound():
     witnessed = 0
     for _ in range(10_000):
         entries = _random_walk(rng)
-        report = kim_theorem_check(CatalanSeq(entries), cap=20)
+        report = kim_theorem_check(CatalanSeq(entries))
         if report.witness is not None:
             witnessed += 1
     assert witnessed > 0

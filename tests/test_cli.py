@@ -11,6 +11,7 @@ from kostka import cli, config, ryser
 from kostka.cli import main
 
 WORKED = ["8,7,7,7,3,2", "7,7,4,4,4,4,4"]
+CATALAN_16 = "3,2,1,-2,1,-2,-1,-1,2,-1,2,1,-2,-1,-1,-1"
 
 
 @pytest.fixture()
@@ -39,22 +40,20 @@ class TestCheck:
         result = run(runner, "check", "2,1", "1,1,1", "-r", "2")
         assert result.exit_code == 1
 
-    def test_count_skipped_beyond_cap(self, runner):
-        result = run(
-            runner, "check", "4,2,1", "3,2,1,1", "--cap-boxes", "5", "--format", "json"
-        )
+    def test_count_skipped_beyond_cap(self, runner, monkeypatch):
+        monkeypatch.setattr(config, "BOX_CAP", 5)
+        result = run(runner, "check", "4,2,1", "3,2,1,1", "--format", "json")
         assert result.exit_code == 0
         assert json.loads(result.output)["kostka_count"] is None
 
-    def test_cap_boxes_reaches_the_count(self, runner):
+    def test_cap_boxes_reaches_the_count(self, runner, monkeypatch):
         # above the default counting cap of 30 boxes
-        result = run(
-            runner, "check", "32", "32", "--cap-boxes", "35", "--format", "json"
-        )
+        monkeypatch.setattr(config, "BOX_CAP", 35)
+        result = run(runner, "check", "32", "32", "--format", "json")
         assert result.exit_code == 0
         assert json.loads(result.output)["kostka_count"] == 1
 
-    def test_cap_from_environment(self, runner):
+    def test_cap_environment_is_ignored(self, runner):
         result = run(
             runner,
             "check",
@@ -64,7 +63,7 @@ class TestCheck:
             "json",
             env={"KOSTKA_CAP_BOXES": "5"},
         )
-        assert json.loads(result.output)["kostka_count"] is None
+        assert json.loads(result.output)["kostka_count"] == 4
 
     def test_malformed_partition_is_a_usage_error(self, runner):
         result = run(runner, "check", "1,2", "3")
@@ -168,8 +167,9 @@ class TestReduce:
         assert result.exit_code == 1
         assert json.loads(result.output)["irreducible"] is True
 
-    def test_cap_is_a_usage_error(self, runner):
-        result = run(runner, "reduce", *WORKED, "--cap-boxes", "10")
+    def test_cap_is_a_usage_error(self, runner, monkeypatch):
+        monkeypatch.setattr(config, "SPLIT_CAP", 10)
+        result = run(runner, "reduce", *WORKED)
         assert result.exit_code == 2
 
     def test_box_cap_is_checked_before_the_detector(self, runner, monkeypatch):
@@ -182,10 +182,36 @@ class TestReduce:
     def test_box_cap_ignores_the_check_environment(self, runner):
         result = run(runner, "reduce", *WORKED, env={"KOSTKA_CAP_BOXES": "5"})
         assert result.exit_code == 0
+        result = run(runner, "reduce", "41", "41", env={"KOSTKA_CAP_BOXES": "1000"})
+        assert result.exit_code == 2
+        assert "exceeds cap 40" in result.output
 
 
-# sha256 of stdout for the graph and matrix commands, pinned so that a
-# reordered vertex, arc or matrix entry shows up as a changed digest
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "32", "32", "--cap-boxes", "35"],
+        ["reduce", "41", "41", "--cap-boxes", "50"],
+        ["audit", "-r", "2", "--cap-boxes", "6"],
+        ["catalan", CATALAN_16, "--cap-width", "40"],
+    ],
+    ids=["check", "reduce", "audit", "catalan"],
+)
+def test_cap_flags_are_usage_errors(runner, args):
+    result = run(runner, *args)
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
+def test_width_cap_ignores_the_environment(runner):
+    result = run(runner, "catalan", ",".join(["1,-1"] * 13), env={"KOSTKA_CAP_WIDTH": "25"})
+    assert result.exit_code == 2
+    assert "length 26 exceeds cap 24" in result.output
+
+
+# sha256 of stdout, pinned so that a reordered vertex, arc or matrix
+# entry, or any other change to a command's printed answer, shows up as a
+# changed digest
 GOLDEN_BYTES = [
     ("kgr", WORKED, "text", 0, "a515b335db32f9b8d32378a7620404c30757896fd1f3a8b9e09c48089e5f3b1c"),
     ("kgr", WORKED, "json", 0, "78e631d0a9a25a13ebf9cb010fbc5f4d2eb2854650daebb66b5d60aae7a4e3eb"),
@@ -197,13 +223,33 @@ GOLDEN_BYTES = [
     ("kgr", ["2", "1,1"], "dot", 0, "52db8f219ce034b55683c2654eb39d25471aa669890f4cc0cddf81d7a4a6542f"),
     ("reduce", ["2", "1,1"], "json", 1, "95ae071882777b5c211133637dcbbf3059adfea03228cb2311ea76d86ac15d63"),
     ("ryser", ["2", "1,1"], "json", 0, "2e0fffbec28da7f43a9af0b6b5669d989f2f149a5a6516c5f0da3a54fae495fe"),
+    ("check", ["4,2,1", "3,2,1,1"], "json", 0, "596a7d4639322ee0f32eac7f8529ab51f9a328fd68a7efb34065c9c1564c82d6"),
+    ("check", ["32", "32"], "text", 0, "7941cbe5d103712451188eccba22da7aa5b64e7ffb3590c061023ba2c13ac75a"),
+    ("reduce", WORKED, "text", 0, "6f4b7a7c8124accd5ec418827f079805cd0fd73e20b7d9a3e291c840fe6de5a0"),
+    ("catalan", [CATALAN_16], "json", 0, "6a7286102eb747d29d8a275bde55adec46f6a1520484eb70a53fbf3746c80281"),
+    ("audit", ["-r", "3"], "json", 0, "7e84fcd7ebd93c514a3a9a994bde2fd85a5a0a5732a27dde5e505169863317b5"),
+    ("subsetsum", ["3,2,1 : 4"], "json", 0, "b97aa50896ceb29b777816dd90dd191a4ecee18f34542e89a8e92b42b5257a38"),
+    ("rays", ["-r", "30"], "text", 0, "8b6db832f2a3002eb48203b7bcaef5b349f37f173fa124e20afb595aef7f61e2"),
+    ("rays", ["-r", "30"], "json", 0, "98f9f3a492cfd6341fd41bd22f3284ff0db813eec4850e76c1b73085c2a8b3f8"),
 ]
+
+
+def _golden_id(command, args, fmt):
+    if args is WORKED:
+        name = "worked"
+    elif args == ["2", "1,1"]:
+        name = "2_11"
+    elif args == [CATALAN_16]:
+        name = "len16"
+    else:
+        name = "_".join(a.replace(",", "").replace(" ", "").lstrip("-") for a in args)
+    return f"{command}-{name}-{fmt}"
 
 
 @pytest.mark.parametrize(
     "command, pair, fmt, code, digest",
     GOLDEN_BYTES,
-    ids=[f"{c}-{'worked' if p is WORKED else '2_11'}-{f}" for c, p, f, _, _ in GOLDEN_BYTES],
+    ids=[_golden_id(c, p, f) for c, p, f, _, _ in GOLDEN_BYTES],
 )
 def test_golden_bytes(runner, command, pair, fmt, code, digest):
     result = run(runner, command, *pair, "--format", fmt)

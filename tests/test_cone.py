@@ -75,11 +75,13 @@ class TestDecompose:
         assert not is_irreducible(KostkaPair((), (), rank=1))
         assert is_irreducible(KostkaPair((1,), (1,)))
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         pair = KostkaPair((30, 30), (30, 30))
+        monkeypatch.setattr(config, "SPLIT_CAP", 40)
         with pytest.raises(SizeCapExceeded):
-            decompose(pair, cap=40)
-        assert decompose(pair, cap=60) is not None
+            decompose(pair)
+        monkeypatch.setattr(config, "SPLIT_CAP", 60)
+        assert decompose(pair) is not None
 
     @given(cone_pairs_st(max_boxes=11))
     def test_matches_bruteforce(self, pair):
@@ -236,12 +238,13 @@ class TestSlackScan:
         assert cone._covered(rows, basis[-1:]).tolist() == [True]
 
 
-def assert_matches_fixture_and_referees(rank: int) -> None:
+def assert_matches_fixture_and_referees(rank: int, monkeypatch) -> None:
     catalog = hilbert_basis(rank)
     assert catalog.payload() == json.loads(default_fixture_path(rank).read_text())
+    monkeypatch.setattr(config, "SPLIT_CAP", rank * rank)
     for pair in catalog.elements:
         assert pair.width <= rank, pair
-        assert decompose(pair, rank * rank) is None, pair
+        assert decompose(pair) is None, pair
     rays = {primitive_point(spec).key() for spec in extremal_rays(rank)}
     assert len(rays) == RAY_COUNTS[rank - 1]
     assert rays <= catalog.keys()
@@ -254,11 +257,11 @@ class TestHilbertBasis:
         with pytest.raises(RankCapExceeded):
             hilbert_basis(0)
 
-    def test_rank_seven_matches_its_fixture_and_referees(self):
-        assert_matches_fixture_and_referees(7)
+    def test_rank_seven_matches_its_fixture_and_referees(self, monkeypatch):
+        assert_matches_fixture_and_referees(7, monkeypatch)
 
-    def test_rank_eight_matches_its_fixture_and_referees(self):
-        assert_matches_fixture_and_referees(8)
+    def test_rank_eight_matches_its_fixture_and_referees(self, monkeypatch):
+        assert_matches_fixture_and_referees(8, monkeypatch)
 
     def test_rejected_candidates_carry_certificates(self):
         for rank in range(1, 6):
@@ -279,13 +282,14 @@ class TestHilbertBasis:
                 )
                 assert rest.n > 0
 
-    def test_matches_the_decompose_filter(self):
+    def test_matches_the_decompose_filter(self, monkeypatch):
         for rank in range(1, 6):
             candidates = [
                 KostkaPair(lam, mu, rank)
                 for lam, mu in oracles.cone_pairs(rank * rank, rank, rank)
             ]
-            old = [p for p in candidates if decompose(p, rank * rank) is None]
+            monkeypatch.setattr(config, "SPLIT_CAP", rank * rank)
+            old = [p for p in candidates if decompose(p) is None]
             old.sort(key=lambda p: (p.n, p.lam, p.mu))
             assert hilbert_basis(rank).elements == tuple(old)
 
@@ -337,23 +341,33 @@ class TestCatalogIO:
             assert shipped.rank == rank
             assert shipped.count == BASIS_COUNTS[rank]
 
-    def test_regen_script_reproduces_the_shipped_fixtures(self, tmp_path):
+    @staticmethod
+    def run_regen_script(max_rank: int, out_dir: Path) -> subprocess.CompletedProcess:
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(root / "src"), env.get("PYTHONPATH")])
         )
-        subprocess.run(
+        return subprocess.run(
             [sys.executable, str(root / "scripts" / "regen_fixtures.py"),
-             "--max-rank", "6", "--out-dir", str(tmp_path)],
-            env=env, check=True, capture_output=True,
+             "--max-rank", str(max_rank), "--out-dir", str(out_dir)],
+            env=env, capture_output=True, text=True,
         )
+
+    def test_regen_script_reproduces_the_shipped_fixtures(self, tmp_path):
+        assert self.run_regen_script(6, tmp_path).returncode == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             f"basis_r{rank}.json" for rank in range(1, 7)
         ]
         for rank in range(1, 7):
             shipped = default_fixture_path(rank).read_bytes()
             assert (tmp_path / f"basis_r{rank}.json").read_bytes() == shipped, rank
+
+    def test_regen_script_refuses_ranks_above_the_cap(self, tmp_path):
+        result = self.run_regen_script(config.RANK_CAP + 1, tmp_path)
+        assert result.returncode != 0
+        assert "RANK_CAP" in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_tampering_is_detected(self, tmp_path):
         catalog = hilbert_basis(2)
@@ -464,20 +478,15 @@ class TestWidthBoundAudit:
         assert report.box_cap == 6
 
     def test_box_cap_bounds_the_layer(self):
-        # ((7^6), (7^6)) is the only 42-box pair of the rank-6 layer
+        # the layer's pairs have at most 6 * 7 = 42 boxes
         report = width_bound_audit(6)
         assert (report.box_cap, report.boundary_pairs_checked) == (42, LAYER_COUNTS[6])
-        assert width_bound_audit(6, box_cap=42).boundary_pairs_checked == LAYER_COUNTS[6]
-        assert width_bound_audit(6, box_cap=41).boundary_pairs_checked == LAYER_COUNTS[6] - 1
 
-    def test_huge_box_cap_stops_at_the_box(self):
-        report = width_bound_audit(2, box_cap=10**12)
-        assert (report.box_cap, report.boundary_pairs_checked) == (10**12, LAYER_COUNTS[2])
-
-    def test_certificate_agrees_with_decompose(self):
+    def test_certificate_agrees_with_decompose(self, monkeypatch):
         # the whole lambda_1 = rank + 1 layer, at most rank * (rank + 1) boxes
         for rank in range(2, 6):
             cap = rank * (rank + 1)
+            monkeypatch.setattr(config, "SPLIT_CAP", cap)
             _, basis = cone._minimal_slacks(rank)
             checked = 0
             for block in cone._box_partitions(rank + 1, rank, cap):
@@ -486,7 +495,7 @@ class TestWidthBoundAudit:
                 lam, mu = lam[wide], mu[wide]
                 covered = cone._covered(rows[wide], basis)
                 for pair, certified in zip(zip(lam.tolist(), mu.tolist()), covered):
-                    found = decompose(KostkaPair(*pair, rank), cap)
+                    found = decompose(KostkaPair(*pair, rank))
                     assert bool(certified) == (found is not None), pair
                 checked += len(covered)
             assert checked == LAYER_COUNTS[rank]

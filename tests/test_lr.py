@@ -7,6 +7,7 @@ from hypothesis import given
 
 import oracles
 from conftest import partitions_st
+from kostka import config
 from kostka.errors import InvalidTriple, ShapeError, SizeCapExceeded
 from kostka.lr import (
     LrTriple,
@@ -49,11 +50,10 @@ class TestCoefficient:
         with pytest.raises(ShapeError):
             lr_coefficient(LrTriple((3,), (2, 1), (2, 2, 2), rank=3))
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(config, "LR_BOX_CAP", 20)
         with pytest.raises(SizeCapExceeded):
-            lr_coefficient(
-                LrTriple((8, 8), (8, 8), (16, 8, 8), rank=3), cap=20
-            )
+            lr_coefficient(LrTriple((8, 8), (8, 8), (16, 8, 8), rank=3))
 
     def test_empty_lam_reduces_to_kostka_delta(self):
         # c(0, mu; nu) is 1 exactly when mu == nu

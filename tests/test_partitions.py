@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import cone_pair_pool, cone_pairs_st, partition_pool, partitions_st
+from kostka import config
 from kostka.config import INT_CAP
 from kostka.errors import InvalidPair, InvalidPartition, SizeCapExceeded
 from kostka.partitions import (
@@ -148,12 +149,14 @@ class TestKostkaCount:
     def test_size_mismatch_counts_zero(self):
         assert kostka_count((2, 1), (1, 1)) == 0
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(config, "BOX_CAP", 5)
         with pytest.raises(SizeCapExceeded):
-            kostka_count((4, 2, 1), (3, 2, 1, 1), cap=5)
+            kostka_count((4, 2, 1), (3, 2, 1, 1))
 
-    def test_intermediate_shapes_are_not_rechecked(self, as_partition_calls):
-        assert kostka_count(*WORKED, cap=34) == 495
+    def test_intermediate_shapes_are_not_rechecked(self, as_partition_calls, monkeypatch):
+        monkeypatch.setattr(config, "BOX_CAP", 34)
+        assert kostka_count(*WORKED) == 495
         assert len(as_partition_calls) == 2
 
     def test_matches_cell_filling_oracle(self):

@@ -17,6 +17,7 @@ from conftest import (
     random_int8_matrices,
     read_matrix_blocks,
 )
+from kostka import config
 from kostka.errors import (
     InvalidPair,
     InvalidPartition,
@@ -393,11 +394,12 @@ class TestReducibility:
             pairs += 1
         assert pairs > 13000
 
-    def test_width_cap(self, running_pair):
+    def test_width_cap(self, running_pair, monkeypatch):
+        monkeypatch.setattr(config, "WIDTH_CAP", 4)
         with pytest.raises(WidthCapExceeded):
-            matrix_reducible(ryser_canonical(running_pair), cap=4)
+            matrix_reducible(ryser_canonical(running_pair))
         with pytest.raises(WidthCapExceeded):
-            star_reducible(star_matrix(ryser_canonical(running_pair)), cap=4)
+            star_reducible(star_matrix(ryser_canonical(running_pair)))
 
     def test_witness_always_splits(self, running_pair):
         canonical = ryser_canonical(running_pair)

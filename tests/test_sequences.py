@@ -102,7 +102,7 @@ class TestCatalanReducible:
 
     def test_length_cap(self):
         with pytest.raises(LengthCapExceeded):
-            catalan_reducible(CatalanSeq((1, -1) * 20), cap=24)
+            catalan_reducible(CatalanSeq((1, -1) * 20))
 
     def test_irreducible_examples(self):
         assert catalan_reducible(CatalanSeq((1, 1, -2))) is None
@@ -167,7 +167,7 @@ class TestCommonSplit:
     def test_length_cap(self):
         pair = KostkaPair((30,), (1,) * 30)
         with pytest.raises(LengthCapExceeded):
-            commonly_reducible(pair, cap=24)
+            commonly_reducible(pair)
 
     def test_explicit_split_validates_columns(self):
         pair = KostkaPair((5, 1, 1), (2, 2, 2, 1))
@@ -221,7 +221,7 @@ class TestKimBound:
 
     def test_length_cap(self):
         with pytest.raises(LengthCapExceeded):
-            kim_theorem_check(CatalanSeq((1, -1) * 13), cap=20)
+            kim_theorem_check(CatalanSeq((1, -1) * 13))
 
     def test_exhaustive_small_widths(self):
         for entries in SMALL_SEQUENCES:

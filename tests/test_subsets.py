@@ -3,7 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kostka import config
+from kostka import config, ryser, sequences
+from kostka.partitions import KostkaPair
+from kostka.ryser import matrix_reducible, ryser_canonical, star_matrix, star_reducible
+from kostka.sequences import CatalanSeq, catalan_reducible
 from kostka.subsets import mask_indices, sweep_proper_subsets
 
 
@@ -30,7 +33,7 @@ class TestSweep:
             for density in (0.0, 0.002, 0.05, 0.5):
                 table = rng.random(1 << width) < density
                 assert sweep_proper_subsets(
-                    width, table_predicate(table, width)
+                    width, table_predicate(table, width), 1
                 ) == first_by_tuple_order(table, width)
 
     def test_each_single_accepted_subset_is_found(self, monkeypatch):
@@ -39,10 +42,44 @@ class TestSweep:
         for mask in range(1, (1 << width) - 1):
             table = np.zeros(1 << width, dtype=bool)
             table[mask] = True
-            assert sweep_proper_subsets(width, table_predicate(table, width)) == (
+            assert sweep_proper_subsets(width, table_predicate(table, width), 1) == (
                 mask_indices(mask, width)
             )
 
     def test_too_narrow_and_empty(self):
-        assert sweep_proper_subsets(1, lambda bits: np.ones(len(bits), dtype=bool)) is None
-        assert sweep_proper_subsets(4, lambda bits: np.zeros(len(bits), dtype=bool)) is None
+        assert sweep_proper_subsets(1, lambda bits: np.ones(len(bits), dtype=bool), 1) is None
+        assert sweep_proper_subsets(4, lambda bits: np.zeros(len(bits), dtype=bool), 1) is None
+
+
+TALL = KostkaPair((6, 6, 6, 6), (1,) * 24)  # width 6, rank 24
+CATALAN_16 = CatalanSeq((3, 2, 1, -2, 1, -2, -1, -1, 2, -1, 2, 1, -2, -1, -1, -1))
+
+
+class TestChunkCells:
+    @pytest.mark.parametrize(
+        "module, call, cells",
+        [
+            (ryser, lambda: matrix_reducible(ryser_canonical(TALL)), TALL.rank),
+            (ryser, lambda: star_reducible(star_matrix(ryser_canonical(TALL))), TALL.rank),
+            (sequences, lambda: catalan_reducible(CATALAN_16), CATALAN_16.width),
+        ],
+        ids=["matrix", "star", "catalan"],
+    )
+    def test_predicate_calls_hold_at_most_chunk_cells(self, monkeypatch, module, call, cells):
+        # each mask's row is as wide as the pair's rank or the sequence's length
+        expected = call()
+        shapes = []
+        real = module.sweep_proper_subsets
+
+        def spy(width, predicate, *rest):
+            def counted(bits):
+                shapes.append(bits.shape)
+                return predicate(bits)
+
+            return real(width, counted, *rest)
+
+        monkeypatch.setattr(module, "sweep_proper_subsets", spy)
+        monkeypatch.setattr(config, "CHUNK_BITS", 7)
+        assert call() == expected
+        assert len(shapes) > 1
+        assert all(rows * max(width, cells) <= 1 << 7 for rows, width in shapes)

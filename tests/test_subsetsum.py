@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kostka import config
 from kostka.cone import decompose, is_irreducible
 from kostka.errors import AssertionFailure, InvalidInstance, SizeCapExceeded
 from kostka.partitions import KostkaPair, dominates, size
@@ -106,8 +107,9 @@ class TestReduction:
         assert report.decomposition is not None
         assert report.coordinates == 18
 
-    def test_exhaustive_multisets(self):
+    def test_exhaustive_multisets(self, monkeypatch):
         # every multiset of up to 5 values <= 5, every feasible target
+        monkeypatch.setattr(config, "SPLIT_CAP", 60)
         checked = 0
         for d in range(1, 6):
             for values in itertools.combinations_with_replacement(
@@ -115,7 +117,7 @@ class TestReduction:
             ):
                 for target in range(1, sum(values) + 1):
                     inst = SubsetSumInstance(values, target)
-                    report = reduction_equivalence_check(inst, cap=60)
+                    report = reduction_equivalence_check(inst)
                     yes = report.subset is not None
                     assert yes == (report.decomposition is not None)
                     checked += 1
