@@ -6,6 +6,10 @@ the semigroup of lattice points.  :func:`decompose` searches for a
 summand by enumerating the ways each side can split into two partitions
 (parameterized by choices in the consecutive-difference boxes) and
 checking the two dominance conditions with vectorized prefix sums.
+Each side's splittings are cached sorted by size, with the offsets of
+each size's block, so the candidate halves of one size are two slices;
+the prefix sums cover only len(mu) coordinates, since past the last
+part of mu (and so of lambda) every candidate passes.
 
 The Hilbert basis needs no splitting search.  The cone is cut out by
 3 * rank - 1 facet inequalities (the consecutive differences of lambda
@@ -58,13 +62,14 @@ from .errors import (
     RankCapExceeded,
     SizeCapExceeded,
 )
-from .partitions import KostkaPair, Partition, prefix_sums
+from .partitions import KostkaPair, Partition, pad, prefix_sums
 
 @functools.lru_cache(maxsize=2048)
-def _splittings(p: Partition) -> tuple[np.ndarray, np.ndarray]:
+def _splittings(p: Partition) -> tuple[np.ndarray, list[int]]:
     """All vectors v such that v and p - v are both partitions, as a
     read-only (count, len(p)) array sorted by size |v|, then
-    lexicographically, plus the vector of sizes.
+    lexicographically, plus the block offsets of the sizes: the vectors
+    of size m are rows ``bounds[m]:bounds[m + 1]``, for m from 0 to |p|.
 
     Such v correspond to independent choices d_i in
     [0, p_i - p_{i+1}]: v_i is the suffix sum of the d's.
@@ -78,15 +83,19 @@ def _splittings(p: Partition) -> tuple[np.ndarray, np.ndarray]:
     sizes = vectors.sum(axis=1)
     # lexsort's last key is its first: size, then each entry in turn
     order = np.lexsort((*vectors.T[::-1], sizes))
-    vectors, sizes = vectors[order], sizes[order]
-    vectors.flags.writeable = sizes.flags.writeable = False
-    return vectors, sizes
+    vectors = vectors[order]
+    vectors.flags.writeable = False
+    bounds = np.searchsorted(sizes[order], np.arange(sum(p) + 2)).tolist()
+    return vectors, bounds
 
 
-def _padded_prefixes(vectors: np.ndarray, rank: int) -> np.ndarray:
-    out = np.zeros((vectors.shape[0], rank), dtype=np.int64)
-    out[:, : vectors.shape[1]] = vectors
-    return out.cumsum(axis=1)
+def _block_prefixes(vectors: np.ndarray, stop: int, length: int) -> np.ndarray:
+    """Prefix sums of the first ``stop`` vectors over ``length`` >=
+    their width coordinates (the sums past the width stay at |v|)."""
+    out = np.empty((stop, length), dtype=np.int64)
+    np.cumsum(vectors[:stop], axis=1, out=out[:, : vectors.shape[1]])
+    out[:, vectors.shape[1] :] = out[:, vectors.shape[1] - 1 : vectors.shape[1]]
+    return out
 
 
 def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
@@ -98,29 +107,45 @@ def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
     half, lexicographic small lambda-half, lexicographic small mu-half)
     order.  Raises :class:`SizeCapExceeded` when |lambda| >
     ``config.SPLIT_CAP``.
+
+    The splittings of each side come sorted by size, in blocks
+    (:func:`_splittings`), so the halves of size m are two slices, and
+    the prefix sums of every block up to size n // 2 are taken once per
+    call.  A half (a, b) of size m works iff 0 <= A_t - B_t <=
+    Lambda_t - M_t at every coordinate t, capital letters for prefix
+    sums.  Only the first len(mu) coordinates are compared: lambda
+    dominates mu, so it has no more parts, and past len(mu) both
+    halves' prefix sums are m and the gap is 0.
     """
     n = pair.n
     if n > config.SPLIT_CAP:
         raise SizeCapExceeded(f"|lambda| = {n} exceeds cap {config.SPLIT_CAP}")
     if n == 0:
         return None
-    r = pair.rank
-    lam_v, lam_sizes = _splittings(pair.lam)
-    mu_v, mu_sizes = _splittings(pair.mu)
-    gap = np.cumsum(np.subtract(*pair.padded()), dtype=np.int64)
-    for m in range(1, n // 2 + 1):
-        va = lam_v[lam_sizes == m]
-        if not va.shape[0]:
-            continue
-        vb = mu_v[mu_sizes == m]
-        if not vb.shape[0]:
-            continue
-        diff = _padded_prefixes(va, r)[:, None, :] - _padded_prefixes(vb, r)[None, :, :]
-        ok = (diff >= 0).all(axis=2) & (diff <= gap[None, None, :]).all(axis=2)
-        hits = np.argwhere(ok)
-        if hits.size:
-            i, j = hits[0]
-            small_lam, small_mu = va[i].tolist(), vb[j].tolist()
+    lam_v, lam_at = _splittings(pair.lam)
+    mu_v, mu_at = _splittings(pair.mu)
+    sizes = [
+        m
+        for m in range(1, n // 2 + 1)
+        if lam_at[m] < lam_at[m + 1] and mu_at[m] < mu_at[m + 1]
+    ]
+    if not sizes:
+        return None
+    length = len(pair.mu)
+    lam_pre = _block_prefixes(lam_v, lam_at[sizes[-1] + 1], length)
+    mu_pre = _block_prefixes(mu_v, mu_at[sizes[-1] + 1], length)
+    gap = np.cumsum(np.subtract(pad(pair.lam, length), pair.mu))
+    for m in sizes:
+        va = lam_pre[lam_at[m] : lam_at[m + 1]]
+        vb = mu_pre[mu_at[m] : mu_at[m + 1]]
+        diff = va[:, None, :] - vb[None, :, :]
+        ok = ((diff >= 0) & (diff <= gap)).all(axis=2).ravel()
+        hit = int(ok.argmax())
+        if ok[hit]:
+            i, j = divmod(hit, vb.shape[0])
+            small_lam = lam_v[lam_at[m] + i].tolist()
+            small_mu = mu_v[mu_at[m] + j].tolist()
+            r = pair.rank
             return (
                 KostkaPair(small_lam, small_mu, r),
                 KostkaPair(

@@ -21,6 +21,11 @@ SPLIT_CAP = 40
 # Widest matrix for which column subsets are swept exhaustively (2^w masks).
 WIDTH_CAP = 24
 
+# Most cells a column-subset sweep of a matrix may visit, (2^w - 2) * rank,
+# checked before the sweep: about a second at 30-35 ns a cell.  The width
+# cap alone bounds the memory of a sweep, not its time.
+SWEEP_CAP = 2**25
+
 # Most cells in a canonical matrix, rank * lambda_1, checked before the
 # fixing procedure runs (so before the star matrix and the graph), and in
 # a fixing chain built to be printed, (lambda_1 + 1) * rank * lambda_1.

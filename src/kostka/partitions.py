@@ -13,6 +13,13 @@ fails, to name the offending part exactly as the walk always has.
 Nothing here enumerates partitions: the cone points of a box are
 listed, one size at a time as arrays, by :mod:`kostka.cone`.
 
+Kostka numbers are counted exactly, in integers.  K(lambda, mu) does
+not depend on the order of mu's parts, so :func:`kostka_count` peels
+the parts of mu greater than 1 first, largest first, one horizontal
+strip at a time, and leaves each remaining shape nu to the parts equal
+to 1: those fill it with standard tableaux, f^nu of them by the hook
+length formula, an exact quotient of integers.
+
 The central object is :class:`KostkaPair`: a pair (lambda, mu) of equal
 size with mu dominated by lambda, carried together with an explicit
 ambient rank r (number of coordinates of each side).  These are exactly
@@ -22,6 +29,7 @@ the pairs with K(lambda, mu) > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, product, zip_longest
 from typing import Iterable, Sequence
@@ -204,13 +212,19 @@ def kostka_count(lam: Sequence[int], mu: Sequence[int]) -> int:
     """The Kostka number K(lambda, mu): semistandard tableaux of shape
     lambda and content mu.
 
-    A tableau is a chain of shapes, one horizontal strip per letter of
-    mu.  Peeling the letters off last first, the loop carries every
-    shape left so far with its number of ways: peeling m from a shape
-    leaves each prev with shape_{i+1} <= prev_i <= shape_i and m fewer
-    boxes, and prev must fit in the rows of the letters still to come.
-    Mismatched totals give 0.  Raises :class:`SizeCapExceeded` when
-    |lambda| > ``config.BOX_CAP``.
+    K(lambda, mu) does not depend on the order of mu's parts (the
+    Bender-Knuth involutions permute contents), so the letters are
+    taken with mu in ascending order, and the parts > 1 come off first,
+    largest first.  A tableau is a chain of shapes, one horizontal strip
+    per letter, and the loop carries every shape left so far with its
+    number of ways: peeling m boxes from a shape leaves each prev with
+    shape_{i+1} <= prev_i <= shape_i and m fewer boxes, its last part
+    fixed by that size, and prev must fit in the rows of the letters
+    still to come.  Each shape nu left when only parts 1 remain is
+    filled by standard tableaux, f^nu of them by the hook length
+    formula (:func:`_standard_count`), so the count is exact integer
+    arithmetic throughout.  Mismatched totals give 0.  Raises
+    :class:`SizeCapExceeded` when |lambda| > ``config.BOX_CAP``.
     """
     pl, pm = as_partition(lam), as_partition(mu)
     left = size(pl)
@@ -219,19 +233,36 @@ def kostka_count(lam: Sequence[int], mu: Sequence[int]) -> int:
     if left != size(pm):
         return 0
     ways = {pl: 1}
-    for rows in range(len(pm) - 1, -1, -1):
-        left -= pm[rows]
+    for i, m in enumerate(pm):
+        if m == 1:
+            break
+        left -= m
+        rows = len(pm) - 1 - i
         peeled: dict[Partition, int] = {}
         for shape, count in ways.items():
-            ranges = map(range, shape[1:] + (0,), [part + 1 for part in shape])
-            for prev in product(*ranges):
-                if sum(prev) == left:
-                    # shape is trimmed, so only the last row can empty
-                    prev = prev if prev[-1] else prev[:-1]
+            last = shape[-1]
+            heads = map(range, shape[1:], [part + 1 for part in shape[:-1]])
+            for head in product(*heads):
+                tail = left - sum(head)
+                if 0 <= tail <= last:
+                    # every head part is >= last >= 1, so only the tail can be 0
+                    prev = head + (tail,) if tail else head
                     if len(prev) <= rows:
                         peeled[prev] = peeled.get(prev, 0) + count
         ways = peeled
-    return ways.get((), 0)
+    return sum(count * _standard_count(shape) for shape, count in ways.items())
+
+
+def _standard_count(shape: Partition) -> int:
+    """f^shape, the standard tableaux of a shape that is already a
+    partition, by the hook length formula: |shape|! over the product of
+    the hook lengths, a quotient that is always exact."""
+    cols = _conjugate(shape)
+    hooks = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            hooks *= part - j + cols[j] - i - 1
+    return math.factorial(sum(shape)) // hooks
 
 
 def parse_partition(text: str) -> Partition:

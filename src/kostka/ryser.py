@@ -18,8 +18,9 @@ implemented by :func:`shape_sequence`.
 
 Reducibility of the pair along a column subset S (both the S-selected
 and complementary row-sum vectors stay weakly decreasing) is decided by
-exhaustive vectorized sweep, and :func:`split_pair` materializes the two
-summand pairs.
+exhaustive vectorized sweep, refused up front past ``config.WIDTH_CAP``
+columns or ``config.SWEEP_CAP`` swept cells, and :func:`split_pair`
+materializes the two summand pairs.
 
 Every matrix here, canonical, star or fixing-chain stage, is one
 read-only int8 array built once.  The canonical and star constructors
@@ -402,14 +403,26 @@ def _decreasing_rows(mat: np.ndarray) -> np.ndarray:
     return (mat[:, :-1] >= mat[:, 1:]).all(axis=1)
 
 
+def _sweep_width(pair: KostkaPair) -> int:
+    """The pair's width, once a sweep over its column subsets is known to
+    fit the caps: at most ``config.WIDTH_CAP`` columns, and at most
+    ``config.SWEEP_CAP`` cells, (2^width - 2) * rank, since every proper
+    subset costs a row sum per row."""
+    w = pair.width
+    if w > config.WIDTH_CAP:
+        raise WidthCapExceeded(f"width {w} exceeds cap {config.WIDTH_CAP}")
+    cells = ((1 << w) - 2) * pair.rank
+    if cells > config.SWEEP_CAP:
+        raise WidthCapExceeded(f"sweep of {cells} cells exceeds cap {config.SWEEP_CAP}")
+    return w
+
+
 def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:
     """Smallest (sorted-index-tuple order) proper nonempty column subset S
     such that the S row sums and the complementary row sums are both
     weakly decreasing, or None.  Raises :class:`WidthCapExceeded` above
-    ``config.WIDTH_CAP`` columns."""
-    w = canonical.pair.width
-    if w > config.WIDTH_CAP:
-        raise WidthCapExceeded(f"width {w} exceeds cap {config.WIDTH_CAP}")
+    ``config.WIDTH_CAP`` columns or ``config.SWEEP_CAP`` swept cells."""
+    w = _sweep_width(canonical.pair)
     arr = canonical.entries
     mu_padded = np.asarray(pad(canonical.pair.mu, canonical.pair.rank), dtype=np.int64)
 
@@ -423,9 +436,7 @@ def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:
 def star_reducible(star: StarMatrix) -> tuple[int, ...] | None:
     """Same witnesses as :func:`matrix_reducible`, decided on the star
     matrix: the S row sums v* must satisfy 0 <= v* <= mu* entrywise."""
-    w = star.pair.width
-    if w > config.WIDTH_CAP:
-        raise WidthCapExceeded(f"width {w} exceeds cap {config.WIDTH_CAP}")
+    w = _sweep_width(star.pair)
     arr = star.entries
     mu_star = np.asarray(star.mu_star, dtype=np.int64)
 

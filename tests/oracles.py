@@ -14,6 +14,7 @@ import numpy as np
 
 from kostka.config import INT_CAP
 from kostka.errors import InvalidPartition, MalformedStarMatrix
+from kostka.partitions import KostkaPair
 
 
 def prefix_dom(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -350,3 +351,83 @@ def graph_checks(entries) -> None:
         raise MalformedStarMatrix(
             f"-1 at {(int(r0[b]) + 1, int(c0[b]) + 1)} blocks the -1 at {where}"
         )
+
+
+# --- enumeration kernels as first written --------------------------------
+#
+# kostka_count and decompose of kostka.partitions and kostka.cone before
+# they peeled by content symmetry and sliced presorted size blocks.  They
+# take partitions that are already checked and give the same answers.
+
+
+def strip_peel_count(lam: Sequence[int], mu: Sequence[int]) -> int:
+    """K(lambda, mu) by peeling one horizontal strip per letter of mu,
+    last letter first, every candidate strip generated and filtered."""
+    lam, mu = tuple(lam), tuple(mu)
+    left = sum(lam)
+    if left != sum(mu):
+        return 0
+    ways = {lam: 1}
+    for rows in range(len(mu) - 1, -1, -1):
+        left -= mu[rows]
+        peeled: dict[tuple[int, ...], int] = {}
+        for shape, count in ways.items():
+            ranges = map(range, shape[1:] + (0,), [part + 1 for part in shape])
+            for prev in itertools.product(*ranges):
+                if sum(prev) == left:
+                    prev = prev if prev[-1] else prev[:-1]
+                    if len(prev) <= rows:
+                        peeled[prev] = peeled.get(prev, 0) + count
+        ways = peeled
+    return ways.get((), 0)
+
+
+def _size_sorted_splittings(p: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    length = len(p)
+    deltas = [p[i] - (p[i + 1] if i + 1 < length else 0) for i in range(length)]
+    combos = np.array(
+        list(itertools.product(*(range(d + 1) for d in deltas))), dtype=np.int64
+    ).reshape(-1, length)
+    vectors = combos[:, ::-1].cumsum(axis=1)[:, ::-1] if length else combos
+    sizes = vectors.sum(axis=1)
+    order = np.lexsort((*vectors.T[::-1], sizes))
+    return vectors[order], sizes[order]
+
+
+def _padded_prefixes(vectors: np.ndarray, rank: int) -> np.ndarray:
+    out = np.zeros((vectors.shape[0], rank), dtype=np.int64)
+    out[:, : vectors.shape[1]] = vectors
+    return out.cumsum(axis=1)
+
+
+def splitting_decompose(pair):
+    """``decompose(pair)`` by one size mask and one rank-wide broadcast
+    per size m of the small half."""
+    n, r = sum(pair.lam), pair.rank
+    if n == 0:
+        return None
+    lam_v, lam_sizes = _size_sorted_splittings(pair.lam)
+    mu_v, mu_sizes = _size_sorted_splittings(pair.mu)
+    gap = np.cumsum(
+        np.subtract(_padded(pair.lam, r), _padded(pair.mu, r)), dtype=np.int64
+    )
+    for m in range(1, n // 2 + 1):
+        va = lam_v[lam_sizes == m]
+        vb = mu_v[mu_sizes == m]
+        if not (va.shape[0] and vb.shape[0]):
+            continue
+        diff = _padded_prefixes(va, r)[:, None, :] - _padded_prefixes(vb, r)[None, :, :]
+        ok = (diff >= 0).all(axis=2) & (diff <= gap[None, None, :]).all(axis=2)
+        hits = np.argwhere(ok)
+        if hits.size:
+            i, j = hits[0]
+            small_lam, small_mu = va[i].tolist(), vb[j].tolist()
+            return (
+                KostkaPair(small_lam, small_mu, r),
+                KostkaPair(
+                    [a - b for a, b in zip(pair.lam, small_lam)],
+                    [a - b for a, b in zip(pair.mu, small_mu)],
+                    r,
+                ),
+            )
+    return None

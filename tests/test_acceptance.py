@@ -29,7 +29,7 @@ from kostka.cone import (
 )
 from kostka.kgr import fast_reducibility, pair_graph, verify_subtree
 from kostka.lr import growth_table, verify_counterexample
-from kostka.partitions import KostkaPair, kostka_positive
+from kostka.partitions import KostkaPair, kostka_count, kostka_positive
 from kostka.ryser import (
     fixing_chain,
     gr_nonempty,
@@ -208,6 +208,17 @@ def test_c05_pool_decompositions_are_pinned():
         found = decompose(pair)
         digest.update(repr(found and (found[0].key(), found[1].key())).encode() + b"\n")
     assert digest.hexdigest() == POOL_DECOMPOSE_SHA256
+
+
+POOL_KOSTKA_SHA256 = "1e23660856216b58ce512ab0e16505f1f1ffad8cdc7b351638844895324897ff"
+
+
+def test_c05_pool_kostka_numbers_are_pinned():
+    """Every Kostka number of the c05 pool hashes to a pinned value."""
+    digest = hashlib.sha256()
+    for pair in cone_pair_pool(13, max_width=7):
+        digest.update(repr(kostka_count(pair.lam, pair.mu)).encode() + b"\n")
+    assert digest.hexdigest() == POOL_KOSTKA_SHA256
 
 
 def test_c06_width_bound_audit():

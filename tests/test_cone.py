@@ -32,6 +32,7 @@ from kostka.cone import (
 )
 from kostka.errors import AssertionFailure, RankCapExceeded, SizeCapExceeded
 from kostka.partitions import KostkaPair, as_partition, pad, size
+from kostka.subsetsum import SubsetSumInstance, reduce_to_kostka
 
 BASIS_COUNTS = {1: 1, 2: 3, 3: 8, 4: 19, 5: 50, 6: 111, 7: 281, 8: 635}
 # cone pairs with lambda_1 = rank + 1 and at most rank parts, by rank
@@ -109,9 +110,29 @@ class TestDecompose:
         shapes = partition_pool(20)[1:]  # decompose never splits the zero pair
         assert len(shapes) > limit
         for p in shapes:
-            vectors, sizes = cone._splittings(p)
-            assert not vectors.flags.writeable and not sizes.flags.writeable
+            vectors, bounds = cone._splittings(p)
+            assert not vectors.flags.writeable
+            assert len(bounds) == size(p) + 2 and bounds[-1] == len(vectors)
+            for m in range(size(p) + 1):
+                assert (vectors[bounds[m] : bounds[m + 1]].sum(axis=1) == m).all()
         assert cone._splittings.cache_info().currsize <= limit
+
+    def test_witnesses_match_the_splitting_oracle(self):
+        """Every cone pair of at most 12 boxes, at its minimal rank and
+        two coordinates wider: the same answer, halves and all."""
+        for pair in cone_pair_pool(12):
+            for rank in (pair.rank, pair.rank + 2):
+                wide = KostkaPair(pair.lam, pair.mu, rank)
+                assert decompose(wide) == oracles.splitting_decompose(wide), wide
+
+    def test_reduction_witnesses_match_the_splitting_oracle(self):
+        """Every subset-sum reduction pair of total at most 10: long,
+        thin pairs at a rank well past len(lambda)."""
+        for total in range(1, 11):
+            for values in oracles.partitions(total):
+                for target in range(1, total + 1):
+                    pair = reduce_to_kostka(SubsetSumInstance(values, target))
+                    assert decompose(pair) == oracles.splitting_decompose(pair), pair
 
 
 def unpadded(row) -> tuple[int, ...]:

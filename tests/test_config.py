@@ -76,6 +76,20 @@ CASES = [
         lambda: star_reducible(star_matrix(ryser_canonical(WORKED))),
         WidthCapExceeded,
     ),
+    case(
+        "matrix_reducible",
+        "SWEEP_CAP",
+        1777,  # (2^8 - 2) * 7 cells
+        lambda: matrix_reducible(ryser_canonical(WORKED)),
+        WidthCapExceeded,
+    ),
+    case(
+        "star_reducible",
+        "SWEEP_CAP",
+        1777,
+        lambda: star_reducible(star_matrix(ryser_canonical(WORKED))),
+        WidthCapExceeded,
+    ),
     case("ryser_canonical", "CELL_CAP", 55, lambda: ryser_canonical(WORKED), WidthCapExceeded),
     case("hilbert_basis", "RANK_CAP", 2, lambda: hilbert_basis(3), RankCapExceeded),
     case("width_bound_audit", "RANK_CAP", 2, lambda: width_bound_audit(3), RankCapExceeded),

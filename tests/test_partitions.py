@@ -163,6 +163,25 @@ class TestKostkaCount:
         for pair in cone_pair_pool(8):
             assert kostka_count(pair.lam, pair.mu) == oracles.ssyt_count(pair.lam, pair.mu)
 
+    def test_matches_the_strip_peeling_oracle(self):
+        """Every pair of partitions of at most 11 boxes, dominated or
+        not, of equal size or not."""
+        shapes = partition_pool(11)
+        for lam, mu in itertools.product(shapes, repeat=2):
+            assert kostka_count(lam, mu) == oracles.strip_peel_count(lam, mu), (lam, mu)
+
+    def test_standard_counts_match_the_cell_filling_oracle(self):
+        # content 1^n leaves the shape itself to the hook length formula
+        for shape in partition_pool(9):
+            ones = (1,) * size(shape)
+            assert kostka_count(shape, ones) == oracles.ssyt_count(shape, ones), shape
+
+    @given(partitions_st(max_boxes=8), st.data())
+    def test_content_order_does_not_matter(self, lam, data):
+        mu = data.draw(st.sampled_from(list(oracles.partitions(size(lam)))))
+        content = data.draw(st.permutations(mu))
+        assert oracles.ssyt_count(lam, content) == kostka_count(lam, mu)
+
     def test_cap_edge_golden(self):
         # standard tableaux of the 3 x 10 rectangle: the 3-dimensional
         # Catalan number 2 * 30! / (10! * 11! * 12!)

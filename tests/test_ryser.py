@@ -17,7 +17,7 @@ from conftest import (
     random_int8_matrices,
     read_matrix_blocks,
 )
-from kostka import config
+from kostka import config, ryser
 from kostka.errors import (
     InvalidPair,
     InvalidPartition,
@@ -400,6 +400,20 @@ class TestReducibility:
             matrix_reducible(ryser_canonical(running_pair))
         with pytest.raises(WidthCapExceeded):
             star_reducible(star_matrix(ryser_canonical(running_pair)))
+
+    def test_sweep_cap_refuses_before_sweeping(self, monkeypatch):
+        # width 20 is under the width cap, but 2^20 masks at rank 200 is
+        # 209,714,800 cells: several seconds of sweeping
+        pair = KostkaPair((20,) * 10, (1,) * 200)
+        canonical = ryser_canonical(pair)
+        spy = []
+        monkeypatch.setattr(ryser, "sweep_proper_subsets", lambda *a: spy.append(a))
+        message = r"sweep of 209714800 cells exceeds cap 33554432$"
+        with pytest.raises(WidthCapExceeded, match=message):
+            matrix_reducible(canonical)
+        with pytest.raises(WidthCapExceeded, match=message):
+            star_reducible(star_matrix(canonical))
+        assert not spy
 
     def test_witness_always_splits(self, running_pair):
         canonical = ryser_canonical(running_pair)
