@@ -109,9 +109,11 @@ def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
     ``config.SPLIT_CAP``.
 
     The splittings of each side come sorted by size, in blocks
-    (:func:`_splittings`), so the halves of size m are two slices, and
-    the prefix sums of every block up to size n // 2 are taken once per
-    call.  A half (a, b) of size m works iff 0 <= A_t - B_t <=
+    (:func:`_splittings`), so the halves of size m are two slices.  Only
+    the sizes m <= n // 2 where both blocks are nonempty are searched
+    (none: the pair is irreducible without any array work), and the
+    prefix sums of the blocks up to the largest of them are taken once
+    per call.  A half (a, b) of size m works iff 0 <= A_t - B_t <=
     Lambda_t - M_t at every coordinate t, capital letters for prefix
     sums.  Only the first len(mu) coordinates are compared: lambda
     dominates mu, so it has no more parts, and past len(mu) both
