@@ -56,7 +56,8 @@ class RankCapExceeded(KostkaError):
 
 
 class LengthCapExceeded(KostkaError):
-    """A sequence sweep was refused: too many entries."""
+    """A sublist search of a sequence was refused: its state bound, which
+    grows with the length and the prefix sums, exceeds the cap."""
 
 
 class MalformedStarMatrix(KostkaError):

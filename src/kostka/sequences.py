@@ -10,6 +10,11 @@ a set of positions where both the sublist and its complement are
 Catalan is the same as splitting both diagrams along common columns,
 which is a strictly stronger form of reducibility.
 
+The sublist search is a dynamic program over (position, running sum of
+the sublist), exact in Python integers: its tables grow with the sizes
+of the prefix sums and at most as 2^t, and ``config.STATE_CAP`` bounds
+them before any is built (see :func:`catalan_reducible`).
+
 The *cost* of a sequence is the sum over sign runs of each run's
 largest absolute entry; whenever cost < width (= length), a sublist
 witness exists.  :func:`kim_theorem_check` verifies that implication on
@@ -22,8 +27,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import config
 from .errors import InvalidSequence, LengthCapExceeded, NotAWitness
 from .partitions import (
@@ -31,7 +34,6 @@ from .partitions import (
     conjugate,
     pad,
 )
-from .subsets import sweep_proper_subsets
 
 
 @dataclass(frozen=True)
@@ -75,24 +77,51 @@ def cost(x: CatalanSeq) -> int:
 def catalan_reducible(x: CatalanSeq) -> tuple[int, ...] | None:
     """Positions (1-based, sorted) of a proper nonempty sublist that is
     Catalan with Catalan complement, smallest in index-tuple order, or
-    None.  Raises :class:`LengthCapExceeded` beyond
-    ``config.LENGTH_CAP`` entries."""
-    t = x.width
-    if t > config.LENGTH_CAP:
-        raise LengthCapExceeded(f"length {t} exceeds cap {config.LENGTH_CAP}")
-    arr = np.asarray(x.entries, dtype=np.int64)
-    full = arr.cumsum()
+    None.
 
-    def predicate(bits: np.ndarray) -> np.ndarray:
-        chosen = (bits.astype(np.int64) * arr[None, :]).cumsum(axis=1)
-        rest = full[None, :] - chosen
-        return (
-            (chosen >= 0).all(axis=1)
-            & (chosen[:, -1] == 0)
-            & (rest >= 0).all(axis=1)
-        )
-
-    return sweep_proper_subsets(t, predicate, t)
+    A sublist with running sum a_j after position j works iff
+    0 <= a_j <= P_j at every j (P_j is the sequence's own prefix sum,
+    P_j - a_j the complement's) and a_t = 0.  One backward table holds,
+    per position j, the states 2 a_j + c (c: the complement is nonempty
+    so far) that still complete to a witness.  A state at j is minus a
+    subset sum of the later entries, so the tables hold at most
+    2 * sum_j min(P_j + 1, 2^(t - j)) states; beyond ``config.STATE_CAP``
+    the call raises :class:`LengthCapExceeded` before building any.  A
+    greedy walk then reads off the smallest tuple: it stops as soon as
+    the chosen positions complete with every later position in the
+    complement (a tuple sorts before its extensions), and otherwise
+    takes the smallest next position that still completes."""
+    entries = x.entries
+    t = len(entries)
+    prefix = list(itertools.accumulate(entries))
+    bound = 2 * sum(
+        p + 1 if p.bit_length() <= t - j else 1 << (t - j)  # min(P_j + 1, 2^(t - j))
+        for j, p in enumerate(prefix, start=1)
+    )
+    if bound > config.STATE_CAP:
+        raise LengthCapExceeded(f"state bound {bound} exceeds cap {config.STATE_CAP}")
+    # feasible[j]: states after position j; position 0 is never looked up
+    feasible: list[set[int]] = [set()] * t + [{1}]
+    for j in range(t - 1, 0, -1):
+        after, top, step = feasible[j + 1], 2 * prefix[j - 1] + 1, 2 * entries[j]
+        skip = {s for n in after if n & 1 and n <= top for s in (n - 1, n)}
+        feasible[j] = skip | {n - step for n in after if 0 <= n - step <= top}
+    chosen: list[int] = []
+    state = last = 0
+    while True:
+        # the first position that completes comes no later than the next
+        # position of any completion, so every position it skips may be
+        # skipped; none completes only before the first pick
+        for k in range(last + 1, t + 1):
+            state_k = (state | (k > last + 1)) + 2 * entries[k - 1]
+            if state_k in feasible[k]:
+                break
+        else:
+            return None
+        chosen.append(k)
+        state, last = state_k, k
+        if state >> 1 == 0 and (state & 1 or last < t):
+            return tuple(chosen)
 
 
 def pair_to_sequence(pair: KostkaPair) -> tuple[int, ...]:
@@ -145,12 +174,10 @@ def commonly_reducible(pair: KostkaPair) -> CommonSplit | None:
 
     A zero entry of the column-difference sequence (a column of equal
     height in both diagrams) splits off on its own; otherwise the
-    sequence has no zeros and the sublist sweep decides.
+    sequence has no zeros and :func:`catalan_reducible` decides (and
+    may refuse it, past ``config.STATE_CAP``).
     """
-    w = pair.width
-    if w > config.LENGTH_CAP:
-        raise LengthCapExceeded(f"width {w} exceeds cap {config.LENGTH_CAP}")
-    if w <= 1:
+    if pair.width <= 1:
         return None
     x = pair_to_sequence(pair)
     for j, v in enumerate(x, start=1):
@@ -176,12 +203,10 @@ def kim_theorem_check(x: CatalanSeq) -> KimReport:
     """Checks on concrete data that cost < width implies a sublist
     witness; the implication is tested, never assumed.  Raises
     :class:`AssertionFailure` on a violation, and
-    :class:`LengthCapExceeded` beyond ``config.LENGTH_CAP`` entries (the
-    cap of the sweep it runs)."""
+    :class:`LengthCapExceeded` where :func:`catalan_reducible` refuses
+    the sequence."""
     from .errors import AssertionFailure
 
-    if x.width > config.LENGTH_CAP:
-        raise LengthCapExceeded(f"length {x.width} exceeds cap {config.LENGTH_CAP}")
     c, t = cost(x), x.width
     if c >= t:
         return KimReport(cost=c, width=t, hypothesis=False, witness=None)

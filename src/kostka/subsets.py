@@ -1,12 +1,12 @@
 """Vectorized sweeps over column subsets.
 
-Reducibility questions below all reduce to: find a proper nonempty
-subset of [1..w] whose indicator vector satisfies a linear feasibility
-condition.  This module enumerates all 2^w - 2 masks in chunks of at
-most 2^CHUNK_BITS cells, so peak memory does not grow with w or with
-the predicate's rows, and returns the witness whose sorted index tuple
-is lexicographically smallest, so results are deterministic and stable
-across chunk sizes.
+The matrix reducibility questions of :mod:`kostka.ryser` reduce to:
+find a proper nonempty subset of [1..w] whose indicator vector satisfies
+a linear feasibility condition.  This module enumerates all 2^w - 2
+masks in chunks of at most 2^CHUNK_BITS cells, so peak memory does not
+grow with w or with the predicate's rows, and returns the witness whose
+sorted index tuple is lexicographically smallest, so results are
+deterministic and stable across chunk sizes.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ def sweep_proper_subsets(
     [1..width] satisfying ``predicate``, or None.
 
     The predicate must return a boolean vector, and ``cells`` is the
-    widest row it builds per subset (a matrix sweep's rank, a sequence
-    sweep's length).  It is called on chunks of
-    2^CHUNK_BITS // max(width, cells) indicator rows (at least one), so
-    no row block it builds holds more than 2^CHUNK_BITS cells.  Every
-    chunk is visited: the witness minimal in tuple order need not be
-    minimal as a bit mask.
+    widest row it builds per subset (the swept matrix's rank).  It is
+    called on chunks of 2^CHUNK_BITS // max(width, cells) indicator rows
+    (at least one), so no row block it builds holds more than
+    2^CHUNK_BITS cells.  Every chunk is visited: the witness minimal in
+    tuple order need not be minimal as a bit mask.
 
     Tuples are ranked by one integer.  Read the mask as R, position j
     weighing 2^(width - j).  The tuples before (i_1 < ... < i_k) are its

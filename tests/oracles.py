@@ -15,6 +15,7 @@ import numpy as np
 from kostka.config import INT_CAP
 from kostka.errors import InvalidPartition, MalformedStarMatrix
 from kostka.partitions import KostkaPair
+from kostka.subsets import sweep_proper_subsets
 
 
 def prefix_dom(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -193,6 +194,28 @@ def catalan_reducible(entries: Sequence[int]) -> tuple[int, ...] | None:
                 if best is None or subset < best:
                     best = subset
     return best
+
+
+def catalan_sweep(entries: Sequence[int]) -> tuple[int, ...] | None:
+    """``catalan_reducible`` as the library first computed it: every one
+    of the 2^t - 2 proper nonempty masks tested at once by int64 prefix
+    sums, the smallest witness in tuple order kept.  Valid only while
+    those sums fit in int64, so it refuses larger entries."""
+    if sum(abs(v) for v in entries) > INT_CAP:
+        raise ValueError(f"prefix sums of {entries} may overflow int64")
+    arr = np.asarray(entries, dtype=np.int64)
+    full = arr.cumsum()
+
+    def predicate(bits: np.ndarray) -> np.ndarray:
+        chosen = (bits.astype(np.int64) * arr[None, :]).cumsum(axis=1)
+        rest = full[None, :] - chosen
+        return (
+            (chosen >= 0).all(axis=1)
+            & (chosen[:, -1] == 0)
+            & (rest >= 0).all(axis=1)
+        )
+
+    return sweep_proper_subsets(len(entries), predicate, len(entries))
 
 
 def horizontal_strip(inner: Sequence[int], outer: Sequence[int]) -> bool:

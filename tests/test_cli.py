@@ -12,6 +12,9 @@ from kostka.cli import main
 
 WORKED = ["8,7,7,7,3,2", "7,7,4,4,4,4,4"]
 CATALAN_16 = "3,2,1,-2,1,-2,-1,-1,2,-1,2,1,-2,-1,-1,-1"
+CATALAN_IRREDUCIBLE = "2,3,-4,-1"
+CATALAN_14 = "2,1,5,-1,-1,-4,1,1,1,-1,-1,-1,-1,-1"  # a c09 walk with a witness
+CATALAN_24 = "3,-1,1,1,-1,-1,-1,1,1,-2,-1,2,1,-1,-1,-1,1,2,-1,-1,1,1,-1,-2"
 
 
 @pytest.fixture()
@@ -204,9 +207,10 @@ def test_cap_flags_are_usage_errors(runner, args):
 
 
 def test_width_cap_ignores_the_environment(runner):
-    result = run(runner, "catalan", ",".join(["1,-1"] * 13), env={"KOSTKA_CAP_WIDTH": "25"})
+    high = ",".join(["1000000"] * 12 + ["-1000000"] * 12)
+    result = run(runner, "catalan", high, env={"KOSTKA_CAP_WIDTH": "10000000000"})
     assert result.exit_code == 2
-    assert "length 26 exceeds cap 24" in result.output
+    assert f"state bound 14388610 exceeds cap {config.STATE_CAP}" in result.output
 
 
 # sha256 of stdout, pinned so that a reordered vertex, arc or matrix
@@ -227,6 +231,11 @@ GOLDEN_BYTES = [
     ("check", ["32", "32"], "text", 0, "7941cbe5d103712451188eccba22da7aa5b64e7ffb3590c061023ba2c13ac75a"),
     ("reduce", WORKED, "text", 0, "6f4b7a7c8124accd5ec418827f079805cd0fd73e20b7d9a3e291c840fe6de5a0"),
     ("catalan", [CATALAN_16], "json", 0, "6a7286102eb747d29d8a275bde55adec46f6a1520484eb70a53fbf3746c80281"),
+    ("catalan", [CATALAN_IRREDUCIBLE], "text", 1, "74bf65821061f67bf0541667212da663e897ee4b9a90fe421997de68412319ca"),
+    ("catalan", [CATALAN_IRREDUCIBLE], "json", 1, "11afb787540be83e78b635769b84c0fd7d85c6f2af2d807af1d9598ef29d2ebc"),
+    ("catalan", [CATALAN_14], "text", 0, "a2de6fe0cd1501c4945b17e35462965e528d76efa327f66403c67a4d10c60888"),
+    ("catalan", [CATALAN_14], "json", 0, "44bd363580f4f949b8629cbdf96a2838b3c5bfb2e03b212c6bea43161c36c4c8"),
+    ("catalan", [CATALAN_24], "json", 0, "c46ed0c7a9241b6cd260c0ec4dbe7be6c448989759648234b7d25875cc70fb1a"),
     ("audit", ["-r", "3"], "json", 0, "7e84fcd7ebd93c514a3a9a994bde2fd85a5a0a5732a27dde5e505169863317b5"),
     ("subsetsum", ["3,2,1 : 4"], "json", 0, "b97aa50896ceb29b777816dd90dd191a4ecee18f34542e89a8e92b42b5257a38"),
     ("rays", ["-r", "30"], "text", 0, "8b6db832f2a3002eb48203b7bcaef5b349f37f173fa124e20afb595aef7f61e2"),
@@ -241,6 +250,12 @@ def _golden_id(command, args, fmt):
         name = "2_11"
     elif args == [CATALAN_16]:
         name = "len16"
+    elif args == [CATALAN_IRREDUCIBLE]:
+        name = "irreducible"
+    elif args == [CATALAN_14]:
+        name = "len14"
+    elif args == [CATALAN_24]:
+        name = "len24"
     else:
         name = "_".join(a.replace(",", "").replace(" ", "").lstrip("-") for a in args)
     return f"{command}-{name}-{fmt}"
@@ -360,6 +375,19 @@ class TestCatalan:
         payload = json.loads(result.output)
         assert payload["cost"] == 3
         assert payload["witness"] is None
+
+    def test_prefix_sums_past_int64(self, runner):
+        top = str(config.INT_CAP)
+        result = run(runner, "catalan", ",".join([top] * 3 + ["-" + top] * 3), "--format", "json")
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["reducible"] is True
+        assert payload["witness"] == [1, 2, 4, 5]
+
+    def test_long_sequence_is_answered(self, runner):
+        result = run(runner, "catalan", ",".join(["1,-1"] * 13), "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["witness"] == [1, 2]
 
     def test_invalid_sequence_is_usage_error(self, runner):
         assert run(runner, "catalan", "1,1").exit_code == 2

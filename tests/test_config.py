@@ -96,22 +96,22 @@ CASES = [
     case("extremal_rays", "RAY_RANK_CAP", 4, lambda: extremal_rays(5), RankCapExceeded),
     case(
         "catalan_reducible",
-        "LENGTH_CAP",
-        15,
+        "STATE_CAP",
+        129,  # a state bound of 130
         lambda: catalan_reducible(CATALAN_16),
         LengthCapExceeded,
     ),
     case(
         "kim_theorem_check",
-        "LENGTH_CAP",
-        15,
+        "STATE_CAP",
+        129,
         lambda: kim_theorem_check(CATALAN_16),
         LengthCapExceeded,
     ),
     case(
         "commonly_reducible",
-        "LENGTH_CAP",
-        7,
+        "STATE_CAP",
+        61,  # (1, 1, 2, 3, -2, -2, -2, -1), a state bound of 62
         lambda: commonly_reducible(WORKED),
         LengthCapExceeded,
     ),
@@ -143,10 +143,12 @@ def test_lowered_lr_cap_skips_the_family_count(monkeypatch):
 
 
 def test_kim_check_takes_the_sweep_cap():
-    # lengths 21-24 passed the sweep's cap but not the old, shorter one
+    # the check has no cap of its own: it takes the sublist search's,
+    # which bounds states, not length
     report = kim_theorem_check(CatalanSeq((1, -1) * 11))
     assert (report.width, report.hypothesis) == (22, False)
     assert not hasattr(config, "KIM_CAP")
+    assert not hasattr(config, "LENGTH_CAP")
 
 
 def test_no_function_takes_a_cap_keyword():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
 from typing import Sequence
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import cone_pair_pool, cone_pairs_st
+from kostka import config
 from kostka.errors import InvalidSequence, LengthCapExceeded, NotAWitness
 from kostka.partitions import KostkaPair, conjugate, dominates, pad
 from kostka.sequences import (
@@ -49,6 +52,50 @@ def small_sequences() -> list[tuple[int, ...]]:
     return out
 
 SMALL_SEQUENCES = small_sequences()
+
+# 30 rising entries 1000..1029, then falling: a state bound of 1,667,240
+# and, with the cap lifted, tables of about 27 MB
+MOUNTAIN_60 = tuple(range(1000, 1030)) + tuple(range(-1029, -999))
+
+
+@st.composite
+def catalan_st(draw, max_length: int = 6) -> tuple[int, ...]:
+    """A sequence of entries up to INT_CAP: drawn steps, each fall cut to
+    the height reached, closed by falls of at most INT_CAP (so at most
+    2 * max_length entries, few enough for the brute-force oracle)."""
+    entries: list[int] = []
+    height = 0
+    for step in draw(st.lists(st.integers(-config.INT_CAP, config.INT_CAP), max_size=max_length)):
+        step = max(step, -height)
+        if step:
+            entries.append(step)
+            height += step
+    while height:
+        entries.append(-min(height, config.INT_CAP))
+        height += entries[-1]
+    return tuple(entries)
+
+
+def random_walk(rng: random.Random, top: int, max_length: int = 14) -> tuple[int, ...]:
+    """The c09 generator with steps up to ``top``: nonnegative partial
+    sums returning to zero, biased toward repeated signs and unit steps."""
+    budget = rng.randint(2, max_length)
+    entries: list[int] = []
+    height = 0
+    sign = 1
+    while len(entries) < budget - 1:
+        if height == 0:
+            sign = 1
+        elif rng.random() < 0.3:
+            sign = -sign
+        step = sign * (1 if rng.random() < 0.7 else rng.randint(1, top))
+        if step < 0:
+            step = max(step, -height)
+        entries.append(step)
+        height += step
+    if height > 0:
+        entries.append(-height)
+    return tuple(entries)
 
 
 class TestCatalanSeq:
@@ -100,9 +147,46 @@ class TestCatalanReducible:
             brute = oracles.catalan_reducible(entries)
             assert fast == brute, entries
 
+    @given(catalan_st())
+    def test_matches_bruteforce_past_int64(self, entries):
+        assert catalan_reducible(CatalanSeq(entries)) == oracles.catalan_reducible(entries)
+
+    def test_matches_the_mask_sweep_on_seeded_walks(self):
+        # 3,000 walks as the bench draws them, 2,000 with steps up to 9
+        for top, count in ((5, 3000), (9, 2000)):
+            rng = random.Random(top)
+            for _ in range(count):
+                entries = random_walk(rng, top)
+                assert catalan_reducible(CatalanSeq(entries)) == oracles.catalan_sweep(
+                    entries
+                ), entries
+
     def test_length_cap(self):
-        with pytest.raises(LengthCapExceeded):
-            catalan_reducible(CatalanSeq((1, -1) * 20))
+        # the cap is on the state bound, refused before any table is built
+        x = CatalanSeq(MOUNTAIN_60)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LengthCapExceeded, match="state bound 1667240 exceeds"):
+                catalan_reducible(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_every_short_sequence_is_answered(self):
+        # at length t the bound is at most 2 * (2^t - 1), reached when every
+        # prefix sum is large; so every sequence of length <= 12 is admitted
+        top = config.INT_CAP
+        highest = CatalanSeq(tuple(range(top - 5, top + 1)) + tuple(range(-top, 6 - top)))
+        assert highest.width == 12
+        assert catalan_reducible(highest) == oracles.catalan_reducible(highest.entries)
+        assert config.STATE_CAP >= 2 * (2**12 - 1)
+
+    def test_prefix_sums_past_int64(self):
+        top = config.INT_CAP
+        entries = (top, top, top, -top, -top, -top)
+        assert catalan_reducible(CatalanSeq(entries)) == (1, 2, 4, 5)
+        assert oracles.catalan_reducible(entries) == (1, 2, 4, 5)
 
     def test_irreducible_examples(self):
         assert catalan_reducible(CatalanSeq((1, 1, -2))) is None
@@ -165,9 +249,11 @@ class TestCommonSplit:
         assert commonly_reducible(KostkaPair((1, 1), (1, 1))) is None
 
     def test_length_cap(self):
-        pair = KostkaPair((30,), (1,) * 30)
+        # the split inherits the sublist search's cap: a long pair with
+        # small prefix sums is answered, a high one is refused
+        assert commonly_reducible(KostkaPair((30,), (1,) * 30)) is None
         with pytest.raises(LengthCapExceeded):
-            commonly_reducible(pair)
+            commonly_reducible(KostkaPair((150,) * 75, (75,) * 150))
 
     def test_explicit_split_validates_columns(self):
         pair = KostkaPair((5, 1, 1), (2, 2, 2, 1))
@@ -220,8 +306,22 @@ class TestKimBound:
             assert report.witness is not None
 
     def test_length_cap(self):
-        with pytest.raises(LengthCapExceeded):
-            kim_theorem_check(CatalanSeq((1, -1) * 13))
+        # long sequences with small entries are answered
+        rng = random.Random(200)
+        walk: tuple[int, ...] = ()
+        while len(walk) != 200:
+            walk = random_walk(rng, top=3, max_length=200)
+        for entries in (walk, (1, -1) * 100):
+            witness = catalan_reducible(CatalanSeq(entries))
+            assert witness is not None
+            rest = tuple(i for i in range(1, 201) if i not in witness)
+            assert oracles.catalan_ok(entries, witness) and oracles.catalan_ok(entries, rest)
+            report = kim_theorem_check(CatalanSeq(entries))
+            assert report.witness in (None, witness)
+        assert catalan_reducible(CatalanSeq((1, -1) * 100)) == (1, 2)
+        # the check inherits the sublist search's cap where cost < width
+        with pytest.raises(LengthCapExceeded, match="state bound 722400 exceeds"):
+            kim_theorem_check(CatalanSeq((1,) * 600 + (-1,) * 600))
 
     def test_exhaustive_small_widths(self):
         for entries in SMALL_SEQUENCES:

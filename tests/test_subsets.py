@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kostka import config, ryser, sequences
+import oracles
+from kostka import config, ryser
 from kostka.partitions import KostkaPair
 from kostka.ryser import matrix_reducible, ryser_canonical, star_matrix, star_reducible
-from kostka.sequences import CatalanSeq, catalan_reducible
 from kostka.subsets import mask_indices, sweep_proper_subsets
 
 
@@ -52,7 +52,7 @@ class TestSweep:
 
 
 TALL = KostkaPair((6, 6, 6, 6), (1,) * 24)  # width 6, rank 24
-CATALAN_16 = CatalanSeq((3, 2, 1, -2, 1, -2, -1, -1, 2, -1, 2, 1, -2, -1, -1, -1))
+CATALAN_16 = (3, 2, 1, -2, 1, -2, -1, -1, 2, -1, 2, 1, -2, -1, -1, -1)
 
 
 class TestChunkCells:
@@ -61,7 +61,7 @@ class TestChunkCells:
         [
             (ryser, lambda: matrix_reducible(ryser_canonical(TALL)), TALL.rank),
             (ryser, lambda: star_reducible(star_matrix(ryser_canonical(TALL))), TALL.rank),
-            (sequences, lambda: catalan_reducible(CATALAN_16), CATALAN_16.width),
+            (oracles, lambda: oracles.catalan_sweep(CATALAN_16), len(CATALAN_16)),
         ],
         ids=["matrix", "star", "catalan"],
     )
