@@ -26,7 +26,6 @@ from .errors import (
     ShapeError,
     SizeCapExceeded,
     WidthCapExceeded,
-    WidthTooSmall,
 )
 from .partitions import (
     KostkaPair,
@@ -38,7 +37,6 @@ from .partitions import (
     kostka_count,
     kostka_positive,
     parse_partition,
-    prefix_dominates,
 )
 from .ryser import (
     CanonicalMatrix,
@@ -49,13 +47,11 @@ from .ryser import (
     StarMatrix,
     fixing_chain,
     gr_nonempty,
-    initial_matrix,
     matrix_reducible,
     ryser_canonical,
     shape_sequence,
     split_pair,
     star_matrix,
-    star_reducible,
 )
 from .kgr import (
     FastReduction,
@@ -83,12 +79,9 @@ from .cone import (
 )
 from .sequences import (
     CatalanSeq,
-    CommonSplit,
     catalan_reducible,
-    commonly_reducible,
     cost,
     kim_theorem_check,
-    pair_to_sequence,
 )
 from .subsetsum import (
     SubsetSumInstance,

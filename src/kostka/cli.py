@@ -43,7 +43,6 @@ from .errors import (
     ShapeError,
     SizeCapExceeded,
     WidthCapExceeded,
-    WidthTooSmall,
 )
 from .kgr import (
     fast_reducibility,
@@ -83,7 +82,6 @@ _INPUT_ERRORS = (
     ShapeError,
     NotAWitness,
     SizeCapExceeded,
-    WidthTooSmall,
     WidthCapExceeded,
     RankCapExceeded,
     LengthCapExceeded,

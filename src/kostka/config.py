@@ -12,8 +12,11 @@ sets it.  A run beyond a cap assigns the constant here first (say
 from __future__ import annotations
 
 # Largest partition size for which Kostka numbers are counted tableau
-# by tableau.
-BOX_CAP = 30
+# by tableau: the reach of decompose (SPLIT_CAP), so `kostka check`
+# counts every pair that `kostka reduce` answers.  The slowest 40-box
+# count found, (8,7,6,5,4,4,3,2,1 | 2^20), takes about 0.06 s (2 vCPUs,
+# Python 3.11.7).
+BOX_CAP = 40
 
 # Largest |lambda| for which decompose enumerates splittings.
 SPLIT_CAP = 40
@@ -41,13 +44,12 @@ RANK_CAP = 8
 RAY_RANK_CAP = 30
 
 # Most states the sublist search of a generalized Catalan sequence
-# (sequences.catalan_reducible, and so the common-column split and the
-# cost-vs-width check) may store, on its bound
-# 2 * sum_j min(P_j + 1, 2^(t - j)), checked before any table is built.
-# It admits every sequence of length <= 18.  The largest admitted inputs
-# measured, (1, -1) * 87000 and 60 random entries up to 650 rising then
-# falling, take 0.37 s and 0.16 s and 42 MB above the interpreter's own
-# (2 vCPUs, Python 3.11.7).
+# (sequences.catalan_reducible, and so the cost-vs-width check) may
+# store, on its bound 2 * sum_j min(P_j + 1, 2^(t - j)), checked before
+# any table is built.  It admits every sequence of length <= 18.  The
+# largest admitted inputs measured, (1, -1) * 87000 and 60 random entries
+# up to 650 rising then falling, take 0.37 s and 0.16 s and 42 MB above
+# the interpreter's own (2 vCPUs, Python 3.11.7).
 STATE_CAP = 2**19
 
 # Most values a subset-sum instance may have for the brute-force oracle.
@@ -61,7 +63,7 @@ LR_BOX_CAP = 30
 INT_CAP = 2**63 - 1
 
 # numpy broadcasts are chunked to at most 2^CHUNK_BITS cells to keep
-# peak memory flat: the subset mask sweeps (subsets.py), whose chunks
-# take fewer masks the wider each mask's row, and the Hilbert-basis
-# slack scan (cone._covered).
+# peak memory flat: the column-subset sweep (ryser.sweep_proper_subsets),
+# whose chunks take fewer masks the wider each mask's row, and the
+# Hilbert-basis slack scan (cone._covered).
 CHUNK_BITS = 20

@@ -42,10 +42,6 @@ class SizeCapExceeded(KostkaError):
     """An enumeration was refused because the box count exceeds the cap."""
 
 
-class WidthTooSmall(KostkaError):
-    """A requested matrix width cannot accommodate the row sums."""
-
-
 class WidthCapExceeded(KostkaError):
     """A column-subset sweep or a printed fixing chain was refused: too
     many columns."""

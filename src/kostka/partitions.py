@@ -134,11 +134,6 @@ def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     return size(pa) == size(pb) and _dominated(pa, pb)
 
 
-def prefix_dominates(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Prefix-sum comparison only (no total-equality requirement)."""
-    return _dominated(as_partition(a), as_partition(b))
-
-
 def in_kostka_cone(lam: Sequence[int], mu: Sequence[int], rank: int) -> bool:
     """Whether (lambda, mu) is a lattice point of the rank-``rank`` cone:
     both sides have at most ``rank`` parts, equal size, and lambda

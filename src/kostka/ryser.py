@@ -18,9 +18,13 @@ implemented by :func:`shape_sequence`.
 
 Reducibility of the pair along a column subset S (both the S-selected
 and complementary row-sum vectors stay weakly decreasing) is decided by
-exhaustive vectorized sweep, refused up front past ``config.WIDTH_CAP``
+:func:`matrix_reducible`, refused up front past ``config.WIDTH_CAP``
 columns or ``config.SWEEP_CAP`` swept cells, and :func:`split_pair`
-materializes the two summand pairs.
+materializes the two summand pairs.  The decision is an exhaustive
+vectorized sweep, :func:`sweep_proper_subsets`: all 2^w - 2 proper
+nonempty column subsets are tested in chunks of at most 2^CHUNK_BITS
+cells, and the witness whose sorted index tuple is lexicographically
+smallest is kept, so answers do not depend on the chunk size.
 
 Every matrix here, canonical, star or fixing-chain stage, is one
 read-only int8 array built once.  The canonical and star constructors
@@ -47,17 +51,12 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import config
-from .errors import (
-    MalformedStarMatrix,
-    NotAWitness,
-    WidthCapExceeded,
-    WidthTooSmall,
-)
+from .errors import MalformedStarMatrix, NotAWitness, WidthCapExceeded
 from .partitions import (
     KostkaPair,
     Partition,
@@ -68,7 +67,6 @@ from .partitions import (
     pad,
     size,
 )
-from .subsets import sweep_proper_subsets
 
 
 def render_matrix(entries: np.ndarray | Sequence[Sequence[int]]) -> str:
@@ -78,17 +76,6 @@ def render_matrix(entries: np.ndarray | Sequence[Sequence[int]]) -> str:
         return ""
     cell = max(len(str(v)) for row in rows for v in row)
     return "\n".join(" ".join(str(v).rjust(cell) for v in row) for row in rows)
-
-
-def initial_matrix(mu: Sequence[int], width: int) -> tuple[tuple[int, ...], ...]:
-    """Flush-left 0/1 matrix with row sums mu, len(mu) rows, ``width``
-    columns.  Raises :class:`WidthTooSmall` if a row does not fit."""
-    pm = as_partition(mu)
-    if pm and width < pm[0]:
-        raise WidthTooSmall(f"width {width} < largest row sum {pm[0]}")
-    if width < 0:
-        raise WidthTooSmall(f"negative width {width}")
-    return tuple((1,) * v + (0,) * (width - v) for v in pm)
 
 
 def gr_nonempty(alpha: Sequence[int], beta: Sequence[int]) -> bool:
@@ -403,48 +390,78 @@ def _decreasing_rows(mat: np.ndarray) -> np.ndarray:
     return (mat[:, :-1] >= mat[:, 1:]).all(axis=1)
 
 
-def _sweep_width(pair: KostkaPair) -> int:
-    """The pair's width, once a sweep over its column subsets is known to
-    fit the caps: at most ``config.WIDTH_CAP`` columns, and at most
-    ``config.SWEEP_CAP`` cells, (2^width - 2) * rank, since every proper
-    subset costs a row sum per row."""
-    w = pair.width
-    if w > config.WIDTH_CAP:
-        raise WidthCapExceeded(f"width {w} exceeds cap {config.WIDTH_CAP}")
-    cells = ((1 << w) - 2) * pair.rank
-    if cells > config.SWEEP_CAP:
-        raise WidthCapExceeded(f"sweep of {cells} cells exceeds cap {config.SWEEP_CAP}")
-    return w
+def sweep_proper_subsets(
+    width: int, predicate: Callable[[np.ndarray], np.ndarray], cells: int
+) -> tuple[int, ...] | None:
+    """First (by sorted-index-tuple order) proper nonempty subset of
+    [1..width] satisfying ``predicate``, or None.
+
+    The predicate maps an (N, width) int8 matrix of subset indicators
+    (bit j - 1 of a mask is position j) to an (N,) boolean vector, and
+    ``cells`` is the widest row it builds per subset (the swept matrix's
+    rank).  It is called on chunks of 2^CHUNK_BITS // max(width, cells)
+    indicator rows (at least one), so no row block it builds holds more
+    than 2^CHUNK_BITS cells and peak memory does not grow with the
+    width or the rank.  Every chunk is visited: the witness minimal in
+    tuple order need not be minimal as a bit mask.
+
+    Tuples are ranked by one integer.  Read the mask as R, position j
+    weighing 2^(width - j).  The tuples before (i_1 < ... < i_k) are its
+    k - 1 proper nonempty prefixes and, for each m and each j strictly
+    between i_(m-1) and i_m (i_0 = 0), the 2^(width - j) tuples that
+    agree with it before m and take j at m.  They add up to
+    2^width - 1 + k - R - (R & -R), so the sweep keeps the hit with the
+    smallest k - R - (R & -R).
+    """
+    if width < 2:
+        return None
+    total = 1 << width
+    chunk = max(1, (1 << config.CHUNK_BITS) // max(width, cells))
+    shifts = np.arange(width, dtype=np.uint32)
+    weights = np.left_shift(1, np.arange(width - 1, -1, -1, dtype=np.int64))
+    best_rank, best = 0, None
+    for start in range(1, total - 1, chunk):
+        stop = min(start + chunk, total - 1)
+        masks = np.arange(start, stop, dtype=np.uint64 if width > 31 else np.uint32)
+        bits = (masks[:, None] >> shifts[None, :] & 1).astype(np.int8)
+        good = np.asarray(predicate(bits), dtype=bool)
+        if not good.any():
+            continue
+        hits = bits[good]
+        rev = hits @ weights
+        rank = hits.sum(axis=1, dtype=np.int64) - rev - (rev & -rev)
+        at = int(rank.argmin())
+        if best is None or rank[at] < best_rank:
+            best_rank, best = int(rank[at]), int(masks[good][at])
+    if best is None:
+        return None
+    return tuple(j + 1 for j in range(width) if best >> j & 1)
 
 
 def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:
     """Smallest (sorted-index-tuple order) proper nonempty column subset S
     such that the S row sums and the complementary row sums are both
-    weakly decreasing, or None.  Raises :class:`WidthCapExceeded` above
-    ``config.WIDTH_CAP`` columns or ``config.SWEEP_CAP`` swept cells."""
-    w = _sweep_width(canonical.pair)
+    weakly decreasing, or None.
+
+    Raises :class:`WidthCapExceeded` before sweeping above
+    ``config.WIDTH_CAP`` columns or ``config.SWEEP_CAP`` swept cells,
+    (2^width - 2) * rank, since every proper subset costs a row sum per
+    row."""
+    pair = canonical.pair
+    w, r = pair.width, pair.rank
+    if w > config.WIDTH_CAP:
+        raise WidthCapExceeded(f"width {w} exceeds cap {config.WIDTH_CAP}")
+    cells = ((1 << w) - 2) * r
+    if cells > config.SWEEP_CAP:
+        raise WidthCapExceeded(f"sweep of {cells} cells exceeds cap {config.SWEEP_CAP}")
     arr = canonical.entries
-    mu_padded = np.asarray(pad(canonical.pair.mu, canonical.pair.rank), dtype=np.int64)
+    mu_padded = np.asarray(pad(pair.mu, r), dtype=np.int64)
 
     def predicate(bits: np.ndarray) -> np.ndarray:
         sums = bits.astype(np.int64) @ arr.T
         return _decreasing_rows(sums) & _decreasing_rows(mu_padded[None, :] - sums)
 
-    return sweep_proper_subsets(w, predicate, canonical.pair.rank)
-
-
-def star_reducible(star: StarMatrix) -> tuple[int, ...] | None:
-    """Same witnesses as :func:`matrix_reducible`, decided on the star
-    matrix: the S row sums v* must satisfy 0 <= v* <= mu* entrywise."""
-    w = _sweep_width(star.pair)
-    arr = star.entries
-    mu_star = np.asarray(star.mu_star, dtype=np.int64)
-
-    def predicate(bits: np.ndarray) -> np.ndarray:
-        v = bits.astype(np.int64) @ arr.T
-        return ((v >= 0) & (v <= mu_star[None, :])).all(axis=1)
-
-    return sweep_proper_subsets(w, predicate, star.pair.rank)
+    return sweep_proper_subsets(w, predicate, r)
 
 
 def split_pair(

@@ -1,14 +1,8 @@
-"""Generalized Catalan sequences and common-column reducibility.
+"""Generalized Catalan sequences and their sublist reducibility.
 
 A generalized Catalan sequence has nonzero integer entries, zero total,
 and nonnegative prefix sums.  It is *reducible* when some proper
 nonempty sublist is again Catalan with a Catalan complementary sublist.
-
-A cone pair maps to the sequence x_j = mu'_j - lambda'_j (one entry per
-column of lambda); dominance makes the prefixes nonnegative.  Choosing
-a set of positions where both the sublist and its complement are
-Catalan is the same as splitting both diagrams along common columns,
-which is a strictly stronger form of reducibility.
 
 The sublist search is a dynamic program over (position, running sum of
 the sublist), exact in Python integers: its tables grow with the sizes
@@ -25,15 +19,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import config
-from .errors import InvalidSequence, LengthCapExceeded, NotAWitness
-from .partitions import (
-    KostkaPair,
-    conjugate,
-    pad,
-)
+from .errors import InvalidSequence, LengthCapExceeded
 
 
 @dataclass(frozen=True)
@@ -122,73 +110,6 @@ def catalan_reducible(x: CatalanSeq) -> tuple[int, ...] | None:
         state, last = state_k, k
         if state >> 1 == 0 and (state & 1 or last < t):
             return tuple(chosen)
-
-
-def pair_to_sequence(pair: KostkaPair) -> tuple[int, ...]:
-    """Column-difference sequence mu'_j - lambda'_j for j = 1..lambda_1.
-    Entries may be zero; total is zero and prefixes are nonnegative."""
-    w = pair.width
-    lam_conj = pad(conjugate(pair.lam), w)
-    mu_conj = pad(conjugate(pair.mu), w)
-    return tuple(m - l for m, l in zip(mu_conj, lam_conj))
-
-
-@dataclass(frozen=True)
-class CommonSplit:
-    """A decomposition of a pair along common diagram columns."""
-
-    columns: tuple[int, ...]
-    selected: KostkaPair
-    complement: KostkaPair
-
-
-def common_split(
-    pair: KostkaPair, columns: Sequence[int]
-) -> tuple[KostkaPair, KostkaPair]:
-    """Split both diagrams along the given column positions.  The halves
-    take the selected columns of lambda *and* of mu; raises
-    :class:`NotAWitness` when either half leaves the cone."""
-    w = pair.width
-    sel = sorted(set(int(j) for j in columns))
-    if not sel or len(sel) == w or any(j < 1 or j > w for j in sel):
-        raise NotAWitness(f"columns {columns} are not a proper nonempty subset")
-    lam_conj = pad(conjugate(pair.lam), w)
-    mu_conj = pad(conjugate(pair.mu), w)
-    halves: list[KostkaPair] = []
-    for index_set in (sel, sorted(set(range(1, w + 1)) - set(sel))):
-        lam_cols = sorted((lam_conj[j - 1] for j in index_set), reverse=True)
-        mu_cols = sorted((mu_conj[j - 1] for j in index_set), reverse=True)
-        try:
-            halves.append(
-                KostkaPair(conjugate(lam_cols), conjugate(mu_cols), pair.rank)
-            )
-        except Exception as exc:
-            raise NotAWitness(
-                f"columns {index_set} do not give a cone pair: {exc}"
-            ) from exc
-    return halves[0], halves[1]
-
-
-def commonly_reducible(pair: KostkaPair) -> CommonSplit | None:
-    """A common-column decomposition of the pair, or None.
-
-    A zero entry of the column-difference sequence (a column of equal
-    height in both diagrams) splits off on its own; otherwise the
-    sequence has no zeros and :func:`catalan_reducible` decides (and
-    may refuse it, past ``config.STATE_CAP``).
-    """
-    if pair.width <= 1:
-        return None
-    x = pair_to_sequence(pair)
-    for j, v in enumerate(x, start=1):
-        if v == 0:
-            selected, complement = common_split(pair, (j,))
-            return CommonSplit(columns=(j,), selected=selected, complement=complement)
-    witness = catalan_reducible(CatalanSeq(x))
-    if witness is None:
-        return None
-    selected, complement = common_split(pair, witness)
-    return CommonSplit(columns=witness, selected=selected, complement=complement)
 
 
 @dataclass(frozen=True)

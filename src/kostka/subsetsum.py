@@ -92,21 +92,13 @@ def reduce_to_kostka(inst: SubsetSumInstance) -> KostkaPair:
 
 
 def proof_decomposition(
-    inst: SubsetSumInstance, subset: tuple[int, ...]
+    inst: SubsetSumInstance, subset: tuple[int, ...], whole: KostkaPair
 ) -> tuple[KostkaPair, KostkaPair]:
     """The explicit decomposition induced by a yes-witness ``subset``
     (1-based positions into the decreasingly sorted values): the subset
     columns with mu-part (1^target), and everything else with mu-part
-    (1^rank).  The halves are checked to add back to the reduction
-    pair."""
-    return _proof_decomposition(inst, subset, reduce_to_kostka(inst))
-
-
-def _proof_decomposition(
-    inst: SubsetSumInstance, subset: tuple[int, ...], whole: KostkaPair
-) -> tuple[KostkaPair, KostkaPair]:
-    """:func:`proof_decomposition` checked against ``whole``, the
-    reduction pair of ``inst``, which the caller has built already."""
+    (1^rank).  The halves are checked to add back to ``whole``, the
+    reduction pair of ``inst``."""
     values = tuple(sorted(inst.values, reverse=True))
     total, target = sum(values), inst.target
     rank = 2 * total - target + 1
@@ -153,9 +145,7 @@ def reduction_equivalence_check(inst: SubsetSumInstance) -> EquivalenceReport:
         raise AssertionFailure(
             f"oracle says {witness}, decomposition search says {found} for {inst}"
         )
-    decomposition = (
-        _proof_decomposition(canonical, witness, pair) if witness else None
-    )
+    decomposition = proof_decomposition(canonical, witness, pair) if witness else None
     if size(pair.lam) != 2 * canonical.total + 1:
         raise AssertionFailure("reduction pair has the wrong box count")
     return EquivalenceReport(

@@ -13,9 +13,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from kostka.config import INT_CAP
-from kostka.errors import InvalidPartition, MalformedStarMatrix
+from kostka.errors import (
+    InvalidPair,
+    InvalidPartition,
+    MalformedStarMatrix,
+    NotAWitness,
+)
 from kostka.partitions import KostkaPair
-from kostka.subsets import sweep_proper_subsets
+from kostka.ryser import sweep_proper_subsets
+from kostka.sequences import CatalanSeq, catalan_reducible as sublist_witness
 
 
 def prefix_dom(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -216,6 +222,83 @@ def catalan_sweep(entries: Sequence[int]) -> tuple[int, ...] | None:
         )
 
     return sweep_proper_subsets(len(entries), predicate, len(entries))
+
+
+def star_reducible(star) -> tuple[int, ...] | None:
+    """``matrix_reducible``'s witness, decided on the star matrix
+    instead: the S row sums v* must satisfy 0 <= v* <= mu* entrywise.
+    No cap is checked."""
+    arr = star.entries
+    mu_star = np.asarray(star.mu_star, dtype=np.int64)
+
+    def predicate(bits: np.ndarray) -> np.ndarray:
+        v = bits.astype(np.int64) @ arr.T
+        return ((v >= 0) & (v <= mu_star[None, :])).all(axis=1)
+
+    return sweep_proper_subsets(star.pair.width, predicate, star.pair.rank)
+
+
+# --- common-column splits ------------------------------------------------
+#
+# A cone pair maps to the sequence x_j = mu'_j - lambda'_j, one entry per
+# column of lambda; dominance makes its prefixes nonnegative.  Positions
+# where both the sublist and its complement are Catalan split both
+# diagrams along common columns, a strictly stronger form of
+# reducibility, which every pair wider than its rank has.
+
+
+def pair_to_sequence(pair: KostkaPair) -> tuple[int, ...]:
+    """Column-difference sequence mu'_j - lambda'_j for j = 1..lambda_1.
+    Entries may be zero; the total is zero and prefixes are nonnegative."""
+    w = pair.width
+    lam_conj = _padded(_conjugate(pair.lam), w)
+    mu_conj = _padded(_conjugate(pair.mu), w)
+    return tuple(m - l for m, l in zip(mu_conj, lam_conj))
+
+
+def common_split(
+    pair: KostkaPair, columns: Sequence[int]
+) -> tuple[KostkaPair, KostkaPair]:
+    """Split both diagrams along the given column positions: the halves
+    take the selected columns of lambda *and* of mu.  Raises
+    NotAWitness when either half leaves the cone."""
+    w = pair.width
+    sel = sorted(set(columns))
+    if not sel or len(sel) == w or sel[0] < 1 or sel[-1] > w:
+        raise NotAWitness(f"columns {columns} are not a proper nonempty subset")
+    lam_conj = _padded(_conjugate(pair.lam), w)
+    mu_conj = _padded(_conjugate(pair.mu), w)
+    halves = []
+    for index_set in (sel, [j for j in range(1, w + 1) if j not in sel]):
+        lam_cols = sorted((lam_conj[j - 1] for j in index_set), reverse=True)
+        mu_cols = sorted((mu_conj[j - 1] for j in index_set), reverse=True)
+        lam, mu = tuple(_conjugate(lam_cols)), tuple(_conjugate(mu_cols))
+        try:
+            halves.append(KostkaPair(lam, mu, pair.rank))
+        except InvalidPair as exc:
+            raise NotAWitness(
+                f"columns {index_set} do not give a cone pair: {exc}"
+            ) from exc
+    return halves[0], halves[1]
+
+
+def commonly_reducible(
+    pair: KostkaPair,
+) -> tuple[tuple[int, ...], KostkaPair, KostkaPair] | None:
+    """(columns, selected half, complement half) of a common-column split
+    of the pair, or None.  A zero entry of the column-difference sequence
+    (a column of equal height in both diagrams) splits off on its own;
+    otherwise the library's sublist search decides."""
+    if pair.width <= 1:
+        return None
+    x = pair_to_sequence(pair)
+    if 0 in x:
+        columns = (x.index(0) + 1,)
+    else:
+        columns = sublist_witness(CatalanSeq(x))
+        if columns is None:
+            return None
+    return (columns, *common_split(pair, columns))
 
 
 def horizontal_strip(inner: Sequence[int], outer: Sequence[int]) -> bool:

@@ -14,6 +14,7 @@ WORKED = ["8,7,7,7,3,2", "7,7,4,4,4,4,4"]
 CATALAN_16 = "3,2,1,-2,1,-2,-1,-1,2,-1,2,1,-2,-1,-1,-1"
 CATALAN_IRREDUCIBLE = "2,3,-4,-1"
 CATALAN_14 = "2,1,5,-1,-1,-4,1,1,1,-1,-1,-1,-1,-1"  # a c09 walk with a witness
+CHECK_40 = ["8,7,6,5,4,4,3,2,1", ",".join(["2"] * 20)]  # 40 boxes, counted at the default cap
 CATALAN_24 = "3,-1,1,1,-1,-1,-1,1,1,-2,-1,2,1,-1,-1,-1,1,2,-1,-1,1,1,-1,-2"
 
 
@@ -50,9 +51,9 @@ class TestCheck:
         assert json.loads(result.output)["kostka_count"] is None
 
     def test_cap_boxes_reaches_the_count(self, runner, monkeypatch):
-        # above the default counting cap of 30 boxes
-        monkeypatch.setattr(config, "BOX_CAP", 35)
-        result = run(runner, "check", "32", "32", "--format", "json")
+        # above the default counting cap of 40 boxes
+        monkeypatch.setattr(config, "BOX_CAP", 45)
+        result = run(runner, "check", "42", "42", "--format", "json")
         assert result.exit_code == 0
         assert json.loads(result.output)["kostka_count"] == 1
 
@@ -228,7 +229,8 @@ GOLDEN_BYTES = [
     ("reduce", ["2", "1,1"], "json", 1, "95ae071882777b5c211133637dcbbf3059adfea03228cb2311ea76d86ac15d63"),
     ("ryser", ["2", "1,1"], "json", 0, "2e0fffbec28da7f43a9af0b6b5669d989f2f149a5a6516c5f0da3a54fae495fe"),
     ("check", ["4,2,1", "3,2,1,1"], "json", 0, "596a7d4639322ee0f32eac7f8529ab51f9a328fd68a7efb34065c9c1564c82d6"),
-    ("check", ["32", "32"], "text", 0, "7941cbe5d103712451188eccba22da7aa5b64e7ffb3590c061023ba2c13ac75a"),
+    ("check", ["41", "41"], "text", 0, "70a4289c98d9238102a391138c18ab98fff664160b078e480cc9d56f3fa7dcad"),
+    ("check", CHECK_40, "text", 0, "640d064f58ab7e1a1b8cf9ead806eb8d09ed13b02e4d5753878a836acdf4677d"),
     ("reduce", WORKED, "text", 0, "6f4b7a7c8124accd5ec418827f079805cd0fd73e20b7d9a3e291c840fe6de5a0"),
     ("catalan", [CATALAN_16], "json", 0, "6a7286102eb747d29d8a275bde55adec46f6a1520484eb70a53fbf3746c80281"),
     ("catalan", [CATALAN_IRREDUCIBLE], "text", 1, "74bf65821061f67bf0541667212da663e897ee4b9a90fe421997de68412319ca"),
@@ -256,6 +258,8 @@ def _golden_id(command, args, fmt):
         name = "len14"
     elif args == [CATALAN_24]:
         name = "len24"
+    elif args is CHECK_40:
+        name = "40boxes"
     else:
         name = "_".join(a.replace(",", "").replace(" ", "").lstrip("-") for a in args)
     return f"{command}-{name}-{fmt}"

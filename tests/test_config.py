@@ -27,11 +27,10 @@ from kostka.errors import (
 )
 from kostka.lr import LrTriple, lr_coefficient, verify_counterexample
 from kostka.partitions import KostkaPair, kostka_count
-from kostka.ryser import matrix_reducible, ryser_canonical, star_matrix, star_reducible
+from kostka.ryser import matrix_reducible, ryser_canonical
 from kostka.sequences import (
     CatalanSeq,
     catalan_reducible,
-    commonly_reducible,
     kim_theorem_check,
 )
 from kostka.subsetsum import (
@@ -70,24 +69,10 @@ CASES = [
         WidthCapExceeded,
     ),
     case(
-        "star_reducible",
-        "WIDTH_CAP",
-        7,
-        lambda: star_reducible(star_matrix(ryser_canonical(WORKED))),
-        WidthCapExceeded,
-    ),
-    case(
         "matrix_reducible",
         "SWEEP_CAP",
         1777,  # (2^8 - 2) * 7 cells
         lambda: matrix_reducible(ryser_canonical(WORKED)),
-        WidthCapExceeded,
-    ),
-    case(
-        "star_reducible",
-        "SWEEP_CAP",
-        1777,
-        lambda: star_reducible(star_matrix(ryser_canonical(WORKED))),
         WidthCapExceeded,
     ),
     case("ryser_canonical", "CELL_CAP", 55, lambda: ryser_canonical(WORKED), WidthCapExceeded),
@@ -106,13 +91,6 @@ CASES = [
         "STATE_CAP",
         129,
         lambda: kim_theorem_check(CATALAN_16),
-        LengthCapExceeded,
-    ),
-    case(
-        "commonly_reducible",
-        "STATE_CAP",
-        61,  # (1, 1, 2, 3, -2, -2, -2, -1), a state bound of 62
-        lambda: commonly_reducible(WORKED),
         LengthCapExceeded,
     ),
     case(

@@ -25,7 +25,6 @@ from kostka.partitions import (
     kostka_positive,
     pad,
     parse_partition,
-    prefix_dominates,
     prefix_sums,
     size,
 )
@@ -116,7 +115,7 @@ class TestDominance:
 
     @given(partitions_st(max_boxes=10), partitions_st(max_boxes=10))
     def test_dominates_is_sized_prefix_dominance(self, a, b):
-        assert dominates(a, b) == (size(a) == size(b) and prefix_dominates(a, b))
+        assert dominates(a, b) == (size(a) == size(b) and oracles.prefix_dom(a, b))
 
     @given(partitions_st(max_boxes=10))
     def test_conjugation_reverses_dominance(self, a):

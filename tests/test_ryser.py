@@ -24,7 +24,6 @@ from kostka.errors import (
     MalformedStarMatrix,
     NotAWitness,
     WidthCapExceeded,
-    WidthTooSmall,
 )
 from kostka.partitions import (
     KostkaPair,
@@ -39,7 +38,6 @@ from kostka.ryser import (
     ShortenRightmost,
     StarMatrix,
     gr_nonempty,
-    initial_matrix,
     matrix_reducible,
     fixing_chain,
     render_matrix,
@@ -47,7 +45,6 @@ from kostka.ryser import (
     shape_sequence,
     split_pair,
     star_matrix,
-    star_reducible,
 )
 
 GOLDEN_SHAPES = (
@@ -74,14 +71,7 @@ GOLDEN_STEPS = (
 )
 
 
-class TestInitialMatrix:
-    def test_flush_left(self):
-        assert initial_matrix((2, 1), 3) == ((1, 1, 0), (1, 0, 0))
-
-    def test_width_too_small(self):
-        with pytest.raises(WidthTooSmall):
-            initial_matrix((3, 1), 2)
-
+class TestRenderMatrix:
     def test_render(self):
         assert render_matrix(((1, 0), (0, 1))) == "1 0\n0 1"
 
@@ -389,7 +379,7 @@ class TestReducibility:
         for pair in cone_pair_pool(14, max_width=8):
             canonical = ryser_canonical(pair)
             left = matrix_reducible(canonical)
-            right = star_reducible(star_matrix(canonical))
+            right = oracles.star_reducible(star_matrix(canonical))
             assert left == right, (pair, left, right)
             pairs += 1
         assert pairs > 13000
@@ -398,8 +388,6 @@ class TestReducibility:
         monkeypatch.setattr(config, "WIDTH_CAP", 4)
         with pytest.raises(WidthCapExceeded):
             matrix_reducible(ryser_canonical(running_pair))
-        with pytest.raises(WidthCapExceeded):
-            star_reducible(star_matrix(ryser_canonical(running_pair)))
 
     def test_sweep_cap_refuses_before_sweeping(self, monkeypatch):
         # width 20 is under the width cap, but 2^20 masks at rank 200 is
@@ -411,8 +399,6 @@ class TestReducibility:
         message = r"sweep of 209714800 cells exceeds cap 33554432$"
         with pytest.raises(WidthCapExceeded, match=message):
             matrix_reducible(canonical)
-        with pytest.raises(WidthCapExceeded, match=message):
-            star_reducible(star_matrix(canonical))
         assert not spy
 
     def test_witness_always_splits(self, running_pair):

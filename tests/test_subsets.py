@@ -6,8 +6,12 @@ import pytest
 import oracles
 from kostka import config, ryser
 from kostka.partitions import KostkaPair
-from kostka.ryser import matrix_reducible, ryser_canonical, star_matrix, star_reducible
-from kostka.subsets import mask_indices, sweep_proper_subsets
+from kostka.ryser import (
+    matrix_reducible,
+    ryser_canonical,
+    star_matrix,
+    sweep_proper_subsets,
+)
 
 
 def table_predicate(table: np.ndarray, width: int):
@@ -15,6 +19,11 @@ def table_predicate(table: np.ndarray, width: int):
     bit mask (position j is bit j - 1)."""
     weights = np.left_shift(1, np.arange(width, dtype=np.int64))
     return lambda bits: table[bits.astype(np.int64) @ weights]
+
+
+def mask_indices(mask: int, width: int) -> tuple[int, ...]:
+    """1-based positions of the set bits (bit 0 = position 1)."""
+    return tuple(j + 1 for j in range(width) if mask >> j & 1)
 
 
 def first_by_tuple_order(table: np.ndarray, width: int) -> tuple[int, ...] | None:
@@ -60,7 +69,11 @@ class TestChunkCells:
         "module, call, cells",
         [
             (ryser, lambda: matrix_reducible(ryser_canonical(TALL)), TALL.rank),
-            (ryser, lambda: star_reducible(star_matrix(ryser_canonical(TALL))), TALL.rank),
+            (
+                oracles,
+                lambda: oracles.star_reducible(star_matrix(ryser_canonical(TALL))),
+                TALL.rank,
+            ),
             (oracles, lambda: oracles.catalan_sweep(CATALAN_16), len(CATALAN_16)),
         ],
         ids=["matrix", "star", "catalan"],

@@ -77,7 +77,8 @@ class TestReduction:
         )
 
     def test_golden_decomposition(self):
-        selected, complement = proof_decomposition(GOLDEN, (1, 3))
+        whole = reduce_to_kostka(GOLDEN)
+        selected, complement = proof_decomposition(GOLDEN, (1, 3), whole)
         assert selected == KostkaPair((2, 1, 1), (1, 1, 1, 1), rank=9)
         assert complement == KostkaPair(
             (2, 2, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1, 1, 1), rank=9
@@ -85,7 +86,8 @@ class TestReduction:
 
     def test_bad_subset_is_rejected(self):
         with pytest.raises(AssertionFailure):
-            proof_decomposition(GOLDEN, (1, 2))  # sums to 5, not 4
+            # (1, 2) sums to 5, not 4
+            proof_decomposition(GOLDEN, (1, 2), reduce_to_kostka(GOLDEN))
 
     @given(
         st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=5),
