@@ -6,10 +6,16 @@ lambda' is nonempty, and Ryser's column-fixing procedure selects one
 canonical representative A(lambda, mu).  The procedure starts from the
 flush-left matrix with row sums mu and, for s = lambda_1 down to 1,
 moves the rightmost 1 of selected rows into column s; rows are selected
-by largest current sum, ties broken southmost.  The procedure runs once
-and records its decisions, the rows selected at each column:
-:func:`ryser_canonical` writes the matrix from that record in one
-assignment and :func:`fixing_chain` replays it stage by stage.
+by largest current sum, ties broken southmost.  The row sums then stay
+weakly decreasing down the rows, so the procedure keeps only the
+conjugate of the current prefix shape, and a column that takes the k
+largest sums takes at most two runs of rows: the top rows, whose sums
+exceed the k-th largest, and the southmost rows of the run equal to
+it.  A column costs a bisection and at most two list edits instead of
+a sort of all rows.  The procedure runs once and records each column
+as its runs of 1s and 0s: :func:`ryser_canonical` writes the matrix
+from that record in one numpy repeat and :func:`fixing_chain` replays
+it stage by stage.
 
 Differencing consecutive rows of A gives the star matrix A*, whose
 columns have one of three sign patterns; those patterns drive both the
@@ -47,7 +53,7 @@ than against themselves.  A canonical matrix of more than
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
@@ -139,68 +145,122 @@ class CanonicalMatrix:
             raise AssertionError("leftmost column not anchored at the top")
 
 
-def _fixing_stages(pair: KostkaPair) -> tuple[np.ndarray, np.ndarray]:
+def _fixing_stages(pair: KostkaPair) -> list[int]:
     """Run the column-fixing procedure and record its decisions.
 
-    Returns (rows, cols): for s = lambda_1 down to 1 in turn, the
-    lambda'_s rows selected at column s, each paired with column index
-    s - 1.  A selected row's rightmost 1 moves into column s, which no
-    later step touches, so the canonical matrix is 1 exactly at these
-    cells."""
-    r, w = pair.rank, pair.width
-    lam_conj = _conjugate(pair.lam)
-    # sums[i] counts the 1s of row i in columns 1..s; those columns of
-    # every row stay flush-left, so row i's are exactly columns 1..sums[i]
-    sums = list(pad(pair.mu, r))
-    south_first = list(range(r - 1, -1, -1))
-    rows: list[int] = []
-    for s in range(w, 0, -1):
-        # largest current sum first; the sort is stable, so among ties
-        # the southmost row wins
-        order = sorted(south_first, key=sums.__getitem__, reverse=True)
+    The row sums of the current prefix shape mu^(i) stay weakly
+    decreasing down the rows.  Column s takes the rows of the
+    k = lambda'_s largest sums, ties southmost: every row whose sum
+    exceeds the k-th largest sum t, and the southmost rows of the run
+    of sum t.  Each of them drops by one and stays level with or above
+    the rows below it, so rows are never reordered, and the procedure
+    keeps only the conjugate nu = (mu^(i))': the rows of sum at least j
+    are the top nu_j rows.  At column s:
+
+    - t is the number of columns of nu of length at least k, found by
+      one bisection;
+    - the rows of sum above t are [0, p), p = nu_(t+1) (0 past the
+      end), and the run of sum t ends at q = nu_t, so column s takes
+      rows [0, p) and [lo, q), lo = q - k + p (0-based, end excluded):
+      at most two runs of 1s;
+    - nu then loses column t + 1 when p > 0, and column t shrinks to lo,
+      or goes when lo = 0: the steps that :func:`shape_sequence`
+      classifies.
+
+    So a column costs a bisection and at most two list edits, whatever
+    the rank.  When lo = 0 the column takes exactly the k rows of the
+    largest sum, and the same step repeats while lambda'_s stays k and
+    nu ends in a column of length k; those columns are taken at once.
+
+    Returns the record, for s = lambda_1 down to 1 in turn, of column s
+    read top to bottom as runs of 1s, 0s, 1s and 0s: p, lo - p, q - lo
+    and r - q.  A selected row's rightmost 1 moves into column s, which
+    no later step touches, so this is also column s of the canonical
+    matrix."""
+    r, lam = pair.rank, pair.lam
+    lam_conj = _conjugate(lam)
+    # nu negated, so that it ascends for bisection, and closed by a
+    # column of length 0 that no k >= 1 reaches
+    neg = [-n for n in _conjugate(pair.mu)]
+    neg.append(0)
+    runs: list[int] = []
+    s = pair.width
+    while s:
         k = lam_conj[s - 1]
-        if sums[order[k - 1]] == 0:
-            raise AssertionError(f"row {order[k - 1] + 1} has no 1 left of column {s}")
-        # column s leaves the prefix: no unselected row may still reach it
-        if k < r and sums[order[k]] >= s:
-            raise AssertionError(f"row {order[k] + 1} keeps a 1 in column {s}")
-        chosen = order[:k]
-        for i in chosen:
-            sums[i] -= 1
-        rows.extend(chosen)
-    cols = np.arange(w - 1, -1, -1).repeat(lam_conj[::-1])
-    return np.asarray(rows, dtype=np.intp), cols
+        t = bisect_right(neg, -k)
+        p = -neg[t]
+        # the k-th row in order of decreasing sum, ties southmost, is
+        # row lo + 1, the northmost one selected from its run; with t = 0
+        # that run, of sum 0, ends at q = r
+        if not t:
+            raise AssertionError(f"row {r - k + p + 1} has no 1 left of column {s}")
+        q = -neg[t - 1]
+        lo = q - k + p
+        # column s leaves the prefix: no unselected row may still reach
+        # it.  The next row in that order is row lo, left in the run of
+        # sum t, or else the southmost of the next lower run
+        if t >= s and (k < q or k < r and bisect_left(neg, -q) >= s):
+            row = lo if k < q else -neg[bisect_left(neg, -q) - 1]
+            raise AssertionError(f"row {row} keeps a 1 in column {s}")
+        # lo = 0 leaves p = 0, so column t is the last of nu; with t = 1
+        # neg[t - 2] is the closing 0
+        if lo or neg[t - 2] != -k:
+            if p:
+                del neg[t]
+            if lo:
+                neg[t - 1] = -lo
+            else:
+                del neg[t - 1]
+            runs += (p, lo - p, k - p, r - q)
+            s -= 1
+            continue
+        # column s takes exactly the k rows of the largest sum t, and nu
+        # ends in two or more columns of length k.  The step repeats,
+        # each time deleting the last column of nu, while lambda'_s
+        # stays k (s > lambda_(k+1)), nu ends in a column of length k,
+        # and the next row, of sum ``longer``, stays short of column s
+        longer = bisect_left(neg, -k)
+        after = lam[k] if k < len(lam) else 0
+        m = min(t - longer, s - longer, s - after)
+        del neg[t - m : t]
+        runs += (0, 0, k, r - k) * m
+        s -= m
+    return runs
 
 
 def ryser_canonical(pair: KostkaPair) -> CanonicalMatrix:
     """Run the column-fixing procedure and return the canonical matrix,
-    written from the recorded decisions in one assignment.  Raises
+    written from the recorded runs in one step.  Raises
     :class:`WidthCapExceeded` before building anything when the matrix
     would hold more than ``config.CELL_CAP`` cells."""
     _cell_cap(pair.rank * pair.width, "canonical matrix")
-    rows, cols = _fixing_stages(pair)
-    arr = np.zeros((pair.rank, pair.width), dtype=np.int8)
-    arr[rows, cols] = 1
-    return CanonicalMatrix(pair=pair, entries=arr)
+    r, w = pair.rank, pair.width
+    runs = _fixing_stages(pair)
+    # the record lists the columns right to left, each top to bottom
+    flat = np.frombuffer(b"\x01\x00" * (2 * w), dtype=np.int8).repeat(runs)
+    return CanonicalMatrix(pair=pair, entries=flat.reshape(w, r)[::-1].T)
 
 
 def fixing_chain(canonical: CanonicalMatrix) -> tuple[np.ndarray, ...]:
     """The fixing chain A^(0), ..., A^(lambda_1) that ends at the
     canonical matrix, one read-only array per stage, replayed from the
-    decisions the procedure records.  Raises :class:`WidthCapExceeded`
+    runs the procedure records.  Raises :class:`WidthCapExceeded`
     before building anything when the chain would hold more than
     ``config.CELL_CAP`` cells."""
     pair = canonical.pair
     r, w = pair.rank, pair.width
     _cell_cap((w + 1) * r * w, "fixing chain")
-    rows, cols = _fixing_stages(pair)
     sums = np.asarray(pad(pair.mu, r), dtype=np.intp)
     arr = np.zeros((r, w), dtype=np.int8)
     arr[np.arange(w) < sums[:, None]] = 1  # flush left
     chain = [arr.copy()]
-    steps = np.split(rows, np.flatnonzero(np.diff(cols)) + 1) if w else []
-    for s, chosen in zip(range(w, 0, -1), steps):
+    runs = _fixing_stages(pair)
+    index = np.arange(r)
+    for s, at in zip(range(w, 0, -1), range(0, 4 * w, 4)):
+        p, gap, ones = runs[at : at + 3]
+        lo = p + gap
         # each selected row's rightmost 1 in columns 1..s moves to column s
+        chosen = np.concatenate((index[:p], index[lo : lo + ones]))
         sums[chosen] -= 1
         arr[chosen, sums[chosen]] = 0
         arr[chosen, s - 1] = 1

@@ -537,3 +537,64 @@ def splitting_decompose(pair):
                 ),
             )
     return None
+
+
+# --- Ryser's column-fixing procedure as first written ----------------------
+#
+# kostka.ryser before it kept the conjugate of the prefix shape: every
+# column sorts all rows by current sum.
+
+
+def sorted_fixing_stages(pair) -> tuple[np.ndarray, np.ndarray]:
+    """Run the column-fixing procedure and record its decisions.
+
+    Returns (rows, cols): for s = lambda_1 down to 1 in turn, the
+    lambda'_s rows selected at column s, each paired with column index
+    s - 1."""
+    r, w = pair.rank, pair.width
+    lam_conj = _conjugate(pair.lam)
+    sums = _padded(pair.mu, r)
+    south_first = list(range(r - 1, -1, -1))
+    rows: list[int] = []
+    for s in range(w, 0, -1):
+        # largest current sum first; the sort is stable, so among ties
+        # the southmost row wins
+        order = sorted(south_first, key=sums.__getitem__, reverse=True)
+        k = lam_conj[s - 1]
+        if sums[order[k - 1]] == 0:
+            raise AssertionError(f"row {order[k - 1] + 1} has no 1 left of column {s}")
+        # column s leaves the prefix: no unselected row may still reach it
+        if k < r and sums[order[k]] >= s:
+            raise AssertionError(f"row {order[k] + 1} keeps a 1 in column {s}")
+        chosen = order[:k]
+        for i in chosen:
+            sums[i] -= 1
+        rows.extend(chosen)
+    cols = np.arange(w - 1, -1, -1).repeat(lam_conj[::-1])
+    return np.asarray(rows, dtype=np.intp), cols
+
+
+def sorted_canonical(pair) -> np.ndarray:
+    """The canonical matrix's entries, one cell per recorded row."""
+    rows, cols = sorted_fixing_stages(pair)
+    arr = np.zeros((pair.rank, pair.width), dtype=np.int8)
+    arr[rows, cols] = 1
+    return arr
+
+
+def sorted_chain(pair) -> list[np.ndarray]:
+    """The fixing chain, replayed from the recorded rows."""
+    r, w = pair.rank, pair.width
+    rows, cols = sorted_fixing_stages(pair)
+    sums = np.asarray(_padded(pair.mu, r), dtype=np.intp)
+    arr = np.zeros((r, w), dtype=np.int8)
+    arr[np.arange(w) < sums[:, None]] = 1  # flush left
+    chain = [arr.copy()]
+    steps = np.split(rows, np.flatnonzero(np.diff(cols)) + 1) if w else []
+    for s, chosen in zip(range(w, 0, -1), steps):
+        # each selected row's rightmost 1 in columns 1..s moves to column s
+        sums[chosen] -= 1
+        arr[chosen, sums[chosen]] = 0
+        arr[chosen, s - 1] = 1
+        chain.append(arr.copy())
+    return chain

@@ -17,7 +17,6 @@ from conftest import cone_pair_pool, cone_pairs_st, partition_pool
 from kostka import cone, config
 from kostka.cone import (
     AuditReport,
-    BasisCatalog,
     RaySpec,
     catalog_diff,
     decompose,

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import cone_pair_pool, cone_pairs_st, partition_pool, partitions_st
+from conftest import cone_pair_pool, partition_pool, partitions_st
 from kostka import config
 from kostka.config import INT_CAP
 from kostka.errors import InvalidPair, InvalidPartition, SizeCapExceeded

@@ -13,11 +13,11 @@ from conftest import (
     cone_pairs_st,
     one_cell_mutations,
     outcome,
-    partitions_st,
     random_int8_matrices,
     read_matrix_blocks,
 )
 from kostka import config, ryser
+from kostka.cone import RaySpec, primitive_point
 from kostka.errors import (
     InvalidPair,
     InvalidPartition,
@@ -145,6 +145,108 @@ class TestCellCap:
     def test_oversized_matrix_is_refused_before_fixing(self, fixing_forbidden):
         with pytest.raises(WidthCapExceeded):
             ryser_canonical(KostkaPair((1000001,), (1000001,)))
+
+
+def raw_pair(lam, mu, rank: int) -> KostkaPair:
+    """A pair built without validation, so it may lie outside the cone."""
+    pair = object.__new__(KostkaPair)
+    for name, value in (("lam", lam), ("mu", mu), ("rank", rank)):
+        object.__setattr__(pair, name, value)
+    return pair
+
+
+def random_cone_pair(rng: random.Random, max_rank: int) -> KostkaPair:
+    """mu with up to ``max_rank`` parts, and lambda raised from it by
+    moving single boxes up, which keeps lambda dominating mu."""
+    rank = rng.randint(1, max_rank)
+    mu = sorted((rng.randint(0, 12) for _ in range(rank)), reverse=True)
+    mu[0] += 1
+    lam = list(mu)
+    for _ in range(rng.randint(0, 4 * rank)):
+        i, j = rng.randrange(rank), rng.randrange(rank)
+        if (
+            i < j
+            and lam[j] > (lam[j + 1] if j + 1 < rank else 0)
+            and (i == 0 or lam[i] < lam[i - 1])
+        ):
+            lam[i] += 1
+            lam[j] -= 1
+    return KostkaPair(lam, mu, rank)
+
+
+# (lambda, mu, rank, message): pairs outside the cone that stop the
+# fixing procedure, one per check and per way the second check fires
+FIXING_REJECTS = {
+    "no 1 left": ((1, 1), (2,), 2, "row 2 has no 1 left of column 1"),
+    "row left in the run": ((2,), (3, 3), 2, "row 1 keeps a 1 in column 2"),
+    "row of the next run": ((3,), (5, 4, 2, 1), 4, "row 2 keeps a 1 in column 3"),
+}
+
+
+class TestSortedReferee:
+    """The column-fixing procedure on the conjugate shape against the
+    one that sorts every row by current sum at each column."""
+
+    @staticmethod
+    def assert_same_as_sorted(pair: KostkaPair) -> None:
+        canonical = ryser_canonical(pair)
+        assert np.array_equal(canonical.entries, oracles.sorted_canonical(pair)), pair
+        chain = fixing_chain(canonical)
+        expected = oracles.sorted_chain(pair)
+        assert len(chain) == len(expected)
+        assert all(map(np.array_equal, chain, expected)), pair
+
+    def test_c05_pool(self):
+        pool = cone_pair_pool(13, max_width=7)
+        assert len(pool) == 7214
+        for pair in pool:
+            self.assert_same_as_sorted(pair)
+
+    def test_wide_pairs(self, monkeypatch):
+        # the chains of the wider staircases exceed the default cell cap
+        monkeypatch.setattr(config, "CELL_CAP", 10**7)
+        for w in (50, 100, 200):
+            stairs = tuple(range(w, 0, -1))
+            self.assert_same_as_sorted(KostkaPair(stairs, stairs))
+        for a in range(5, 81):
+            self.assert_same_as_sorted(primitive_point(RaySpec(a, a - 1, 2, a + 2)))
+
+    def test_random_cone_pairs(self):
+        rng = random.Random(18)
+        for _ in range(2000):
+            self.assert_same_as_sorted(random_cone_pair(rng, 12))
+
+    @pytest.mark.parametrize("case", FIXING_REJECTS)
+    def test_pinned_pairs_outside_the_cone(self, case):
+        lam, mu, rank, message = FIXING_REJECTS[case]
+        pair = raw_pair(lam, mu, rank)
+        for procedure in (ryser._fixing_stages, oracles.sorted_fixing_stages):
+            with pytest.raises(AssertionError) as info:
+                procedure(pair)
+            assert str(info.value) == message
+
+    def test_random_pairs_outside_the_cone(self):
+        """Same refusal, or the same matrix and the same constructor
+        verdict on it, on unchecked pairs of partitions."""
+        rng = random.Random(18)
+        parts = (1, 2, 3, 5, 8, 13)
+        fired = {"has no 1 left of column": 0, "keeps a 1 in column": 0}
+        for _ in range(3000):
+            lam, mu = (
+                tuple(sorted(rng.choices(parts, k=rng.randint(1, 7)), reverse=True))
+                for _ in range(2)
+            )
+            pair = raw_pair(lam, mu, max(len(lam), len(mu)) + rng.randint(0, 2))
+            got = outcome(ryser._fixing_stages, pair)
+            assert got == outcome(oracles.sorted_fixing_stages, pair), pair
+            if got is None:
+                verdict = outcome(CanonicalMatrix, pair, oracles.sorted_canonical(pair))
+                assert outcome(ryser_canonical, pair) == verdict
+                if verdict is None:
+                    self.assert_same_as_sorted(pair)
+                continue
+            fired[next(check for check in fired if check in got[1])] += 1
+        assert all(fired.values()), fired
 
 
 # (lambda, mu, entries, message) per check of CanonicalMatrix.__post_init__

@@ -12,7 +12,7 @@ import oracles
 from conftest import cone_pair_pool, cone_pairs_st
 from kostka import config
 from kostka.errors import InvalidSequence, LengthCapExceeded, NotAWitness
-from kostka.partitions import KostkaPair, conjugate, dominates, pad
+from kostka.partitions import KostkaPair, conjugate, dominates
 from kostka.sequences import (
     CatalanSeq,
     catalan_reducible,
