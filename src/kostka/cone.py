@@ -34,6 +34,16 @@ the basis in catalog order with its slack matrix, which
 :func:`hilbert_basis` wraps and :func:`width_bound_audit` reads to
 certify the wide layer.
 
+Both comparisons, dominance and slack order, are componentwise <= on
+short rows of entries in [0, dtype max], and both run word-parallel
+(see :func:`_covered`): rows are zero-padded to whole uint64 words of
+dtype lanes, eight byte lanes in every shipped box, and one
+subtraction, (c | 0x80...80) - b, compares all the lanes of a word with
+no borrow between them; no reduction runs over a short trailing axis.
+The slack rows are written in the padded layout, so the scan reads
+them as words without a copy, and its temporaries are bounded by
+``config.CHUNK_BITS`` in bytes.
+
 Extremal rays are classified: every ray is spanned by
 lambda = a^(b+ell), mu = (a^ell, b^a) for r >= a+ell >= a >= b > 0, and
 (a, a, ell) is parallel to (1, 1, a+ell-1), leaving
@@ -231,6 +241,12 @@ def default_fixture_path(rank: int) -> Path:
     return Path(__file__).parent / "fixtures" / f"basis_r{rank}.json"
 
 
+def _box_dtype(max_part: int, max_len: int) -> np.dtype:
+    """The smallest signed dtype that holds every size in the
+    max_part x max_len box."""
+    return np.min_scalar_type(-max_part * max_len - 1)
+
+
 def _box_partitions(max_part: int, max_len: int, max_boxes: int) -> Iterator[np.ndarray]:
     """The partitions with lambda_1 <= ``max_part``, at most ``max_len``
     parts and 1 <= |lambda| <= ``max_boxes``, one size at a time, as a
@@ -259,11 +275,33 @@ def _box_partitions(max_part: int, max_len: int, max_boxes: int) -> Iterator[np.
     sizes = parts.sum(axis=1)
     # lexsort's last key is its first: size up, then each part down
     order = np.lexsort((*(-parts.T[::-1]), sizes))
-    dtype = np.min_scalar_type(-max_part * max_len - 1)
-    parts, sizes = parts[order].astype(dtype), sizes[order]
-    bounds = np.searchsorted(sizes, np.arange(top + 2))
+    parts = parts[order].astype(_box_dtype(max_part, max_len))
+    bounds = np.searchsorted(sizes[order], np.arange(top + 2))
     for n in range(1, top + 1):
         yield parts[bounds[n] : bounds[n + 1]]
+
+
+def _lanes(width: int, dtype: np.dtype) -> int:
+    """The entries in a row of ``width`` entries of ``dtype`` once it is
+    zero-padded to whole uint64 words (one word at least)."""
+    per_word = 8 // dtype.itemsize
+    return -(-max(width, 1) // per_word) * per_word
+
+
+@functools.cache
+def _high_bits(dtype: np.dtype) -> np.uint64:
+    """H = 0x80...80: the high bit of every ``dtype`` lane of a word."""
+    return np.full(8 // dtype.itemsize, np.iinfo(dtype).min, dtype=dtype).view(np.uint64)[0]
+
+
+def _words(rows: np.ndarray, lanes: int) -> np.ndarray:
+    """``rows`` zero-padded to ``lanes`` entries and viewed as uint64
+    words, without a copy when they are laid out so already."""
+    if rows.shape[1] != lanes or not rows.flags.c_contiguous:
+        padded = np.zeros_like(rows, shape=(rows.shape[0], lanes))
+        padded[:, : rows.shape[1]] = rows
+        rows = padded
+    return rows.view(np.uint64)
 
 
 def _cone_slacks(block: np.ndarray, wide: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,56 +315,101 @@ def _cone_slacks(block: np.ndarray, wide: int) -> tuple[np.ndarray, np.ndarray, 
     last part counting as a difference from 0), then the prefix-sum gaps
     Lambda_t - M_t for t < rank.  These are the facet inequalities of
     the cone, so for cone points p and q, q - p is a cone point iff
-    s(p) <= s(q) componentwise.
+    s(p) <= s(q) componentwise.  The rows are zero-padded to whole
+    uint64 words (:func:`_lanes`), the layout in which :func:`_covered`
+    reads them without a copy; a padding entry compares 0 <= 0.
 
     Each row's differences and prefix sums are taken once.  A mu that
     lambda dominates lies in the same box, and lambda dominates mu iff
-    every gap is >= 0, so the gaps of one broadcast pick the pairs and
-    become their slacks."""
-    rank = block.shape[1]
+    every gap is >= 0.  The prefix sums lie in [0, dtype max], so the
+    test runs on whole words, as in :func:`_covered`: one broadcast of
+    (Lambda | H) - M keeps the pairs whose words have the high bit H of
+    every lane set, that is, whose gaps have no lane with its sign bit
+    set, and the kept pairs' gaps become their slacks."""
+    rank, dtype = block.shape[1], block.dtype
+    high = _high_bits(dtype)
     diffs = block.copy()
     diffs[:, :-1] -= block[:, 1:]
-    sums = block[:, :-1].cumsum(axis=1, dtype=block.dtype)
-    gaps = sums[:wide, None, :] - sums[None, :, :]
-    lam, mu = (gaps >= 0).all(axis=2).nonzero()
-    rows = np.empty((len(lam), 3 * rank - 1), dtype=block.dtype)
-    np.take(diffs, lam, axis=0, out=rows[:, :rank])
-    np.take(diffs, mu, axis=0, out=rows[:, rank : 2 * rank])
-    rows[:, 2 * rank :] = gaps[lam, mu]
+    sums = np.zeros((len(block), _lanes(rank - 1, dtype)), dtype=dtype)
+    np.add.accumulate(block[:, :-1], axis=1, dtype=dtype, out=sums[:, : rank - 1])
+    words = sums.view(np.uint64)
+    lifted = words[:wide] | high
+    ok = lifted[:, None, 0] - words[:, 0]
+    for j in range(1, words.shape[1]):
+        ok &= lifted[:, None, j] - words[:, j]
+    ok &= high
+    lam, mu = (ok == high).nonzero()
+    del ok  # the largest temporary, (wide, len(block)) words
+    rows = np.zeros((len(lam), _lanes(3 * rank - 1, dtype)), dtype=dtype)
+    rows[:, :rank] = diffs.take(lam, axis=0)
+    rows[:, rank : 2 * rank] = diffs.take(mu, axis=0)
+    # no lane of a kept pair's gaps is negative, so no borrow crosses a
+    # lane: the words subtract as wholes
+    gaps = words.take(lam, axis=0)
+    gaps -= words.take(mu, axis=0)
+    rows[:, 2 * rank : 3 * rank - 1] = gaps.view(dtype)[:, : rank - 1]
     return lam, mu, rows
 
 
 def _covered(slacks: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """For each row of ``slacks``, whether some row of ``basis`` lies at or
-    below it componentwise.
+    below it componentwise.  The entries lie in [0, dtype max], in any
+    signed dtype; rows of different widths compare as if zero-padded to
+    the wider.
 
-    The rows of ``slacks`` are taken in chunks of 2^CHUNK_BITS cells.
-    Each chunk is sliced once and compared with the basis rows in
-    order, a step of rows at a time; covered rows leave the chunk (it
-    is compressed only when some row was covered), so the first
-    (smallest) basis rows do most of the work.  Most rows are covered
-    by one of the first few basis rows, so the first step spans
-    2^(CHUNK_BITS - 6) cells, enough for a small basis in one pass, and
-    each later step doubles that up to 2^CHUNK_BITS.  No broadcast
-    holds more than 2^CHUNK_BITS cells (unless one row is wider).  Rows
-    from :func:`_cone_slacks` are byte-wide in every box walked here, so
-    a cell costs a byte."""
-    cells = 1 << config.CHUNK_BITS
-    width = slacks.shape[1]
-    chunk_rows = max(1, cells // width)
+    The rows are compared a uint64 word at a time, in lanes of the
+    (common) dtype's width: a byte for the slack rows of every box
+    walked here.  With H = 0x80...80, the high bit of every lane, a
+    basis row b lies at or below a row c iff every word of (c | H) - b
+    has every lane's high bit set.  No borrow crosses a lane: each lane
+    of c | H is at least H and each lane of b below it, so a lane holds
+    H + c_i - b_i, whose high bit is set iff b_i <= c_i.  The words of
+    a pair are ANDed together and compared with H once.  Rows are
+    zero-padded to whole words (padding lanes compare 0 <= 0); those of
+    :func:`_cone_slacks` already are, and are viewed without a copy.
+
+    The rows of ``slacks`` are taken in chunks of 2^CHUNK_BITS bytes,
+    each set to c | H and transposed once, so that a step compares the
+    chunk along its long axis.  The basis rows are taken in order, a
+    step of rows at a time; covered rows leave the chunk (it is
+    compressed only when some row was covered), so the first (smallest)
+    basis rows do most of the work.  Most rows are covered by one of
+    the first few basis rows, so the first step's words span
+    2^(CHUNK_BITS - 6) bytes, enough for a small basis in one pass, and
+    each later step doubles that up to 2^CHUNK_BITS.  No temporary
+    holds more than 2^CHUNK_BITS bytes (unless one padded row is
+    wider)."""
     covered = np.zeros(slacks.shape[0], dtype=bool)
-    for start in range(0, slacks.shape[0], chunk_rows):
-        chunk = slacks[start : start + chunk_rows]
-        index = np.arange(start, start + chunk.shape[0])
+    if not basis.shape[0]:
+        return covered
+    dtype = np.promote_types(slacks.dtype, basis.dtype)
+    lanes = _lanes(max(slacks.shape[1], basis.shape[1]), dtype)
+    high = _high_bits(dtype)
+    rows = _words(slacks.astype(dtype, copy=False), lanes)
+    # (rows, words, 1): word j of a step's rows runs down a column
+    base = _words(basis.astype(dtype, copy=False), lanes)[:, :, None]
+    cells = 1 << config.CHUNK_BITS
+    chunk_rows = max(1, cells // rows.itemsize // rows.shape[1])
+    for start in range(0, rows.shape[0], chunk_rows):
+        # transposed: line j holds word j of every row, lifted by H
+        chunk = (rows[start : start + chunk_rows] | high).T.copy()
+        index = np.arange(start, start + chunk.shape[1])
         budget, done = cells >> 6, 0
-        while index.size and done < basis.shape[0]:
-            step = max(1, budget // chunk.size)
-            below = basis[done : done + step]
-            hit = (below[None, :, :] <= chunk[:, None, :]).all(axis=2).any(axis=1)
+        while index.size and done < base.shape[0]:
+            step = max(1, budget // chunk.itemsize // index.size)
+            below = base[done : done + step]
+            ok = chunk[0] - below[:, 0]
+            for j in range(1, chunk.shape[0]):
+                ok &= chunk[j] - below[:, j]
+            # masked by H, a word is H iff all its lanes passed, and H is
+            # the largest masked word: the column maximum tells if any did
+            ok &= high
+            hit = ok.max(axis=0) == high
+            done += step
             if hit.any():
                 covered[index[hit]] = True
-                chunk, index = chunk[~hit], index[~hit]
-            done += step
+                if done < base.shape[0]:
+                    chunk, index = chunk[:, ~hit], index[~hit]
             budget = min(2 * budget, cells)
     return covered
 
@@ -343,12 +426,15 @@ def _minimal_slacks(rank: int) -> tuple[tuple[KostkaPair, ...], np.ndarray]:
     smaller block lies below it in slack order.  Same-size candidates
     need no comparison, since a cone point of size 0 is zero.  A block's
     pairs come by lambda, then mu, each in decreasing lexicographic
-    order, so its kept rows, reversed, are in catalog order.
+    order, so its kept rows, reversed, are in catalog order.  The slack
+    matrix is kept in :func:`_cone_slacks`'s word-padded layout and
+    returned without its padding.
     """
     if not 1 <= rank <= config.RANK_CAP:
         raise RankCapExceeded(f"rank {rank} outside [1, {config.RANK_CAP}]")
     lams, mus = [], []
-    basis = np.zeros((0, 3 * rank - 1), dtype=np.int8)
+    width, dtype = 3 * rank - 1, _box_dtype(rank, rank)
+    basis = np.zeros((0, _lanes(width, dtype)), dtype=dtype)
     for block in _box_partitions(rank, rank, rank * rank):
         lam, mu, slacks = _cone_slacks(block, len(block))
         kept = np.flatnonzero(~_covered(slacks, basis))[::-1]
@@ -356,7 +442,7 @@ def _minimal_slacks(rank: int) -> tuple[tuple[KostkaPair, ...], np.ndarray]:
         mus += block[mu[kept]].tolist()
         basis = np.vstack([basis, slacks[kept]])
     elements = tuple(KostkaPair(lam, mu, rank) for lam, mu in zip(lams, mus))
-    return elements, basis
+    return elements, basis[:, :width]
 
 
 def hilbert_basis(rank: int) -> BasisCatalog:

@@ -14,8 +14,9 @@ exceed the k-th largest, and the southmost rows of the run equal to
 it.  A column costs a bisection and at most two list edits instead of
 a sort of all rows.  The procedure runs once and records each column
 as its runs of 1s and 0s: :func:`ryser_canonical` writes the matrix
-from that record in one numpy repeat and :func:`fixing_chain` replays
-it stage by stage.
+from that record in one numpy repeat, and :func:`fixing_chain` replays
+the stages from the matrix's columns, since column s holds exactly the
+rows selected at column s.
 
 Differencing consecutive rows of A gives the star matrix A*, whose
 columns have one of three sign patterns; those patterns drive both the
@@ -244,9 +245,11 @@ def ryser_canonical(pair: KostkaPair) -> CanonicalMatrix:
 def fixing_chain(canonical: CanonicalMatrix) -> tuple[np.ndarray, ...]:
     """The fixing chain A^(0), ..., A^(lambda_1) that ends at the
     canonical matrix, one read-only array per stage, replayed from the
-    runs the procedure records.  Raises :class:`WidthCapExceeded`
-    before building anything when the chain would hold more than
-    ``config.CELL_CAP`` cells."""
+    canonical matrix itself: the rows that the procedure selects at
+    column s are the rows holding a 1 in column s, since a selected
+    row's 1 moves there and no later step touches that column.  Raises
+    :class:`WidthCapExceeded` before building anything when the chain
+    would hold more than ``config.CELL_CAP`` cells."""
     pair = canonical.pair
     r, w = pair.rank, pair.width
     _cell_cap((w + 1) * r * w, "fixing chain")
@@ -254,13 +257,9 @@ def fixing_chain(canonical: CanonicalMatrix) -> tuple[np.ndarray, ...]:
     arr = np.zeros((r, w), dtype=np.int8)
     arr[np.arange(w) < sums[:, None]] = 1  # flush left
     chain = [arr.copy()]
-    runs = _fixing_stages(pair)
-    index = np.arange(r)
-    for s, at in zip(range(w, 0, -1), range(0, 4 * w, 4)):
-        p, gap, ones = runs[at : at + 3]
-        lo = p + gap
+    for s in range(w, 0, -1):
         # each selected row's rightmost 1 in columns 1..s moves to column s
-        chosen = np.concatenate((index[:p], index[lo : lo + ones]))
+        chosen = np.flatnonzero(canonical.entries[:, s - 1])
         sums[chosen] -= 1
         arr[chosen, sums[chosen]] = 0
         arr[chosen, s - 1] = 1

@@ -598,3 +598,52 @@ def sorted_chain(pair) -> list[np.ndarray]:
         arr[chosen, s - 1] = 1
         chain.append(arr.copy())
     return chain
+
+
+# --- the byte-wise slack scan as first written -----------------------------
+#
+# kostka.cone before it compared slack rows eight bytes per uint64 word:
+# every comparison fills a boolean broadcast over the rows' trailing
+# axis and reduces it with ``.all(axis=2)``.
+
+
+def bytewise_cone_pairs(block: np.ndarray, wide: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cone pairs of one size block, lambda among its first ``wide``
+    rows, as (lambda rows, mu rows, slack rows): dominance read off the
+    signs of one broadcast of prefix-sum gaps, which become the slacks'
+    last rank - 1 entries."""
+    rank = block.shape[1]
+    diffs = block.copy()
+    diffs[:, :-1] -= block[:, 1:]
+    sums = block[:, :-1].cumsum(axis=1, dtype=block.dtype)
+    gaps = sums[:wide, None, :] - sums[None, :, :]
+    lam, mu = (gaps >= 0).all(axis=2).nonzero()
+    rows = np.empty((len(lam), 3 * rank - 1), dtype=block.dtype)
+    np.take(diffs, lam, axis=0, out=rows[:, :rank])
+    np.take(diffs, mu, axis=0, out=rows[:, rank : 2 * rank])
+    rows[:, 2 * rank :] = gaps[lam, mu]
+    return lam, mu, rows
+
+
+def bytewise_covered(slacks: np.ndarray, basis: np.ndarray, chunk_bits: int = 20) -> np.ndarray:
+    """For each row of ``slacks``, whether some row of ``basis`` lies at or
+    below it: chunks of 2^chunk_bits cells, a doubling step of basis
+    rows, covered rows leaving the chunk."""
+    cells = 1 << chunk_bits
+    width = slacks.shape[1]
+    chunk_rows = max(1, cells // width)
+    covered = np.zeros(slacks.shape[0], dtype=bool)
+    for start in range(0, slacks.shape[0], chunk_rows):
+        chunk = slacks[start : start + chunk_rows]
+        index = np.arange(start, start + chunk.shape[0])
+        budget, done = cells >> 6, 0
+        while index.size and done < basis.shape[0]:
+            step = max(1, budget // chunk.size)
+            below = basis[done : done + step]
+            hit = (below[None, :, :] <= chunk[:, None, :]).all(axis=2).any(axis=1)
+            if hit.any():
+                covered[index[hit]] = True
+                chunk, index = chunk[~hit], index[~hit]
+            done += step
+            budget = min(2 * budget, cells)
+    return covered

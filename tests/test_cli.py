@@ -125,6 +125,23 @@ class TestRyser:
         assert result.exit_code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("args", [WORKED, ["2", "1,1"], ["6,6,6", "6,6,6"]])
+    def test_fixing_procedure_runs_once(self, runner, monkeypatch, args):
+        # the chain is replayed from the canonical matrix, not recomputed
+        calls = []
+        real = ryser._fixing_stages
+
+        def spy(pair):
+            calls.append(pair)
+            return real(pair)
+
+        monkeypatch.setattr(ryser, "_fixing_stages", spy)
+        for fmt in ("json", "text"):
+            calls.clear()
+            result = run(runner, "ryser", *args, "--format", fmt)
+            assert result.exit_code == 0
+            assert len(calls) == 1
+
 
 class TestKgr:
     def test_json_graph(self, runner):

@@ -139,9 +139,14 @@ def unpadded(row) -> tuple[int, ...]:
 
 
 def block_pairs(block: np.ndarray, wide: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs of one size block as lambda rows, mu rows and slack rows."""
+    """The pairs of one size block as lambda rows, mu rows and slack rows,
+    the rows without the zero padding that makes them whole words."""
     lam, mu, rows = cone._cone_slacks(block, wide)
-    return block[lam], block[mu], rows
+    width = 3 * block.shape[1] - 1
+    assert rows.flags.c_contiguous and rows.shape[1] * rows.itemsize % 8 == 0
+    assert rows.shape[1] - 8 // rows.itemsize < width <= rows.shape[1]
+    assert not rows[:, width:].any()
+    return block[lam], block[mu], rows[:, :width]
 
 
 class TestConeBlocks:
@@ -188,16 +193,31 @@ def covered_by_definition(slacks: np.ndarray, basis: np.ndarray) -> list[bool]:
     return [any(below(b, s) for b in basis.tolist()) for s in slacks.tolist()]
 
 
-class BroadcastLog(np.ndarray):
-    """An array whose comparisons record the broadcast shape they fill."""
+def bare(x):
+    return x.view(np.ndarray) if isinstance(x, BroadcastLog) else x
 
-    shapes: list = []
+
+class BroadcastLog(np.ndarray):
+    """An array whose ufuncs record the dtype and the bytes of every array
+    they return, and return arrays that record in turn, so that each
+    temporary the scan derives from it by ufuncs, words and masks alike,
+    is logged."""
+
+    log: list = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        arrays = [np.asarray(x) for x in inputs]
-        if ufunc is np.less_equal:
-            BroadcastLog.shapes.append(np.broadcast_shapes(*(a.shape for a in arrays)))
-        return getattr(ufunc, method)(*arrays, **kwargs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(bare, kwargs["out"]))
+        result = getattr(ufunc, method)(*map(bare, inputs), **kwargs)
+        if not isinstance(result, np.ndarray):
+            return result
+        BroadcastLog.log.append((result.dtype, result.nbytes))
+        return result.view(BroadcastLog)
+
+
+def word_row_bytes(width: int, dtype) -> int:
+    """The bytes of a row of ``width`` entries zero-padded to whole words."""
+    return -(-max(width, 1) * np.dtype(dtype).itemsize // 8) * 8
 
 
 class TestSlackScan:
@@ -211,14 +231,52 @@ class TestSlackScan:
             for rows, basis_rows, top in ((0, 4, 3), (7, 0, 3), (60, 3, 4), (150, 40, 5), (300, 200, 9)):
                 slacks = rng.integers(0, top, size=(rows, width), dtype=np.int8)
                 basis = rng.integers(0, top, size=(basis_rows, width), dtype=np.int8)
-                BroadcastLog.shapes = []
-                got = cone._covered(slacks, basis.view(BroadcastLog))
+                BroadcastLog.log = []
+                got = cone._covered(slacks.view(BroadcastLog), basis.view(BroadcastLog))
                 assert got.dtype == bool and got.shape == (rows,)
                 assert got.tolist() == covered_by_definition(slacks, basis)
-                assert all(
-                    np.prod(shape) <= max(1 << chunk_bits, width)
-                    for shape in BroadcastLog.shapes
-                )
+                # every temporary, counted in bytes, within the chunk bound
+                bound = max(1 << chunk_bits, word_row_bytes(width, np.int8))
+                assert all(nbytes <= bound for _, nbytes in BroadcastLog.log)
+                if rows and basis_rows:
+                    assert any(dtype == np.uint64 for dtype, _ in BroadcastLog.log)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_lanes_hold_zero_and_the_dtype_maximum(self, dtype):
+        """Rows that mostly do not fill a whole word, with entries at both
+        ends of the dtype's range: a borrow across a lane, or a padding
+        lane that does not compare 0 <= 0, changes some answer."""
+        top = np.iinfo(dtype).max
+        values = np.array([0, 1, top - 1, top], dtype=dtype)
+        rng = np.random.default_rng(np.dtype(dtype).itemsize)
+        for width in range(1, 18):
+            slacks = values[rng.choice(4, size=(60, width), p=[0.45, 0.25, 0.1, 0.2])]
+            basis = values[rng.choice(4, size=(12, width), p=[0.6, 0.3, 0.05, 0.05])]
+            # every basis row has a positive entry, so none lies below the
+            # zero row, and one lies at the second row
+            basis[:, 0] = np.maximum(basis[:, 0], 1)
+            slacks[0], slacks[1] = 0, basis[0]
+            want = covered_by_definition(slacks, basis)
+            assert cone._covered(slacks, basis).tolist() == want, width
+            # a basis row at the top everywhere lies only below its copies
+            peak = np.full((1, width), top, dtype=dtype)
+            rows = np.vstack([slacks, peak])
+            want = (slacks == top).all(axis=1).tolist() + [True]
+            assert cone._covered(rows, peak).tolist() == want
+            # and a zero row lies below every row
+            assert cone._covered(rows, peak * 0).all()
+
+    def test_covered_rows_leave_the_chunk(self, monkeypatch):
+        # the first basis row covers every row, so one step settles the
+        # chunk and the other 999 basis rows are never compared
+        monkeypatch.setattr(config, "CHUNK_BITS", 10)
+        slacks = np.full((20, 5), 3, dtype=np.int8)
+        basis = np.vstack([np.zeros((1, 5), dtype=np.int8), np.full((999, 5), 9, dtype=np.int8)])
+        BroadcastLog.log = []
+        got = cone._covered(slacks.view(BroadcastLog), basis.view(BroadcastLog))
+        assert got.all()
+        subtractions = sum(dtype == np.uint64 for dtype, _ in BroadcastLog.log)
+        assert 0 < subtractions < 10
 
     def test_edge_cases(self, monkeypatch):
         monkeypatch.setattr(config, "CHUNK_BITS", 5)
@@ -256,6 +314,72 @@ class TestSlackScan:
         # a wrapped row would fall below ((2) | (1, 1))'s and go uncovered
         _, _, basis = block_pairs(np.array([[2, 0], [1, 1]], dtype=np.int8), 1)
         assert cone._covered(rows, basis[-1:]).tolist() == [True]
+
+
+class TestBytewiseReferee:
+    """The word-parallel slack scan against the byte-wise one it replaced
+    (``oracles.bytewise_cone_pairs`` and ``oracles.bytewise_covered``)."""
+
+    @staticmethod
+    def same_block(block: np.ndarray, wide: int, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The block's pairs, slack rows and cover vector from both scans,
+        asserted identical; returns the oracle's slack rows and cover."""
+        lam, mu, rows = cone._cone_slacks(block, wide)
+        want_lam, want_mu, want_rows = oracles.bytewise_cone_pairs(block, wide)
+        assert np.array_equal(lam, want_lam) and np.array_equal(mu, want_mu)
+        width = want_rows.shape[1]
+        assert rows.dtype == want_rows.dtype
+        assert np.array_equal(rows[:, :width], want_rows)
+        assert not rows[:, width:].any()
+        got = cone._covered(rows, basis)
+        want = oracles.bytewise_covered(want_rows, basis)
+        assert got.dtype == bool and np.array_equal(got, want)
+        return want_rows, want
+
+    def test_every_basis_block(self):
+        """Every size block of ranks 1-7, against the basis kept from the
+        smaller blocks, as the engine meets them."""
+        for rank in range(1, 8):
+            basis = np.zeros((0, 3 * rank - 1), dtype=np.int8)
+            for block in cone._box_partitions(rank, rank, rank * rank):
+                rows, covered = self.same_block(block, len(block), basis)
+                basis = np.vstack([basis, rows[~covered][::-1]])
+            _, want = cone._minimal_slacks(rank)
+            assert np.array_equal(basis, want[:, : basis.shape[1]])
+            assert len(basis) == BASIS_COUNTS[rank]
+
+    @pytest.mark.parametrize("box", [(30, 6, 12), (11, 12, 14)])
+    def test_blocks_past_a_byte(self, box):
+        """Boxes whose sizes pass 127, so that lanes are int16 and the
+        prefix sums fill two or three words: a pair can fail dominance
+        in a later word only, as (4, 2, 2, 2, 1, 1) fails (3, 3, 2, 2, 2)
+        at its fifth prefix sum."""
+        max_part, max_len, max_boxes = box
+        width = 3 * max_len - 1
+        basis = np.zeros((0, width), dtype=np.int16)
+        for block in cone._box_partitions(max_part, max_len, max_boxes):
+            assert block.dtype == np.int16
+            rows, covered = self.same_block(block, len(block), basis)
+            basis = np.vstack([basis, rows[~covered]])
+        assert 0 < len(basis)
+
+    def test_audit_layers(self):
+        """The lambda_1 = rank + 1 layers of ranks 2-6, against the whole
+        basis and against every other basis row, so that some pairs go
+        uncovered."""
+        for rank in range(2, 7):
+            _, basis = cone._minimal_slacks(rank)
+            basis = basis[:, : 3 * rank - 1]
+            layer = uncovered = 0
+            for block in cone._box_partitions(rank + 1, rank, rank * (rank + 1)):
+                wide = int(np.count_nonzero(block[:, 0] > rank))
+                _, covered = self.same_block(block, wide, basis)
+                assert covered.all()
+                _, covered = self.same_block(block, wide, basis[::2])
+                layer += len(covered)
+                uncovered += np.count_nonzero(~covered)
+            assert layer == LAYER_COUNTS[rank]
+            assert 0 < uncovered < layer
 
 
 def assert_matches_fixture_and_referees(rank: int, monkeypatch) -> None:
