@@ -288,7 +288,7 @@ def _lanes(width: int, dtype: np.dtype) -> int:
     return -(-max(width, 1) // per_word) * per_word
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _high_bits(dtype: np.dtype) -> np.uint64:
     """H = 0x80...80: the high bit of every ``dtype`` lane of a word."""
     return np.full(8 // dtype.itemsize, np.iinfo(dtype).min, dtype=dtype).view(np.uint64)[0]

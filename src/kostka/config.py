@@ -64,8 +64,10 @@ INT_CAP = 2**63 - 1
 
 # numpy broadcasts are chunked to at most 2^CHUNK_BITS cells to keep
 # peak memory flat: the column-subset sweep (ryser.sweep_proper_subsets),
-# whose chunks take fewer masks the wider each mask's row, and the
-# Hilbert-basis slack scan (cone._covered), whose cells are bytes: its
-# chunks of slack rows and its uint64 word temporaries hold at most
-# 2^CHUNK_BITS bytes each, or one word-padded row when that is wider.
+# whose buffers take fewer subsets the wider each subset's row, and whose
+# cached per-width tables of subsets (ryser._tuple_order) each fit one
+# buffer; and the Hilbert-basis slack scan (cone._covered), whose cells
+# are bytes: its chunks of slack rows and its uint64 word temporaries
+# hold at most 2^CHUNK_BITS bytes each, or one word-padded row when that
+# is wider.
 CHUNK_BITS = 20

@@ -18,7 +18,12 @@ not depend on the order of mu's parts, so :func:`kostka_count` peels
 the parts of mu greater than 1 first, largest first, one horizontal
 strip at a time, and leaves each remaining shape nu to the parts equal
 to 1: those fill it with standard tableaux, f^nu of them by the hook
-length formula, an exact quotient of integers.
+length formula, an exact quotient of integers.  The two tables it reads
+depend on a shape alone and are built once per process: the shapes
+left by peeling an m-box strip from a shape (:func:`_strips`, at most
+2048 (shape, m) keys) and f^nu (:func:`_standard_count`, at most 1024
+shapes), each in a ``functools.lru_cache`` of tuples and integers,
+which are immutable.
 
 The central object is :class:`KostkaPair`: a pair (lambda, mu) of equal
 size with mu dominated by lambda, carried together with an explicit
@@ -29,6 +34,7 @@ the pairs with K(lambda, mu) > 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate, product, zip_longest
@@ -212,42 +218,55 @@ def kostka_count(lam: Sequence[int], mu: Sequence[int]) -> int:
     taken with mu in ascending order, and the parts > 1 come off first,
     largest first.  A tableau is a chain of shapes, one horizontal strip
     per letter, and the loop carries every shape left so far with its
-    number of ways: peeling m boxes from a shape leaves each prev with
-    shape_{i+1} <= prev_i <= shape_i and m fewer boxes, its last part
-    fixed by that size, and prev must fit in the rows of the letters
-    still to come.  Each shape nu left when only parts 1 remain is
-    filled by standard tableaux, f^nu of them by the hook length
+    number of ways: peeling m boxes from a shape leaves the shapes
+    listed by :func:`_strips`, and each must fit in the rows of the
+    letters still to come.  Each shape nu left when only parts 1 remain
+    is filled by standard tableaux, f^nu of them by the hook length
     formula (:func:`_standard_count`), so the count is exact integer
-    arithmetic throughout.  Mismatched totals give 0.  Raises
+    arithmetic throughout.  Both tables depend on a shape alone and are
+    kept per process in bounded LRU caches, since the shapes recur from
+    pair to pair.  Mismatched totals give 0.  Raises
     :class:`SizeCapExceeded` when |lambda| > ``config.BOX_CAP``.
     """
     pl, pm = as_partition(lam), as_partition(mu)
-    left = size(pl)
-    if left > config.BOX_CAP:
-        raise SizeCapExceeded(f"|lambda| = {left} exceeds cap {config.BOX_CAP}")
-    if left != size(pm):
+    boxes = size(pl)
+    if boxes > config.BOX_CAP:
+        raise SizeCapExceeded(f"|lambda| = {boxes} exceeds cap {config.BOX_CAP}")
+    if boxes != size(pm):
         return 0
     ways = {pl: 1}
     for i, m in enumerate(pm):
         if m == 1:
             break
-        left -= m
         rows = len(pm) - 1 - i
         peeled: dict[Partition, int] = {}
         for shape, count in ways.items():
-            last = shape[-1]
-            heads = map(range, shape[1:], [part + 1 for part in shape[:-1]])
-            for head in product(*heads):
-                tail = left - sum(head)
-                if 0 <= tail <= last:
-                    # every head part is >= last >= 1, so only the tail can be 0
-                    prev = head + (tail,) if tail else head
-                    if len(prev) <= rows:
-                        peeled[prev] = peeled.get(prev, 0) + count
+            for prev in _strips(shape, m):
+                if len(prev) <= rows:
+                    peeled[prev] = peeled.get(prev, 0) + count
         ways = peeled
     return sum(count * _standard_count(shape) for shape, count in ways.items())
 
 
+@functools.lru_cache(maxsize=2048)
+def _strips(shape: Partition, m: int) -> tuple[Partition, ...]:
+    """The shapes prev left by peeling an m-box horizontal strip from a
+    nonempty shape that is already a partition: shape_{i+1} <= prev_i <=
+    shape_i, |prev| = |shape| - m, so the last part is fixed by the
+    others, in ``itertools.product`` order."""
+    left = sum(shape) - m
+    last = shape[-1]
+    heads = map(range, shape[1:], [part + 1 for part in shape[:-1]])
+    found = []
+    for head in product(*heads):
+        tail = left - sum(head)
+        if 0 <= tail <= last:
+            # every head part is >= last >= 1, so only the tail can be 0
+            found.append(head + (tail,) if tail else head)
+    return tuple(found)
+
+
+@functools.lru_cache(maxsize=1024)
 def _standard_count(shape: Partition) -> int:
     """f^shape, the standard tableaux of a shape that is already a
     partition, by the hook length formula: |shape|! over the product of

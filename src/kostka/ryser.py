@@ -28,10 +28,16 @@ and complementary row-sum vectors stay weakly decreasing) is decided by
 :func:`matrix_reducible`, refused up front past ``config.WIDTH_CAP``
 columns or ``config.SWEEP_CAP`` swept cells, and :func:`split_pair`
 materializes the two summand pairs.  The decision is an exhaustive
-vectorized sweep, :func:`sweep_proper_subsets`: all 2^w - 2 proper
-nonempty column subsets are tested in chunks of at most 2^CHUNK_BITS
-cells, and the witness whose sorted index tuple is lexicographically
-smallest is kept, so answers do not depend on the chunk size.
+vectorized sweep, :func:`sweep_proper_subsets`: the 2^w - 2 proper
+nonempty column subsets are tested in order of their sorted index
+tuples, in buffers of at most 2^CHUNK_BITS cells, and the sweep stops
+at the first accepted subset, so answers do not depend on the buffer
+size.  The indicator rows are read from a per-width table of the
+nonempty subsets in that order, built once per process by
+:func:`_tuple_order` and kept read-only in an LRU cache of at most 16
+widths; each table fits one buffer, so it holds at most 2^CHUNK_BITS
+cells.  A sweep wider than one buffer lays the table beside fixed head
+columns.
 
 Every matrix here, canonical, star or fixing-chain stage, is one
 read-only int8 array built once.  The canonical and star constructors
@@ -54,11 +60,12 @@ than against themselves.  A canonical matrix of more than
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -449,6 +456,83 @@ def _decreasing_rows(mat: np.ndarray) -> np.ndarray:
     return (mat[:, :-1] >= mat[:, 1:]).all(axis=1)
 
 
+@functools.lru_cache(maxsize=16)
+def _tuple_order(width: int) -> np.ndarray:
+    """The 2^width - 1 nonempty subsets of [1..width] as a read-only
+    (2^width - 1, width) int8 table of indicator rows, in sorted index
+    tuple order: (1), (1, 2), ..., (1, ..., width), (1, 3), ..., (width).
+
+    Tuples are ranked by one integer.  Read the row as R, position j
+    weighing 2^(width - j).  The tuples before (i_1 < ... < i_k) are its
+    k - 1 proper nonempty prefixes and, for each m and each j strictly
+    between i_(m-1) and i_m (i_0 = 0), the 2^(width - j) tuples that
+    agree with it before m and take j at m.  They add up to
+    2^width - 1 + k - R - (R & -R), so the rows are sorted once by
+    k - R - (R & -R)."""
+    reach = np.arange(1, 1 << width, dtype=np.int64)
+    bits = np.empty((reach.size, width), dtype=np.int8)
+    for j in range(width):
+        bits[:, j] = reach >> (width - 1 - j) & 1
+    rank = bits.sum(axis=1, dtype=np.int64) - reach - (reach & -reach)
+    table = bits[np.argsort(rank)]
+    table.flags.writeable = False
+    return table
+
+
+def _head_walk(
+    head: tuple[int, ...], heads: int
+) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """The subtree of ``head``, a set of 0-based columns below ``heads``,
+    in tuple order, cut at column ``heads``: its own row (True), the
+    subtrees of its children within the head columns, then its one
+    block (False), ``head`` joined to every nonempty subset of the
+    columns from ``heads`` on."""
+    if head:
+        yield head, True
+    for j in range(head[-1] + 1 if head else 0, heads):
+        yield from _head_walk((*head, j), heads)
+    yield head, False
+
+
+def _buffers(
+    width: int, block: np.ndarray, chunk: int
+) -> Iterator[tuple[np.ndarray, int]]:
+    """The nonempty subsets of [1..width] as indicator rows in tuple
+    order, in buffers of at most ``chunk`` rows, each yielded with the
+    index of its full-set row (-1 when it has none).  ``block`` is the
+    :func:`_tuple_order` table of the last columns; its 2^tail - 1 rows
+    fit one buffer, and when it spans the width it is the one buffer."""
+    tail = block.shape[1]
+    heads = width - tail
+    if not heads:
+        yield block, width - 1
+        return
+    batch: list[tuple[tuple[int, ...], bool]] = []
+    fill = 0
+
+    def stack() -> tuple[np.ndarray, int]:
+        rows = np.zeros((fill, width), dtype=np.int8)
+        at, full = 0, -1
+        for head, single in batch:
+            n = 1 if single else len(block)
+            rows[at : at + n, list(head)] = 1
+            if not single:
+                rows[at : at + n, heads:] = block
+                if len(head) == heads:
+                    full = at + tail - 1
+            at += n
+        return rows, full
+
+    for head, single in _head_walk((), heads):
+        n = 1 if single else len(block)
+        if fill + n > chunk:
+            yield stack()
+            batch, fill = [], 0
+        batch.append((head, single))
+        fill += n
+    yield stack()
+
+
 def sweep_proper_subsets(
     width: int, predicate: Callable[[np.ndarray], np.ndarray], cells: int
 ) -> tuple[int, ...] | None:
@@ -456,45 +540,34 @@ def sweep_proper_subsets(
     [1..width] satisfying ``predicate``, or None.
 
     The predicate maps an (N, width) int8 matrix of subset indicators
-    (bit j - 1 of a mask is position j) to an (N,) boolean vector, and
+    (column j - 1 is position j) to an (N,) boolean vector, and
     ``cells`` is the widest row it builds per subset (the swept matrix's
-    rank).  It is called on chunks of 2^CHUNK_BITS // max(width, cells)
-    indicator rows (at least one), so no row block it builds holds more
-    than 2^CHUNK_BITS cells and peak memory does not grow with the
-    width or the rank.  Every chunk is visited: the witness minimal in
-    tuple order need not be minimal as a bit mask.
+    rank).  It is called on buffers of at most
+    2^CHUNK_BITS // max(width, cells) indicator rows (at least one), so
+    no row block it builds holds more than 2^CHUNK_BITS cells and peak
+    memory does not grow with the width or the rank.  The buffers
+    follow tuple order, and the sweep stops at the first buffer with a
+    hit: its first accepted row is the witness.
 
-    Tuples are ranked by one integer.  Read the mask as R, position j
-    weighing 2^(width - j).  The tuples before (i_1 < ... < i_k) are its
-    k - 1 proper nonempty prefixes and, for each m and each j strictly
-    between i_(m-1) and i_m (i_0 = 0), the 2^(width - j) tuples that
-    agree with it before m and take j at m.  They add up to
-    2^width - 1 + k - R - (R & -R), so the sweep keeps the hit with the
-    smallest k - R - (R & -R).
+    The rows come from :func:`_tuple_order` of the widest tail whose
+    2^tail - 1 rows fit one buffer.  When that is the whole width, the
+    cached table itself is the one buffer.  Otherwise the first
+    width - tail columns are heads, and :func:`_head_walk` lists each
+    head set S, then the subtrees of its head children, then the block
+    of S joined to every nonempty subset of the tail columns: a run of
+    whole subtrees that reads the same cached table.  The full set, the
+    one improper row, is never the witness.
     """
     if width < 2:
         return None
-    total = 1 << width
     chunk = max(1, (1 << config.CHUNK_BITS) // max(width, cells))
-    shifts = np.arange(width, dtype=np.uint32)
-    weights = np.left_shift(1, np.arange(width - 1, -1, -1, dtype=np.int64))
-    best_rank, best = 0, None
-    for start in range(1, total - 1, chunk):
-        stop = min(start + chunk, total - 1)
-        masks = np.arange(start, stop, dtype=np.uint64 if width > 31 else np.uint32)
-        bits = (masks[:, None] >> shifts[None, :] & 1).astype(np.int8)
-        good = np.asarray(predicate(bits), dtype=bool)
-        if not good.any():
-            continue
-        hits = bits[good]
-        rev = hits @ weights
-        rank = hits.sum(axis=1, dtype=np.int64) - rev - (rev & -rev)
-        at = int(rank.argmin())
-        if best is None or rank[at] < best_rank:
-            best_rank, best = int(rank[at]), int(masks[good][at])
-    if best is None:
-        return None
-    return tuple(j + 1 for j in range(width) if best >> j & 1)
+    block = _tuple_order(min(width, (chunk + 1).bit_length() - 1))
+    for rows, full in _buffers(width, block, chunk):
+        good = np.asarray(predicate(rows), dtype=bool)
+        for at in good.nonzero()[0][:2].tolist():
+            if at != full:
+                return tuple(j + 1 for j in rows[at].nonzero()[0].tolist())
+    return None
 
 
 def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:

@@ -12,6 +12,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from kostka import config
 from kostka.config import INT_CAP
 from kostka.errors import (
     InvalidPair,
@@ -200,6 +201,38 @@ def catalan_reducible(entries: Sequence[int]) -> tuple[int, ...] | None:
                 if best is None or subset < best:
                     best = subset
     return best
+
+
+def rank_order_sweep(width: int, predicate, cells: int) -> tuple[int, ...] | None:
+    """``sweep_proper_subsets`` as the library first computed it: every
+    proper nonempty mask in counting order, in chunks of at most
+    2^CHUNK_BITS cells, and of all the hits the one whose sorted index
+    tuple ranks first, by the rank 2^width - 1 + k - R - (R & -R) of
+    the tuple (R the mask read with position j weighing 2^(width - j)).
+    Every chunk is visited."""
+    if width < 2:
+        return None
+    total = 1 << width
+    chunk = max(1, (1 << config.CHUNK_BITS) // max(width, cells))
+    shifts = np.arange(width, dtype=np.uint32)
+    weights = np.left_shift(1, np.arange(width - 1, -1, -1, dtype=np.int64))
+    best_rank, best = 0, None
+    for start in range(1, total - 1, chunk):
+        stop = min(start + chunk, total - 1)
+        masks = np.arange(start, stop, dtype=np.uint64 if width > 31 else np.uint32)
+        bits = (masks[:, None] >> shifts[None, :] & 1).astype(np.int8)
+        good = np.asarray(predicate(bits), dtype=bool)
+        if not good.any():
+            continue
+        hits = bits[good]
+        rev = hits @ weights
+        rank = hits.sum(axis=1, dtype=np.int64) - rev - (rev & -rev)
+        at = int(rank.argmin())
+        if best is None or rank[at] < best_rank:
+            best_rank, best = int(rank[at]), int(masks[good][at])
+    if best is None:
+        return None
+    return tuple(j + 1 for j in range(width) if best >> j & 1)
 
 
 def catalan_sweep(entries: Sequence[int]) -> tuple[int, ...] | None:

@@ -205,6 +205,19 @@ def test_c05_pool_witnesses_are_pinned():
     assert digest.hexdigest() == POOL_WITNESS_SHA256
 
 
+POOL_SWEEP_SHA256 = "75c7a8c18835ed0e10af5ea920f2537196b3418204e09ed5361f23e055e8557c"
+
+
+def test_c05_pool_sweep_witnesses_are_pinned():
+    """Every answer of the exhaustive column-subset sweep over the c05
+    pool, the first witnessing columns in tuple order or None, hashes to
+    a pinned value."""
+    digest = hashlib.sha256()
+    for pair in cone_pair_pool(13, max_width=7):
+        digest.update(repr(matrix_reducible(ryser_canonical(pair))).encode() + b"\n")
+    assert digest.hexdigest() == POOL_SWEEP_SHA256
+
+
 POOL_DECOMPOSE_SHA256 = "27240021a873b10a05a4e2d78a54b994d20fba02d0eaa6c18f8ee011445686f8"
 
 

@@ -1,6 +1,8 @@
 """Every module of the package and of the test suite reads each name
 that it imports at the top level.  ``kostka/__init__.py`` is exempt: its
-imports are the package's exports."""
+imports are the package's exports.  Every ``functools`` cache of the
+package declares a finite ``maxsize``, so no cache grows with the
+inputs a process sees."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPORTS = ROOT / "src" / "kostka" / "__init__.py"
+PACKAGE = sorted((ROOT / "src" / "kostka").glob("*.py"))
 MODULES = sorted(
     path
     for path in (*(ROOT / "src" / "kostka").glob("*.py"), *(ROOT / "tests").glob("*.py"))
@@ -46,3 +49,62 @@ def test_every_import_is_read(path):
 def test_the_guard_sees_an_unread_import():
     source = "import os\nimport numpy as np\nfrom typing import Any, Sequence\nnp.zeros(Any)\n"
     assert unread_imports(source) == ["os", "Sequence"]
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """The lines of the module's ``functools`` caches that do not
+    declare a positive integer ``maxsize``: ``cache``, a bare
+    ``lru_cache`` and ``lru_cache`` called without one or with None."""
+    lines: list[int] = []
+    for node in ast.walk(ast.parse(source)):
+        if _named(node) == "functools.cache":
+            lines.append(node.lineno)
+        for dec in getattr(node, "decorator_list", []):
+            if _named(dec) in ("cache", "lru_cache", "functools.lru_cache"):
+                lines.append(dec.lineno)
+        if isinstance(node, ast.Call) and _named(node.func) in (
+            "lru_cache",
+            "functools.lru_cache",
+        ):
+            sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+            size = (sizes or node.args[:1] or [None])[0]
+            if not (
+                isinstance(size, ast.Constant)
+                and type(size.value) is int
+                and size.value > 0
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def _named(node: ast.AST) -> str | None:
+    """``name`` or ``module.name`` for a plain or dotted name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return f"{node.value.id}.{node.attr}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=[str(path.relative_to(ROOT)) for path in PACKAGE]
+)
+def test_every_cache_is_bounded(path):
+    assert unbounded_caches(path.read_text()) == []
+
+
+def test_the_guard_sees_an_unbounded_cache():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.cache\ndef a(x): return x\n"
+        "@cache\ndef b(x): return x\n"
+        "@functools.lru_cache\ndef c(x): return x\n"
+        "@lru_cache(maxsize=None)\ndef d(x): return x\n"
+        "@functools.lru_cache(None)\ndef e(x): return x\n"
+        "@functools.lru_cache()\ndef f(x): return x\n"
+        "@functools.lru_cache(maxsize=8)\ndef g(x): return x\n"
+        "@lru_cache(16)\ndef h(x): return x\n"
+        "i = functools.lru_cache(maxsize=None)(len)\n"
+    )
+    assert unbounded_caches(source) == [3, 5, 7, 9, 11, 13, 19]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import cone_pair_pool, partition_pool, partitions_st
-from kostka import config
+from kostka import config, partitions
 from kostka.config import INT_CAP
 from kostka.errors import InvalidPair, InvalidPartition, SizeCapExceeded
 from kostka.partitions import (
@@ -180,6 +180,28 @@ class TestKostkaCount:
         mu = data.draw(st.sampled_from(list(oracles.partitions(size(lam)))))
         content = data.draw(st.permutations(mu))
         assert oracles.ssyt_count(lam, content) == kostka_count(lam, mu)
+
+    def test_strip_cache_is_bounded(self):
+        limit = partitions._strips.cache_info().maxsize
+        shapes = partition_pool(16)[1:]
+        keys = [(p, m) for p in shapes for m in range(1, 4) if m <= size(p)]
+        assert len(keys) > limit
+        for shape, m in keys:
+            strips = partitions._strips(shape, m)
+            assert isinstance(strips, tuple)
+            for prev in strips:
+                assert size(prev) == size(shape) - m
+                assert oracles.horizontal_strip(prev, shape)
+        assert partitions._strips.cache_info().currsize <= limit
+
+    def test_standard_count_cache_is_bounded(self):
+        limit = partitions._standard_count.cache_info().maxsize
+        shapes = partition_pool(17)
+        assert len(shapes) > limit
+        for shape in shapes:
+            count = oracles.strip_peel_count(shape, (1,) * size(shape))
+            assert partitions._standard_count(shape) == count
+        assert partitions._standard_count.cache_info().currsize <= limit
 
     def test_cap_edge_golden(self):
         # standard tableaux of the 3 x 10 rectangle: the 3-dimensional

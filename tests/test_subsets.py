@@ -60,6 +60,66 @@ class TestSweep:
         assert sweep_proper_subsets(4, lambda bits: np.zeros(len(bits), dtype=bool), 1) is None
 
 
+class TestRankOrderReferee:
+    @pytest.mark.parametrize("chunk_bits", [6, 8, 20])
+    def test_same_witness_as_the_rank_order_sweep(self, monkeypatch, chunk_bits):
+        monkeypatch.setattr(config, "CHUNK_BITS", chunk_bits)
+        rng = np.random.default_rng(100 + chunk_bits)
+        for width in range(1, 13):
+            for density in (0.0, 0.001, 0.01, 0.1, 0.5):
+                for cells in (1, 5, 13, 40, 100):
+                    table = rng.random(1 << width) < density
+                    predicate = table_predicate(table, width)
+                    assert sweep_proper_subsets(
+                        width, predicate, cells
+                    ) == oracles.rank_order_sweep(width, predicate, cells)
+
+    def test_a_hit_in_the_first_buffer_ends_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(config, "CHUNK_BITS", 6)
+        width = 10
+        calls = []
+
+        def spy(accept):
+            def predicate(bits):
+                calls.append(len(bits))
+                return np.array([mask_positions(row) == accept for row in bits])
+
+            return predicate
+
+        # the empty set is never swept, so every buffer is
+        assert sweep_proper_subsets(width, spy(()), 1) is None
+        assert len(calls) > 1 and sum(calls) == (1 << width) - 1
+        calls.clear()
+        assert sweep_proper_subsets(width, spy((1, 2)), 1) == (1, 2)
+        assert len(calls) == 1 and calls[0] <= (1 << 6) // width
+
+    def test_a_table_that_fits_one_buffer_is_one_call(self):
+        calls = []
+
+        def predicate(bits):
+            calls.append(bits)
+            return np.zeros(len(bits), dtype=bool)
+
+        assert sweep_proper_subsets(7, predicate, 13) is None
+        [rows] = calls
+        assert rows.shape == ((1 << 7) - 1, 7) and not rows.flags.writeable
+
+    def test_tuple_order_tables_are_read_only_and_bounded(self):
+        limit = ryser._tuple_order.cache_info().maxsize
+        for width in range(limit + 2):
+            table = ryser._tuple_order(width)
+            assert not table.flags.writeable
+            assert table.shape == ((1 << width) - 1, width)
+            if width <= 8:
+                rows = [mask_positions(row) for row in table]
+                assert rows == sorted(set(rows)) and () not in rows
+        assert ryser._tuple_order.cache_info().currsize <= limit
+
+
+def mask_positions(row: np.ndarray) -> tuple[int, ...]:
+    return tuple(j + 1 for j in np.flatnonzero(row).tolist())
+
+
 TALL = KostkaPair((6, 6, 6, 6), (1,) * 24)  # width 6, rank 24
 CATALAN_16 = (3, 2, 1, -2, 1, -2, -1, -1, 2, -1, 2, 1, -2, -1, -1, -1)
 
