@@ -46,7 +46,6 @@ from .ryser import (
     ShortenRightmost,
     StarMatrix,
     fixing_chain,
-    gr_nonempty,
     matrix_reducible,
     ryser_canonical,
     shape_sequence,
@@ -72,7 +71,6 @@ from .cone import (
     extremal_rays,
     hilbert_basis,
     is_extremal,
-    is_irreducible,
     load_catalog,
     primitive_point,
     width_bound_audit,

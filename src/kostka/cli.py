@@ -70,7 +70,7 @@ from .ryser import (
     shape_sequence,
     star_matrix,
 )
-from .sequences import CatalanSeq, catalan_reducible, cost
+from .sequences import CatalanSeq, catalan_reducible, kim_theorem_check
 from .subsetsum import SubsetSumInstance, reduction_equivalence_check
 
 _INPUT_ERRORS = (
@@ -434,12 +434,9 @@ def catalan(sequence: str, fmt: str) -> None:
     except ValueError as exc:
         raise click.UsageError(f"cannot parse sequence {sequence!r}") from exc
     x = CatalanSeq(entries)
-    c, t = cost(x), x.width
-    witness = catalan_reducible(x)
-    if c < t and witness is None:
-        raise AssertionFailure(
-            f"cost {c} < width {t} but no witness found for {x.entries}"
-        )
+    report = kim_theorem_check(x)
+    c, t = report.cost, report.width
+    witness = report.witness if report.hypothesis else catalan_reducible(x)
     payload = {
         "entries": list(x.entries),
         "cost": c,

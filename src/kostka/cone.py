@@ -169,12 +169,6 @@ def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
     return None
 
 
-def is_irreducible(pair: KostkaPair) -> bool:
-    """Nonzero and admitting no decomposition (the zero pair is not
-    irreducible by convention)."""
-    return pair.n > 0 and decompose(pair) is None
-
-
 # --- Hilbert basis ----------------------------------------------------------
 
 

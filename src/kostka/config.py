@@ -21,12 +21,12 @@ BOX_CAP = 40
 # Largest |lambda| for which decompose enumerates splittings.
 SPLIT_CAP = 40
 
-# Widest matrix for which column subsets are swept exhaustively (2^w masks).
-WIDTH_CAP = 24
-
 # Most cells a column-subset sweep of a matrix may visit, (2^w - 2) * rank,
-# checked before the sweep: about a second at 30-35 ns a cell.  The width
-# cap alone bounds the memory of a sweep, not its time.
+# checked before the sweep; it bounds the sweep's time, as CHUNK_BITS
+# bounds its memory.  It refuses every width >= 26, and width 25 above
+# rank 1.  A full miss near the cap, the primitive point of
+# RaySpec(20, 19, 11, 31) (width 20, rank 31, 32,505,794 cells), takes
+# 1.2-1.5 s (2 vCPUs, Python 3.11.7, numpy 2.4.6).
 SWEEP_CAP = 2**25
 
 # Most cells in a canonical matrix, rank * lambda_1, checked before the
@@ -64,8 +64,8 @@ INT_CAP = 2**63 - 1
 
 # numpy broadcasts are chunked to at most 2^CHUNK_BITS cells to keep
 # peak memory flat: the column-subset sweep (ryser.sweep_proper_subsets),
-# whose buffers take fewer subsets the wider each subset's row, and whose
-# cached per-width tables of subsets (ryser._tuple_order) each fit one
+# whose buffers take fewer subsets the wider each subset's row, and which
+# reads no cached table of subsets (ryser._tuple_order) wider than one
 # buffer; and the Hilbert-basis slack scan (cone._covered), whose cells
 # are bytes: its chunks of slack rows and its uint64 word temporaries
 # hold at most 2^CHUNK_BITS bytes each, or one word-padded row when that

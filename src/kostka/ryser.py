@@ -25,19 +25,20 @@ implemented by :func:`shape_sequence`.
 
 Reducibility of the pair along a column subset S (both the S-selected
 and complementary row-sum vectors stay weakly decreasing) is decided by
-:func:`matrix_reducible`, refused up front past ``config.WIDTH_CAP``
-columns or ``config.SWEEP_CAP`` swept cells, and :func:`split_pair`
-materializes the two summand pairs.  The decision is an exhaustive
-vectorized sweep, :func:`sweep_proper_subsets`: the 2^w - 2 proper
-nonempty column subsets are tested in order of their sorted index
-tuples, in buffers of at most 2^CHUNK_BITS cells, and the sweep stops
-at the first accepted subset, so answers do not depend on the buffer
-size.  The indicator rows are read from a per-width table of the
-nonempty subsets in that order, built once per process by
-:func:`_tuple_order` and kept read-only in an LRU cache of at most 16
-widths; each table fits one buffer, so it holds at most 2^CHUNK_BITS
-cells.  A sweep wider than one buffer lays the table beside fixed head
-columns.
+:func:`matrix_reducible`, refused up front past ``config.SWEEP_CAP``
+swept cells, and :func:`split_pair` materializes the two summand pairs.
+The decision is an exhaustive vectorized sweep,
+:func:`sweep_proper_subsets`: the 2^w - 2 proper nonempty column
+subsets are tested in order of their sorted index tuples, in buffers of
+at most 2^CHUNK_BITS cells, and the sweep stops at the first accepted
+subset, so answers do not depend on the buffer size.  That order has a
+recursion: (1), then (1) joined to each subset of the later columns in
+their order, then those subsets alone.  :func:`_tuple_order` builds
+each width's table of the nonempty subsets from the next narrower one
+and keeps it read-only in an LRU cache of at most 16 widths.  The
+sweep reads the widest table that fits one buffer; a wider sweep walks
+the same recursion down to that table and packs the blocks it lists
+into buffers.
 
 Every matrix here, canonical, star or fixing-chain stage, is one
 read-only int8 array built once.  The canonical and star constructors
@@ -77,7 +78,6 @@ from .partitions import (
     _conjugate,
     as_partition,
     conjugate,
-    dominates,
     pad,
     size,
 )
@@ -90,12 +90,6 @@ def render_matrix(entries: np.ndarray | Sequence[Sequence[int]]) -> str:
         return ""
     cell = max(len(str(v)) for row in rows for v in row)
     return "\n".join(" ".join(str(v).rjust(cell) for v in row) for row in rows)
-
-
-def gr_nonempty(alpha: Sequence[int], beta: Sequence[int]) -> bool:
-    """Whether some 0/1 matrix has row sums alpha and column sums beta:
-    the conjugate of alpha must dominate beta."""
-    return dominates(conjugate(alpha), beta)
 
 
 def _frozen_int8(entries, shape: tuple[int, int], error: type[Exception]) -> np.ndarray:
@@ -462,75 +456,55 @@ def _tuple_order(width: int) -> np.ndarray:
     (2^width - 1, width) int8 table of indicator rows, in sorted index
     tuple order: (1), (1, 2), ..., (1, ..., width), (1, 3), ..., (width).
 
-    Tuples are ranked by one integer.  Read the row as R, position j
-    weighing 2^(width - j).  The tuples before (i_1 < ... < i_k) are its
-    k - 1 proper nonempty prefixes and, for each m and each j strictly
-    between i_(m-1) and i_m (i_0 = 0), the 2^(width - j) tuples that
-    agree with it before m and take j at m.  They add up to
-    2^width - 1 + k - R - (R & -R), so the rows are sorted once by
-    k - R - (R & -R)."""
-    reach = np.arange(1, 1 << width, dtype=np.int64)
-    bits = np.empty((reach.size, width), dtype=np.int8)
-    for j in range(width):
-        bits[:, j] = reach >> (width - 1 - j) & 1
-    rank = bits.sum(axis=1, dtype=np.int64) - reach - (reach & -reach)
-    table = bits[np.argsort(rank)]
+    That order is (1), then (1) joined to each subset of [2..width] in
+    its own order, then those subsets alone, so the table is built from
+    the one a column narrower."""
+    table = np.zeros(((1 << width) - 1, width), dtype=np.int8)
+    if width:
+        rest = _tuple_order(width - 1)
+        half = len(rest) + 1
+        table[:half, 0] = 1
+        table[1:half, 1:] = rest
+        table[half:, 1:] = rest
     table.flags.writeable = False
     return table
 
 
-def _head_walk(
-    head: tuple[int, ...], heads: int
-) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """The subtree of ``head``, a set of 0-based columns below ``heads``,
-    in tuple order, cut at column ``heads``: its own row (True), the
-    subtrees of its children within the head columns, then its one
-    block (False), ``head`` joined to every nonempty subset of the
-    columns from ``heads`` on."""
-    if head:
-        yield head, True
-    for j in range(head[-1] + 1 if head else 0, heads):
-        yield from _head_walk((*head, j), heads)
-    yield head, False
+# the empty subset of no columns, alone: a block of one row
+_ALONE = np.zeros((1, 0), dtype=np.int8)
 
 
-def _buffers(
-    width: int, block: np.ndarray, chunk: int
-) -> Iterator[tuple[np.ndarray, int]]:
-    """The nonempty subsets of [1..width] as indicator rows in tuple
-    order, in buffers of at most ``chunk`` rows, each yielded with the
-    index of its full-set row (-1 when it has none).  ``block`` is the
-    :func:`_tuple_order` table of the last columns; its 2^tail - 1 rows
-    fit one buffer, and when it spans the width it is the one buffer."""
-    tail = block.shape[1]
-    heads = width - tail
-    if not heads:
-        yield block, width - 1
+def _blocks(
+    width: int, tail: int, head: tuple[int, ...] = (), start: int = 0
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """``head``, a set of 0-based columns below ``start``, joined to each
+    nonempty subset of the columns from ``start`` on, in tuple order, as
+    blocks (head, table): every row of ``table`` on the last columns,
+    with the head columns set.  The order is the row that adds column
+    ``start`` alone, then the extensions that take it, then those that
+    do not; the last ``tail`` columns are one block of the cached
+    :func:`_tuple_order` table."""
+    if width - start <= tail:
+        yield head, _tuple_order(width - start)
         return
-    batch: list[tuple[tuple[int, ...], bool]] = []
-    fill = 0
+    yield (*head, start), _ALONE
+    yield from _blocks(width, tail, (*head, start), start + 1)
+    yield from _blocks(width, tail, head, start + 1)
 
-    def stack() -> tuple[np.ndarray, int]:
-        rows = np.zeros((fill, width), dtype=np.int8)
-        at, full = 0, -1
-        for head, single in batch:
-            n = 1 if single else len(block)
-            rows[at : at + n, list(head)] = 1
-            if not single:
-                rows[at : at + n, heads:] = block
-                if len(head) == heads:
-                    full = at + tail - 1
-            at += n
-        return rows, full
 
-    for head, single in _head_walk((), heads):
-        n = 1 if single else len(block)
+def _packed(width: int, tail: int, chunk: int) -> Iterator[np.ndarray]:
+    """The rows of :func:`_blocks`, consecutive blocks packed into
+    buffers of at most ``chunk`` rows; every block fits one."""
+    rows, fill = np.zeros((chunk, width), dtype=np.int8), 0
+    for head, table in _blocks(width, tail):
+        n = len(table)
         if fill + n > chunk:
-            yield stack()
-            batch, fill = [], 0
-        batch.append((head, single))
+            yield rows[:fill]
+            rows, fill = np.zeros((chunk, width), dtype=np.int8), 0
+        rows[fill : fill + n, list(head)] = 1
+        rows[fill : fill + n, width - table.shape[1] :] = table
         fill += n
-    yield stack()
+    yield rows[:fill]
 
 
 def sweep_proper_subsets(
@@ -549,24 +523,24 @@ def sweep_proper_subsets(
     follow tuple order, and the sweep stops at the first buffer with a
     hit: its first accepted row is the witness.
 
-    The rows come from :func:`_tuple_order` of the widest tail whose
-    2^tail - 1 rows fit one buffer.  When that is the whole width, the
-    cached table itself is the one buffer.  Otherwise the first
-    width - tail columns are heads, and :func:`_head_walk` lists each
-    head set S, then the subtrees of its head children, then the block
-    of S joined to every nonempty subset of the tail columns: a run of
-    whole subtrees that reads the same cached table.  The full set, the
-    one improper row, is never the witness.
+    The widest table of :func:`_tuple_order` that fits one buffer covers
+    the last ``tail`` columns.  When that is the whole width, the cached
+    table itself is the one buffer; otherwise :func:`_packed` lays out
+    the order from it.  The full set, row width - 1 of the order and
+    the one improper row, is never the witness.
     """
     if width < 2:
         return None
     chunk = max(1, (1 << config.CHUNK_BITS) // max(width, cells))
-    block = _tuple_order(min(width, (chunk + 1).bit_length() - 1))
-    for rows, full in _buffers(width, block, chunk):
+    tail = min(width, (chunk + 1).bit_length() - 1)
+    buffers = _packed(width, tail, chunk) if tail < width else [_tuple_order(width)]
+    seen = 0
+    for rows in buffers:
         good = np.asarray(predicate(rows), dtype=bool)
         for at in good.nonzero()[0][:2].tolist():
-            if at != full:
+            if seen + at != width - 1:
                 return tuple(j + 1 for j in rows[at].nonzero()[0].tolist())
+        seen += len(rows)
     return None
 
 
@@ -576,13 +550,10 @@ def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:
     weakly decreasing, or None.
 
     Raises :class:`WidthCapExceeded` before sweeping above
-    ``config.WIDTH_CAP`` columns or ``config.SWEEP_CAP`` swept cells,
-    (2^width - 2) * rank, since every proper subset costs a row sum per
-    row."""
+    ``config.SWEEP_CAP`` swept cells, (2^width - 2) * rank, since every
+    proper subset costs a row sum per row."""
     pair = canonical.pair
     w, r = pair.width, pair.rank
-    if w > config.WIDTH_CAP:
-        raise WidthCapExceeded(f"width {w} exceeds cap {config.WIDTH_CAP}")
     cells = ((1 << w) - 2) * r
     if cells > config.SWEEP_CAP:
         raise WidthCapExceeded(f"sweep of {cells} cells exceeds cap {config.SWEEP_CAP}")

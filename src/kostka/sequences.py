@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import config
-from .errors import InvalidSequence, LengthCapExceeded
+from .errors import AssertionFailure, InvalidSequence, LengthCapExceeded
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,6 @@ def kim_theorem_check(x: CatalanSeq) -> KimReport:
     :class:`AssertionFailure` on a violation, and
     :class:`LengthCapExceeded` where :func:`catalan_reducible` refuses
     the sequence."""
-    from .errors import AssertionFailure
-
     c, t = cost(x), x.width
     if c >= t:
         return KimReport(cost=c, width=t, hypothesis=False, witness=None)

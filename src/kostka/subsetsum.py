@@ -136,11 +136,13 @@ class EquivalenceReport:
 def reduction_equivalence_check(inst: SubsetSumInstance) -> EquivalenceReport:
     """Run both sides and insist they agree: the brute-force subset
     oracle on one hand, pair irreducibility of the reduction on the
-    other.  Disagreement raises :class:`AssertionFailure`."""
+    other.  Disagreement raises :class:`AssertionFailure`.  The
+    decomposition search runs first, so its size cap refuses an
+    oversized pair before the oracle's exponential search starts."""
     canonical = inst.sorted_desc()
     pair = reduce_to_kostka(canonical)
-    witness = subset_sum_oracle(canonical)
     found = decompose(pair)
+    witness = subset_sum_oracle(canonical)
     if (witness is None) != (found is None):
         raise AssertionFailure(
             f"oracle says {witness}, decomposition search says {found} for {inst}"

@@ -24,7 +24,6 @@ from kostka.cone import (
     extremal_rays,
     hilbert_basis,
     is_extremal,
-    is_irreducible,
     load_catalog,
     primitive_point,
     width_bound_audit,
@@ -68,12 +67,10 @@ class TestDecompose:
         small, large = found
         assert small == KostkaPair((1, 1), (1, 1), rank=4)
         assert large == KostkaPair((2, 1, 1), (1, 1, 1, 1), rank=4)
-        assert not is_irreducible(pair)
 
     def test_zero_and_unit_pairs(self):
         assert decompose(KostkaPair((), (), rank=1)) is None
-        assert not is_irreducible(KostkaPair((), (), rank=1))
-        assert is_irreducible(KostkaPair((1,), (1,)))
+        assert decompose(KostkaPair((1,), (1,))) is None
 
     def test_size_cap(self, monkeypatch):
         pair = KostkaPair((30, 30), (30, 30))
@@ -459,7 +456,7 @@ class TestHilbertBasis:
         for rank in (1, 2, 3, 4):
             for lam, mu in hilbert_basis(rank).keys():
                 pair = KostkaPair(lam, mu, rank=rank)
-                assert is_irreducible(pair)
+                assert decompose(pair) is None
 
     def test_monotone_in_rank(self):
         previous: set = set()

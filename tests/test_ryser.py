@@ -28,6 +28,7 @@ from kostka.errors import (
 from kostka.partitions import (
     KostkaPair,
     conjugate,
+    dominates,
     pad,
     size,
 )
@@ -37,7 +38,6 @@ from kostka.ryser import (
     ShortenAndDelete,
     ShortenRightmost,
     StarMatrix,
-    gr_nonempty,
     matrix_reducible,
     fixing_chain,
     render_matrix,
@@ -78,15 +78,15 @@ class TestRenderMatrix:
 
 class TestGaleRyser:
     def test_known_margins(self):
-        assert gr_nonempty((2, 2), (2, 1, 1))
-        assert not gr_nonempty((2, 2), (1, 1))
+        assert dominates(conjugate((2, 2)), (2, 1, 1))
+        assert not dominates(conjugate((2, 2)), (1, 1))
 
     def test_matches_matrix_search_exhaustively(self):
         for n in range(1, 9):
             shapes = list(oracles.partitions(n))
             for alpha in shapes:
                 for beta in shapes:
-                    assert gr_nonempty(alpha, beta) == oracles.gr_matrix_exists(
+                    assert dominates(conjugate(alpha), beta) == oracles.gr_matrix_exists(
                         alpha, beta
                     ), (alpha, beta)
 
@@ -486,14 +486,9 @@ class TestReducibility:
             pairs += 1
         assert pairs > 13000
 
-    def test_width_cap(self, running_pair, monkeypatch):
-        monkeypatch.setattr(config, "WIDTH_CAP", 4)
-        with pytest.raises(WidthCapExceeded):
-            matrix_reducible(ryser_canonical(running_pair))
-
     def test_sweep_cap_refuses_before_sweeping(self, monkeypatch):
-        # width 20 is under the width cap, but 2^20 masks at rank 200 is
-        # 209,714,800 cells: several seconds of sweeping
+        # 2^20 masks at rank 200 is 209,714,800 cells: several seconds of
+        # sweeping
         pair = KostkaPair((20,) * 10, (1,) * 200)
         canonical = ryser_canonical(pair)
         spy = []
@@ -502,6 +497,24 @@ class TestReducibility:
         with pytest.raises(WidthCapExceeded, match=message):
             matrix_reducible(canonical)
         assert not spy
+
+    def test_widest_sweep_under_the_cap_stops_at_its_first_buffer(self, monkeypatch):
+        # (2^25 - 2) * 1 cells: no cap refuses width 25 at rank 1, and
+        # the first row of the order, column 1 alone, splits the pair
+        canonical = ryser_canonical(KostkaPair((25,), (25,)))
+        calls = []
+        real = ryser.sweep_proper_subsets
+
+        def spy(width, predicate, cells):
+            def counted(bits):
+                calls.append(len(bits))
+                return predicate(bits)
+
+            return real(width, counted, cells)
+
+        monkeypatch.setattr(ryser, "sweep_proper_subsets", spy)
+        assert matrix_reducible(canonical) == (1,)
+        assert len(calls) == 1
 
     def test_witness_always_splits(self, running_pair):
         canonical = ryser_canonical(running_pair)

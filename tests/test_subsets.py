@@ -115,6 +115,10 @@ class TestRankOrderReferee:
                 assert rows == sorted(set(rows)) and () not in rows
         assert ryser._tuple_order.cache_info().currsize <= limit
 
+    def test_tuple_order_tables_match_the_rank_formula(self):
+        for width in range(18):
+            assert np.array_equal(ryser._tuple_order(width), oracles.rank_order_table(width))
+
 
 def mask_positions(row: np.ndarray) -> tuple[int, ...]:
     return tuple(j + 1 for j in np.flatnonzero(row).tolist())

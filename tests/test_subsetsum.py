@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kostka import config
-from kostka.cone import decompose, is_irreducible
+from kostka import config, subsetsum
+from kostka.cone import decompose
 from kostka.errors import AssertionFailure, InvalidInstance, SizeCapExceeded
 from kostka.partitions import KostkaPair, dominates, size
 from kostka.subsetsum import (
@@ -125,11 +125,20 @@ class TestReduction:
                     checked += 1
         assert checked > 1500
 
+    def test_size_cap_refuses_before_the_oracle(self, monkeypatch):
+        # 24 values of 2 and an odd target: a 97-box pair, and the
+        # oracle's search would visit every subset before saying no
+        calls = []
+        monkeypatch.setattr(subsetsum, "subset_sum_oracle", calls.append)
+        with pytest.raises(SizeCapExceeded, match=r"\|lambda\| = 97 exceeds cap 40$"):
+            reduction_equivalence_check(SubsetSumInstance((2,) * 24, 23))
+        assert not calls
+
     def test_no_instances_give_irreducible_pairs(self):
         inst = SubsetSumInstance((4, 2), 3)
         pair = reduce_to_kostka(inst)
         assert subset_sum_oracle(inst) is None
-        assert is_irreducible(pair)
+        assert decompose(pair) is None
 
     def test_yes_instances_decompose(self):
         pair = reduce_to_kostka(GOLDEN)
