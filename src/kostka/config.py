@@ -26,7 +26,8 @@ SPLIT_CAP = 40
 # bounds its memory.  It refuses every width >= 26, and width 25 above
 # rank 1.  A full miss near the cap, the primitive point of
 # RaySpec(20, 19, 11, 31) (width 20, rank 31, 32,505,794 cells), takes
-# 1.2-1.5 s (2 vCPUs, Python 3.11.7, numpy 2.4.6).
+# 0.5-0.9 s at a 37 MB peak in a fresh process (2 vCPUs, Python 3.11.7,
+# numpy 2.4.6).
 SWEEP_CAP = 2**25
 
 # Most cells in a canonical matrix, rank * lambda_1, checked before the
@@ -53,6 +54,10 @@ RAY_RANK_CAP = 30
 STATE_CAP = 2**19
 
 # Most values a subset-sum instance may have for the brute-force oracle.
+# It guards direct calls of subsetsum.subset_sum_oracle only: its one
+# caller in the package, reduction_equivalence_check (`kostka subsetsum`),
+# runs decompose first, whose SPLIT_CAP (2A + 1 <= 40 boxes for values of
+# total A) admits at most 19 values.
 SUBSET_CAP = 24
 
 # Largest |nu| for which Littlewood-Richardson coefficients are counted.

@@ -12,11 +12,13 @@ conjugate of the current prefix shape, and a column that takes the k
 largest sums takes at most two runs of rows: the top rows, whose sums
 exceed the k-th largest, and the southmost rows of the run equal to
 it.  A column costs a bisection and at most two list edits instead of
-a sort of all rows.  The procedure runs once and records each column
-as its runs of 1s and 0s: :func:`ryser_canonical` writes the matrix
-from that record in one numpy repeat, and :func:`fixing_chain` replays
-the stages from the matrix's columns, since column s holds exactly the
-rows selected at column s.
+a sort of all rows.  The procedure runs once per pair and records each
+column as its runs of 1s and 0s: :func:`ryser_canonical` writes the
+matrix from that record in one numpy repeat and keeps the last few
+matrices in a small LRU memo keyed by the pair, so the graph detector
+and the column sweep of one pair share one matrix; :func:`fixing_chain`
+replays the stages from the matrix's columns, since column s holds
+exactly the rows selected at column s.
 
 Differencing consecutive rows of A gives the star matrix A*, whose
 columns have one of three sign patterns; those patterns drive both the
@@ -27,6 +29,9 @@ Reducibility of the pair along a column subset S (both the S-selected
 and complementary row-sum vectors stay weakly decreasing) is decided by
 :func:`matrix_reducible`, refused up front past ``config.SWEEP_CAP``
 swept cells, and :func:`split_pair` materializes the two summand pairs.
+Its test runs on the matrix's row differences: the S-selected sums of
+each row's difference with the next, v*, must satisfy 0 <= v* <= mu*,
+one int8 product and one unsigned compare per buffer of subsets.
 The decision is an exhaustive vectorized sweep,
 :func:`sweep_proper_subsets`: the 2^w - 2 proper nonempty column
 subsets are tested in order of their sorted index tuples, in buffers of
@@ -56,7 +61,8 @@ A failed check is located column by column only on the way to its error
 message.  :func:`star_matrix` takes mu* from the pair, so the star
 constructor's row-sum check compares the entries against the pair rather
 than against themselves.  A canonical matrix of more than
-``config.CELL_CAP`` cells is refused before the fixing procedure starts.
+``config.CELL_CAP`` cells is refused before the memo is consulted or the
+fixing procedure starts.
 """
 
 from __future__ import annotations
@@ -231,11 +237,23 @@ def _fixing_stages(pair: KostkaPair) -> list[int]:
 
 
 def ryser_canonical(pair: KostkaPair) -> CanonicalMatrix:
-    """Run the column-fixing procedure and return the canonical matrix,
-    written from the recorded runs in one step.  Raises
-    :class:`WidthCapExceeded` before building anything when the matrix
-    would hold more than ``config.CELL_CAP`` cells."""
+    """The canonical matrix of the pair, built once per pair by
+    :func:`_canonical` and shared by every later call on an equal pair.
+    Raises :class:`WidthCapExceeded` before building or looking up
+    anything when the matrix would hold more than ``config.CELL_CAP``
+    cells."""
     _cell_cap(pair.rank * pair.width, "canonical matrix")
+    return _canonical(pair)
+
+
+# A pair's graph detector and its column sweep ask for the same matrix
+# back to back, so one entry serves that traffic; 8 entries hold at most
+# 8 * CELL_CAP int8 cells.  Sharing is safe: the matrix is frozen and its
+# entries read-only.
+@functools.lru_cache(maxsize=8)
+def _canonical(pair: KostkaPair) -> CanonicalMatrix:
+    """Run the column-fixing procedure and return the canonical matrix,
+    written from the recorded runs in one step."""
     r, w = pair.rank, pair.width
     runs = _fixing_stages(pair)
     # the record lists the columns right to left, each top to bottom
@@ -444,12 +462,6 @@ def shape_sequence(
 # --- column-subset reducibility -------------------------------------------
 
 
-def _decreasing_rows(mat: np.ndarray) -> np.ndarray:
-    if mat.shape[1] <= 1:
-        return np.ones(mat.shape[0], dtype=bool)
-    return (mat[:, :-1] >= mat[:, 1:]).all(axis=1)
-
-
 @functools.lru_cache(maxsize=16)
 def _tuple_order(width: int) -> np.ndarray:
     """The 2^width - 1 nonempty subsets of [1..width] as a read-only
@@ -549,6 +561,14 @@ def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:
     such that the S row sums and the complementary row sums are both
     weakly decreasing, or None.
 
+    The test runs on the row differences D_ij = A_ij - A_(i+1)j of the
+    matrix (phantom zero row below): v*_i, the sum of D_ij over j in S,
+    is s_i - s_(i+1) for the S row sums s, so they decrease iff v* >= 0,
+    and the complement's iff v* <= mu*; the last row holds both always.
+    |v*_i| <= width <= 25 under the cap, so v* is exact in int8, and in
+    uint8 a negative entry reads above every mu*_i <= lambda_1, so one
+    unsigned compare tests both bounds.
+
     Raises :class:`WidthCapExceeded` before sweeping above
     ``config.SWEEP_CAP`` swept cells, (2^width - 2) * rank, since every
     proper subset costs a row sum per row."""
@@ -557,12 +577,13 @@ def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:
     cells = ((1 << w) - 2) * r
     if cells > config.SWEEP_CAP:
         raise WidthCapExceeded(f"sweep of {cells} cells exceeds cap {config.SWEEP_CAP}")
-    arr = canonical.entries
-    mu_padded = np.asarray(pad(pair.mu, r), dtype=np.int64)
+    arr = canonical.entries.T
+    diff = arr.copy()
+    diff[:, :-1] -= arr[:, 1:]
+    mu_star = np.asarray(_differences(pair.mu, r), dtype=np.uint8)
 
     def predicate(bits: np.ndarray) -> np.ndarray:
-        sums = bits.astype(np.int64) @ arr.T
-        return _decreasing_rows(sums) & _decreasing_rows(mu_padded[None, :] - sums)
+        return ((bits @ diff).view(np.uint8) <= mu_star).all(axis=1)
 
     return sweep_proper_subsets(w, predicate, r)
 

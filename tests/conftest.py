@@ -25,6 +25,14 @@ settings.load_profile("suite")
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+@pytest.fixture(autouse=True)
+def fresh_canonical_memo():
+    """Start every test with no canonical matrix remembered, so a test
+    that counts runs of the fixing procedure sees the same count in any
+    order."""
+    ryser._canonical.cache_clear()
+
+
 @pytest.fixture()
 def fixing_forbidden(monkeypatch):
     """Fail the test if Ryser's column-fixing procedure starts."""

@@ -288,6 +288,28 @@ def star_reducible(star) -> tuple[int, ...] | None:
     return sweep_proper_subsets(star.pair.width, predicate, star.pair.rank)
 
 
+def _decreasing_rows(mat: np.ndarray) -> np.ndarray:
+    if mat.shape[1] <= 1:
+        return np.ones(mat.shape[0], dtype=bool)
+    return (mat[:, :-1] >= mat[:, 1:]).all(axis=1)
+
+
+def row_sum_reducible(canonical) -> tuple[int, ...] | None:
+    """``matrix_reducible``'s witness, decided as the library first
+    computed it: the S row sums and the complementary row sums, in
+    int64, are both tested for weakly decreasing rows.  No cap is
+    checked."""
+    pair = canonical.pair
+    arr = canonical.entries
+    mu_padded = np.asarray(_padded(pair.mu, pair.rank), dtype=np.int64)
+
+    def predicate(bits: np.ndarray) -> np.ndarray:
+        sums = bits.astype(np.int64) @ arr.T
+        return _decreasing_rows(sums) & _decreasing_rows(mu_padded[None, :] - sums)
+
+    return sweep_proper_subsets(pair.width, predicate, pair.rank)
+
+
 # --- common-column splits ------------------------------------------------
 #
 # A cone pair maps to the sequence x_j = mu'_j - lambda'_j, one entry per

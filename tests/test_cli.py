@@ -138,6 +138,8 @@ class TestRyser:
         monkeypatch.setattr(ryser, "_fixing_stages", spy)
         for fmt in ("json", "text"):
             calls.clear()
+            # a remembered matrix would skip the procedure altogether
+            ryser._canonical.cache_clear()
             result = run(runner, "ryser", *args, "--format", fmt)
             assert result.exit_code == 0
             assert len(calls) == 1

@@ -2,7 +2,8 @@
 that it imports at the top level.  ``kostka/__init__.py`` is exempt: its
 imports are the package's exports.  Every ``functools`` cache of the
 package declares a finite ``maxsize``, so no cache grows with the
-inputs a process sees."""
+inputs a process sees.  Every private module-level name of the package
+is read by the package itself, so no helper lives on for tests alone."""
 
 from __future__ import annotations
 
@@ -108,3 +109,68 @@ def test_the_guard_sees_an_unbounded_cache():
         "i = functools.lru_cache(maxsize=None)(len)\n"
     )
     assert unbounded_caches(source) == [3, 5, 7, 9, 11, 13, 19]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each module-level function, class or assigned
+    name with one leading underscore (dunders are exempt) that no other
+    top-level statement of the given modules reads, by name or as an
+    attribute; a recursive helper's calls to itself do not count."""
+    defined: list[tuple[str, str, ast.stmt]] = []
+    statements: list[ast.stmt] = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            statements.append(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [
+                    leaf.id
+                    for target in targets
+                    for leaf in ast.walk(target)
+                    if isinstance(leaf, ast.Name)
+                ]
+            else:
+                names = []
+            defined += (
+                (module, name, node)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            )
+    reads = {
+        id(node): {
+            leaf.id if isinstance(leaf, ast.Name) else leaf.attr
+            for leaf in ast.walk(node)
+            if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load)
+            or isinstance(leaf, ast.Attribute)
+        }
+        for node in statements
+    }
+    return [
+        f"{module}:{name}"
+        for module, name, home in defined
+        if not any(name in reads[id(node)] for node in statements if node is not home)
+    ]
+
+
+def test_every_private_name_is_read_by_the_package():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert unread_private_names(sources) == []
+
+
+def test_the_guard_sees_a_dead_helper():
+    sources = {
+        "a": (
+            "def _used(x): return x\n"
+            "def _recursive(n): return _recursive(n - 1) if n else 0\n"
+            "def _dead(): return _used(1)\n"
+            "class _Shape: pass\n"
+            "_CACHE, _SEEN = {}, set()\n"
+            "_LIMIT: int = 3\n"
+            "__all__ = ['public']\n"
+            "def public(): return _CACHE, _LIMIT\n"
+        ),
+        "b": "from .a import _Shape\nimport a\nprint(_Shape, a._SEEN)\n",
+    }
+    assert unread_private_names(sources) == ["a:_recursive", "a:_dead"]

@@ -147,6 +147,49 @@ class TestCellCap:
             ryser_canonical(KostkaPair((1000001,), (1000001,)))
 
 
+class TestCanonicalMemo:
+    def test_equal_pairs_share_one_matrix(self, running_pair):
+        twin = KostkaPair(running_pair.lam, running_pair.mu)
+        assert twin is not running_pair
+        assert ryser_canonical(twin) is ryser_canonical(running_pair)
+
+    def test_fixing_procedure_runs_once_per_pair(self, running_pair, monkeypatch):
+        calls = []
+        real = ryser._fixing_stages
+
+        def spy(pair):
+            calls.append(pair)
+            return real(pair)
+
+        monkeypatch.setattr(ryser, "_fixing_stages", spy)
+        ryser_canonical(running_pair)
+        ryser_canonical(KostkaPair(running_pair.lam, running_pair.mu))
+        assert calls == [running_pair]
+
+    def test_rank_is_part_of_the_key(self):
+        low = ryser_canonical(KostkaPair((2,), (1, 1)))
+        high = ryser_canonical(KostkaPair((2,), (1, 1), rank=3))
+        assert low.entries.tolist() == [[1, 0], [0, 1]]
+        assert high.entries.tolist() == [[1, 0], [0, 1], [0, 0]]
+
+    def test_cap_is_checked_before_the_memo(self, running_pair, monkeypatch):
+        ryser_canonical(running_pair)
+        cells = running_pair.rank * running_pair.width
+        monkeypatch.setattr(config, "CELL_CAP", cells - 1)
+        with pytest.raises(WidthCapExceeded, match=f"of {cells} cells exceeds cap"):
+            ryser_canonical(running_pair)
+
+    def test_shared_matrix_cannot_be_changed(self, running_pair):
+        canonical = ryser_canonical(running_pair)
+        with pytest.raises(ValueError):
+            canonical.entries[0, 0] = 0
+        with pytest.raises(AttributeError):
+            canonical.entries = canonical.entries.copy()
+
+    def test_memo_is_small(self):
+        assert 1 <= ryser._canonical.cache_info().maxsize <= 8
+
+
 def raw_pair(lam, mu, rank: int) -> KostkaPair:
     """A pair built without validation, so it may lie outside the cone."""
     pair = object.__new__(KostkaPair)
@@ -155,9 +198,12 @@ def raw_pair(lam, mu, rank: int) -> KostkaPair:
     return pair
 
 
-def random_cone_pair(rng: random.Random, max_rank: int) -> KostkaPair:
+def random_cone_pair(
+    rng: random.Random, max_rank: int, max_width: int = 0
+) -> KostkaPair:
     """mu with up to ``max_rank`` parts, and lambda raised from it by
-    moving single boxes up, which keeps lambda dominating mu."""
+    moving single boxes up, which keeps lambda dominating mu; lambda_1
+    stays below ``max_width`` + 1 when that is set."""
     rank = rng.randint(1, max_rank)
     mu = sorted((rng.randint(0, 12) for _ in range(rank)), reverse=True)
     mu[0] += 1
@@ -167,7 +213,7 @@ def random_cone_pair(rng: random.Random, max_rank: int) -> KostkaPair:
         if (
             i < j
             and lam[j] > (lam[j + 1] if j + 1 < rank else 0)
-            and (i == 0 or lam[i] < lam[i - 1])
+            and (lam[i] < lam[i - 1] if i else not max_width or lam[0] < max_width)
         ):
             lam[i] += 1
             lam[j] -= 1
@@ -476,15 +522,39 @@ class TestStarMatrix:
 
 
 class TestReducibility:
+    @staticmethod
+    def assert_referees_agree(pair: KostkaPair) -> tuple[int, ...] | None:
+        """The library's int8 sweep on row differences against the star
+        matrix's 0 <= v* <= mu* and the int64 decreasing-row test."""
+        canonical = ryser_canonical(pair)
+        left = matrix_reducible(canonical)
+        right = oracles.star_reducible(star_matrix(canonical))
+        sums = oracles.row_sum_reducible(canonical)
+        assert left == right == sums, (pair, left, right, sums)
+        return left
+
     def test_matrix_and_star_agree_exhaustively(self):
         pairs = 0
         for pair in cone_pair_pool(14, max_width=8):
-            canonical = ryser_canonical(pair)
-            left = matrix_reducible(canonical)
-            right = oracles.star_reducible(star_matrix(canonical))
-            assert left == right, (pair, left, right)
+            self.assert_referees_agree(pair)
             pairs += 1
         assert pairs > 13000
+
+    def test_referees_agree_on_wide_tall_pairs(self):
+        # up to 2^16 subsets per sweep, rows of up to 40 entries, so
+        # sweeps span buffers
+        rng = random.Random(22)
+        found = []
+        for _ in range(40):
+            pair = random_cone_pair(rng, 40, max_width=16)
+            assert pair.width <= 16
+            found.append(self.assert_referees_agree(pair))
+        assert any(found)
+        assert max(len(w) for w in found if w) > 1
+        # irreducible ray points: full misses over every subset
+        rays = (RaySpec(16, 15, 9, 25), RaySpec(16, 15, 2, 40), RaySpec(14, 13, 3, 30))
+        for spec in rays:
+            assert self.assert_referees_agree(primitive_point(spec)) is None
 
     def test_sweep_cap_refuses_before_sweeping(self, monkeypatch):
         # 2^20 masks at rank 200 is 209,714,800 cells: several seconds of
