@@ -65,10 +65,10 @@ from .ryser import (
     DeleteColumn,
     ShortenRightmost,
     fixing_chain,
+    matrix_reducible,
     render_matrix,
     ryser_canonical,
     shape_sequence,
-    star_matrix,
 )
 from .sequences import CatalanSeq, catalan_reducible, kim_theorem_check
 from .subsetsum import SubsetSumInstance, reduction_equivalence_check
@@ -213,8 +213,8 @@ def ryser(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     pair = _build_pair(lam, mu, rank)
     canonical = ryser_canonical(pair)
     chain = fixing_chain(canonical)
-    star = star_matrix(canonical)
-    seq = shape_sequence(canonical, star, chain)
+    star = canonical.star
+    seq = shape_sequence(canonical, chain)
     payload = {
         "pair": _pair_payload(pair),
         "matrix": canonical.entries.tolist(),
@@ -286,7 +286,9 @@ def kgr(lam: str, mu: str, rank: int | None, fmt: str) -> None:
 @_guarded
 def reduce(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     """Reducibility: graph-driven fast detection plus the complete
-    decomposition search.  Exit 1 when the pair is irreducible."""
+    decomposition search.  Exit 1 when the pair is irreducible.  Within
+    ``config.SWEEP_CAP`` the exhaustive column sweep of the same matrix
+    must agree with fast detection on whether a column witness exists."""
     pair = _build_pair(lam, mu, rank)
     found = decompose(pair)
     fast = fast_reducibility(pair)
@@ -294,6 +296,16 @@ def reduce(lam: str, mu: str, rank: int | None, fmt: str) -> None:
         raise AssertionFailure(
             f"graph detection split {pair} but the decomposition search found nothing"
         )
+    try:
+        swept = matrix_reducible(ryser_canonical(pair))
+    except WidthCapExceeded:
+        pass  # refused before sweeping: nothing to compare
+    else:
+        if (swept is None) != (fast is None):
+            raise AssertionFailure(
+                f"graph detection and the column sweep disagree on whether {pair} "
+                "has a column witness"
+            )
     payload = {
         "pair": _pair_payload(pair),
         "fast": None

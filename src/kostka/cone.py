@@ -208,10 +208,21 @@ def _element_hash(elements: list) -> str:
 
 def load_catalog(path: Path | str) -> BasisCatalog:
     """Read a catalog and verify its integrity hash; content is trusted,
-    not recomputed."""
-    data = json.loads(Path(path).read_text())
-    if data.get("format_version") != 1 or data.get("kind") != "hilbert-basis":
+    not recomputed.  A file that is not such a catalog raises
+    :class:`AssertionFailure` naming the path."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise AssertionFailure(f"{path}: not JSON ({exc})") from exc
+    if (
+        not isinstance(data, dict)
+        or data.get("format_version") != 1
+        or data.get("kind") != "hilbert-basis"
+    ):
         raise AssertionFailure(f"{path}: not a hilbert-basis catalog")
+    missing = sorted({"sha256", "elements", "rank", "count"} - data.keys())
+    if missing:
+        raise AssertionFailure(f"{path}: missing fields {missing}")
     if data["sha256"] != _element_hash(data["elements"]):
         raise AssertionFailure(f"{path}: content hash mismatch")
     rank = int(data["rank"])

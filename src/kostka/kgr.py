@@ -35,14 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import le
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import MalformedStarMatrix
+from .errors import MalformedStarMatrix, NotAWitness
 from .partitions import KostkaPair
-from .ryser import StarMatrix, ryser_canonical, split_pair, star_matrix
+from .ryser import StarMatrix, ryser_canonical, split_pair
 
 
 class Vertex(NamedTuple):
@@ -316,21 +315,21 @@ class FastReduction:
 
 
 def fast_reducibility(pair: KostkaPair) -> FastReduction | None:
-    """Graph-driven reducibility: build the canonical matrix, its star
-    matrix and graph, locate a conservative subtree, and split the pair
-    along the subtree's columns.  None means no conservative subtree
-    exists (which for these graphs means no column witness at all)."""
+    """Graph-driven reducibility: build the graph of the pair's shared
+    star matrix, locate a conservative subtree, and split the pair along
+    its columns, the one test of 0 <= v* <= mu* (a failed split is an
+    internal fault, raised as AssertionError).  None means no
+    conservative subtree exists (which for these graphs means no column
+    witness at all)."""
     canonical = ryser_canonical(pair)
-    star = star_matrix(canonical)
-    graph = build_graph(star)
+    graph = build_graph(canonical.star)
     wit = find_conservative_subtree(graph)
     if wit is None:
         return None
-    cols = [j - 1 for j in wit.columns]
-    v_star = np.add.reduce(star.entries.take(cols, axis=1), axis=1).tolist()
-    if min(v_star) < 0 or not all(map(le, v_star, star.mu_star)):
-        raise AssertionError(f"subtree columns {wit.columns} fail 0 <= v* <= mu*")
-    selected, complement = split_pair(canonical, wit.columns)
+    try:
+        selected, complement = split_pair(canonical, wit.columns)
+    except NotAWitness as exc:
+        raise AssertionError(f"subtree columns {wit.columns}: {exc}") from exc
     return FastReduction(
         columns=wit.columns, witness=wit, selected=selected, complement=complement
     )
@@ -380,5 +379,5 @@ def graph_payload(
 
 
 def pair_graph(pair: KostkaPair) -> KgrGraph:
-    """Convenience: canonical matrix -> star matrix -> graph."""
-    return build_graph(star_matrix(ryser_canonical(pair)))
+    """Convenience: canonical matrix -> its shared star matrix -> graph."""
+    return build_graph(ryser_canonical(pair).star)

@@ -23,14 +23,17 @@ exactly the rows selected at column s.
 Differencing consecutive rows of A gives the star matrix A*, whose
 columns have one of three sign patterns; those patterns drive both the
 graph of :mod:`kostka.kgr` and the shape-peeling interpretation
-implemented by :func:`shape_sequence`.
+implemented by :func:`shape_sequence`.  A canonical matrix builds its
+star once, on first use of ``CanonicalMatrix.star``, and every reader
+of that matrix (the graph, the column sweep, the shape peeling) shares
+it.
 
 Reducibility of the pair along a column subset S (both the S-selected
 and complementary row-sum vectors stay weakly decreasing) is decided by
 :func:`matrix_reducible`, refused up front past ``config.SWEEP_CAP``
 swept cells, and :func:`split_pair` materializes the two summand pairs.
-Its test runs on the matrix's row differences: the S-selected sums of
-each row's difference with the next, v*, must satisfy 0 <= v* <= mu*,
+Its test runs on the shared star matrix: the S-selected sums of each
+row's difference with the next, v*, must satisfy 0 <= v* <= mu*,
 one int8 product and one unsigned compare per buffer of subsets.
 The decision is an exhaustive vectorized sweep,
 :func:`sweep_proper_subsets`: the 2^w - 2 proper nonempty column
@@ -53,14 +56,12 @@ matrices of most queries each numpy call costs more than its work:
 - canonical: 0/1 entries (one unsigned compare), row sums mu, column
   sums lambda', and at most one run of 1s starting below the top row of
   each column, anchored at the top in the leftmost column;
-- star: row sums mu*, mu* the consecutive differences of mu, and each
-  column one of the three signatures, read off its int8 partial sums
+- star: row sums mu*, the consecutive differences of the pair's mu, and
+  each column one of the three signatures, read off its int8 partial sums
   from the bottom and its count of nonzeros.
 
 A failed check is located column by column only on the way to its error
-message.  :func:`star_matrix` takes mu* from the pair, so the star
-constructor's row-sum check compares the entries against the pair rather
-than against themselves.  A canonical matrix of more than
+message.  A canonical matrix of more than
 ``config.CELL_CAP`` cells is refused before the memo is consulted or the
 fixing procedure starts.
 """
@@ -71,7 +72,7 @@ import functools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, sub
+from operator import sub
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -85,7 +86,6 @@ from .partitions import (
     as_partition,
     conjugate,
     pad,
-    size,
 )
 
 
@@ -151,6 +151,12 @@ class CanonicalMatrix:
             raise AssertionError(f"column {j + 1} has {runs} runs of 1s")
         if w and below[0] and not arr[0, 0]:
             raise AssertionError("leftmost column not anchored at the top")
+
+    @functools.cached_property
+    def star(self) -> StarMatrix:
+        """The star matrix, built and validated by :func:`star_matrix` on
+        first use and shared by every later reader of this matrix."""
+        return star_matrix(self)
 
 
 def _fixing_stages(pair: KostkaPair) -> list[int]:
@@ -247,9 +253,9 @@ def ryser_canonical(pair: KostkaPair) -> CanonicalMatrix:
 
 
 # A pair's graph detector and its column sweep ask for the same matrix
-# back to back, so one entry serves that traffic; 8 entries hold at most
-# 8 * CELL_CAP int8 cells.  Sharing is safe: the matrix is frozen and its
-# entries read-only.
+# back to back, so one entry serves that traffic; 8 entries, each a matrix
+# and its star, hold at most 16 * CELL_CAP int8 cells.  Sharing is safe:
+# both are frozen and their entries read-only.
 @functools.lru_cache(maxsize=8)
 def _canonical(pair: KostkaPair) -> CanonicalMatrix:
     """Run the column-fixing procedure and return the canonical matrix,
@@ -307,7 +313,10 @@ class StarMatrix:
 
     pair: KostkaPair
     entries: np.ndarray
-    mu_star: tuple[int, ...]
+
+    @property
+    def mu_star(self) -> tuple[int, ...]:
+        return _differences(self.pair.mu, self.pair.rank)
 
     def __post_init__(self) -> None:
         r, w = self.pair.rank, self.pair.width
@@ -315,8 +324,6 @@ class StarMatrix:
         object.__setattr__(self, "entries", arr)
         if np.add.reduce(arr, axis=1).tolist() != list(self.mu_star):
             raise MalformedStarMatrix("row sums do not match mu*")
-        if self.mu_star != _differences(self.pair.mu, r):
-            raise MalformedStarMatrix("mu* does not match consecutive differences")
         # the three signatures are exactly the columns with 1-3 nonzeros
         # whose partial sums, read from the bottom, stay in {0, 1}; in
         # int8 a partial sum leaves {0, 1} before it could wrap
@@ -340,16 +347,12 @@ def _differences(mu: Partition, rank: int) -> tuple[int, ...]:
 
 
 def star_matrix(canonical: CanonicalMatrix) -> StarMatrix:
-    """The star matrix of a canonical matrix; mu* is taken from the
-    pair, so the constructor's row-sum check compares the entries
-    against it."""
+    """The star matrix of a canonical matrix; readers share one through
+    ``canonical.star``."""
     arr = canonical.entries
     star = arr.copy()
     star[:-1] -= arr[1:]
-    pair = canonical.pair
-    return StarMatrix(
-        pair=pair, entries=star, mu_star=_differences(pair.mu, pair.rank)
-    )
+    return StarMatrix(pair=canonical.pair, entries=star)
 
 
 # --- shape peeling ---------------------------------------------------------
@@ -420,31 +423,32 @@ def _step_multiset_delta(step: Step) -> tuple[Counter, Counter]:
 
 
 def shape_sequence(
-    canonical: CanonicalMatrix, star: StarMatrix, chain: Sequence[np.ndarray]
+    canonical: CanonicalMatrix, chain: Sequence[np.ndarray]
 ) -> ShapeSequence:
     """Shape chain and step classification of a canonical matrix, read
     from its star matrix; the prefix sums are cross-checked against its
     fixing chain."""
     pair = canonical.pair
-    arr = canonical.entries
-    w = pair.width
-    shapes: list[Partition] = []
-    for i in range(w + 1):
-        sums = arr[:, : w - i].sum(axis=1, dtype=np.int64)
-        if np.any(sums[:-1] < sums[1:]):
-            raise AssertionError(f"prefix row sums not weakly decreasing at step {i}")
-        shapes.append(as_partition(int(v) for v in sums))
-        # the same prefix of the in-progress matrix already has these sums
-        stage = chain[i]
-        if stage.size and not np.array_equal(
-            stage[:, : w - i].sum(axis=1, dtype=np.int64), sums
-        ):
-            raise AssertionError(f"prefix row sums changed after stage {i}")
+    r, w = pair.rank, pair.width
+    # row i holds the row sums of the first w - i columns of the matrix,
+    # and in ``staged`` those of chain stage i, which must already match
+    # (at most 8 * CELL_CAP bytes, as the chain is capped)
+    sums = np.zeros((w + 1, r), dtype=np.int64)
+    sums[:w] = np.cumsum(canonical.entries, axis=1, dtype=np.int64)[:, ::-1].T
+    stage = np.arange(w)
+    staged = np.cumsum(chain, axis=2, dtype=np.int64)[stage, :, w - 1 - stage]
+    rising = (sums[:, :-1] < sums[:, 1:]).any(axis=1)
+    if rising.any():
+        raise AssertionError(f"prefix row sums not weakly decreasing at step {rising.argmax()}")
+    changed = (staged != sums[:w]).any(axis=1)
+    if changed.any():
+        raise AssertionError(f"prefix row sums changed after stage {changed.argmax()}")
+    shapes = [as_partition(row) for row in sums.tolist()]
     if shapes[0] != pair.mu or shapes[-1] != ():
         raise AssertionError("shape chain endpoints are wrong")
     steps: list[Step] = []
     for i in range(1, w + 1):
-        step = _classify_column(star.entries[:, w - i])
+        step = _classify_column(canonical.star.entries[:, w - i])
         removed, added = _step_multiset_delta(step)
         before = Counter(conjugate(shapes[i - 1]))
         after = Counter(conjugate(shapes[i]))
@@ -577,10 +581,9 @@ def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:
     cells = ((1 << w) - 2) * r
     if cells > config.SWEEP_CAP:
         raise WidthCapExceeded(f"sweep of {cells} cells exceeds cap {config.SWEEP_CAP}")
-    arr = canonical.entries.T
-    diff = arr.copy()
-    diff[:, :-1] -= arr[:, 1:]
-    mu_star = np.asarray(_differences(pair.mu, r), dtype=np.uint8)
+    star = canonical.star
+    diff = star.entries.T
+    mu_star = np.asarray(star.mu_star, dtype=np.uint8)
 
     def predicate(bits: np.ndarray) -> np.ndarray:
         return ((bits @ diff).view(np.uint8) <= mu_star).all(axis=1)
@@ -623,9 +626,4 @@ def split_pair(
                 index_set = [j for j in range(1, w + 1) if j not in chosen]
             raise NotAWitness(f"row sums for columns {index_set} are not decreasing")
         halves.append(KostkaPair(lam=half_lam, mu=row_sums, rank=r))
-    selected, complement = halves
-    if tuple(map(add, pad(selected.mu, r), pad(complement.mu, r))) != mu:
-        raise AssertionError("split halves do not add back to mu")
-    if size(selected.lam) + size(complement.lam) != size(pair.lam):
-        raise AssertionError("split halves do not add back to lambda")
-    return selected, complement
+    return halves[0], halves[1]

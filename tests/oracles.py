@@ -478,7 +478,7 @@ def canonical_matrix_checks(pair, entries) -> None:
 
 
 def star_matrix_checks(pair, entries, mu_star) -> None:
-    """``StarMatrix(pair, entries, mu_star)`` validation."""
+    """``StarMatrix(pair, entries)`` validation, against the given mu*."""
     r, w = pair.rank, pair.width
     arr = _frozen_int8(entries, (r, w), MalformedStarMatrix)
     if arr.sum(axis=1, dtype=np.int64).tolist() != list(mu_star):

@@ -6,8 +6,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from kostka import cli, config, ryser
+from kostka import cli, config, kgr, ryser
 from kostka.cli import main
+from kostka.errors import WidthCapExceeded
+from kostka.kgr import SubtreeWitness, Vertex
+from kostka.partitions import KostkaPair
 
 WORKED = ["8,7,7,7,3,2", "7,7,4,4,4,4,4"]
 CATALAN_16 = "3,2,1,-2,1,-2,-1,-1,2,-1,2,1,-2,-1,-1,-1"
@@ -119,7 +122,6 @@ class TestRyser:
             calls.append(canonical)
             return real(canonical)
 
-        monkeypatch.setattr(cli, "star_matrix", spy)
         monkeypatch.setattr(ryser, "star_matrix", spy)
         result = run(runner, "ryser", *WORKED, "--format", "json")
         assert result.exit_code == 0
@@ -188,6 +190,33 @@ class TestReduce:
         result = run(runner, "reduce", "2,2", "2,1,1", "--format", "json")
         assert result.exit_code == 1
         assert json.loads(result.output)["irreducible"] is True
+
+    @pytest.mark.parametrize(
+        "args, swept",
+        [(WORKED, None), (["2,2", "2,1,1"], (1,))],
+        ids=["fast-only", "sweep-only"],
+    )
+    def test_disagreeing_sweep_exits_three(self, runner, monkeypatch, args, swept):
+        monkeypatch.setattr(cli, "matrix_reducible", lambda canonical: swept)
+        result = run(runner, "reduce", *args)
+        assert result.exit_code == 3
+        assert "graph detection and the column sweep disagree" in result.output
+
+    def test_sweep_past_its_cap_is_skipped(self, runner):
+        # width 25 at rank 2: the sweep refuses before sweeping
+        with pytest.raises(WidthCapExceeded):
+            ryser.matrix_reducible(ryser.ryser_canonical(KostkaPair((25, 15), (20, 20))))
+        result = run(runner, "reduce", "25,15", "20,20")
+        assert result.exit_code == 0
+        assert "internal" not in result.output
+
+    def test_subtree_that_does_not_split_exits_three(self, runner, monkeypatch):
+        # column 1 alone does not split the worked pair
+        bad = SubtreeWitness(kind="component", vertices=(Vertex(7, 1, 1),), columns=(1,))
+        monkeypatch.setattr(kgr, "find_conservative_subtree", lambda graph: bad)
+        result = run(runner, "reduce", *WORKED)
+        assert result.exit_code == 3
+        assert "internal check failed" in result.output
 
     def test_cap_is_a_usage_error(self, runner, monkeypatch):
         monkeypatch.setattr(config, "SPLIT_CAP", 10)
@@ -328,6 +357,20 @@ class TestBasis:
         )
         assert result.exit_code == 3
         assert "mismatch" in result.output or "mismatch" in (result.stderr or "")
+
+    @pytest.mark.parametrize("form", ["not-json", "json-list", "no-sha256"])
+    def test_malformed_fixture_exits_three(self, runner, tmp_path, form):
+        from kostka.cone import hilbert_basis
+
+        path = tmp_path / "basis_r2.json"
+        hilbert_basis(2).save(path)
+        catalog = json.loads(path.read_text())
+        del catalog["sha256"]
+        texts = {"not-json": "{not json", "json-list": "[]", "no-sha256": json.dumps(catalog)}
+        path.write_text(texts[form])
+        result = run(runner, "basis", "-r", "2", "--fixtures", str(tmp_path))
+        assert result.exit_code == 3
+        assert f"internal check failed: {path}: " in result.output
 
     def test_missing_fixture_directory_still_computes(self, runner, tmp_path):
         result = run(

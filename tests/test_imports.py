@@ -3,11 +3,15 @@ that it imports at the top level.  ``kostka/__init__.py`` is exempt: its
 imports are the package's exports.  Every ``functools`` cache of the
 package declares a finite ``maxsize``, so no cache grows with the
 inputs a process sees.  Every private module-level name of the package
-is read by the package itself, so no helper lives on for tests alone."""
+is read by the package itself, so no helper lives on for tests alone.
+Every span of the benchmark's tracer keeps a binding in the package, so
+no change to ``src/`` blinds a per-layer metric."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -174,3 +178,42 @@ def test_the_guard_sees_a_dead_helper():
         "b": "from .a import _Shape\nimport a\nprint(_Shape, a._SEEN)\n",
     }
     assert unread_private_names(sources) == ["a:_recursive", "a:_dead"]
+
+
+def blind_spans(bindings, resolves) -> list[str]:
+    """The span names of a tracer binding table none of whose
+    ``(module, attribute)`` bindings ``resolves``."""
+    return [
+        name
+        for name, _, pairs in bindings
+        if not any(resolves(module, attr) for module, attr in pairs)
+    ]
+
+
+def _in_package(module: str, attr: str) -> bool:
+    try:
+        return hasattr(importlib.import_module(f"kostka.{module}"), attr)
+    except ModuleNotFoundError:
+        return False
+
+
+# its only binding, ``cone.dominated_partitions``, names a function the
+# package no longer has
+BLIND_SPANS_ALLOWED = {"partitions.dominated_partitions"}
+
+
+def test_every_traced_span_keeps_a_binding():
+    # the tracer module imports no kostka module until it is installed
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert set(blind_spans(tracing.BINDINGS, _in_package)) <= BLIND_SPANS_ALLOWED
+
+
+def test_the_guard_sees_a_blind_span():
+    bindings = (
+        ("ryser.star_matrix", "call", (("ryser", "star_matrix"), ("kgr", "star_matrix"))),
+        ("kgr.gone", "call", (("kgr", "gone"),)),
+        ("nowhere.f", "call", (("nowhere", "f"),)),
+    )
+    assert blind_spans(bindings, _in_package) == ["kgr.gone", "nowhere.f"]

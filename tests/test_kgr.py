@@ -18,7 +18,7 @@ from conftest import (
 )
 from kostka import kgr, ryser
 from kostka.cone import RaySpec, default_fixture_path, load_catalog, primitive_point
-from kostka.errors import MalformedStarMatrix
+from kostka.errors import MalformedStarMatrix, NotAWitness
 from kostka.kgr import (
     KgrGraph,
     SubtreeWitness,
@@ -351,6 +351,36 @@ class TestGoldenGraph:
         assert fast_reducibility(running_pair) is not None
         assert calls == [running_pair]
 
+    def test_one_star_per_pair(self, monkeypatch):
+        # the graph detector and the column sweep share the star that
+        # hangs off the pair's memoized canonical matrix
+        calls = []
+        real = ryser.star_matrix
+
+        def spy(canonical):
+            calls.append(canonical)
+            return real(canonical)
+
+        monkeypatch.setattr(ryser, "star_matrix", spy)
+        for pair in cone_pair_pool(9)[::101]:
+            calls.clear()
+            fast_reducibility(pair)
+            matrix_reducible(ryser_canonical(pair))
+            star = ryser_canonical(pair).star
+            assert pair_graph(pair).star is star
+            assert len(calls) == 1, pair
+            assert not star.entries.flags.writeable
+
+    def test_a_subtree_that_does_not_split_is_an_internal_fault(
+        self, running_pair, monkeypatch
+    ):
+        # column 1 alone leaves complement row sums (6,6,3,3,3,3,4)
+        bad = SubtreeWitness(kind="component", vertices=(_v(7, 1, 1),), columns=(1,))
+        monkeypatch.setattr(kgr, "find_conservative_subtree", lambda graph: bad)
+        with pytest.raises(AssertionError, match=r"subtree columns \(1,\)") as info:
+            fast_reducibility(running_pair)
+        assert isinstance(info.value.__cause__, NotAWitness)
+
     def test_fast_reduction_builds_only_witness_vertices(self, monkeypatch):
         built = []
         real = kgr.Vertex
@@ -569,7 +599,6 @@ class TestStarValidation:
             StarMatrix(
                 pair=KostkaPair((2,), (1, 1)),
                 entries=((1, 1), (0, 0)),
-                mu_star=(2, 0),
             )
 
     def test_star_of_canonical_always_builds(self, running_pair):

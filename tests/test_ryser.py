@@ -311,31 +311,23 @@ CANONICAL_REJECTS = {
     "leftmost column not anchored": ((2,), (1, 1), ((0, 1), (1, 0)), "leftmost column"),
 }
 
-# (lambda, mu, entries, mu_star, message) per check of StarMatrix.__post_init__
+# (lambda, mu, entries, message) per check of StarMatrix.__post_init__
 STAR_REJECTS = {
-    "shape": ((2,), (1, 1), ((1, -1),), (0, 1), "shape"),
-    "row sums": ((2,), (1, 1), ((1, -1), (0, 1)), (1, 1), "row sums"),
-    "mu* differences": ((2,), (1, 1), ((1, 1), (0, 0)), (2, 0), "consecutive differences"),
-    "column (1, 1)": ((3, 3), (3, 3), ((0, 1, -1), (1, 1, 1)), (0, 3), "column 2 pattern"),
-    "column (-1)": (
-        (3,), (1, 1, 1), ((0, -1, 1), (0, 0, 0), (1, 0, 0)), (0, 0, 1), "column 2 pattern"
-    ),
-    "column (1, -1)": ((3,), (2, 1), ((0, 1, 0), (1, -1, 1)), (1, 1), "column 2 pattern"),
+    "shape": ((2,), (1, 1), ((1, -1),), "shape"),
+    "row sums": ((2,), (1, 1), ((1, 1), (0, 0)), "row sums"),
+    "column (1, 1)": ((3, 3), (3, 3), ((0, 1, -1), (1, 1, 1)), "column 2 pattern"),
+    "column (-1)": ((3,), (1, 1, 1), ((0, -1, 1), (0, 0, 0), (1, 0, 0)), "column 2 pattern"),
+    "column (1, -1)": ((3,), (2, 1), ((0, 1, 0), (1, -1, 1)), "column 2 pattern"),
     "column (-1, 1, -1, 1)": (
         (3, 3, 2),
         (2, 2, 2, 2),
         ((0, -1, 1), (0, 1, -1), (0, -1, 1), (1, 1, 0)),
-        (0, 0, 0, 2),
         "column 2 pattern",
     ),
-    "leftmost column not a single +1": (
-        (2,), (1, 1), ((-1, 1), (1, 0)), (0, 1), "leftmost column"
-    ),
+    "leftmost column not a single +1": ((2,), (1, 1), ((-1, 1), (1, 0)), "leftmost column"),
     # a -1 in the bottom row leaves its column without a valid signature,
     # so the signature check refuses it before the bottom-row check
-    "-1 in the bottom row": (
-        (3,), (2, 1), ((0, 0, 1), (1, 1, -1)), (1, 1), "column 3 pattern"
-    ),
+    "-1 in the bottom row": ((3,), (2, 1), ((0, 0, 1), (1, 1, -1)), "column 3 pattern"),
 }
 
 
@@ -348,9 +340,9 @@ class TestConstructorChecks:
 
     @pytest.mark.parametrize("case", STAR_REJECTS)
     def test_star_matrix_rejects(self, case):
-        lam, mu, entries, mu_star, message = STAR_REJECTS[case]
+        lam, mu, entries, message = STAR_REJECTS[case]
         with pytest.raises(MalformedStarMatrix, match=message):
-            StarMatrix(pair=KostkaPair(lam, mu), entries=entries, mu_star=mu_star)
+            StarMatrix(pair=KostkaPair(lam, mu), entries=entries)
 
 
 def _margin_pair(heights, mu, rank: int, width: int) -> KostkaPair | None:
@@ -429,26 +421,23 @@ def _star_cases():
     for arr in random_int8_matrices(rng, 2000):
         own = own_pair(arr)
         if own is not None:
-            yield own, arr, tuple(arr.sum(axis=1).tolist())
+            yield own, arr
         other = rng.choice(pool)
-        other = KostkaPair(other.lam, other.mu, rank=max(other.rank, arr.shape[0]))
-        yield other, arr, _differences(other)
+        yield KostkaPair(other.lam, other.mu, rank=max(other.rank, arr.shape[0])), arr
     for k, pair in enumerate(pool):
         star = star_matrix(ryser_canonical(pair))
-        yield pair, star.entries, star.mu_star
+        yield pair, star.entries
         for mutant in one_cell_mutations(star.entries, rng, 3):
-            own_sums = tuple(mutant.sum(axis=1).tolist())
-            yield pair, mutant, star.mu_star
-            yield pair, mutant, own_sums
+            yield pair, mutant
             own = own_pair(mutant)
             if own is not None:
-                yield own, mutant, own_sums
+                yield own, mutant
         # the differences of a switched canonical matrix: same margins,
         # and columns with more runs read as longer signatures
         for switched in _switches(ryser_canonical(pair).entries, rng, 2):
             diffs = switched.copy()
             diffs[:-1] -= switched[1:]
-            yield pair, diffs, star.mu_star
+            yield pair, diffs
         # +1 and -1 in one row keep the row sums and break two columns
         i = rng.randrange(pair.rank)
         if pair.width > 1:
@@ -456,11 +445,11 @@ def _star_cases():
             mutant = star.entries.copy()
             mutant[i, j] += 1
             mutant[i, m] -= 1
-            yield pair, mutant, star.mu_star
+            yield pair, mutant
         if k % 50 == 0:
             wide = star.entries.astype(np.int64)
             wide[0, 0] = -300
-            yield pair, wide, star.mu_star
+            yield pair, wide
 
 
 # a phrase of each check's message, in the order the checks run
@@ -468,10 +457,7 @@ CANONICAL_CHECKS = (
     "shape", "fit in int8", "0/1", "row sums", "column sums", "runs of 1s",
     "leftmost column",
 )
-STAR_CHECKS = (
-    "shape", "fit in int8", "row sums", "consecutive differences", "pattern",
-    "leftmost column",
-)
+STAR_CHECKS = ("shape", "fit in int8", "row sums", "pattern", "leftmost column")
 
 
 class TestFusedChecks:
@@ -492,10 +478,11 @@ class TestFusedChecks:
 
     def test_star_matrix_refuses_as_before(self):
         seen = set()
-        for pair, entries, mu_star in _star_cases():
-            expected = outcome(oracles.star_matrix_checks, pair, entries, mu_star)
-            got = outcome(StarMatrix, pair=pair, entries=entries, mu_star=mu_star)
-            assert got == expected, (pair, np.asarray(entries).tolist(), mu_star)
+        for pair, entries in _star_cases():
+            # the constructor takes mu* from the pair
+            expected = outcome(oracles.star_matrix_checks, pair, entries, _differences(pair))
+            got = outcome(StarMatrix, pair=pair, entries=entries)
+            assert got == expected, (pair, np.asarray(entries).tolist())
             if expected:
                 seen.update(c for c in STAR_CHECKS if c in expected[1])
         # the bottom-row check never fires: a -1 there leaves its column
@@ -633,7 +620,7 @@ class TestSplitPair:
 
 def shape_of(pair):
     canonical = ryser_canonical(pair)
-    return shape_sequence(canonical, star_matrix(canonical), fixing_chain(canonical))
+    return shape_sequence(canonical, fixing_chain(canonical))
 
 
 class TestShapeSequence:
