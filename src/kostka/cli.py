@@ -483,7 +483,9 @@ def subsetsum(instance: str, fmt: str) -> None:
         target = int(right.strip())
     except ValueError as exc:
         raise click.UsageError(f"cannot parse instance {instance!r}") from exc
-    if values and target > sum(values):
+    # only a valid instance is trivially "no"; SubsetSumInstance
+    # refuses the others
+    if values and min(values) > 0 and target > sum(values):
         payload = {
             "values": list(values),
             "target": target,

@@ -500,7 +500,9 @@ def primitive_point(spec: RaySpec) -> KostkaPair:
 def extremal_rays(rank: int) -> tuple[RaySpec, ...]:
     """All extremal rays at the given rank, deduplicated ((a, a, ell) is
     parallel to (1, 1, a+ell-1)) and sorted by (a, b, ell).  Raises
-    :class:`RankCapExceeded` above ``config.RAY_RANK_CAP``."""
+    :class:`RankCapExceeded` below 0 or above ``config.RAY_RANK_CAP``."""
+    if rank < 0:
+        raise RankCapExceeded(f"rank {rank} is negative")
     if rank > config.RAY_RANK_CAP:
         raise RankCapExceeded(f"rank {rank} exceeds cap {config.RAY_RANK_CAP}")
     if rank < 1:

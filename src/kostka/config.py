@@ -26,7 +26,7 @@ SPLIT_CAP = 40
 # bounds its memory.  It refuses every width >= 26, and width 25 above
 # rank 1.  A full miss near the cap, the primitive point of
 # RaySpec(20, 19, 11, 31) (width 20, rank 31, 32,505,794 cells), takes
-# 0.5-0.9 s at a 37 MB peak in a fresh process (2 vCPUs, Python 3.11.7,
+# 0.07-0.11 s at a 37 MB peak in a fresh process (2 vCPUs, Python 3.11.7,
 # numpy 2.4.6).
 SWEEP_CAP = 2**25
 
@@ -69,9 +69,9 @@ INT_CAP = 2**63 - 1
 
 # numpy broadcasts are chunked to at most 2^CHUNK_BITS cells to keep
 # peak memory flat: the column-subset sweep (ryser.sweep_proper_subsets),
-# whose buffers take fewer subsets the wider each subset's row, and which
-# reads no cached table of subsets (ryser._tuple_order) wider than one
-# buffer; and the Hilbert-basis slack scan (cone._covered), whose cells
+# whose table of tail subsets (ryser._tuple_order) and its product, one
+# row of rank cells per subset, take fewer subsets the wider the matrix;
+# and the Hilbert-basis slack scan (cone._covered), whose cells
 # are bytes: its chunks of slack rows and its uint64 word temporaries
 # hold at most 2^CHUNK_BITS bytes each, or one word-padded row when that
 # is wider.

@@ -33,20 +33,20 @@ and complementary row-sum vectors stay weakly decreasing) is decided by
 :func:`matrix_reducible`, refused up front past ``config.SWEEP_CAP``
 swept cells, and :func:`split_pair` materializes the two summand pairs.
 Its test runs on the shared star matrix: the S-selected sums of each
-row's difference with the next, v*, must satisfy 0 <= v* <= mu*,
-one int8 product and one unsigned compare per buffer of subsets.
-The decision is an exhaustive vectorized sweep,
-:func:`sweep_proper_subsets`: the 2^w - 2 proper nonempty column
-subsets are tested in order of their sorted index tuples, in buffers of
-at most 2^CHUNK_BITS cells, and the sweep stops at the first accepted
-subset, so answers do not depend on the buffer size.  That order has a
-recursion: (1), then (1) joined to each subset of the later columns in
-their order, then those subsets alone.  :func:`_tuple_order` builds
-each width's table of the nonempty subsets from the next narrower one
-and keeps it read-only in an LRU cache of at most 16 widths.  The
-sweep reads the widest table that fits one buffer; a wider sweep walks
-the same recursion down to that table and packs the blocks it lists
-into buffers.
+row's difference with the next, v*, must satisfy 0 <= v* <= mu*.  The
+decision is an exhaustive sweep, :func:`sweep_proper_subsets`: the
+2^w - 2 proper nonempty column subsets are tested in order of their
+sorted index tuples, and the sweep stops at the first accepted subset.
+That order has a recursion: (1), then (1) joined to each subset of the
+later columns in their order, then those subsets alone.
+:func:`_tuple_order` builds each width's table of the nonempty subsets
+from the next narrower one and keeps it read-only in an LRU cache of at
+most 16 widths.  Since v* is additive over S, the sweep takes the v* of
+every subset of the last columns in one int8 product with the widest
+table whose product fits 2^CHUNK_BITS cells, and walks the same
+recursion over the first columns: each head's own v* is tested alone,
+then added to those tail sums, one unsigned compare per block.  So the
+answer does not depend on the block size.
 
 Every matrix here, canonical, star or fixing-chain stage, is one
 read-only int8 array built once.  The canonical and star constructors
@@ -73,7 +73,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from operator import sub
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -486,77 +486,55 @@ def _tuple_order(width: int) -> np.ndarray:
     return table
 
 
-# the empty subset of no columns, alone: a block of one row
-_ALONE = np.zeros((1, 0), dtype=np.int8)
-
-
-def _blocks(
-    width: int, tail: int, head: tuple[int, ...] = (), start: int = 0
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """``head``, a set of 0-based columns below ``start``, joined to each
-    nonempty subset of the columns from ``start`` on, in tuple order, as
-    blocks (head, table): every row of ``table`` on the last columns,
-    with the head columns set.  The order is the row that adds column
-    ``start`` alone, then the extensions that take it, then those that
-    do not; the last ``tail`` columns are one block of the cached
-    :func:`_tuple_order` table."""
-    if width - start <= tail:
-        yield head, _tuple_order(width - start)
+def _heads(
+    diff: np.ndarray, front: int, head: tuple[int, ...] = (), own=None, start: int = 0
+) -> Iterator[tuple[tuple[int, ...], np.ndarray | None, bool]]:
+    """The blocks of the tuple order whose head, its rows among the
+    first ``front`` of ``diff``, extends ``head`` (rows below ``start``,
+    summing to ``own``, None if empty) by rows from ``start`` on, as
+    (head, own, alone): the head that adds row ``start`` alone, its
+    extensions, those without it, and last ``head`` joined to each
+    nonempty subset of the rows from ``front`` on."""
+    if start == front:
+        yield head, own, False
         return
-    yield (*head, start), _ALONE
-    yield from _blocks(width, tail, (*head, start), start + 1)
-    yield from _blocks(width, tail, head, start + 1)
-
-
-def _packed(width: int, tail: int, chunk: int) -> Iterator[np.ndarray]:
-    """The rows of :func:`_blocks`, consecutive blocks packed into
-    buffers of at most ``chunk`` rows; every block fits one."""
-    rows, fill = np.zeros((chunk, width), dtype=np.int8), 0
-    for head, table in _blocks(width, tail):
-        n = len(table)
-        if fill + n > chunk:
-            yield rows[:fill]
-            rows, fill = np.zeros((chunk, width), dtype=np.int8), 0
-        rows[fill : fill + n, list(head)] = 1
-        rows[fill : fill + n, width - table.shape[1] :] = table
-        fill += n
-    yield rows[:fill]
+    joined = diff[start] if own is None else own + diff[start]
+    yield (*head, start), joined, True
+    yield from _heads(diff, front, (*head, start), joined, start + 1)
+    yield from _heads(diff, front, head, own, start + 1)
 
 
 def sweep_proper_subsets(
-    width: int, predicate: Callable[[np.ndarray], np.ndarray], cells: int
+    width: int, diff: np.ndarray, mu_star: np.ndarray
 ) -> tuple[int, ...] | None:
-    """First (by sorted-index-tuple order) proper nonempty subset of
-    [1..width] satisfying ``predicate``, or None.
+    """First (by sorted-index-tuple order) proper nonempty subset of the
+    ``width`` int8 rows of ``diff``, as 1-based positions, whose sum v*
+    satisfies 0 <= v* <= ``mu_star``, or None.  v* is compared as uint8,
+    where a negative entry exceeds every bound of ``mu_star`` (uint8).
 
-    The predicate maps an (N, width) int8 matrix of subset indicators
-    (column j - 1 is position j) to an (N,) boolean vector, and
-    ``cells`` is the widest row it builds per subset (the swept matrix's
-    rank).  It is called on buffers of at most
-    2^CHUNK_BITS // max(width, cells) indicator rows (at least one), so
-    no row block it builds holds more than 2^CHUNK_BITS cells and peak
-    memory does not grow with the width or the rank.  The buffers
-    follow tuple order, and the sweep stops at the first buffer with a
-    hit: its first accepted row is the witness.
-
-    The widest table of :func:`_tuple_order` that fits one buffer covers
-    the last ``tail`` columns.  When that is the whole width, the cached
-    table itself is the one buffer; otherwise :func:`_packed` lays out
-    the order from it.  The full set, row width - 1 of the order and
-    the one improper row, is never the witness.
-    """
+    The v* of the subsets of the last ``tail`` rows are one product with
+    the :func:`_tuple_order` table, of 2^tail - 1 rows of
+    max(width, rank) cells within 2^CHUNK_BITS (one row at least); each
+    head's own v* is tested alone, then added to them.  So no temporary
+    holds more than 2^CHUNK_BITS cells unless one row is wider.  The
+    sweep stops at the first block with a hit other than the full set,
+    row width - 1 of the order."""
     if width < 2:
         return None
-    chunk = max(1, (1 << config.CHUNK_BITS) // max(width, cells))
+    chunk = max(1, (1 << config.CHUNK_BITS) // max(width, diff.shape[1]))
     tail = min(width, (chunk + 1).bit_length() - 1)
-    buffers = _packed(width, tail, chunk) if tail < width else [_tuple_order(width)]
+    front = width - tail
+    table = _tuple_order(tail)
+    sums = table @ diff[front:]
     seen = 0
-    for rows in buffers:
-        good = np.asarray(predicate(rows), dtype=bool)
+    for head, own, alone in _heads(diff, front):
+        v = sums if own is None else own[None] if alone else own + sums
+        good = (v.view(np.uint8) <= mu_star).all(axis=1)
         for at in good.nonzero()[0][:2].tolist():
             if seen + at != width - 1:
-                return tuple(j + 1 for j in rows[at].nonzero()[0].tolist())
-        seen += len(rows)
+                rest = [] if alone else (table[at].nonzero()[0] + front).tolist()
+                return tuple(j + 1 for j in (*head, *rest))
+        seen += len(v)
     return None
 
 
@@ -569,9 +547,7 @@ def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:
     matrix (phantom zero row below): v*_i, the sum of D_ij over j in S,
     is s_i - s_(i+1) for the S row sums s, so they decrease iff v* >= 0,
     and the complement's iff v* <= mu*; the last row holds both always.
-    |v*_i| <= width <= 25 under the cap, so v* is exact in int8, and in
-    uint8 a negative entry reads above every mu*_i <= lambda_1, so one
-    unsigned compare tests both bounds.
+    |v*_i| <= width <= 25 under the cap, so v* is exact in int8.
 
     Raises :class:`WidthCapExceeded` before sweeping above
     ``config.SWEEP_CAP`` swept cells, (2^width - 2) * rank, since every
@@ -582,13 +558,7 @@ def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:
     if cells > config.SWEEP_CAP:
         raise WidthCapExceeded(f"sweep of {cells} cells exceeds cap {config.SWEEP_CAP}")
     star = canonical.star
-    diff = star.entries.T
-    mu_star = np.asarray(star.mu_star, dtype=np.uint8)
-
-    def predicate(bits: np.ndarray) -> np.ndarray:
-        return ((bits @ diff).view(np.uint8) <= mu_star).all(axis=1)
-
-    return sweep_proper_subsets(w, predicate, r)
+    return sweep_proper_subsets(w, star.entries.T, np.asarray(star.mu_star, dtype=np.uint8))
 
 
 def split_pair(

@@ -21,7 +21,6 @@ from kostka.errors import (
     NotAWitness,
 )
 from kostka.partitions import KostkaPair
-from kostka.ryser import sweep_proper_subsets
 from kostka.sequences import CatalanSeq, catalan_reducible as sublist_witness
 
 
@@ -204,12 +203,15 @@ def catalan_reducible(entries: Sequence[int]) -> tuple[int, ...] | None:
 
 
 def rank_order_sweep(width: int, predicate, cells: int) -> tuple[int, ...] | None:
-    """``sweep_proper_subsets`` as the library first computed it: every
-    proper nonempty mask in counting order, in chunks of at most
-    2^CHUNK_BITS cells, and of all the hits the one whose sorted index
-    tuple ranks first, by the rank 2^width - 1 + k - R - (R & -R) of
-    the tuple (R the mask read with position j weighing 2^(width - j)).
-    Every chunk is visited."""
+    """The first proper nonempty subset of [1..width] in sorted index
+    tuple order that ``predicate`` accepts, or None, found as the
+    library's sweep first found it.  The predicate maps (N, width) int8
+    indicator rows to (N,) booleans, and ``cells`` is the widest row it
+    builds per subset.  Every proper nonempty mask is tested in counting
+    order, in chunks of at most 2^CHUNK_BITS cells, and of all the hits
+    the one whose sorted index tuple ranks first, by the rank
+    2^width - 1 + k - R - (R & -R) of the tuple (R the mask read with
+    position j weighing 2^(width - j)).  Every chunk is visited."""
     if width < 2:
         return None
     total = 1 << width
@@ -271,7 +273,7 @@ def catalan_sweep(entries: Sequence[int]) -> tuple[int, ...] | None:
             & (rest >= 0).all(axis=1)
         )
 
-    return sweep_proper_subsets(len(entries), predicate, len(entries))
+    return rank_order_sweep(len(entries), predicate, len(entries))
 
 
 def star_reducible(star) -> tuple[int, ...] | None:
@@ -285,7 +287,7 @@ def star_reducible(star) -> tuple[int, ...] | None:
         v = bits.astype(np.int64) @ arr.T
         return ((v >= 0) & (v <= mu_star[None, :])).all(axis=1)
 
-    return sweep_proper_subsets(star.pair.width, predicate, star.pair.rank)
+    return rank_order_sweep(star.pair.width, predicate, star.pair.rank)
 
 
 def _decreasing_rows(mat: np.ndarray) -> np.ndarray:
@@ -307,7 +309,7 @@ def row_sum_reducible(canonical) -> tuple[int, ...] | None:
         sums = bits.astype(np.int64) @ arr.T
         return _decreasing_rows(sums) & _decreasing_rows(mu_padded[None, :] - sums)
 
-    return sweep_proper_subsets(pair.width, predicate, pair.rank)
+    return rank_order_sweep(pair.width, predicate, pair.rank)
 
 
 # --- common-column splits ------------------------------------------------

@@ -402,6 +402,16 @@ class TestRays:
         assert result.exit_code == 2
         assert f"exceeds cap {config.RAY_RANK_CAP}" in result.output
 
+    def test_negative_rank_is_usage_error(self, runner):
+        result = run(runner, "rays", "-r", "-3")
+        assert result.exit_code == 2
+        assert "rank -3 is negative" in result.output
+
+    def test_rank_zero_has_no_rays(self, runner):
+        result = run(runner, "rays", "-r", "0")
+        assert result.exit_code == 0
+        assert result.output == "rank 0: 0 extremal rays\n"
+
 
 class TestAudit:
     def test_rank_two(self, runner):
@@ -479,6 +489,20 @@ class TestSubsetSum:
     def test_malformed_instances(self, runner):
         assert run(runner, "subsetsum", "3,2 4").exit_code == 2
         assert run(runner, "subsetsum", "a,b : 1").exit_code == 2
+
+    @pytest.mark.parametrize(
+        "instance, values", [("0,-5 : 1", "(0, -5)"), ("3,0 : 5", "(3, 0)")]
+    )
+    def test_nonpositive_values_are_refused_before_the_total(self, runner, instance, values):
+        # the target exceeds the total, but the instance is not valid
+        result = run(runner, "subsetsum", instance)
+        assert result.exit_code == 2
+        assert f"values must be positive: {values}" in result.output
+
+    def test_trivial_no_bytes(self, runner):
+        result = run(runner, "subsetsum", "2,1 : 9")
+        assert result.exit_code == 1
+        assert result.output == "no subset: target 9 exceeds total 3\n"
 
 
 class TestLrFamily:

@@ -555,23 +555,26 @@ class TestReducibility:
             matrix_reducible(canonical)
         assert not spy
 
-    def test_widest_sweep_under_the_cap_stops_at_its_first_buffer(self, monkeypatch):
+    def test_widest_sweep_under_the_cap_stops_at_its_first_buffer(self, sweep_log):
         # (2^25 - 2) * 1 cells: no cap refuses width 25 at rank 1, and
-        # the first row of the order, column 1 alone, splits the pair
+        # the first block of the order, column 1 alone, splits the pair
         canonical = ryser_canonical(KostkaPair((25,), (25,)))
-        calls = []
-        real = ryser.sweep_proper_subsets
-
-        def spy(width, predicate, cells):
-            def counted(bits):
-                calls.append(len(bits))
-                return predicate(bits)
-
-            return real(width, counted, cells)
-
-        monkeypatch.setattr(ryser, "sweep_proper_subsets", spy)
         assert matrix_reducible(canonical) == (1,)
-        assert len(calls) == 1
+        assert [name for name, _, _ in sweep_log].count("less_equal") == 1
+
+    @pytest.mark.parametrize("chunk_bits", [5, 7, 9])
+    def test_small_chunks_keep_the_star_referee_witness(self, monkeypatch, chunk_bits):
+        # small chunks split each sweep into many head blocks; the
+        # referee's answer does not depend on its chunk size
+        rng = random.Random(chunk_bits)
+        pairs = list(cone_pair_pool(13, max_width=7)[chunk_bits::23])
+        pairs += [random_cone_pair(rng, 40, max_width=16) for _ in range(12)]
+        pairs.append(primitive_point(RaySpec(14, 13, 3, 30)))
+        expected = [oracles.star_reducible(ryser_canonical(p).star) for p in pairs]
+        assert None in expected and any(expected)
+        monkeypatch.setattr(config, "CHUNK_BITS", chunk_bits)
+        for pair, witness in zip(pairs, expected):
+            assert matrix_reducible(ryser_canonical(pair)) == witness, pair
 
     def test_witness_always_splits(self, running_pair):
         canonical = ryser_canonical(running_pair)
