@@ -529,9 +529,9 @@ def subsetsum(instance: str, fmt: str) -> None:
 def lr_family(k: int, growth_to: int | None, fmt: str) -> None:
     """The wide triple family: identities, positivity within the
     counting cap, and the nu_1 growth table."""
+    # both refuse a k past config.FAMILY_CAP before building a row
+    rows = growth_table(growth_to if growth_to is not None else k)
     report = verify_counterexample(k)
-    bound = growth_to if growth_to is not None else k
-    rows = growth_table(bound)
     payload = {
         "k": k,
         "rank": report.rank,

@@ -6,10 +6,13 @@ the semigroup of lattice points.  :func:`decompose` searches for a
 summand by enumerating the ways each side can split into two partitions
 (parameterized by choices in the consecutive-difference boxes) and
 checking the two dominance conditions with vectorized prefix sums.
-Each side's splittings are cached sorted by size, with the offsets of
-each size's block, so the candidate halves of one size are two slices;
-the prefix sums cover only len(mu) coordinates, since past the last
-part of mu (and so of lambda) every candidate passes.
+Each side's splittings are cached as one read-only table of their
+prefix sums, sorted by size, in the smallest dtype that holds the
+side's size (a byte for every pair under the splitting cap), with the
+offsets of each size's block and a bitmask of the sizes that occur, so
+the candidate halves of one size are two slices and the sizes both
+sides share are one AND.  Only the first len(lambda) coordinates are
+compared: past the last part of lambda every candidate passes.
 
 The Hilbert basis needs no splitting search.  The cone is cut out by
 3 * rank - 1 facet inequalities (the consecutive differences of lambda
@@ -61,6 +64,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import sub
 from pathlib import Path
 
 import numpy as np
@@ -72,40 +76,44 @@ from .errors import (
     RankCapExceeded,
     SizeCapExceeded,
 )
-from .partitions import KostkaPair, Partition, pad, prefix_sums
+from .partitions import KostkaPair, Partition, prefix_sums
 
 @functools.lru_cache(maxsize=2048)
-def _splittings(p: Partition) -> tuple[np.ndarray, list[int]]:
-    """All vectors v such that v and p - v are both partitions, as a
-    read-only (count, len(p)) array sorted by size |v|, then
-    lexicographically, plus the block offsets of the sizes: the vectors
-    of size m are rows ``bounds[m]:bounds[m + 1]``, for m from 0 to |p|.
+def _splittings(p: Partition) -> tuple[np.ndarray, list[int], int]:
+    """The prefix sums of all vectors v such that v and p - v are both
+    partitions, as a read-only (count, len(p)) table sorted by size |v|,
+    then by v lexicographically; the block offsets of the sizes (the
+    rows of size m are ``bounds[m]:bounds[m + 1]``, for m from 0 to
+    |p|); and a bitmask with bit m set iff that block is nonempty.
 
-    Such v correspond to independent choices d_i in
-    [0, p_i - p_{i+1}]: v_i is the suffix sum of the d's.
+    Such v correspond to independent choices d_i in [0, p_i - p_{i+1}],
+    v_i being the suffix sum of the d's, and only the parts where p
+    steps down (p_i > p_{i+1}) have a choice.  A choice d at step i adds
+    d * min(t + 1, i + 1) to the prefix sum V_t, so the table is one
+    product of the choices with those reaches.  v is constant on each
+    run of equal parts, so it is ordered by its entries at the run
+    starts, the suffix sums of the choices: one sort key per distinct
+    part.  The table is in the smallest signed dtype that holds
+    -|p| - 1, as in :func:`_box_dtype`: a byte up to 127 boxes, wider
+    rather than wrapped past that, so the difference of two prefix sums
+    fits too.
     """
-    length = len(p)
-    deltas = [p[i] - (p[i + 1] if i + 1 < length else 0) for i in range(length)]
-    combos = np.array(
-        list(itertools.product(*(range(d + 1) for d in deltas))), dtype=np.int64
-    ).reshape(-1, length)
-    vectors = combos[:, ::-1].cumsum(axis=1)[:, ::-1] if length else combos
-    sizes = vectors.sum(axis=1)
-    # lexsort's last key is its first: size, then each entry in turn
-    order = np.lexsort((*vectors.T[::-1], sizes))
-    vectors = vectors[order]
-    vectors.flags.writeable = False
-    bounds = np.searchsorted(sizes[order], np.arange(sum(p) + 2)).tolist()
-    return vectors, bounds
-
-
-def _block_prefixes(vectors: np.ndarray, stop: int, length: int) -> np.ndarray:
-    """Prefix sums of the first ``stop`` vectors over ``length`` >=
-    their width coordinates (the sums past the width stay at |v|)."""
-    out = np.empty((stop, length), dtype=np.int64)
-    np.cumsum(vectors[:stop], axis=1, out=out[:, : vectors.shape[1]])
-    out[:, vectors.shape[1] :] = out[:, vectors.shape[1] - 1 : vectors.shape[1]]
-    return out
+    length, n = len(p), sum(p)
+    below = p[1:] + (0,)
+    at = [i for i in range(length) if p[i] > below[i]]
+    choices = [p[i] - below[i] + 1 for i in at]
+    combos = np.indices(choices).reshape(len(at), math.prod(choices)).T
+    reach = np.array(at, dtype=np.intp) + 1
+    prefixes = combos @ np.minimum.outer(reach, np.arange(1, length + 1))
+    sizes = combos @ reach
+    starts = combos[:, ::-1].cumsum(axis=1)[:, ::-1]
+    # lexsort's last key is its first: size, then v at each run start
+    order = np.lexsort((*starts.T[::-1], sizes))
+    table = prefixes[order].astype(np.min_scalar_type(-n - 1))
+    table.flags.writeable = False
+    bounds = np.searchsorted(sizes[order], np.arange(n + 2)).tolist()
+    mask = sum(1 << m for m in range(n + 1) if bounds[m] < bounds[m + 1])
+    return table, bounds, mask
 
 
 def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
@@ -118,55 +126,61 @@ def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
     order.  Raises :class:`SizeCapExceeded` when |lambda| >
     ``config.SPLIT_CAP``.
 
-    The splittings of each side come sorted by size, in blocks
-    (:func:`_splittings`), so the halves of size m are two slices.  Only
-    the sizes m <= n // 2 where both blocks are nonempty are searched
-    (none: the pair is irreducible without any array work), and the
-    prefix sums of the blocks up to the largest of them are taken once
-    per call.  A half (a, b) of size m works iff 0 <= A_t - B_t <=
-    Lambda_t - M_t at every coordinate t, capital letters for prefix
-    sums.  Only the first len(mu) coordinates are compared: lambda
-    dominates mu, so it has no more parts, and past len(mu) both
-    halves' prefix sums are m and the gap is 0.
+    Each side's splittings come as one cached table of prefix sums
+    sorted by size, in blocks (:func:`_splittings`), so the halves of
+    size m are two slices.  Only the sizes m <= n // 2 set in both
+    sides' masks are searched (none: the pair is irreducible without
+    any array work).  A half (a, b) of size m works iff 0 <= A_t - B_t
+    <= Lambda_t - M_t at every coordinate t, capital letters for prefix
+    sums.  Only the first k = len(lambda) coordinates are compared:
+    lambda dominates mu, so mu has at least k parts, and at t >= k,
+    A_t = m >= B_t, while M_t - B_t, a prefix sum of mu - b, is at most
+    |mu - b| = n - m, which is the upper bound.  Each block is tested by
+    one unsigned compare: a negative difference wraps above every gap,
+    since the gaps are at most n, below half the dtype's range.  The
+    halves are the differences of the hit rows.
     """
     n = pair.n
     if n > config.SPLIT_CAP:
         raise SizeCapExceeded(f"|lambda| = {n} exceeds cap {config.SPLIT_CAP}")
     if n == 0:
         return None
-    lam_v, lam_at = _splittings(pair.lam)
-    mu_v, mu_at = _splittings(pair.mu)
-    sizes = [
-        m
-        for m in range(1, n // 2 + 1)
-        if lam_at[m] < lam_at[m + 1] and mu_at[m] < mu_at[m + 1]
-    ]
+    lam_pre, lam_at, lam_mask = _splittings(pair.lam)
+    mu_pre, mu_at, mu_mask = _splittings(pair.mu)
+    sizes = lam_mask & mu_mask & ((2 << n // 2) - 2)
     if not sizes:
         return None
-    length = len(pair.mu)
-    lam_pre = _block_prefixes(lam_v, lam_at[sizes[-1] + 1], length)
-    mu_pre = _block_prefixes(mu_v, mu_at[sizes[-1] + 1], length)
-    gap = np.cumsum(np.subtract(pad(pair.lam, length), pair.mu))
-    for m in sizes:
+    k = len(pair.lam)
+    unsigned = np.dtype(f"u{lam_pre.itemsize}")
+    # the last row of each table is the whole side
+    gap = (lam_pre[-1] - mu_pre[-1, :k]).view(unsigned)
+    while sizes:
+        m = (sizes & -sizes).bit_length() - 1
+        sizes &= sizes - 1
         va = lam_pre[lam_at[m] : lam_at[m + 1]]
-        vb = mu_pre[mu_at[m] : mu_at[m + 1]]
-        diff = va[:, None, :] - vb[None, :, :]
-        ok = ((diff >= 0) & (diff <= gap)).all(axis=2).ravel()
+        vb = mu_pre[mu_at[m] : mu_at[m + 1], :k]
+        ok = ((va[:, None] - vb).view(unsigned) <= gap).all(axis=2)
         hit = int(ok.argmax())
-        if ok[hit]:
+        if ok.flat[hit]:
             i, j = divmod(hit, vb.shape[0])
-            small_lam = lam_v[lam_at[m] + i].tolist()
-            small_mu = mu_v[mu_at[m] + j].tolist()
+            small_lam = _differences(lam_pre[lam_at[m] + i])
+            small_mu = _differences(mu_pre[mu_at[m] + j])
             r = pair.rank
             return (
                 KostkaPair(small_lam, small_mu, r),
                 KostkaPair(
-                    [a - b for a, b in zip(pair.lam, small_lam)],
-                    [a - b for a, b in zip(pair.mu, small_mu)],
+                    list(map(sub, pair.lam, small_lam)),
+                    list(map(sub, pair.mu, small_mu)),
                     r,
                 ),
             )
     return None
+
+
+def _differences(prefixes: np.ndarray) -> list[int]:
+    """The entries whose prefix sums are the given row."""
+    sums = prefixes.tolist()
+    return list(map(sub, sums, [0, *sums]))
 
 
 # --- Hilbert basis ----------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The caps guard enumerations whose cost is exponential in the capped
 quantity, and the matrices of Ryser's procedure, whose cells grow as
-rank times width (rank times width squared for a printed fixing chain).
+rank times width (rank times width squared for a printed fixing chain),
+and lists whose length a user sets (extremal rays, the LR family).
 Each cap is read from this module by the function it guards, when that
 function is called, and no keyword, CLI flag or environment variable
 sets it.  A run beyond a cap assigns the constant here first (say
@@ -18,7 +19,8 @@ from __future__ import annotations
 # Python 3.11.7).
 BOX_CAP = 40
 
-# Largest |lambda| for which decompose enumerates splittings.
+# Largest |lambda| for which decompose enumerates splittings.  Its
+# prefix-sum tables are int8 up to 127 boxes, and wider past that.
 SPLIT_CAP = 40
 
 # Most cells a column-subset sweep of a matrix may visit, (2^w - 2) * rank,
@@ -62,6 +64,14 @@ SUBSET_CAP = 24
 
 # Largest |nu| for which Littlewood-Richardson coefficients are counted.
 LR_BOX_CAP = 30
+
+# Largest k of the wide LR family (rank 3k - 1) that is built, and the
+# largest k its growth table lists; checked before either builds a row.
+# Cost is linear in k: `kostka lr-family --k 10000 --growth-to 10000` takes
+# 0.2 s at 44 MB max RSS (34 MB of it the interpreter and imports) and
+# prints 1.06 MB; --k 20000 took 0.37 s and 56 MB and printed 2.3 MB
+# (2 vCPUs, Python 3.11.7, each in a fresh process).
+FAMILY_CAP = 10_000
 
 # Entries of user-supplied partitions/sequences must fit in a signed
 # 64-bit integer so numpy paths never overflow.

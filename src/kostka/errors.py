@@ -48,7 +48,8 @@ class WidthCapExceeded(KostkaError):
 
 
 class RankCapExceeded(KostkaError):
-    """A Hilbert-basis computation was refused: rank above the supported cap."""
+    """A Hilbert basis, a ray list or an LR family member (rank 3k - 1)
+    was refused: rank above the supported cap."""
 
 
 class LengthCapExceeded(KostkaError):

@@ -19,7 +19,13 @@ import math
 from dataclasses import dataclass
 
 from . import config
-from .errors import AssertionFailure, InvalidTriple, ShapeError, SizeCapExceeded
+from .errors import (
+    AssertionFailure,
+    InvalidTriple,
+    RankCapExceeded,
+    ShapeError,
+    SizeCapExceeded,
+)
 from .partitions import Partition, as_partition, pad, size
 
 
@@ -103,9 +109,11 @@ def lr_coefficient(triple: LrTriple) -> int:
 def counterexample_family(k: int) -> LrTriple:
     """The rank-(3k-1) triple with lambda = (k^(k-1), (k-1)^k),
     mu = three copies each of j(k-1) for j = k-1..1, and
-    nu = ((k(k-1))^2, mu)."""
+    nu = ((k(k-1))^2, mu).  Raises :class:`RankCapExceeded` when k >
+    ``config.FAMILY_CAP``."""
     if k < 2:
         raise ValueError(f"family needs k >= 2, got {k}")
+    _family_cap(k)
     rank = 3 * k - 1
     lam = (k,) * (k - 1) + (k - 1,) * k
     mu = tuple(j * (k - 1) for j in range(k - 1, 0, -1) for _ in range(3))
@@ -124,6 +132,11 @@ def counterexample_family(k: int) -> LrTriple:
     return triple
 
 
+def _family_cap(k: int) -> None:
+    if k > config.FAMILY_CAP:
+        raise RankCapExceeded(f"k = {k} exceeds cap {config.FAMILY_CAP}")
+
+
 @dataclass(frozen=True)
 class GrowthRow:
     k: int
@@ -133,7 +146,9 @@ class GrowthRow:
 
 
 def growth_table(k_max: int) -> tuple[GrowthRow, ...]:
-    """nu_1 = ((r+1)/3)((r+1)/3 - 1) versus r, for k = 2..k_max."""
+    """nu_1 = ((r+1)/3)((r+1)/3 - 1) versus r, for k = 2..k_max.
+    Raises :class:`RankCapExceeded` when k_max > ``config.FAMILY_CAP``."""
+    _family_cap(k_max)
     rows = []
     for k in range(2, k_max + 1):
         rank = 3 * k - 1

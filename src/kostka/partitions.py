@@ -6,9 +6,12 @@ any integer sequence and checks it once, through :func:`as_partition`,
 where it enters; the private kernels :func:`_dominated` and
 :func:`_conjugate` and the shapes that :func:`kostka_count` peels work
 on tuples that are already partitions and are not checked again.
-:func:`as_partition` checks a sequence of plain ``int`` parts with a few
-builtins that run in C and walks it part by part only when that check
-fails, to name the offending part exactly as the walk always has.
+:func:`_dominated`, the dominance test of every :class:`KostkaPair`,
+takes the running gaps of the prefix sums in one pass of builtins that
+run in C, with no Python-level walk.  :func:`as_partition` checks a
+sequence of plain ``int`` parts with a few builtins that run in C and
+walks it part by part only when that check fails, to name the
+offending part exactly as the walk always has.
 
 Nothing here enumerates partitions: the cone points of a box are
 listed, one size at a time as arrays, by :mod:`kostka.cone`.
@@ -37,7 +40,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate, product, zip_longest
+from itertools import accumulate, product
+from operator import sub
 from typing import Iterable, Sequence
 
 from . import config
@@ -123,13 +127,14 @@ def prefix_sums(p: Sequence[int], length: int) -> tuple[int, ...]:
 
 def _dominated(pa: Partition, pb: Partition) -> bool:
     """Every prefix sum of ``pa`` is >= the matching prefix sum of
-    ``pb``; both must already be partitions."""
-    gap = 0
-    for x, y in zip_longest(pa, pb, fillvalue=0):
-        gap += x - y
-        if gap < 0:
-            return False
-    return True
+    ``pb``; both must already be partitions.
+
+    One C-level pass: the running gaps over the shorter length must stay
+    >= 0.  Past it, the gaps rise if ``pa`` is the longer (its parts are
+    positive) and fall to sum(pa) - sum(pb) if ``pb`` is."""
+    return min(accumulate(map(sub, pa, pb)), default=0) >= 0 and (
+        len(pa) >= len(pb) or sum(pa) >= sum(pb)
+    )
 
 
 def dominates(a: Sequence[int], b: Sequence[int]) -> bool:

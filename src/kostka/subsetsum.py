@@ -15,10 +15,11 @@ linear in A, so the map is a polynomial reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from . import config
 from .errors import AssertionFailure, InvalidInstance, SizeCapExceeded
-from .partitions import KostkaPair, conjugate, pad, size
+from .partitions import KostkaPair, _conjugate, conjugate, pad, size
 from .cone import decompose
 
 
@@ -102,24 +103,19 @@ def proof_decomposition(
     values = tuple(sorted(inst.values, reverse=True))
     total, target = sum(values), inst.target
     rank = 2 * total - target + 1
-    chosen = [values[i - 1] for i in subset]
+    picked = set(subset)
+    chosen = [v for i, v in enumerate(values, 1) if i in picked]
     if sum(chosen) != target:
         raise AssertionFailure(f"subset {subset} sums to {sum(chosen)}, not {target}")
-    rest = list(values)
-    for v in chosen:
-        rest.remove(v)
-    selected = KostkaPair(conjugate(sorted(chosen, reverse=True)), (1,) * target, rank)
-    complement = KostkaPair(
-        conjugate(sorted([total + 1] + rest, reverse=True)), (1,) * rank, rank
-    )
+    # both lists keep the decreasing order of the values
+    rest = [total + 1] + [v for i, v in enumerate(values, 1) if i not in picked]
+    selected = KostkaPair(_conjugate(chosen), (1,) * target, rank)
+    complement = KostkaPair(_conjugate(rest), (1,) * rank, rank)
     for side in ("lam", "mu"):
-        added = tuple(
-            a + b
-            for a, b in zip(
-                pad(getattr(selected, side), rank), pad(getattr(complement, side), rank)
-            )
+        small, large, both = (
+            pad(getattr(p, side), rank) for p in (selected, complement, whole)
         )
-        if added != pad(getattr(whole, side), rank):
+        if tuple(map(add, small, large)) != both:
             raise AssertionFailure(f"proof decomposition does not add back on {side}")
     return selected, complement
 

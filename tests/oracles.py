@@ -36,6 +36,18 @@ def prefix_dom(a: Sequence[int], b: Sequence[int]) -> bool:
     return True
 
 
+def dominance_walk(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Prefix dominance of two partitions of any totals, one running gap
+    at a time over the zero-padded parts (the library's kernel as first
+    written)."""
+    gap = 0
+    for x, y in itertools.zip_longest(a, b, fillvalue=0):
+        gap += x - y
+        if gap < 0:
+            return False
+    return True
+
+
 def dominance(a: Sequence[int], b: Sequence[int]) -> bool:
     return sum(a) == sum(b) and prefix_dom(a, b)
 

@@ -6,7 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from kostka import cli, config, kgr, ryser
+from kostka import cli, config, kgr, lr, ryser
 from kostka.cli import main
 from kostka.errors import WidthCapExceeded
 from kostka.kgr import SubtreeWitness, Vertex
@@ -289,6 +289,9 @@ GOLDEN_BYTES = [
     ("subsetsum", ["3,2,1 : 4"], "json", 0, "b97aa50896ceb29b777816dd90dd191a4ecee18f34542e89a8e92b42b5257a38"),
     ("rays", ["-r", "30"], "text", 0, "8b6db832f2a3002eb48203b7bcaef5b349f37f173fa124e20afb595aef7f61e2"),
     ("rays", ["-r", "30"], "json", 0, "98f9f3a492cfd6341fd41bd22f3284ff0db813eec4850e76c1b73085c2a8b3f8"),
+    ("lr-family", ["--k", "2"], "json", 0, "ff3e43f470f0aaab3f9d0e16f1f3f3005eefe849c1e1e167a27c98a1b456b173"),
+    ("lr-family", ["--k", "3", "--growth-to", "8"], "text", 0, "ce556a5d8b1fca0b1aec75ba930705e453b92ddbb4611fc03fc00ab92267841d"),
+    ("lr-family", ["--k", "5"], "json", 0, "62604a79ecb92e639d286079ce98a15ab61eeb04c0b6f3ea8ef7b4fb33ee0991"),
 ]
 
 
@@ -523,3 +526,20 @@ class TestLrFamily:
 
     def test_k_below_two_is_usage_error(self, runner):
         assert run(runner, "lr-family", "--k", "1").exit_code == 2
+
+    @pytest.mark.parametrize("flag", ["--k", "--growth-to"])
+    def test_family_cap_is_a_usage_error(self, runner, monkeypatch, flag):
+        cap = config.FAMILY_CAP
+        args = ["--k", "2", "--growth-to", str(cap)] if flag == "--growth-to" else ["--k", str(cap)]
+        result = run(runner, "lr-family", *args, "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["growth"][-1]["k"] == cap
+        # one past the cap is refused before any row of the family is built
+        built = []
+        monkeypatch.setattr(lr, "LrTriple", lambda **kw: built.append(kw))
+        monkeypatch.setattr(lr, "GrowthRow", lambda **kw: built.append(kw))
+        args[-1] = str(cap + 1)
+        result = run(runner, "lr-family", *args)
+        assert result.exit_code == 2
+        assert f"k = {cap + 1} exceeds cap {cap}" in result.output
+        assert built == []

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import accumulate
 from pathlib import Path
 
@@ -29,12 +30,16 @@ from kostka.cone import (
     width_bound_audit,
 )
 from kostka.errors import AssertionFailure, RankCapExceeded, SizeCapExceeded
-from kostka.partitions import KostkaPair, as_partition, pad, size
+from kostka.partitions import KostkaPair, as_partition, conjugate, pad, size
 from kostka.subsetsum import SubsetSumInstance, reduce_to_kostka
 
 BASIS_COUNTS = {1: 1, 2: 3, 3: 8, 4: 19, 5: 50, 6: 111, 7: 281, 8: 635}
 # cone pairs with lambda_1 = rank + 1 and at most rank parts, by rank
 LAYER_COUNTS = {2: 6, 3: 42, 4: 336, 5: 3030, 6: 29772}
+# bytes that tracemalloc may see the splitting tables of the 337 sides of
+# the reduction pairs of total <= 12 hold: they measured 248-295 KB as int8
+# prefix sums, and 812-824 KB as the int64 vectors they replaced
+SPLITTING_FOOTPRINT = 400_000
 RAY_COUNTS = [1, 3, 7, 14, 25, 41, 63, 92, 129, 175, 231, 298, 377, 469, 575, 696, 833]
 
 
@@ -103,15 +108,65 @@ class TestDecompose:
 
     def test_splitting_cache_is_bounded(self):
         limit = cone._splittings.cache_info().maxsize
-        shapes = partition_pool(20)[1:]  # decompose never splits the zero pair
+        # decompose never splits the zero pair; (128,) needs two bytes
+        shapes = partition_pool(20)[1:] + ((127,), (128,))
         assert len(shapes) > limit
         for p in shapes:
-            vectors, bounds = cone._splittings(p)
-            assert not vectors.flags.writeable
-            assert len(bounds) == size(p) + 2 and bounds[-1] == len(vectors)
-            for m in range(size(p) + 1):
-                assert (vectors[bounds[m] : bounds[m + 1]].sum(axis=1) == m).all()
+            table, bounds, mask = cone._splittings(p)
+            n = size(p)
+            assert not table.flags.writeable
+            smallest = next(t for t in (np.int8, np.int16) if np.iinfo(t).max >= n)
+            assert table.dtype == smallest
+            assert len(bounds) == n + 2 and bounds[-1] == len(table)
+            vectors, _ = oracles._size_sorted_splittings(p)
+            assert (table == vectors.cumsum(axis=1)).all()
+            for m in range(n + 1):
+                assert (table[bounds[m] : bounds[m + 1], -1] == m).all()
+                assert bool(mask >> m & 1) == (bounds[m] < bounds[m + 1])
+            assert mask >> (n + 1) == 0
         assert cone._splittings.cache_info().currsize <= limit
+
+    # (conjugate lambda, conjugate mu): one reducible and one irreducible
+    # pair on either side of the int8 tables' 127 boxes, each with a size
+    # of small half that both sides share, so the blocks are compared
+    @pytest.mark.parametrize(
+        "lam_t, mu_t, dtype",
+        [
+            ((39, 36, 33, 19), (72, 36, 19), np.int8),
+            ((76, 40, 10, 1), (87, 31, 9), np.int8),
+            ((74, 25, 16, 13), (74, 41, 13), np.int16),
+            ((50, 43, 32, 3), (75, 44, 9), np.int16),
+        ],
+    )
+    def test_table_dtype_boundary(self, monkeypatch, lam_t, mu_t, dtype):
+        monkeypatch.setattr(config, "SPLIT_CAP", 200)
+        pair = KostkaPair(conjugate(lam_t), conjugate(mu_t))
+        _, _, lam_mask = cone._splittings(pair.lam)
+        table, _, mu_mask = cone._splittings(pair.mu)
+        assert table.dtype == dtype
+        assert lam_mask & mu_mask & ((2 << pair.n // 2) - 2)
+        assert decompose(pair) == oracles.splitting_decompose(pair), pair
+
+    def test_splitting_tables_stay_small(self):
+        """The tables of every subset-sum reduction pair of total at most
+        12 fit under a bound that int64 vectors would exceed."""
+        sides = set()
+        for total in range(1, 13):
+            for values in oracles.partitions(total):
+                for target in range(1, total + 1):
+                    pair = reduce_to_kostka(SubsetSumInstance(values, target))
+                    sides.update((pair.lam, pair.mu))
+        assert len(sides) <= cone._splittings.cache_info().maxsize
+        cone._splittings.cache_clear()
+        tracemalloc.start()
+        try:
+            for p in sides:
+                cone._splittings(p)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            cone._splittings.cache_clear()
+        assert held < SPLITTING_FOOTPRINT, held
 
     def test_witnesses_match_the_splitting_oracle(self):
         """Every cone pair of at most 12 boxes, at its minimal rank and

@@ -24,7 +24,7 @@ from kostka.errors import (
     SizeCapExceeded,
     WidthCapExceeded,
 )
-from kostka.lr import LrTriple, lr_coefficient, verify_counterexample
+from kostka.lr import LrTriple, growth_table, lr_coefficient, verify_counterexample
 from kostka.partitions import KostkaPair, kostka_count
 from kostka.ryser import matrix_reducible, ryser_canonical
 from kostka.sequences import (
@@ -94,6 +94,8 @@ CASES = [
         lambda: lr_coefficient(LrTriple((2, 1), (2, 1), (3, 2, 1), rank=3)),
         SizeCapExceeded,
     ),
+    case("verify_counterexample", "FAMILY_CAP", 4, lambda: verify_counterexample(5), RankCapExceeded),
+    case("growth_table", "FAMILY_CAP", 7, lambda: growth_table(8), RankCapExceeded),
 ]
 
 

@@ -123,6 +123,25 @@ class TestDominance:
             if dominates(a, b):
                 assert dominates(conjugate(b), conjugate(a))
 
+    def test_dominance_kernel_matches_the_walk(self):
+        """The one-pass kernel and the functions built on it against the
+        prefix-sum walk, on seeded random partitions of unequal lengths
+        and totals, the zero partition among them."""
+        rng = random.Random(25)
+        shapes = [()] + [
+            tuple(sorted((rng.randint(1, 9) for _ in range(rng.randint(1, 8))), reverse=True))
+            for _ in range(400)
+        ]
+        for a in shapes:
+            for b in rng.sample(shapes, 40) + [(), a]:
+                walk = oracles.dominance_walk(a, b)
+                assert partitions._dominated(a, b) == walk, (a, b)
+                assert dominates(a, b) == (size(a) == size(b) and walk), (a, b)
+                rank = rng.randint(0, 9)
+                assert in_kostka_cone(a, b, rank) == (
+                    max(len(a), len(b)) <= rank and size(a) == size(b) and walk
+                ), (a, b, rank)
+
     def test_in_kostka_cone_respects_rank(self):
         assert in_kostka_cone((2, 1), (1, 1, 1), 3)
         assert not in_kostka_cone((2, 1), (1, 1, 1), 2)
@@ -296,6 +315,21 @@ class TestPairType:
             KostkaPair((2, 1), (1, 1, 1), rank=2)  # mu needs 3 rows
         with pytest.raises(InvalidPartition):
             KostkaPair((1, 2), (2, 1))
+
+    @pytest.mark.parametrize(
+        "lam, mu, rank, message",
+        [
+            ((2, 1), (1, 1), -1, "((2, 1), (1, 1)) is not in the Kostka cone at rank 2"),
+            ((2, 1), (1, 1, 1), 2, "((2, 1), (1, 1, 1)) is not in the Kostka cone at rank 2"),
+            ((2, 2), (3, 1), 2, "((2, 2), (3, 1)) is not in the Kostka cone at rank 2"),
+            ((1, 1), (2,), -1, "((1, 1), (2,)) is not in the Kostka cone at rank 2"),
+            ((), (1,), -1, "((), (1,)) is not in the Kostka cone at rank 1"),
+        ],
+    )
+    def test_invalid_pair_messages(self, lam, mu, rank, message):
+        with pytest.raises(InvalidPair) as err:
+            KostkaPair(lam, mu, rank)
+        assert str(err.value) == message
 
     def test_zero_pair_is_allowed(self):
         pair = KostkaPair((), (), rank=1)
