@@ -23,6 +23,7 @@ from .errors import (
     MalformedStarMatrix,
     NotAWitness,
     RankCapExceeded,
+    RefusedInput,
     ShapeError,
     SizeCapExceeded,
     WidthCapExceeded,

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success / positive decision, 1 negative decision (e.g.
-"not reducible", "no subset"), 2 usage errors (click), 3 a checked
-internal assertion failed on concrete data.
+"not reducible", "no subset"), 2 a usage error: malformed input or a
+refusing cap (click's own errors and every :class:`RefusedInput`), 3 a
+checked internal assertion failed on concrete data (any other
+:class:`KostkaError`, or an ``AssertionError``).
 
 ``--format json`` output is serialized with sorted keys and fixed
 indentation, so identical inputs produce byte-identical output.
@@ -17,7 +19,6 @@ from pathlib import Path
 
 import click
 
-from . import config
 from .cone import (
     catalog_diff,
     decompose,
@@ -30,17 +31,8 @@ from .cone import (
 )
 from .errors import (
     AssertionFailure,
-    InconsistentExtremalityTests,
-    InvalidInstance,
-    InvalidPair,
-    InvalidPartition,
-    InvalidSequence,
-    InvalidTriple,
-    LengthCapExceeded,
-    MalformedStarMatrix,
-    NotAWitness,
-    RankCapExceeded,
-    ShapeError,
+    KostkaError,
+    RefusedInput,
     SizeCapExceeded,
     WidthCapExceeded,
 )
@@ -59,7 +51,6 @@ from .partitions import (
     kostka_count,
     kostka_positive,
     parse_partition,
-    size,
 )
 from .ryser import (
     DeleteColumn,
@@ -73,35 +64,15 @@ from .ryser import (
 from .sequences import CatalanSeq, catalan_reducible, kim_theorem_check
 from .subsetsum import SubsetSumInstance, reduction_equivalence_check
 
-_INPUT_ERRORS = (
-    InvalidPartition,
-    InvalidPair,
-    InvalidSequence,
-    InvalidInstance,
-    InvalidTriple,
-    ShapeError,
-    NotAWitness,
-    SizeCapExceeded,
-    WidthCapExceeded,
-    RankCapExceeded,
-    LengthCapExceeded,
-)
-_INTERNAL_ERRORS = (
-    AssertionFailure,
-    InconsistentExtremalityTests,
-    MalformedStarMatrix,
-    AssertionError,
-)
-
 
 def _guarded(f):
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except _INPUT_ERRORS as exc:
+        except RefusedInput as exc:
             raise click.UsageError(str(exc))
-        except _INTERNAL_ERRORS as exc:
+        except (KostkaError, AssertionError) as exc:
             click.echo(f"internal check failed: {exc}", err=True)
             sys.exit(3)
 
@@ -122,7 +93,11 @@ def _format_option(f):
 
 def _rank_option(f):
     return click.option(
-        "--rank", "-r", type=int, default=None, help="ambient rank (default: minimal)"
+        "--rank",
+        "-r",
+        type=click.IntRange(min=0),
+        default=None,
+        help="ambient rank (default: minimal)",
     )(f)
 
 
@@ -139,9 +114,7 @@ def _pair_payload(pair: KostkaPair) -> dict:
 
 
 def _build_pair(lam_text: str, mu_text: str, rank: int | None) -> KostkaPair:
-    lam, mu = parse_partition(lam_text), parse_partition(mu_text)
-    r = rank if rank is not None else max(len(lam), len(mu))
-    return KostkaPair(lam, mu, r)
+    return KostkaPair(parse_partition(lam_text), parse_partition(mu_text), rank)
 
 
 def _step_payload(step) -> dict:
@@ -180,7 +153,10 @@ def check(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     r = rank if rank is not None else max(len(pl), len(pm))
     member = in_kostka_cone(pl, pm, r)
     positive = kostka_positive(pl, pm)
-    count = kostka_count(pl, pm) if size(pl) <= config.BOX_CAP else None
+    try:
+        count = kostka_count(pl, pm)
+    except SizeCapExceeded:
+        count = None
     payload = {
         "lambda": list(pl),
         "mu": list(pm),

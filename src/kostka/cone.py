@@ -116,6 +116,13 @@ def _splittings(p: Partition) -> tuple[np.ndarray, list[int], int]:
     return table, bounds, mask
 
 
+def _split_cap(n: int) -> None:
+    """Refuse a splitting search of an n-box pair past
+    ``config.SPLIT_CAP``, with :class:`SizeCapExceeded`."""
+    if n > config.SPLIT_CAP:
+        raise SizeCapExceeded(f"|lambda| = {n} exceeds cap {config.SPLIT_CAP}")
+
+
 def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
     """A decomposition (small, large) of the pair into two nonzero cone
     points at the same rank, or None if the pair is irreducible (or
@@ -141,8 +148,7 @@ def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
     halves are the differences of the hit rows.
     """
     n = pair.n
-    if n > config.SPLIT_CAP:
-        raise SizeCapExceeded(f"|lambda| = {n} exceeds cap {config.SPLIT_CAP}")
+    _split_cap(n)
     if n == 0:
         return None
     lam_pre, lam_at, lam_mask = _splittings(pair.lam)

@@ -4,23 +4,27 @@ The caps guard enumerations whose cost is exponential in the capped
 quantity, and the matrices of Ryser's procedure, whose cells grow as
 rank times width (rank times width squared for a printed fixing chain),
 and lists whose length a user sets (extremal rays, the LR family).
-Each cap is read from this module by the function it guards, when that
-function is called, and no keyword, CLI flag or environment variable
-sets it.  A run beyond a cap assigns the constant here first (say
+Each cap is read from this module by the function it guards, and by no
+other, when that function is called (a caller catches the refusal), and
+no keyword, CLI flag or environment variable sets it.  A run beyond a cap assigns the constant here first (say
 ``config.RANK_CAP = 9`` before ``hilbert_basis(9)``).
 """
 
 from __future__ import annotations
 
-# Largest partition size for which Kostka numbers are counted tableau
-# by tableau: the reach of decompose (SPLIT_CAP), so `kostka check`
+# Largest partition size for which kostka_count counts Kostka numbers
+# tableau by tableau: the reach of decompose (SPLIT_CAP), so `kostka
+# check`, which prints "skipped (cap)" when kostka_count refuses,
 # counts every pair that `kostka reduce` answers.  The slowest 40-box
 # count found, (8,7,6,5,4,4,3,2,1 | 2^20), takes about 0.06 s (2 vCPUs,
 # Python 3.11.7).
 BOX_CAP = 40
 
 # Largest |lambda| for which decompose enumerates splittings.  Its
-# prefix-sum tables are int8 up to 127 boxes, and wider past that.
+# prefix-sum tables are int8 up to 127 boxes, and wider past that.  The
+# brute-force subset-sum oracle takes the same cap on the 2A + 1 boxes
+# of an instance's reduction pair (values of total A), so it and the
+# search it is compared against refuse the same instances: A <= 19.
 SPLIT_CAP = 40
 
 # Most cells a column-subset sweep of a matrix may visit, (2^w - 2) * rank,
@@ -54,13 +58,6 @@ RAY_RANK_CAP = 30
 # up to 650 rising then falling, take 0.37 s and 0.16 s and 42 MB above
 # the interpreter's own (2 vCPUs, Python 3.11.7).
 STATE_CAP = 2**19
-
-# Most values a subset-sum instance may have for the brute-force oracle.
-# It guards direct calls of subsetsum.subset_sum_oracle only: its one
-# caller in the package, reduction_equivalence_check (`kostka subsetsum`),
-# runs decompose first, whose SPLIT_CAP (2A + 1 <= 40 boxes for values of
-# total A) admits at most 19 values.
-SUBSET_CAP = 24
 
 # Largest |nu| for which Littlewood-Richardson coefficients are counted.
 LR_BOX_CAP = 30

@@ -3,8 +3,8 @@
 Everything raised deliberately by this package derives from
 :class:`KostkaError`, so callers can catch one type.  Input problems
 (bad partitions, malformed instances) and resource guards (size caps)
-get distinct subclasses because the CLI maps them to different exit
-codes.
+derive from :class:`RefusedInput`, which the CLI maps to exit 2; any
+other :class:`KostkaError` is a failed internal check, exit 3.
 """
 
 from __future__ import annotations
@@ -14,45 +14,50 @@ class KostkaError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidPartition(KostkaError):
+class RefusedInput(KostkaError):
+    """The input is malformed, or beyond a cap: refused before or
+    instead of an answer, not a failed check."""
+
+
+class InvalidPartition(RefusedInput):
     """A sequence is not a weakly decreasing tuple of nonnegative integers."""
 
 
-class InvalidPair(KostkaError):
+class InvalidPair(RefusedInput):
     """A (lambda, mu, rank) triple is not a point of the Kostka cone."""
 
 
-class InvalidSequence(KostkaError):
+class InvalidSequence(RefusedInput):
     """Entries violate the generalized Catalan conditions."""
 
 
-class InvalidInstance(KostkaError):
+class InvalidInstance(RefusedInput):
     """A subset-sum instance violates its invariants."""
 
 
-class InvalidTriple(KostkaError):
+class InvalidTriple(RefusedInput):
     """A Littlewood-Richardson triple violates its invariants."""
 
 
-class ShapeError(KostkaError):
+class ShapeError(RefusedInput):
     """The inner shape of a skew diagram is not contained in the outer one."""
 
 
-class SizeCapExceeded(KostkaError):
+class SizeCapExceeded(RefusedInput):
     """An enumeration was refused because the box count exceeds the cap."""
 
 
-class WidthCapExceeded(KostkaError):
+class WidthCapExceeded(RefusedInput):
     """A column-subset sweep or a printed fixing chain was refused: too
     many columns."""
 
 
-class RankCapExceeded(KostkaError):
+class RankCapExceeded(RefusedInput):
     """A Hilbert basis, a ray list or an LR family member (rank 3k - 1)
     was refused: rank above the supported cap."""
 
 
-class LengthCapExceeded(KostkaError):
+class LengthCapExceeded(RefusedInput):
     """A sublist search of a sequence was refused: its state bound, which
     grows with the length and the prefix sums, exceeds the cap."""
 
@@ -61,7 +66,7 @@ class MalformedStarMatrix(KostkaError):
     """A difference matrix violates the column/row structure the graph needs."""
 
 
-class NotAWitness(KostkaError):
+class NotAWitness(RefusedInput):
     """A proposed column subset does not certify reducibility."""
 
 

@@ -177,9 +177,11 @@ def verify_counterexample(k: int) -> CounterexampleReport:
     triple = counterexample_family(k)
     nu1 = triple.nu[0]
     growth_table(max(k, 2))  # identity checks up through this k
-    coefficient: int | None = None
-    if size(triple.nu) <= config.LR_BOX_CAP:
+    try:
         coefficient = lr_coefficient(triple)
+    except SizeCapExceeded:
+        coefficient = None
+    else:
         if coefficient < 1:
             raise AssertionFailure(f"family coefficient vanished for k={k}")
     return CounterexampleReport(

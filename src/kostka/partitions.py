@@ -168,13 +168,13 @@ class KostkaPair:
 
     lam: Partition
     mu: Partition
-    rank: int = -1
+    rank: int | None = None
 
     def __post_init__(self) -> None:
         lam = as_partition(self.lam)
         mu = as_partition(self.mu)
         rank = self.rank
-        if rank == -1:
+        if rank is None:
             rank = max(len(lam), len(mu))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from operator import add
 
 from . import config
-from .errors import AssertionFailure, InvalidInstance, SizeCapExceeded
-from .partitions import KostkaPair, _conjugate, conjugate, pad, size
-from .cone import decompose
+from .errors import AssertionFailure, InvalidInstance
+from .partitions import KostkaPair, _conjugate, pad, size
+from .cone import _split_cap, decompose
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,12 @@ class SubsetSumInstance:
             raise InvalidInstance(f"values must be positive: {values}")
         if self.target <= 0:
             raise InvalidInstance(f"target must be positive: {self.target}")
-        if self.target > sum(values):
-            raise InvalidInstance(
-                f"target {self.target} exceeds the total {sum(values)}"
-            )
+        total = sum(values)
+        if self.target > total:
+            raise InvalidInstance(f"target {self.target} exceeds the total {total}")
+        # the reduction pair's box count, 2A + 1, must fit int64
+        if 2 * total + 1 > config.INT_CAP:
+            raise InvalidInstance(f"total {total} exceeds 64-bit range")
 
     @property
     def total(self) -> int:
@@ -58,10 +60,12 @@ class SubsetSumInstance:
 def subset_sum_oracle(inst: SubsetSumInstance) -> tuple[int, ...] | None:
     """First (in sorted-index-tuple order) subset of positions summing to
     the target, or None.  Depth-first with include-before-skip, so the
-    first hit is the lexicographically smallest witness."""
+    first hit is the lexicographically smallest witness.  Refuses, as
+    :func:`decompose` does, an instance whose reduction pair of 2A + 1
+    boxes is past ``config.SPLIT_CAP``: the two searches it compares
+    admit the same instances."""
+    _split_cap(2 * inst.total + 1)
     d = len(inst.values)
-    if d > config.SUBSET_CAP:
-        raise SizeCapExceeded(f"{d} values exceed cap {config.SUBSET_CAP}")
     values, target = inst.values, inst.target
     suffix = [0] * (d + 1)
     for i in range(d - 1, -1, -1):
@@ -87,8 +91,9 @@ def reduce_to_kostka(inst: SubsetSumInstance) -> KostkaPair:
     resulting pair always lies in the cone."""
     values = tuple(sorted(inst.values, reverse=True))
     total, target = sum(values), inst.target
-    lam = conjugate((total + 1,) + values)
-    mu = conjugate((2 * total - target + 1, target))
+    # both tuples are decreasing already; KostkaPair validates the pair
+    lam = _conjugate((total + 1,) + values)
+    mu = _conjugate((2 * total - target + 1, target))
     return KostkaPair(lam, mu, rank=2 * total - target + 1)
 
 
@@ -132,9 +137,9 @@ class EquivalenceReport:
 def reduction_equivalence_check(inst: SubsetSumInstance) -> EquivalenceReport:
     """Run both sides and insist they agree: the brute-force subset
     oracle on one hand, pair irreducibility of the reduction on the
-    other.  Disagreement raises :class:`AssertionFailure`.  The
-    decomposition search runs first, so its size cap refuses an
-    oversized pair before the oracle's exponential search starts."""
+    other.  Disagreement raises :class:`AssertionFailure`.  Both share
+    ``config.SPLIT_CAP``; the decomposition search runs first, so an
+    oversized pair is refused before the oracle is called."""
     canonical = inst.sorted_desc()
     pair = reduce_to_kostka(canonical)
     found = decompose(pair)

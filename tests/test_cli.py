@@ -3,12 +3,13 @@ from __future__ import annotations
 import hashlib
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from kostka import cli, config, kgr, lr, ryser
 from kostka.cli import main
-from kostka.errors import WidthCapExceeded
+from kostka.errors import KostkaError, WidthCapExceeded
 from kostka.kgr import SubtreeWitness, Vertex
 from kostka.partitions import KostkaPair
 
@@ -252,6 +253,60 @@ def test_cap_flags_are_usage_errors(runner, args):
     result = run(runner, *args)
     assert result.exit_code == 2
     assert "No such option" in result.output
+
+
+@pytest.mark.parametrize("rank", ["-1", "-2"])
+@pytest.mark.parametrize("command", ["check", "ryser", "kgr", "reduce"])
+def test_negative_rank_is_a_usage_error(runner, command, rank):
+    # an explicit rank is never read as the minimal one
+    result = run(runner, command, "1", "1", "-r", rank)
+    assert result.exit_code == 2
+    assert f"{rank} is not in the range x>=0" in result.output
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# the exit code of each error class raised inside a command: 2 for an
+# input refused up front, 3 for a failed internal check
+EXIT_FAMILIES = {
+    "RefusedInput": 2,
+    "InvalidPartition": 2,
+    "InvalidPair": 2,
+    "InvalidSequence": 2,
+    "InvalidInstance": 2,
+    "InvalidTriple": 2,
+    "ShapeError": 2,
+    "SizeCapExceeded": 2,
+    "WidthCapExceeded": 2,
+    "RankCapExceeded": 2,
+    "LengthCapExceeded": 2,
+    "NotAWitness": 2,
+    "AssertionFailure": 3,
+    "InconsistentExtremalityTests": 3,
+    "MalformedStarMatrix": 3,
+    "AssertionError": 3,
+}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [*_subclasses(KostkaError), AssertionError],
+    ids=lambda error: error.__name__,
+)
+def test_each_error_class_has_an_exit_code(runner, error):
+    # a new error class fails here until it is given a family
+    @click.command()
+    @cli._guarded
+    def raising():
+        raise error("raised")
+
+    result = runner.invoke(raising, [], catch_exceptions=False)
+    assert result.exit_code == EXIT_FAMILIES[error.__name__]
+    assert "raised" in result.output
 
 
 def test_width_cap_ignores_the_environment(runner):

@@ -85,7 +85,7 @@ CASES = [
         LengthCapExceeded,
     ),
     case(
-        "subset_sum_oracle", "SUBSET_CAP", 2, lambda: subset_sum_oracle(INSTANCE), SizeCapExceeded
+        "subset_sum_oracle", "SPLIT_CAP", 12, lambda: subset_sum_oracle(INSTANCE), SizeCapExceeded
     ),
     case(
         "lr_coefficient",

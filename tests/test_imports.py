@@ -5,7 +5,9 @@ package declares a finite ``maxsize``, so no cache grows with the
 inputs a process sees.  Every private module-level name of the package
 is read by the package itself, so no helper lives on for tests alone.
 Every span of the benchmark's tracer keeps a binding in the package, so
-no change to ``src/`` blinds a per-layer metric."""
+no change to ``src/`` blinds a per-layer metric.  Each cap of
+``config`` is read only by the functions that guard with it, so no
+caller re-tests the cap of a function it then calls."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from test_config import CASES
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPORTS = ROOT / "src" / "kostka" / "__init__.py"
@@ -217,3 +220,59 @@ def test_the_guard_sees_a_blind_span():
         ("nowhere.f", "call", (("nowhere", "f"),)),
     )
     assert blind_spans(bindings, _in_package) == ["kgr.gone", "nowhere.f"]
+
+
+def cap_readers(sources: dict[str, str]) -> dict[str, set[str]]:
+    """For each ``config.<NAME>`` that the given modules read, the
+    ``module.function`` (or ``module.Class.method``) names of the
+    functions that read it; a read outside any function counts for the
+    module."""
+    readers: dict[str, set[str]] = {}
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            name = _named(child)
+            if name and name.startswith("config.") and isinstance(child.ctx, ast.Load):
+                readers.setdefault(name.partition(".")[2], set()).add(scope)
+            visit(child, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return readers
+
+
+# the readers of each cap that tests/test_config.py lowers: the guard
+# itself, and nothing else
+CAP_READERS = {
+    "BOX_CAP": {"partitions.kostka_count"},
+    "SPLIT_CAP": {"cone._split_cap"},
+    "SWEEP_CAP": {"ryser.matrix_reducible"},
+    "CELL_CAP": {"ryser._cell_cap"},
+    "RANK_CAP": {"cone._minimal_slacks"},
+    "RAY_RANK_CAP": {"cone.extremal_rays"},
+    "STATE_CAP": {"sequences.catalan_reducible"},
+    "LR_BOX_CAP": {"lr.lr_coefficient"},
+    "FAMILY_CAP": {"lr._family_cap"},
+}
+
+
+def test_each_cap_is_read_only_by_its_guard():
+    readers = cap_readers({path.stem: path.read_text() for path in PACKAGE})
+    caps = {param.values[0] for param in CASES}
+    assert {cap: readers.get(cap, set()) for cap in caps} == CAP_READERS
+
+
+def test_the_guard_sees_a_second_reader():
+    sources = {
+        "a": (
+            "from . import config\n"
+            "LIMIT = config.Z\n"
+            "def f(n):\n    if n > config.X: raise ValueError\n"
+            "class C:\n    def m(self): return config.Y\n"
+        ),
+        "b": "def g(n):\n    config.W = 1\n    return n <= config.X and f(n)\n",
+    }
+    assert cap_readers(sources) == {"Z": {"a"}, "X": {"a.f", "b.g"}, "Y": {"a.C.m"}}

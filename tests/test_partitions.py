@@ -319,11 +319,13 @@ class TestPairType:
     @pytest.mark.parametrize(
         "lam, mu, rank, message",
         [
-            ((2, 1), (1, 1), -1, "((2, 1), (1, 1)) is not in the Kostka cone at rank 2"),
+            ((2, 1), (1, 1), None, "((2, 1), (1, 1)) is not in the Kostka cone at rank 2"),
             ((2, 1), (1, 1, 1), 2, "((2, 1), (1, 1, 1)) is not in the Kostka cone at rank 2"),
             ((2, 2), (3, 1), 2, "((2, 2), (3, 1)) is not in the Kostka cone at rank 2"),
-            ((1, 1), (2,), -1, "((1, 1), (2,)) is not in the Kostka cone at rank 2"),
-            ((), (1,), -1, "((), (1,)) is not in the Kostka cone at rank 1"),
+            ((1, 1), (2,), None, "((1, 1), (2,)) is not in the Kostka cone at rank 2"),
+            ((), (1,), None, "((), (1,)) is not in the Kostka cone at rank 1"),
+            # a negative rank is refused, not read as the minimal one
+            ((1,), (1,), -1, "((1,), (1,)) is not in the Kostka cone at rank -1"),
         ],
     )
     def test_invalid_pair_messages(self, lam, mu, rank, message):

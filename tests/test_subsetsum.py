@@ -3,10 +3,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kostka import config, subsetsum
+from kostka.cli import main
 from kostka.cone import decompose
 from kostka.errors import AssertionFailure, InvalidInstance, SizeCapExceeded
 from kostka.partitions import KostkaPair, dominates, size
@@ -31,6 +33,14 @@ class TestInstance:
             SubsetSumInstance((1, 2), 0)
         with pytest.raises(InvalidInstance):
             SubsetSumInstance((1, 2), 4)  # target above the total
+
+    def test_reduction_pair_must_fit_int64(self):
+        # 2A + 1 boxes: A = 2^62 - 1 is the largest total admitted
+        SubsetSumInstance((2**62 - 1,), 1)
+        with pytest.raises(InvalidInstance, match="total 4611686018427387904 exceeds 64-bit range"):
+            SubsetSumInstance((2**61, 2**61), 1)
+        result = CliRunner().invoke(main, ["subsetsum", f"{2**64} : 1"])
+        assert result.exit_code == 2
 
     def test_accessors(self):
         assert GOLDEN.total == 6
@@ -133,6 +143,29 @@ class TestReduction:
         with pytest.raises(SizeCapExceeded, match=r"\|lambda\| = 97 exceeds cap 40$"):
             reduction_equivalence_check(SubsetSumInstance((2,) * 24, 23))
         assert not calls
+
+    @pytest.mark.parametrize("values, target", [((10, 9), 9), ((10, 9), 5)], ids=["yes", "no"])
+    def test_caps_agree_at_total_19(self, values, target):
+        # 39 boxes: the oracle, the check and the CLI all answer
+        inst = SubsetSumInstance(values, target)
+        witness = subset_sum_oracle(inst)
+        report = reduction_equivalence_check(inst)
+        assert report.pair.n == 39
+        assert report.subset == witness
+        result = CliRunner().invoke(main, ["subsetsum", f"10,9 : {target}"])
+        assert result.exit_code == (0 if witness else 1)
+
+    def test_caps_agree_at_total_20(self):
+        # 41 boxes: all three refuse, with decompose's message
+        inst = SubsetSumInstance((10, 10), 10)
+        refusal = r"\|lambda\| = 41 exceeds cap 40$"
+        with pytest.raises(SizeCapExceeded, match=refusal):
+            subset_sum_oracle(inst)
+        with pytest.raises(SizeCapExceeded, match=refusal):
+            reduction_equivalence_check(inst)
+        result = CliRunner().invoke(main, ["subsetsum", "10,10 : 10"])
+        assert result.exit_code == 2
+        assert "|lambda| = 41 exceeds cap 40" in result.output
 
     def test_no_instances_give_irreducible_pairs(self):
         inst = SubsetSumInstance((4, 2), 3)
