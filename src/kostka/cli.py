@@ -12,6 +12,7 @@ indentation, so identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -53,8 +54,6 @@ from .partitions import (
     parse_partition,
 )
 from .ryser import (
-    DeleteColumn,
-    ShortenRightmost,
     fixing_chain,
     matrix_reducible,
     render_matrix,
@@ -118,20 +117,7 @@ def _build_pair(lam_text: str, mu_text: str, rank: int | None) -> KostkaPair:
 
 
 def _step_payload(step) -> dict:
-    if isinstance(step, DeleteColumn):
-        return {"kind": "delete-column", "length": step.length}
-    if isinstance(step, ShortenRightmost):
-        return {
-            "kind": "shorten-rightmost",
-            "length": step.length,
-            "new_length": step.new_length,
-        }
-    return {
-        "kind": "shorten-and-delete",
-        "length": step.length,
-        "new_length": step.new_length,
-        "deleted_length": step.deleted_length,
-    }
+    return {"kind": step.kind, **dataclasses.asdict(step)}
 
 
 @click.group()

@@ -50,9 +50,17 @@ them as words without a copy, and its temporaries are bounded by
 Extremal rays are classified: every ray is spanned by
 lambda = a^(b+ell), mu = (a^ell, b^a) for r >= a+ell >= a >= b > 0, and
 (a, a, ell) is parallel to (1, 1, a+ell-1), leaving
-C(r,3) + C(r,2) + C(r,1) distinct rays.  :func:`is_extremal` runs that
-classification *and* an exact tight-constraint rank test and insists
-they agree.
+C(r,3) + C(r,2) + C(r,1) distinct rays, the :class:`RaySpec` list of
+:func:`extremal_rays`.  :func:`is_extremal` decides a pair twice and
+insists the answers agree.  It reads the one candidate spec off the
+multiplicities of the pair's primitive point (the pair divided by the
+gcd of its parts) and asks whether that spec's :func:`primitive_point`
+is the pair's; and it takes the exact rank of the facet normals of
+:func:`_facets` (the rows of the slack vector above) that the pair
+saturates, with the row of |lambda| = |mu|, which is 2 * rank - 1 iff
+the pair spans a ray.  It refuses a rank above ``config.RAY_RANK_CAP``,
+as :func:`extremal_rays` does, since the elimination is cubic in the
+rank.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import sub
+from operator import mul, sub
 from pathlib import Path
 
 import numpy as np
@@ -73,10 +81,11 @@ from . import config
 from .errors import (
     AssertionFailure,
     InconsistentExtremalityTests,
+    InvalidPair,
     RankCapExceeded,
     SizeCapExceeded,
 )
-from .partitions import KostkaPair, Partition, prefix_sums
+from .partitions import KostkaPair, Partition
 
 @functools.lru_cache(maxsize=2048)
 def _splittings(p: Partition) -> tuple[np.ndarray, list[int], int]:
@@ -489,7 +498,8 @@ def hilbert_basis(rank: int) -> BasisCatalog:
 @dataclass(frozen=True)
 class RaySpec:
     """Parameters (a, b, ell) of the ray spanned by lambda = a^(b+ell),
-    mu = (a^ell, b^a) at the given rank."""
+    mu = (a^ell, b^a) at the given rank; impossible parameters raise
+    :class:`InvalidPair`."""
 
     a: int
     b: int
@@ -498,7 +508,7 @@ class RaySpec:
 
     def __post_init__(self) -> None:
         if not (self.rank >= self.a + self.ell >= self.a >= self.b > 0):
-            raise ValueError(
+            raise InvalidPair(
                 f"need rank >= a+ell >= a >= b > 0, got {self!r}"
             )
 
@@ -517,14 +527,20 @@ def primitive_point(spec: RaySpec) -> KostkaPair:
     return KostkaPair(lam, mu, spec.rank)
 
 
-def extremal_rays(rank: int) -> tuple[RaySpec, ...]:
-    """All extremal rays at the given rank, deduplicated ((a, a, ell) is
-    parallel to (1, 1, a+ell-1)) and sorted by (a, b, ell).  Raises
-    :class:`RankCapExceeded` below 0 or above ``config.RAY_RANK_CAP``."""
+def _ray_rank_cap(rank: int) -> None:
+    """Refuse a rank below 0 or above ``config.RAY_RANK_CAP``, with
+    :class:`RankCapExceeded`."""
     if rank < 0:
         raise RankCapExceeded(f"rank {rank} is negative")
     if rank > config.RAY_RANK_CAP:
         raise RankCapExceeded(f"rank {rank} exceeds cap {config.RAY_RANK_CAP}")
+
+
+def extremal_rays(rank: int) -> tuple[RaySpec, ...]:
+    """All extremal rays at the given rank, deduplicated ((a, a, ell) is
+    parallel to (1, 1, a+ell-1)) and sorted by (a, b, ell).  Raises
+    :class:`RankCapExceeded` below 0 or above ``config.RAY_RANK_CAP``."""
+    _ray_rank_cap(rank)
     if rank < 1:
         return ()
     specs = [
@@ -547,31 +563,28 @@ def _is_rectangle(p: Partition) -> bool:
     return len(set(p)) == 1 if p else False
 
 
-def _family_membership(pair: KostkaPair) -> bool:
-    """Whether the pair is a (rational) multiple of some ray spanning
-    pair at its rank."""
-    lam, mu = pair.lam, pair.mu
-    if not _is_rectangle(lam):
-        return False
-    v, p = lam[0], len(lam)
+def _ray_spec(pair: KostkaPair) -> RaySpec | None:
+    """The listed ray through a nonzero pair, or None.
+
+    The spec is read off the pair's primitive point (lambda, mu), the
+    pair divided by the gcd of its parts: mu = lambda is the ray
+    (1, 1, len - 1); otherwise ell counts the copies of lambda_1 in mu,
+    a = len(mu) - ell and b = len(lambda) - ell.  The pair is on the ray
+    iff those parameters are possible and the ray's primitive point is
+    (lambda, mu)."""
+    g = math.gcd(*pair.lam, *pair.mu)
+    lam = tuple(v // g for v in pair.lam)
+    mu = tuple(v // g for v in pair.mu)
     if mu == lam:
-        return True
-    values = sorted(set(mu), reverse=True)
-    if len(values) == 2:
-        x, y = values
-        if x != v:
-            return False
-        ell = sum(1 for t in mu if t == x)
-        m = len(mu) - ell
-    elif len(values) == 1:
-        y = values[0]
-        if y >= v:
-            return False
-        ell, m = 0, len(mu)
+        a, b, ell = 1, 1, len(lam) - 1
     else:
-        return False
-    beta = p - ell
-    return m >= beta >= 1 and y * m == v * beta
+        ell = mu.count(lam[0])
+        a, b = len(mu) - ell, len(lam) - ell
+    try:
+        spec = RaySpec(a=a, b=b, ell=ell, rank=pair.rank)
+    except InvalidPair:
+        return None
+    return spec if primitive_point(spec).key() == (lam, mu) else None
 
 
 def _integer_rank(rows: list[list[int]]) -> int:
@@ -593,47 +606,42 @@ def _integer_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+@functools.lru_cache(maxsize=32)
+def _facets(rank: int) -> tuple[tuple[int, ...], ...]:
+    """The 3 * rank - 1 facet normals of the rank-``rank`` cone, over the
+    coordinates (lambda_1..lambda_rank, mu_1..mu_rank), in
+    :func:`_cone_slacks`' slack order: the consecutive differences of
+    lambda, then of mu (the last part counting as a difference from 0),
+    then the prefix-sum gaps Lambda_t - M_t for t < rank."""
+    diff = np.eye(rank, dtype=np.int64) - np.eye(rank, k=1, dtype=np.int64)
+    sums = np.tri(rank - 1, rank, dtype=np.int64)
+    zero = np.zeros_like(diff)
+    return tuple(map(tuple, np.block([[diff, zero], [zero, diff], [sums, -sums]]).tolist()))
+
+
 def _tight_rank(pair: KostkaPair) -> int:
-    """Rank of the system of facet constraints the pair saturates
-    (exact integer arithmetic)."""
-    r = pair.rank
+    """Rank of the facet normals the pair saturates, with the row of
+    |lambda| = |mu| (exact integer arithmetic)."""
     lam, mu = pair.padded()
-    rows: list[list[int]] = []
-
-    def unit_diff(offset: int, i: int) -> list[int]:
-        row = [0] * (2 * r)
-        row[offset + i] = 1
-        if offset + i + 1 < offset + r:
-            row[offset + i + 1] = -1
-        return row
-
-    for offset, side in ((0, lam), (r, mu)):
-        for i in range(r - 1):
-            if side[i] == side[i + 1]:
-                rows.append(unit_diff(offset, i))
-        if side[r - 1] == 0:
-            row = [0] * (2 * r)
-            row[offset + r - 1] = 1
-            rows.append(row)
-    lam_pref = prefix_sums(lam, r)
-    mu_pref = prefix_sums(mu, r)
-    for t in range(1, r):
-        if lam_pref[t - 1] == mu_pref[t - 1]:
-            rows.append([1] * t + [0] * (r - t) + [-1] * t + [0] * (r - t))
-    rows.append([1] * r + [-1] * r)
+    point = lam + mu
+    rows = [row for row in _facets(pair.rank) if not sum(map(mul, row, point))]
+    rows.append([1] * pair.rank + [-1] * pair.rank)
     return _integer_rank(rows)
 
 
 def is_extremal(pair: KostkaPair) -> bool:
     """Whether the pair lies on an extremal ray of its cone.
 
-    Decided twice: by the ray classification and by checking that the
-    pair's tight facet constraints have rank 2*rank - 1.  Disagreement
-    raises :class:`InconsistentExtremalityTests`.
+    Decided twice: by the ray list that :func:`extremal_rays` gives
+    (:func:`_ray_spec`) and by checking that the pair's tight facet
+    normals have rank 2*rank - 1.  Disagreement raises
+    :class:`InconsistentExtremalityTests`; a rank below 0 or above
+    ``config.RAY_RANK_CAP`` raises :class:`RankCapExceeded` first.
     """
+    _ray_rank_cap(pair.rank)
     if pair.n == 0:
         return False
-    family = _family_membership(pair)
+    family = _ray_spec(pair) is not None
     tight = _tight_rank(pair) == 2 * pair.rank - 1
     if family != tight:
         raise InconsistentExtremalityTests(

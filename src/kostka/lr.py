@@ -109,10 +109,10 @@ def lr_coefficient(triple: LrTriple) -> int:
 def counterexample_family(k: int) -> LrTriple:
     """The rank-(3k-1) triple with lambda = (k^(k-1), (k-1)^k),
     mu = three copies each of j(k-1) for j = k-1..1, and
-    nu = ((k(k-1))^2, mu).  Raises :class:`RankCapExceeded` when k >
-    ``config.FAMILY_CAP``."""
+    nu = ((k(k-1))^2, mu).  Raises :class:`InvalidTriple` when k < 2 and
+    :class:`RankCapExceeded` when k > ``config.FAMILY_CAP``."""
     if k < 2:
-        raise ValueError(f"family needs k >= 2, got {k}")
+        raise InvalidTriple(f"family needs k >= 2, got {k}")
     _family_cap(k)
     rank = 3 * k - 1
     lam = (k,) * (k - 1) + (k - 1,) * k

@@ -119,12 +119,6 @@ def _conjugate(q: Sequence[int]) -> Partition:
     return tuple(accumulate(counts[:0:-1]))[::-1]
 
 
-def prefix_sums(p: Sequence[int], length: int) -> tuple[int, ...]:
-    """Cumulative sums padded out to ``length`` coordinates."""
-    q = as_partition(p)
-    return tuple(accumulate(q[:length] + (0,) * (length - len(q))))
-
-
 def _dominated(pa: Partition, pb: Partition) -> bool:
     """Every prefix sum of ``pa`` is >= the matching prefix sum of
     ``pb``; both must already be partitions.

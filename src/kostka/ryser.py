@@ -73,7 +73,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from operator import sub
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -362,7 +362,12 @@ def star_matrix(canonical: CanonicalMatrix) -> StarMatrix:
 class DeleteColumn:
     """The rightmost diagram column (this length) disappears."""
 
+    kind: ClassVar[str] = "delete-column"
     length: int
+
+    def delta(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(removed, added) column lengths."""
+        return (self.length,), ()
 
 
 @dataclass(frozen=True)
@@ -370,8 +375,13 @@ class ShortenRightmost:
     """The rightmost diagram column shrinks from ``length`` to
     ``new_length``."""
 
+    kind: ClassVar[str] = "shorten-rightmost"
     length: int
     new_length: int
+
+    def delta(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(removed, added) column lengths."""
+        return (self.length,), (self.new_length,)
 
 
 @dataclass(frozen=True)
@@ -380,9 +390,14 @@ class ShortenAndDelete:
     the strictly shorter column to its right (``deleted_length`` <
     ``new_length``) disappears."""
 
+    kind: ClassVar[str] = "shorten-and-delete"
     length: int
     new_length: int
     deleted_length: int
+
+    def delta(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(removed, added) column lengths."""
+        return (self.length, self.deleted_length), (self.new_length,)
 
 
 Step = DeleteColumn | ShortenRightmost | ShortenAndDelete
@@ -413,15 +428,6 @@ def _classify_column(column: np.ndarray) -> Step:
     raise MalformedStarMatrix(f"unclassifiable column signature {signs}")
 
 
-def _step_multiset_delta(step: Step) -> tuple[Counter, Counter]:
-    """(removed column lengths, added column lengths) for one step."""
-    if isinstance(step, DeleteColumn):
-        return Counter([step.length]), Counter()
-    if isinstance(step, ShortenRightmost):
-        return Counter([step.length]), Counter([step.new_length])
-    return Counter([step.length, step.deleted_length]), Counter([step.new_length])
-
-
 def shape_sequence(
     canonical: CanonicalMatrix, chain: Sequence[np.ndarray]
 ) -> ShapeSequence:
@@ -449,7 +455,7 @@ def shape_sequence(
     steps: list[Step] = []
     for i in range(1, w + 1):
         step = _classify_column(canonical.star.entries[:, w - i])
-        removed, added = _step_multiset_delta(step)
+        removed, added = map(Counter, step.delta())
         before = Counter(conjugate(shapes[i - 1]))
         after = Counter(conjugate(shapes[i]))
         # Counter subtraction clamps at zero, so check containment first.

@@ -138,8 +138,10 @@ def reduction_equivalence_check(inst: SubsetSumInstance) -> EquivalenceReport:
     """Run both sides and insist they agree: the brute-force subset
     oracle on one hand, pair irreducibility of the reduction on the
     other.  Disagreement raises :class:`AssertionFailure`.  Both share
-    ``config.SPLIT_CAP``; the decomposition search runs first, so an
-    oversized pair is refused before the oracle is called."""
+    ``config.SPLIT_CAP``, tested on the 2A + 1 boxes of the reduction
+    pair before the pair is built, so an oversized instance is refused
+    before anything of its size is allocated."""
+    _split_cap(2 * inst.total + 1)
     canonical = inst.sorted_desc()
     pair = reduce_to_kostka(canonical)
     found = decompose(pair)

@@ -557,6 +557,11 @@ class TestSubsetSum:
         assert result.exit_code == 2
         assert f"values must be positive: {values}" in result.output
 
+    def test_huge_total_is_refused_before_the_pair(self, runner):
+        result = run(runner, "subsetsum", "10000000000000 : 1")
+        assert result.exit_code == 2
+        assert "|lambda| = 20000000000001 exceeds cap 40" in result.output
+
     def test_trivial_no_bytes(self, runner):
         result = run(runner, "subsetsum", "2,1 : 9")
         assert result.exit_code == 1

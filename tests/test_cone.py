@@ -29,7 +29,7 @@ from kostka.cone import (
     primitive_point,
     width_bound_audit,
 )
-from kostka.errors import AssertionFailure, RankCapExceeded, SizeCapExceeded
+from kostka.errors import AssertionFailure, InvalidPair, RankCapExceeded, SizeCapExceeded
 from kostka.partitions import KostkaPair, as_partition, conjugate, pad, size
 from kostka.subsetsum import SubsetSumInstance, reduce_to_kostka
 
@@ -227,6 +227,17 @@ class TestConeBlocks:
                 list(slack(unpadded(a), unpadded(b), rank))
                 for a, b in zip(lam.tolist(), mu.tolist())
             ]
+
+    def test_facet_table_gives_the_slack_rows(self):
+        # is_extremal's facet normals and the basis scan's slack rows
+        # describe the same facets in the same order
+        for rank in range(1, 6):
+            facets = np.array(cone._facets(rank))
+            assert facets.shape == (3 * rank - 1, 2 * rank)
+            for block in cone._box_partitions(rank + 1, rank, rank * (rank + 1)):
+                lam, mu, rows = block_pairs(block, len(block))
+                points = np.hstack([lam, mu]).astype(np.int64)
+                assert np.array_equal(points @ facets.T, rows)
 
     def test_layer_pairs_match_the_filtered_blocks(self):
         for rank in range(1, 6):
@@ -606,11 +617,11 @@ class TestExtremalRays:
         assert built == []
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidPair):
             RaySpec(a=2, b=3, ell=0, rank=4)  # b > a
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidPair):
             RaySpec(a=2, b=1, ell=3, rank=4)  # a + ell > rank
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidPair):
             RaySpec(a=1, b=0, ell=0, rank=4)  # b must be positive
 
     def test_primitive_points_are_basis_members(self):
@@ -654,13 +665,28 @@ class TestExtremalityTest:
 
     def test_basis_sweep_consistency(self):
         # is_extremal runs two independent tests and raises on disagreement;
-        # sweeping the whole rank-4 basis exercises both branches.
-        rays = {
-            (primitive_point(s).lam, primitive_point(s).mu)
-            for s in extremal_rays(4)
-        }
-        for lam, mu in hilbert_basis(4).keys():
-            assert is_extremal(KostkaPair(lam, mu, rank=4)) == ((lam, mu) in rays)
+        # every ray's primitive point is a basis element, so sweeping the
+        # shipped bases finds the listed rays from the basis side
+        for rank, count in zip(range(1, 9), RAY_COUNTS):
+            rays = {primitive_point(s).key() for s in extremal_rays(rank)}
+            basis = load_catalog(default_fixture_path(rank)).elements
+            accepted = {pair.key() for pair in basis if is_extremal(pair)}
+            assert accepted == rays
+            assert len(accepted) == count
+
+    def test_every_small_pair_up_to_rank_six(self):
+        # the cone pairs of at most 10 boxes at each rank 1..6 they fit,
+        # each also scaled by 3; is_extremal raises if its two tests
+        # disagree on any
+        pairs = [
+            scale_pair(KostkaPair(p.lam, p.mu, rank), factor)
+            for rank in range(1, 7)
+            for p in cone_pair_pool(10)
+            if p.rank <= rank
+            for factor in (1, 3)
+        ]
+        assert len(pairs) == 6782
+        assert sum(map(is_extremal, pairs)) == 396
 
 
 class TestWidthBoundAudit:

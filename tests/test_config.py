@@ -16,6 +16,7 @@ from kostka.cone import (
     decompose,
     extremal_rays,
     hilbert_basis,
+    is_extremal,
     width_bound_audit,
 )
 from kostka.errors import (
@@ -70,6 +71,13 @@ CASES = [
     case("hilbert_basis", "RANK_CAP", 2, lambda: hilbert_basis(3), RankCapExceeded),
     case("width_bound_audit", "RANK_CAP", 2, lambda: width_bound_audit(3), RankCapExceeded),
     case("extremal_rays", "RAY_RANK_CAP", 4, lambda: extremal_rays(5), RankCapExceeded),
+    case(
+        "is_extremal",
+        "RAY_RANK_CAP",
+        4,
+        lambda: is_extremal(KostkaPair((2, 2), (2, 1, 1), rank=5)),
+        RankCapExceeded,
+    ),
     case(
         "catalan_reducible",
         "STATE_CAP",

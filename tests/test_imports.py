@@ -7,7 +7,9 @@ is read by the package itself, so no helper lives on for tests alone.
 Every span of the benchmark's tracer keeps a binding in the package, so
 no change to ``src/`` blinds a per-layer metric.  Each cap of
 ``config`` is read only by the functions that guard with it, so no
-caller re-tests the cap of a function it then calls."""
+caller re-tests the cap of a function it then calls.  Every exception
+the package raises is a :class:`KostkaError`, an ``AssertionError`` or
+a ``click.UsageError``, so the CLI gives each one its exit code."""
 
 from __future__ import annotations
 
@@ -18,6 +20,8 @@ from pathlib import Path
 
 import pytest
 from test_config import CASES
+
+from kostka import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPORTS = ROOT / "src" / "kostka" / "__init__.py"
@@ -252,7 +256,7 @@ CAP_READERS = {
     "SWEEP_CAP": {"ryser.matrix_reducible"},
     "CELL_CAP": {"ryser._cell_cap"},
     "RANK_CAP": {"cone._minimal_slacks"},
-    "RAY_RANK_CAP": {"cone.extremal_rays"},
+    "RAY_RANK_CAP": {"cone._ray_rank_cap"},
     "STATE_CAP": {"sequences.catalan_reducible"},
     "LR_BOX_CAP": {"lr.lr_coefficient"},
     "FAMILY_CAP": {"lr._family_cap"},
@@ -276,3 +280,75 @@ def test_the_guard_sees_a_second_reader():
         "b": "def g(n):\n    config.W = 1\n    return n <= config.X and f(n)\n",
     }
     assert cap_readers(sources) == {"Z": {"a"}, "X": {"a.f", "b.g"}, "Y": {"a.C.m"}}
+
+
+# the classes the package may raise: the CLI maps a KostkaError to exit 2
+# or 3, and AssertionError to 3, and click.UsageError is exit 2
+RAISABLE = {
+    name
+    for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.KostkaError)
+} | {"AssertionError", "click.UsageError"}
+
+
+def stray_raises(sources: dict[str, str]) -> list[str]:
+    """``module:line name`` for each exception class the modules raise
+    that is not in ``RAISABLE``: the plain or dotted name after
+    ``raise``, called or not, or None for any other expression (a bare
+    ``raise`` re-raises and is skipped).  A function that raises one of
+    its own parameters raises what its callers pass: the argument at
+    that parameter of each call, by position or keyword, counts as
+    raised at the call."""
+    raised: list[tuple[str, str | None]] = []
+    forwarded: dict[str, tuple[int, str]] = {}
+
+    def visit(node: ast.AST, module: str, func: ast.FunctionDef | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, module, child)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = _named(exc)
+                params = [arg.arg for arg in func.args.args] if func else []
+                if name in params:
+                    forwarded[func.name] = (params.index(name), name)
+                else:
+                    raised.append((f"{module}:{child.lineno}", name))
+            visit(child, module, func)
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    for module, tree in trees.items():
+        visit(tree, module, None)
+    for module, tree in trees.items():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = (_named(call.func) or "").rpartition(".")[2]
+            if callee in forwarded:
+                index, param = forwarded[callee]
+                args = call.args[index : index + 1]
+                args += [kw.value for kw in call.keywords if kw.arg == param]
+                raised += ((f"{module}:{call.lineno}", _named(arg)) for arg in args)
+    return [f"{where} {name}" for where, name in raised if name not in RAISABLE]
+
+
+def test_every_raise_is_a_package_error():
+    assert stray_raises({path.stem: path.read_text() for path in PACKAGE}) == []
+
+
+def test_the_guard_sees_a_stray_raise():
+    sources = {
+        "a": (
+            "def f(x, error):\n"
+            "    if x: raise error('bad')\n"
+            "    raise ValueError\n"
+            "def g():\n"
+            "    try: f(1, KeyError)\n"
+            "    except KeyError: raise\n"
+            "    f(0, error=InvalidPair)\n"
+            "    raise AssertionError() from None\n"
+        ),
+        "b": "import a\na.f(2, click.UsageError)\nraise table[0]\nraise NotAWitness\n",
+    }
+    assert stray_raises(sources) == ["a:3 ValueError", "b:3 None", "a:5 KeyError"]

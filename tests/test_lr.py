@@ -119,7 +119,7 @@ class TestCounterexampleFamily:
         assert t3.rank == 8
 
     def test_rejects_k_below_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidTriple, match="family needs k >= 2, got 1"):
             counterexample_family(1)
 
     def test_identities_hold_for_large_k(self):

@@ -25,7 +25,6 @@ from kostka.partitions import (
     kostka_positive,
     pad,
     parse_partition,
-    prefix_sums,
     size,
 )
 
@@ -65,10 +64,6 @@ class TestBasics:
         assert pad((3, 1), 4) == (3, 1, 0, 0)
         assert size((3, 1)) == 4
         assert size(()) == 0
-
-    def test_prefix_sums(self):
-        assert prefix_sums((3, 2), 4) == (3, 5, 5, 5)
-        assert prefix_sums((), 2) == (0, 0)
 
     def test_conjugate_golden(self):
         assert conjugate((4, 2, 1)) == (3, 2, 1, 1)

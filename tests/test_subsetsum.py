@@ -144,6 +144,17 @@ class TestReduction:
             reduction_equivalence_check(SubsetSumInstance((2,) * 24, 23))
         assert not calls
 
+    @pytest.mark.parametrize("total", [20, 10**13])
+    def test_past_cap_builds_no_pair(self, monkeypatch, total):
+        # the cap is tested on 2A + 1 before the pair of that many boxes
+        # is built
+        calls = []
+        monkeypatch.setattr(subsetsum, "reduce_to_kostka", calls.append)
+        refusal = rf"\|lambda\| = {2 * total + 1} exceeds cap 40$"
+        with pytest.raises(SizeCapExceeded, match=refusal):
+            reduction_equivalence_check(SubsetSumInstance((total,), 1))
+        assert not calls
+
     @pytest.mark.parametrize("values, target", [((10, 9), 9), ((10, 9), 5)], ids=["yes", "no"])
     def test_caps_agree_at_total_19(self, values, target):
         # 39 boxes: the oracle, the check and the CLI all answer
