@@ -176,7 +176,7 @@ def ryser(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     canonical = ryser_canonical(pair)
     chain = fixing_chain(canonical)
     star = canonical.star
-    seq = shape_sequence(canonical, chain)
+    seq = shape_sequence(canonical)
     payload = {
         "pair": _pair_payload(pair),
         "matrix": canonical.entries.tolist(),
@@ -186,16 +186,16 @@ def ryser(lam: str, mu: str, rank: int | None, fmt: str) -> None:
         "shapes": [list(s) for s in seq.shapes],
         "steps": [_step_payload(s) for s in seq.steps],
     }
-    lines = [f"pair: {pair}"]
-    for i, stage in enumerate(chain):
-        lines += [f"A^({i}):", render_matrix(stage)]
-    lines += ["A*:", render_matrix(star.entries), f"mu*: {list(star.mu_star)}"]
-    lines.append(
-        "shapes: " + "  >  ".join(format_partition(s) for s in seq.shapes)
-    )
-    for i, step in enumerate(seq.steps, start=1):
-        lines.append(f"step {i}: {_step_payload(step)}")
-    _emit(payload, fmt, lines)
+
+    def lines():  # rendered only for text output
+        yield f"pair: {pair}"
+        for i, stage in enumerate(chain):
+            yield from (f"A^({i}):", render_matrix(stage))
+        yield from ("A*:", render_matrix(star.entries), f"mu*: {list(star.mu_star)}")
+        yield "shapes: " + "  >  ".join(map(format_partition, seq.shapes))
+        yield from (f"step {i}: {_step_payload(s)}" for i, s in enumerate(seq.steps, 1))
+
+    _emit(payload, fmt, lines())
 
 
 @main.command()

@@ -85,7 +85,7 @@ from .errors import (
     RankCapExceeded,
     SizeCapExceeded,
 )
-from .partitions import KostkaPair, Partition
+from .partitions import KostkaPair, Partition, _non_integer
 
 @functools.lru_cache(maxsize=2048)
 def _splittings(p: Partition) -> tuple[np.ndarray, list[int], int]:
@@ -507,6 +507,8 @@ class RaySpec:
     rank: int
 
     def __post_init__(self) -> None:
+        if any(map(_non_integer, (self.a, self.b, self.ell, self.rank))):
+            raise InvalidPair(f"need integer parameters, got {self!r}")
         if not (self.rank >= self.a + self.ell >= self.a >= self.b > 0):
             raise InvalidPair(
                 f"need rank >= a+ell >= a >= b > 0, got {self!r}"

@@ -22,7 +22,7 @@ BOX_CAP = 40
 
 # Largest |lambda| for which decompose enumerates splittings.  Its
 # prefix-sum tables are int8 up to 127 boxes, and wider past that.  The
-# brute-force subset-sum oracle takes the same cap on the 2A + 1 boxes
+# bitset subset-sum oracle takes the same cap on the 2A + 1 boxes
 # of an instance's reduction pair (values of total A), so it and the
 # search it is compared against refuse the same instances: A <= 19.
 SPLIT_CAP = 40

@@ -52,6 +52,12 @@ Partition = tuple[int, ...]
 _INT_ONLY = frozenset({int})
 
 
+def _non_integer(v) -> bool:
+    """Anything that is not an ``int``, or is a ``bool``: what every
+    constructor of the package refuses as a number."""
+    return not isinstance(v, int) or isinstance(v, bool)
+
+
 def as_partition(seq: Sequence[int] | Iterable[int]) -> Partition:
     """Validate and normalize to a trimmed partition tuple.
 
@@ -76,7 +82,7 @@ def as_partition(seq: Sequence[int] | Iterable[int]) -> Partition:
         # decreasing and nonnegative, so the zeros are the trailing parts
         return parts[: len(parts) - parts.count(0)]
     for p in parts:
-        if not isinstance(p, (int,)) or isinstance(p, bool):
+        if _non_integer(p):
             raise InvalidPartition(f"non-integer part {p!r}")
         if p < 0:
             raise InvalidPartition(f"negative part {p}")
@@ -170,6 +176,8 @@ class KostkaPair:
         rank = self.rank
         if rank is None:
             rank = max(len(lam), len(mu))
+        elif type(rank) is not int and _non_integer(rank):
+            raise InvalidPair(f"non-integer rank {rank!r}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rank", rank)

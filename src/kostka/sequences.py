@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import AssertionFailure, InvalidSequence, LengthCapExceeded
+from .partitions import _non_integer
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,12 @@ class CatalanSeq:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(int(v) for v in self.entries)
+        entries = tuple(self.entries)
         object.__setattr__(self, "entries", entries)
         acc = 0
         for i, v in enumerate(entries, start=1):
+            if _non_integer(v):
+                raise InvalidSequence(f"non-integer entry {v!r} at position {i}")
             if v == 0:
                 raise InvalidSequence(f"zero entry at position {i}")
             if abs(v) > config.INT_CAP:

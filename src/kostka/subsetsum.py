@@ -19,7 +19,7 @@ from operator import add
 
 from . import config
 from .errors import AssertionFailure, InvalidInstance
-from .partitions import KostkaPair, _conjugate, pad, size
+from .partitions import KostkaPair, _conjugate, _non_integer, pad, size
 from .cone import _split_cap, decompose
 
 
@@ -32,10 +32,14 @@ class SubsetSumInstance:
     target: int
 
     def __post_init__(self) -> None:
-        values = tuple(int(v) for v in self.values)
+        values = tuple(self.values)
         object.__setattr__(self, "values", values)
         if not values:
             raise InvalidInstance("need at least one value")
+        if any(map(_non_integer, values)):
+            raise InvalidInstance(f"values must be integers: {values}")
+        if _non_integer(self.target):
+            raise InvalidInstance(f"target must be an integer: {self.target!r}")
         if any(v <= 0 for v in values):
             raise InvalidInstance(f"values must be positive: {values}")
         if self.target <= 0:
@@ -59,31 +63,26 @@ class SubsetSumInstance:
 
 def subset_sum_oracle(inst: SubsetSumInstance) -> tuple[int, ...] | None:
     """First (in sorted-index-tuple order) subset of positions summing to
-    the target, or None.  Depth-first with include-before-skip, so the
-    first hit is the lexicographically smallest witness.  Refuses, as
+    the target, or None.  One backward table of bitsets: bit s of
+    ``reach[i]`` is set when some subset of the values from position i
+    on sums to s.  Each position is then taken when the remainder it
+    leaves is still reachable from the later values, so the witness is
+    the lexicographically smallest, and none is taken when the target
+    is out of reach.  Refuses, as
     :func:`decompose` does, an instance whose reduction pair of 2A + 1
     boxes is past ``config.SPLIT_CAP``: the two searches it compares
     admit the same instances."""
     _split_cap(2 * inst.total + 1)
-    d = len(inst.values)
-    values, target = inst.values, inst.target
-    suffix = [0] * (d + 1)
-    for i in range(d - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + values[i]
-
-    def dfs(i: int, remaining: int, acc: list[int]) -> tuple[int, ...] | None:
-        if remaining == 0:
-            return tuple(acc)
-        if i == d or remaining < 0 or suffix[i] < remaining:
-            return None
-        acc.append(i + 1)
-        hit = dfs(i + 1, remaining - values[i], acc)
-        if hit is not None:
-            return hit
-        acc.pop()
-        return dfs(i + 1, remaining, acc)
-
-    return dfs(0, target, [])
+    values, remaining = inst.values, inst.target
+    reach = [1] * (len(values) + 1)
+    for i in range(len(values) - 1, -1, -1):
+        reach[i] = reach[i + 1] | reach[i + 1] << values[i]
+    picked: list[int] = []
+    for i, v in enumerate(values):
+        if v <= remaining and reach[i + 1] >> (remaining - v) & 1:
+            picked.append(i + 1)
+            remaining -= v
+    return None if remaining else tuple(picked)
 
 
 def reduce_to_kostka(inst: SubsetSumInstance) -> KostkaPair:
@@ -135,7 +134,7 @@ class EquivalenceReport:
 
 
 def reduction_equivalence_check(inst: SubsetSumInstance) -> EquivalenceReport:
-    """Run both sides and insist they agree: the brute-force subset
+    """Run both sides and insist they agree: the bitset subset-sum
     oracle on one hand, pair irreducibility of the reduction on the
     other.  Disagreement raises :class:`AssertionFailure`.  Both share
     ``config.SPLIT_CAP``, tested on the 2A + 1 boxes of the reduction

@@ -214,6 +214,33 @@ def catalan_reducible(entries: Sequence[int]) -> tuple[int, ...] | None:
     return best
 
 
+def subset_sum_dfs(inst) -> tuple[int, ...] | None:
+    """First (in sorted-index-tuple order) subset of positions of a
+    SubsetSumInstance summing to its target, or None: the library's
+    oracle as first written, depth-first with include-before-skip, so
+    the first hit is the lexicographically smallest witness.  It takes
+    no cap."""
+    d = len(inst.values)
+    values, target = inst.values, inst.target
+    suffix = [0] * (d + 1)
+    for i in range(d - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + values[i]
+
+    def dfs(i: int, remaining: int, acc: list[int]) -> tuple[int, ...] | None:
+        if remaining == 0:
+            return tuple(acc)
+        if i == d or remaining < 0 or suffix[i] < remaining:
+            return None
+        acc.append(i + 1)
+        hit = dfs(i + 1, remaining - values[i], acc)
+        if hit is not None:
+            return hit
+        acc.pop()
+        return dfs(i + 1, remaining, acc)
+
+    return dfs(0, target, [])
+
+
 def rank_order_sweep(width: int, predicate, cells: int) -> tuple[int, ...] | None:
     """The first proper nonempty subset of [1..width] in sorted index
     tuple order that ``predicate`` accepts, or None, found as the

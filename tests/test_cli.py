@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
+import random
+from operator import sub
 
 import click
 import pytest
@@ -11,7 +14,7 @@ from kostka import cli, config, kgr, lr, ryser
 from kostka.cli import main
 from kostka.errors import KostkaError, WidthCapExceeded
 from kostka.kgr import SubtreeWitness, Vertex
-from kostka.partitions import KostkaPair
+from kostka.partitions import KostkaPair, dominates
 
 WORKED = ["8,7,7,7,3,2", "7,7,4,4,4,4,4"]
 CATALAN_16 = "3,2,1,-2,1,-2,-1,-1,2,-1,2,1,-2,-1,-1,-1"
@@ -104,6 +107,10 @@ class TestRyser:
         first = run(runner, "ryser", *WORKED, "--format", "json")
         second = run(runner, "ryser", *WORKED, "--format", "json")
         assert first.output == second.output
+
+    def test_json_renders_no_text(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "render_matrix", lambda entries: pytest.fail("rendered"))
+        assert run(runner, "ryser", *WORKED, "--format", "json").exit_code == 0
 
     def test_text_output_shows_chain(self, runner):
         result = run(runner, "ryser", "2", "1,1")
@@ -603,3 +610,140 @@ class TestLrFamily:
         assert result.exit_code == 2
         assert f"k = {cap + 1} exceeds cap {cap}" in result.output
         assert built == []
+
+
+# --- the zero pair at a positive rank ------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command, code", [("check", 0), ("ryser", 0), ("kgr", 0), ("reduce", 1)]
+)
+def test_zero_pair_at_positive_rank(runner, command, code, fmt):
+    # the zero pair is a cone point at every rank; its matrix has rows but
+    # no columns
+    result = run(runner, command, "0", "0", "-r", "2", "--format", fmt)
+    assert result.exit_code == code
+    if fmt == "json":
+        json.loads(result.stdout)
+
+
+def test_zero_width_rows_print_as_empty_lines(runner):
+    result = run(runner, "ryser", "0", "0", "-r", "2")
+    assert result.stdout.startswith("pair: (0 | 0; r=2)\nA^(0):\n\n\nA*:\n\n\nmu*: [0, 0]\n")
+    payload = json.loads(run(runner, "ryser", "0", "0", "-r", "2", "--format", "json").stdout)
+    assert payload["chain"] == [[[], []]]
+    assert payload["shapes"] == [[]] and payload["steps"] == []
+
+
+# --- a seeded contract fuzz over every subcommand -------------------------
+
+
+def _fuzz_partition(rng) -> str:
+    """An odd partition token: empty, zeros, a negative or malformed
+    part, or parts at INT_CAP and one past it."""
+    return rng.choice(
+        [
+            "", "0", "()", "2,0,1", "1,2", "-1", "2,-1", "a", "1.5", "1,,1", "1;1",
+            f"{config.INT_CAP}", f"{config.INT_CAP + 1}", f"{config.INT_CAP},1",
+        ]
+    )
+
+
+def _fuzz_pair(rng) -> list[str]:
+    """Mostly two partitions of one size up to 12, the dominant one first
+    when they are comparable, so most pairs are cone points; trailing
+    zeros now and then."""
+    if rng.random() < 0.25:
+        return [_fuzz_partition(rng), _fuzz_partition(rng)]
+    n = rng.randint(0, 12)
+    sides = []
+    for _ in range(2):
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+        parts = sorted(map(sub, [*cuts, n], [0, *cuts]), reverse=True) if n else []
+        sides.append(parts + [0] * (rng.random() < 0.1))
+    if not dominates(sides[0], sides[1]):
+        sides.reverse()
+    return [",".join(map(str, parts)) or "0" for parts in sides]
+
+
+def _fuzz_rank(rng) -> list[str]:
+    return [] if rng.random() < 0.3 else ["-r", str(rng.randint(-2, 12))]
+
+
+def _fuzz_sequence(rng) -> str:
+    """A Catalan token: mostly a small walk returning to zero, sometimes
+    broken by a zero, a negative prefix, a malformed or an outsized entry."""
+    if rng.random() < 0.7:
+        entries, height = [], 0
+        for _ in range(rng.randint(0, 9)):
+            step = rng.randint(1, 3) if height == 0 or rng.random() < 0.5 else -rng.randint(1, height)
+            entries.append(step)
+            height += step
+        if height:
+            entries.append(-height)
+        return ",".join(map(str, entries))
+    return rng.choice(
+        ["", "0", "1,0,-1", "-1,1", "1,1", "1,a", "1.5,-1.5", "1, -1",
+         f"{config.INT_CAP},-{config.INT_CAP}", f"{config.INT_CAP + 1},-1"]
+    )
+
+
+def _fuzz_instance(rng) -> str:
+    if rng.random() < 0.7:
+        values = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        target = rng.randint(0, sum(values) + 2)
+        return f"{','.join(map(str, values))} : {target}"
+    return rng.choice(
+        ["3,2", "3,2 : x", "a : 1", " : 1", "0,1 : 1", "2,-1 : 1", "1 : -1",
+         f"{config.INT_CAP} : 1", f"{config.INT_CAP + 1} : 1", "1.5 : 1"]
+    )
+
+
+def _fuzz_args(rng) -> list[str]:
+    # the rank commands have few inputs, and audit and basis take the
+    # most time, so they are drawn a third as often as the others
+    command = rng.choices(
+        ["check", "ryser", "kgr", "reduce", "catalan", "subsetsum", "lr-family",
+         "basis", "rays", "audit"],
+        weights=[3] * 7 + [1] * 3,
+    )[0]
+    formats = ["text", "json", "dot"] if command == "kgr" else ["text", "json"]
+    tail = ["--format", rng.choice(formats)]
+    if command in ("check", "ryser", "kgr", "reduce"):
+        return [command, *_fuzz_pair(rng), *_fuzz_rank(rng), *tail]
+    if command in ("basis", "rays", "audit"):
+        # rank 8, the largest that basis and audit answer, takes them
+        # 0.4 s and 1.1 s; its fixtures are checked by their own tests
+        rank = rng.choice([r for r in range(-2, 13) if r != 8])
+        return [command, "-r", str(rank), *tail]
+    if command == "catalan":
+        return [command, _fuzz_sequence(rng), *tail]
+    if command == "subsetsum":
+        return [command, _fuzz_instance(rng), *tail]
+    k = ["--k", str(rng.choice([-1, 0, 1, *range(2, 13), config.FAMILY_CAP + 1]))]
+    if rng.random() < 0.5:
+        k += ["--growth-to", str(rng.choice([-1, 0, 1, 5, 12, config.FAMILY_CAP + 1]))]
+    return [command, *k, *tail]
+
+
+def test_contract_fuzz(runner):
+    # no input may crash a command or fail an internal check: each exits
+    # 0 or 1 with an answer (JSON that parses), or 2 with a usage message
+    rng = random.Random(1)
+    codes = collections.Counter()
+    for _ in range(1000):
+        args = _fuzz_args(rng)
+        result = runner.invoke(main, args)
+        assert result.exit_code in (0, 1, 2), (args, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            args,
+            result.exception,
+        )
+        if result.exit_code == 2:
+            assert "Usage:" in result.stderr, (args, result.output)
+        elif args[-1] == "json":
+            json.loads(result.stdout)
+        codes[result.exit_code] += 1
+    # every outcome is reached, so the draws are not all refused
+    assert min(codes.values()) > 50, codes

@@ -624,6 +624,13 @@ class TestExtremalRays:
         with pytest.raises(InvalidPair):
             RaySpec(a=1, b=0, ell=0, rank=4)  # b must be positive
 
+    @pytest.mark.parametrize(
+        "params", [(2.0, 1, 0, 3), (2, True, 0, 3), (2, 1, 0.0, 3), (2, 1, 0, 3.0)]
+    )
+    def test_spec_needs_integer_parameters(self, params):
+        with pytest.raises(InvalidPair, match="^need integer parameters, got RaySpec"):
+            RaySpec(*params)
+
     def test_primitive_points_are_basis_members(self):
         for rank in range(1, 6):
             basis = set(hilbert_basis(rank).keys())

@@ -321,6 +321,10 @@ class TestPairType:
             ((), (1,), None, "((), (1,)) is not in the Kostka cone at rank 1"),
             # a negative rank is refused, not read as the minimal one
             ((1,), (1,), -1, "((1,), (1,)) is not in the Kostka cone at rank -1"),
+            # a rank that is not an int is refused, as a part would be
+            ((1,), (1,), 2.5, "non-integer rank 2.5"),
+            ((1,), (1,), True, "non-integer rank True"),
+            ((1,), (1,), "2", "non-integer rank '2'"),
         ],
     )
     def test_invalid_pair_messages(self, lam, mu, rank, message):

@@ -75,6 +75,10 @@ class TestRenderMatrix:
     def test_render(self):
         assert render_matrix(((1, 0), (0, 1))) == "1 0\n0 1"
 
+    def test_rows_of_no_cells_are_empty_lines(self):
+        assert render_matrix(np.zeros((2, 0), dtype=np.int8)) == "\n"
+        assert render_matrix(np.zeros((0, 0), dtype=np.int8)) == ""
+
 
 class TestGaleRyser:
     def test_known_margins(self):
@@ -623,7 +627,7 @@ class TestSplitPair:
 
 def shape_of(pair):
     canonical = ryser_canonical(pair)
-    return shape_sequence(canonical, fixing_chain(canonical))
+    return shape_sequence(canonical)
 
 
 class TestShapeSequence:
@@ -631,6 +635,22 @@ class TestShapeSequence:
         seq = shape_of(running_pair)
         assert seq.shapes == GOLDEN_SHAPES
         assert seq.steps == GOLDEN_STEPS
+
+    def test_zero_pair_at_rank_two(self):
+        canonical = ryser_canonical(KostkaPair((), (), rank=2))
+        assert [stage.shape for stage in fixing_chain(canonical)] == [(2, 0)]
+        seq = shape_sequence(canonical)
+        assert seq.shapes == ((),)
+        assert seq.steps == ()
+
+    def test_rising_prefix_sums_are_refused(self):
+        # the constructor accepts this matrix, whose first column has two
+        # runs, but the row sums of that column alone are (1, 0, 1)
+        canonical = CanonicalMatrix(
+            KostkaPair((2, 2), (2, 1, 1)), np.array([[1, 1], [0, 1], [1, 0]])
+        )
+        with pytest.raises(AssertionError, match="not weakly decreasing at step 1$"):
+            shape_sequence(canonical)
 
     def test_single_row_peels_by_column_deletion(self):
         seq = shape_of(KostkaPair((3,), (3,)))

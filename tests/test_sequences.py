@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 from typing import Sequence
 
@@ -104,6 +105,19 @@ class TestCatalanSeq:
             CatalanSeq((-1, 1))  # negative prefix
         with pytest.raises(InvalidSequence):
             CatalanSeq((1, 1))  # nonzero total
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((1.5, -1.5), "non-integer entry 1.5 at position 1"),
+            ((True, -1), "non-integer entry True at position 1"),
+            ((2, -1, -1.0), "non-integer entry -1.0 at position 3"),
+        ],
+    )
+    def test_non_integers_are_refused(self, entries, message):
+        # entries are checked, not converted by int()
+        with pytest.raises(InvalidSequence, match=f"^{re.escape(message)}$"):
+            CatalanSeq(entries)
 
     def test_empty_is_allowed(self):
         assert CatalanSeq(()).width == 0

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
+
+import oracles
 
 from kostka import config, subsetsum
 from kostka.cli import main
@@ -33,6 +36,20 @@ class TestInstance:
             SubsetSumInstance((1, 2), 0)
         with pytest.raises(InvalidInstance):
             SubsetSumInstance((1, 2), 4)  # target above the total
+
+    @pytest.mark.parametrize(
+        "values, target, message",
+        [
+            ((2.5, 1), 1, "values must be integers: (2.5, 1)"),
+            ((True, 1), 1, "values must be integers: (True, 1)"),
+            ((2, 1), 1.0, "target must be an integer: 1.0"),
+            ((2, 1), True, "target must be an integer: True"),
+        ],
+    )
+    def test_non_integers_are_refused(self, values, target, message):
+        # numbers are checked, not converted by int()
+        with pytest.raises(InvalidInstance, match=f"^{re.escape(message)}$"):
+            SubsetSumInstance(values, target)
 
     def test_reduction_pair_must_fit_int64(self):
         # 2A + 1 boxes: A = 2^62 - 1 is the largest total admitted
@@ -65,6 +82,19 @@ class TestOracle:
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
             subset_sum_oracle(SubsetSumInstance((1,) * 25, 5))
+
+    def test_matches_the_dfs_referee(self, monkeypatch):
+        # every tuple of 1-5 values in 1..5, every target: the bitset
+        # table picks the witness the depth-first search finds first
+        monkeypatch.setattr(config, "SPLIT_CAP", 60)
+        checked = 0
+        for d in range(1, 6):
+            for values in itertools.product(range(1, 6), repeat=d):
+                for target in range(1, sum(values) + 1):
+                    inst = SubsetSumInstance(values, target)
+                    assert subset_sum_oracle(inst) == oracles.subset_sum_dfs(inst), inst
+                    checked += 1
+        assert checked == 55665
 
     def test_matches_bruteforce(self):
         for values in itertools.product((1, 2, 3), repeat=4):
