@@ -37,10 +37,7 @@ def main() -> None:
     for rank in range(1, args.max_rank + 1):
         t0 = time.perf_counter()
         catalog = hilbert_basis(rank)
-        if args.out_dir is None:
-            path = default_fixture_path(rank)
-        else:
-            path = args.out_dir / f"basis_r{rank}.json"
+        path = default_fixture_path(rank, args.out_dir)
         path.parent.mkdir(parents=True, exist_ok=True)
         catalog.save(path)
         dt = time.perf_counter() - t0

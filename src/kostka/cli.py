@@ -78,16 +78,16 @@ def _guarded(f):
     return wrapper
 
 
-def _format_option(f):
+def _format_option(choices=("text", "json")):
     return click.option(
         "--format",
         "fmt",
-        type=click.Choice(["text", "json"]),
+        type=click.Choice(choices),
         default="text",
         envvar="KOSTKA_FORMAT",
         show_default=True,
         help="output format",
-    )(f)
+    )
 
 
 def _rank_option(f):
@@ -130,7 +130,7 @@ def main() -> None:
 @click.argument("lam")
 @click.argument("mu")
 @_rank_option
-@_format_option
+@_format_option()
 @_guarded
 def check(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     """Cone membership and Kostka positivity of a pair, with its Kostka
@@ -168,7 +168,7 @@ def check(lam: str, mu: str, rank: int | None, fmt: str) -> None:
 @click.argument("lam")
 @click.argument("mu")
 @_rank_option
-@_format_option
+@_format_option()
 @_guarded
 def ryser(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     """Canonical matrix, star matrix, and shape-peeling sequence."""
@@ -202,14 +202,7 @@ def ryser(lam: str, mu: str, rank: int | None, fmt: str) -> None:
 @click.argument("lam")
 @click.argument("mu")
 @_rank_option
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json", "dot"]),
-    default="text",
-    envvar="KOSTKA_FORMAT",
-    show_default=True,
-)
+@_format_option(("text", "json", "dot"))
 @_guarded
 def kgr(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     """Arc graph of the star matrix, with a conservative subtree when
@@ -244,7 +237,7 @@ def kgr(lam: str, mu: str, rank: int | None, fmt: str) -> None:
 @click.argument("lam")
 @click.argument("mu")
 @_rank_option
-@_format_option
+@_format_option()
 @_guarded
 def reduce(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     """Reducibility: graph-driven fast detection plus the complete
@@ -301,7 +294,7 @@ def reduce(lam: str, mu: str, rank: int | None, fmt: str) -> None:
 
 @main.command()
 @click.option("--rank", "-r", type=int, required=True)
-@_format_option
+@_format_option()
 @click.option(
     "--fixtures",
     type=click.Path(file_okay=False, path_type=Path),
@@ -314,12 +307,13 @@ def basis(rank: int, fmt: str, fixtures: Path | None) -> None:
     """Hilbert basis at a rank, compared against the persisted catalog
     when one is present (mismatch exits 3 with a structural diff)."""
     catalog = hilbert_basis(rank)
-    path = (
-        Path(fixtures) / f"basis_r{rank}.json" if fixtures else default_fixture_path(rank)
-    )
+    path = default_fixture_path(rank, fixtures)
     fixture_info = None
     if path.exists():
-        diff = catalog_diff(catalog, load_catalog(path))
+        shipped = load_catalog(path)
+        if shipped.rank != rank:
+            raise AssertionFailure(f"{path}: catalog of rank {shipped.rank}, not {rank}")
+        diff = catalog_diff(catalog, shipped)
         fixture_info = {"path": str(path), **diff}
         if not diff["match"]:
             click.echo(f"fixture mismatch against {path}:", err=True)
@@ -340,7 +334,7 @@ def basis(rank: int, fmt: str, fixtures: Path | None) -> None:
 
 @main.command()
 @click.option("--rank", "-r", type=int, required=True)
-@_format_option
+@_format_option()
 @_guarded
 def rays(rank: int, fmt: str) -> None:
     """Extremal rays at a rank with their primitive lattice points."""
@@ -370,22 +364,14 @@ def rays(rank: int, fmt: str) -> None:
 
 @main.command()
 @click.option("--rank", "-r", type=int, required=True)
-@_format_option
+@_format_option()
 @_guarded
 def audit(rank: int, fmt: str) -> None:
     """Width-bound audit of the basis at a rank, over the whole
     lambda_1 = rank + 1 layer (exit 3 on violation)."""
     report = width_bound_audit(rank)
-    payload = {
-        "rank": report.rank,
-        "basis_count": report.basis_count,
-        "full_width_count": report.full_width_count,
-        "boundary_pairs_checked": report.boundary_pairs_checked,
-        "box_cap": report.box_cap,
-        "ok": True,
-    }
     _emit(
-        payload,
+        {**dataclasses.asdict(report), "ok": True},
         fmt,
         [
             f"rank {rank}: audit passed",
@@ -398,7 +384,7 @@ def audit(rank: int, fmt: str) -> None:
 
 @main.command()
 @click.argument("sequence")
-@_format_option
+@_format_option()
 @_guarded
 def catalan(sequence: str, fmt: str) -> None:
     """Cost, width, and sublist reducibility of a generalized Catalan
@@ -432,7 +418,7 @@ def catalan(sequence: str, fmt: str) -> None:
 
 @main.command()
 @click.argument("instance")
-@_format_option
+@_format_option()
 @_guarded
 def subsetsum(instance: str, fmt: str) -> None:
     """Reduce a subset-sum instance "a1,a2,...,ad : b" to a cone pair
@@ -485,8 +471,10 @@ def subsetsum(instance: str, fmt: str) -> None:
 
 @main.command(name="lr-family")
 @click.option("--k", type=click.IntRange(min=2), required=True)
-@click.option("--growth-to", type=int, default=None, help="table bound (default: k)")
-@_format_option
+@click.option(
+    "--growth-to", type=click.IntRange(min=2), default=None, help="table bound (default: k)"
+)
+@_format_option()
 @_guarded
 def lr_family(k: int, growth_to: int | None, fmt: str) -> None:
     """The wide triple family: identities, positivity within the
@@ -503,10 +491,7 @@ def lr_family(k: int, growth_to: int | None, fmt: str) -> None:
         "nu1": report.nu1,
         "exceeds_rank": report.exceeds_rank,
         "coefficient": report.coefficient,
-        "growth": [
-            {"k": r.k, "rank": r.rank, "nu1": r.nu1, "exceeds_rank": r.exceeds_rank}
-            for r in rows
-        ],
+        "growth": [dataclasses.asdict(r) for r in rows],
     }
     lines = [
         f"k={k}: rank {report.rank}",

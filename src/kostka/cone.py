@@ -83,6 +83,7 @@ from .errors import (
     InconsistentExtremalityTests,
     InvalidPair,
     RankCapExceeded,
+    RefusedInput,
     SizeCapExceeded,
 )
 from .partitions import KostkaPair, Partition, _non_integer
@@ -254,8 +255,13 @@ def load_catalog(path: Path | str) -> BasisCatalog:
         raise AssertionFailure(f"{path}: missing fields {missing}")
     if data["sha256"] != _element_hash(data["elements"]):
         raise AssertionFailure(f"{path}: content hash mismatch")
-    rank = int(data["rank"])
-    elements = tuple(KostkaPair(lam, mu, rank) for lam, mu in data["elements"])
+    rank = data["rank"]
+    if _non_integer(rank):
+        raise AssertionFailure(f"{path}: non-integer rank {rank!r}")
+    try:
+        elements = tuple(KostkaPair(lam, mu, rank) for lam, mu in data["elements"])
+    except (RefusedInput, TypeError, ValueError) as exc:
+        raise AssertionFailure(f"{path}: malformed element ({exc})") from exc
     if len(elements) != data["count"]:
         raise AssertionFailure(f"{path}: count field disagrees with elements")
     return BasisCatalog(rank=rank, elements=elements)
@@ -271,8 +277,10 @@ def catalog_diff(first: BasisCatalog, second: BasisCatalog) -> dict:
     }
 
 
-def default_fixture_path(rank: int) -> Path:
-    return Path(__file__).parent / "fixtures" / f"basis_r{rank}.json"
+def default_fixture_path(rank: int, directory: Path | str | None = None) -> Path:
+    """``basis_r{rank}.json`` in ``directory``, by default the packaged fixtures."""
+    base = Path(__file__).parent / "fixtures" if directory is None else Path(directory)
+    return base / f"basis_r{rank}.json"
 
 
 def _box_dtype(max_part: int, max_len: int) -> np.dtype:

@@ -10,7 +10,8 @@ The family :func:`counterexample_family` produces, for each k >= 2, a
 primitive triple at rank r = 3k-1 with nu_1 = k(k-1) growing
 quadratically in r, showing that no analogue of the width bound (first
 part bounded by rank) can hold for the triple semigroup: from k = 4 on,
-nu_1 > r.
+nu_1 > r.  :func:`verify_counterexample` checks the built triple's rank
+and nu_1 against its own row of the closed-form growth table.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     ShapeError,
     SizeCapExceeded,
 )
-from .partitions import Partition, as_partition, pad, size
+from .partitions import Partition, _non_integer, as_partition, pad, size
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,8 @@ class LrTriple:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
+        if _non_integer(self.rank):
+            raise InvalidTriple(f"non-integer rank {self.rank!r}")
         if self.rank < 0 or max(len(lam), len(mu), len(nu)) > self.rank:
             raise InvalidTriple(
                 f"lengths {len(lam)}, {len(mu)}, {len(nu)} exceed rank {self.rank}"
@@ -145,20 +148,22 @@ class GrowthRow:
     exceeds_rank: bool
 
 
+def _growth_row(k: int) -> GrowthRow:
+    """Row k of the growth table, its closed forms checked."""
+    rank = 3 * k - 1
+    nu1 = k * (k - 1)
+    if nu1 != ((rank + 1) // 3) * ((rank + 1) // 3 - 1):
+        raise AssertionFailure(f"nu_1 closed form fails at k={k}")
+    if (nu1 > rank) != (k >= 4):
+        raise AssertionFailure(f"nu_1 > rank should first happen at k=4; k={k}")
+    return GrowthRow(k=k, rank=rank, nu1=nu1, exceeds_rank=nu1 > rank)
+
+
 def growth_table(k_max: int) -> tuple[GrowthRow, ...]:
     """nu_1 = ((r+1)/3)((r+1)/3 - 1) versus r, for k = 2..k_max.
     Raises :class:`RankCapExceeded` when k_max > ``config.FAMILY_CAP``."""
     _family_cap(k_max)
-    rows = []
-    for k in range(2, k_max + 1):
-        rank = 3 * k - 1
-        nu1 = k * (k - 1)
-        if nu1 != ((rank + 1) // 3) * ((rank + 1) // 3 - 1):
-            raise AssertionFailure(f"nu_1 closed form fails at k={k}")
-        if (nu1 > rank) != (k >= 4):
-            raise AssertionFailure(f"nu_1 > rank should first happen at k=4; k={k}")
-        rows.append(GrowthRow(k=k, rank=rank, nu1=nu1, exceeds_rank=nu1 > rank))
-    return tuple(rows)
+    return tuple(map(_growth_row, range(2, k_max + 1)))
 
 
 @dataclass(frozen=True)
@@ -172,11 +177,13 @@ class CounterexampleReport:
 
 
 def verify_counterexample(k: int) -> CounterexampleReport:
-    """Build the family triple, re-check its identities, and (within the
-    counting cap) confirm the coefficient is positive."""
+    """Build the family triple, check its rank and nu_1 against its
+    growth row, and (within the counting cap) confirm the coefficient is
+    positive."""
     triple = counterexample_family(k)
-    nu1 = triple.nu[0]
-    growth_table(max(k, 2))  # identity checks up through this k
+    row = _growth_row(k)
+    if (triple.rank, triple.nu[0]) != (row.rank, row.nu1):
+        raise AssertionFailure(f"family triple for k={k} disagrees with its growth row")
     try:
         coefficient = lr_coefficient(triple)
     except SizeCapExceeded:
@@ -186,9 +193,9 @@ def verify_counterexample(k: int) -> CounterexampleReport:
             raise AssertionFailure(f"family coefficient vanished for k={k}")
     return CounterexampleReport(
         k=k,
-        rank=triple.rank,
+        rank=row.rank,
         triple=triple,
-        nu1=nu1,
-        exceeds_rank=nu1 > triple.rank,
+        nu1=row.nu1,
+        exceeds_rank=row.exceeds_rank,
         coefficient=coefficient,
     )

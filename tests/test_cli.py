@@ -423,16 +423,50 @@ class TestBasis:
         assert result.exit_code == 3
         assert "mismatch" in result.output or "mismatch" in (result.stderr or "")
 
-    @pytest.mark.parametrize("form", ["not-json", "json-list", "no-sha256"])
+    @pytest.mark.parametrize(
+        "form",
+        [
+            "not-json",
+            "json-list",
+            "no-sha256",
+            "rank-text",
+            "rank-null",
+            "rank-float",
+            "other-rank",
+            "element-short",
+            "element-int",
+            "element-off-cone",
+            "element-not-partition",
+        ],
+    )
     def test_malformed_fixture_exits_three(self, runner, tmp_path, form):
         from kostka.cone import hilbert_basis
 
         path = tmp_path / "basis_r2.json"
         hilbert_basis(2).save(path)
         catalog = json.loads(path.read_text())
-        del catalog["sha256"]
-        texts = {"not-json": "{not json", "json-list": "[]", "no-sha256": json.dumps(catalog)}
-        path.write_text(texts[form])
+        rest = catalog["elements"][1:]
+        # each edit comes with a recomputed hash, so only the edited
+        # field is wrong
+        edits = {
+            "rank-text": {"rank": "x"},
+            "rank-null": {"rank": None},
+            "rank-float": {"rank": 2.7},
+            "other-rank": {"rank": 5},
+            "element-short": {"elements": [[1], *rest]},
+            "element-int": {"elements": [1, *rest]},
+            "element-off-cone": {"elements": [[[1], [2]], *rest]},
+            "element-not-partition": {"elements": [[[1, 2], [3]], *rest]},
+        }
+        if form in edits:
+            catalog.update(edits[form])
+            compact = json.dumps(catalog["elements"], separators=(",", ":"))
+            catalog["sha256"] = hashlib.sha256(compact.encode()).hexdigest()
+            path.write_text(json.dumps(catalog))
+        else:
+            del catalog["sha256"]
+            texts = {"not-json": "{not json", "json-list": "[]", "no-sha256": json.dumps(catalog)}
+            path.write_text(texts[form])
         result = run(runner, "basis", "-r", "2", "--fixtures", str(tmp_path))
         assert result.exit_code == 3
         assert f"internal check failed: {path}: " in result.output
@@ -593,6 +627,24 @@ class TestLrFamily:
 
     def test_k_below_two_is_usage_error(self, runner):
         assert run(runner, "lr-family", "--k", "1").exit_code == 2
+
+    @pytest.mark.parametrize("bound", ["-5", "0", "1"])
+    def test_growth_to_below_two_is_usage_error(self, runner, bound):
+        result = run(runner, "lr-family", "--k", "3", "--growth-to", bound)
+        assert result.exit_code == 2
+        assert "Usage:" in result.stderr
+        assert "--growth-to" in result.stderr
+
+    @pytest.mark.parametrize(
+        "extra, rows", [([], 12), (["--growth-to", "3"], 3)], ids=["k12", "k12-growth-to-3"]
+    )
+    def test_one_growth_row_per_k(self, runner, monkeypatch, extra, rows):
+        # the table's rows, plus the one row the family triple is checked against
+        built = []
+        row = lr.GrowthRow
+        monkeypatch.setattr(lr, "GrowthRow", lambda **kw: built.append(kw) or row(**kw))
+        assert run(runner, "lr-family", "--k", "12", *extra).exit_code == 0
+        assert len(built) == rows
 
     @pytest.mark.parametrize("flag", ["--k", "--growth-to"])
     def test_family_cap_is_a_usage_error(self, runner, monkeypatch, flag):

@@ -7,8 +7,8 @@ from hypothesis import given
 
 import oracles
 from conftest import partitions_st
-from kostka import config
-from kostka.errors import InvalidTriple, ShapeError, SizeCapExceeded
+from kostka import config, lr
+from kostka.errors import AssertionFailure, InvalidTriple, ShapeError, SizeCapExceeded
 from kostka.lr import (
     LrTriple,
     counterexample_family,
@@ -37,6 +37,11 @@ class TestTriple:
     def test_rank_must_cover_all_three(self):
         with pytest.raises(InvalidTriple):
             LrTriple((1, 1, 1), (1,), (2, 1, 1), rank=2)
+
+    @pytest.mark.parametrize("rank", [2.5, True, "3"])
+    def test_non_integer_rank_refused(self, rank):
+        with pytest.raises(InvalidTriple, match="non-integer rank"):
+            LrTriple((1,), (1,), (2,), rank)
 
 
 class TestCoefficient:
@@ -156,6 +161,17 @@ class TestVerifyCounterexample:
         report = verify_counterexample(3)
         assert report.coefficient == 1
         assert not report.exceeds_rank
+
+    @pytest.mark.parametrize(
+        "triple",
+        [LrTriple((), (3,), (3,), rank=5), LrTriple((), (2,), (2,), rank=4)],
+        ids=["nu1-differs", "rank-differs"],
+    )
+    def test_triple_checked_against_its_row(self, monkeypatch, triple):
+        # row k = 2 has rank 5 and nu_1 2; each triple has coefficient 1
+        monkeypatch.setattr(lr, "counterexample_family", lambda k: triple)
+        with pytest.raises(AssertionFailure, match="growth row"):
+            verify_counterexample(2)
 
     def test_k4_formula_level_only(self):
         report = verify_counterexample(4)
