@@ -4,7 +4,10 @@ Exit codes: 0 success / positive decision, 1 negative decision (e.g.
 "not reducible", "no subset"), 2 a usage error: malformed input or a
 refusing cap (click's own errors and every :class:`RefusedInput`), 3 a
 checked internal assertion failed on concrete data (any other
-:class:`KostkaError`, or an ``AssertionError``).
+:class:`KostkaError`, or an ``AssertionError``).  Every command is
+registered by :func:`_command`, prints its answer and decides 0 or 1
+in :func:`_emit`, and gets 2 or 3 from :func:`_guarded`; only a
+``basis`` fixture mismatch exits 3 by itself.
 
 ``--format json`` output is serialized with sorted keys and fixed
 indentation, so identical inputs produce byte-identical output.
@@ -16,11 +19,13 @@ import dataclasses
 import functools
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import click
 
 from .cone import (
+    RaySpec,
     catalog_diff,
     decompose,
     default_fixture_path,
@@ -78,7 +83,7 @@ def _guarded(f):
     return wrapper
 
 
-def _format_option(choices=("text", "json")):
+def _format_option(choices):
     return click.option(
         "--format",
         "fmt",
@@ -90,22 +95,43 @@ def _format_option(choices=("text", "json")):
     )
 
 
-def _rank_option(f):
-    return click.option(
-        "--rank",
-        "-r",
-        type=click.IntRange(min=0),
-        default=None,
-        help="ambient rank (default: minimal)",
-    )(f)
+def _command(*params, formats=("text", "json"), name=None):
+    """Register the decorated function as a command of :func:`main`
+    taking ``params`` in order, then ``--format``, with its errors turned
+    into exit codes by :func:`_guarded`."""
+
+    def register(f):
+        f = _guarded(f)
+        # click lists the parameters applied last first
+        for param in (_format_option(formats), *reversed(params)):
+            f = param(f)
+        return main.command(name=name)(f)
+
+    return register
 
 
-def _emit(payload: dict, fmt: str, text_lines) -> None:
+_PAIR = (
+    click.argument("lam"),
+    click.argument("mu"),
+    click.option(
+        "--rank", "-r", type=click.IntRange(min=0), help="ambient rank (default: minimal)"
+    ),
+)
+_RANK = click.option("--rank", "-r", type=int, required=True)
+
+
+def _emit(payload: dict | Callable[[], dict], fmt: str, lines, holds: bool = True) -> None:
+    """Print ``payload`` as JSON, or else ``lines``, then exit 1 when the
+    queried property does not hold; otherwise return, and click exits 0.
+    ``payload`` may be a function that builds it, called only for JSON."""
     if fmt == "json":
+        payload = payload() if callable(payload) else payload
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in lines:
             click.echo(line)
+    if not holds:
+        sys.exit(1)
 
 
 def _pair_payload(pair: KostkaPair) -> dict:
@@ -120,18 +146,26 @@ def _step_payload(step) -> dict:
     return {"kind": step.kind, **dataclasses.asdict(step)}
 
 
+def _ray_payload(spec: RaySpec, point: KostkaPair) -> dict:
+    pair = spec.pair()
+    return {
+        "a": spec.a,
+        "b": spec.b,
+        "ell": spec.ell,
+        "lambda": list(pair.lam),
+        "mu": list(pair.mu),
+        "primitive_lambda": list(point.lam),
+        "primitive_mu": list(point.mu),
+    }
+
+
 @click.group()
 def main() -> None:
     """Exact computations on Kostka cone pairs: canonical matrices,
     reducibility certificates, Hilbert bases, and extremal rays."""
 
 
-@main.command()
-@click.argument("lam")
-@click.argument("mu")
-@_rank_option
-@_format_option()
-@_guarded
+@_command(*_PAIR)
 def check(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     """Cone membership and Kostka positivity of a pair, with its Kostka
     number when |lambda| is within the counting cap."""
@@ -143,6 +177,8 @@ def check(lam: str, mu: str, rank: int | None, fmt: str) -> None:
         count = kostka_count(pl, pm)
     except SizeCapExceeded:
         count = None
+    if count is not None and (count > 0) != positive:
+        raise AssertionFailure(f"K({lam}; {mu}) = {count} contradicts dominance")
     payload = {
         "lambda": list(pl),
         "mu": list(pm),
@@ -160,16 +196,11 @@ def check(lam: str, mu: str, rank: int | None, fmt: str) -> None:
             f"Kostka positive: {positive}",
             f"Kostka count: {count if count is not None else 'skipped (cap)'}",
         ],
+        holds=member,
     )
-    sys.exit(0 if member else 1)
 
 
-@main.command()
-@click.argument("lam")
-@click.argument("mu")
-@_rank_option
-@_format_option()
-@_guarded
+@_command(*_PAIR)
 def ryser(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     """Canonical matrix, star matrix, and shape-peeling sequence."""
     pair = _build_pair(lam, mu, rank)
@@ -198,47 +229,35 @@ def ryser(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     _emit(payload, fmt, lines())
 
 
-@main.command()
-@click.argument("lam")
-@click.argument("mu")
-@_rank_option
-@_format_option(("text", "json", "dot"))
-@_guarded
+@_command(*_PAIR, formats=("text", "json", "dot"))
 def kgr(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     """Arc graph of the star matrix, with a conservative subtree when
     one exists (highlighted in dot output)."""
     pair = _build_pair(lam, mu, rank)
     graph = pair_graph(pair)
     witness = find_conservative_subtree(graph)
-    if fmt == "dot":
-        click.echo(to_dot(graph, witness))
-        return
     payload = {"pair": _pair_payload(pair), **graph_payload(graph, witness)}
-    lines = [
-        f"pair: {pair}",
-        f"vertices: {len(graph.vertices)}, arcs: {len(graph.arcs)}, "
-        f"connected: {payload['connected']}",
-    ]
-    for tail, head in graph.arcs:
-        lines.append(
-            f"  ({tail.row},{tail.col}) -> ({head.row},{head.col})"
+
+    def lines():
+        yield f"pair: {pair}"
+        yield (
+            f"vertices: {len(graph.vertices)}, arcs: {len(graph.arcs)}, "
+            f"connected: {payload['connected']}"
         )
-    if witness is None:
-        lines.append("conservative subtree: none")
-    else:
-        lines.append(
-            f"conservative subtree ({witness.kind}): columns {list(witness.columns)}, "
-            f"vertices {[(v.row, v.col) for v in witness.vertices]}"
-        )
-    _emit(payload, fmt, lines)
+        for tail, head in graph.arcs:
+            yield f"  ({tail.row},{tail.col}) -> ({head.row},{head.col})"
+        if witness is None:
+            yield "conservative subtree: none"
+        else:
+            yield (
+                f"conservative subtree ({witness.kind}): columns {list(witness.columns)}, "
+                f"vertices {[(v.row, v.col) for v in witness.vertices]}"
+            )
+
+    _emit(payload, fmt, [to_dot(graph, witness)] if fmt == "dot" else lines())
 
 
-@main.command()
-@click.argument("lam")
-@click.argument("mu")
-@_rank_option
-@_format_option()
-@_guarded
+@_command(*_PAIR)
 def reduce(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     """Reducibility: graph-driven fast detection plus the complete
     decomposition search.  Exit 1 when the pair is irreducible.  Within
@@ -288,21 +307,17 @@ def reduce(lam: str, mu: str, rank: int | None, fmt: str) -> None:
         lines.append("decomposition search: irreducible")
     else:
         lines.append(f"decomposition search: {found[0]} + {found[1]}")
-    _emit(payload, fmt, lines)
-    sys.exit(1 if found is None else 0)
+    _emit(payload, fmt, lines, holds=found is not None)
 
 
-@main.command()
-@click.option("--rank", "-r", type=int, required=True)
-@_format_option()
-@click.option(
+@_command(_RANK)
+@click.option(  # applied before _command's, so --help lists it after --format
     "--fixtures",
-    type=click.Path(file_okay=False, path_type=Path),
+    type=click.Path(exists=True, file_okay=False, path_type=Path),
     default=None,
     envvar="KOSTKA_FIXTURES",
     help="directory of catalog fixtures (default: packaged)",
 )
-@_guarded
 def basis(rank: int, fmt: str, fixtures: Path | None) -> None:
     """Hilbert basis at a rank, compared against the persisted catalog
     when one is present (mismatch exits 3 with a structural diff)."""
@@ -332,40 +347,25 @@ def basis(rank: int, fmt: str, fixtures: Path | None) -> None:
     _emit(payload, fmt, lines)
 
 
-@main.command()
-@click.option("--rank", "-r", type=int, required=True)
-@_format_option()
-@_guarded
+@_command(_RANK)
 def rays(rank: int, fmt: str) -> None:
     """Extremal rays at a rank with their primitive lattice points."""
     specs = extremal_rays(rank)
     points = [primitive_point(s) for s in specs]
-    if fmt == "text":
-        click.echo(f"rank {rank}: {len(specs)} extremal rays")
+
+    def payload():  # built only for JSON output
+        rays = list(map(_ray_payload, specs, points))
+        return {"rank": rank, "count": len(specs), "rays": rays}
+
+    def lines():
+        yield f"rank {rank}: {len(specs)} extremal rays"
         for s, point in zip(specs, points):
-            click.echo(f"  (a={s.a}, b={s.b}, ell={s.ell}): primitive {point}")
-        return
-    rays = []
-    for s, point in zip(specs, points):
-        pair = s.pair()
-        rays.append(
-            {
-                "a": s.a,
-                "b": s.b,
-                "ell": s.ell,
-                "lambda": list(pair.lam),
-                "mu": list(pair.mu),
-                "primitive_lambda": list(point.lam),
-                "primitive_mu": list(point.mu),
-            }
-        )
-    _emit({"rank": rank, "count": len(specs), "rays": rays}, fmt, ())
+            yield f"  (a={s.a}, b={s.b}, ell={s.ell}): primitive {point}"
+
+    _emit(payload, fmt, lines())
 
 
-@main.command()
-@click.option("--rank", "-r", type=int, required=True)
-@_format_option()
-@_guarded
+@_command(_RANK)
 def audit(rank: int, fmt: str) -> None:
     """Width-bound audit of the basis at a rank, over the whole
     lambda_1 = rank + 1 layer (exit 3 on violation)."""
@@ -382,10 +382,7 @@ def audit(rank: int, fmt: str) -> None:
     )
 
 
-@main.command()
-@click.argument("sequence")
-@_format_option()
-@_guarded
+@_command(click.argument("sequence"))
 def catalan(sequence: str, fmt: str) -> None:
     """Cost, width, and sublist reducibility of a generalized Catalan
     sequence (comma-separated entries).  Exit 1 when irreducible."""
@@ -412,14 +409,11 @@ def catalan(sequence: str, fmt: str) -> None:
             f"cost: {c}, width: {t}",
             f"witness: {list(witness) if witness else 'none'}",
         ],
+        holds=witness is not None,
     )
-    sys.exit(0 if witness else 1)
 
 
-@main.command()
-@click.argument("instance")
-@_format_option()
-@_guarded
+@_command(click.argument("instance"))
 def subsetsum(instance: str, fmt: str) -> None:
     """Reduce a subset-sum instance "a1,a2,...,ad : b" to a cone pair
     and verify the equivalence both ways.  Exit 1 on a no-instance."""
@@ -440,8 +434,8 @@ def subsetsum(instance: str, fmt: str) -> None:
             "subset": None,
             "trivial": "target exceeds total",
         }
-        _emit(payload, fmt, [f"no subset: target {target} exceeds total {sum(values)}"])
-        sys.exit(1)
+        lines = [f"no subset: target {target} exceeds total {sum(values)}"]
+        return _emit(payload, fmt, lines, holds=False)
     report = reduction_equivalence_check(SubsetSumInstance(values, target))
     payload = {
         "values": list(report.instance.values),
@@ -465,17 +459,16 @@ def subsetsum(instance: str, fmt: str) -> None:
         lines.append(
             f"decomposition: {report.decomposition[0]} + {report.decomposition[1]}"
         )
-    _emit(payload, fmt, lines)
-    sys.exit(0 if report.subset else 1)
+    _emit(payload, fmt, lines, holds=report.subset is not None)
 
 
-@main.command(name="lr-family")
-@click.option("--k", type=click.IntRange(min=2), required=True)
-@click.option(
-    "--growth-to", type=click.IntRange(min=2), default=None, help="table bound (default: k)"
+@_command(
+    click.option("--k", type=click.IntRange(min=2), required=True),
+    click.option(
+        "--growth-to", type=click.IntRange(min=2), default=None, help="table bound (default: k)"
+    ),
+    name="lr-family",
 )
-@_format_option()
-@_guarded
 def lr_family(k: int, growth_to: int | None, fmt: str) -> None:
     """The wide triple family: identities, positivity within the
     counting cap, and the nu_1 growth table."""

@@ -149,11 +149,9 @@ class GrowthRow:
 
 
 def _growth_row(k: int) -> GrowthRow:
-    """Row k of the growth table, its closed forms checked."""
+    """Row k of the growth table, with nu_1 > rank checked to start at k = 4."""
     rank = 3 * k - 1
     nu1 = k * (k - 1)
-    if nu1 != ((rank + 1) // 3) * ((rank + 1) // 3 - 1):
-        raise AssertionFailure(f"nu_1 closed form fails at k={k}")
     if (nu1 > rank) != (k >= 4):
         raise AssertionFailure(f"nu_1 > rank should first happen at k=4; k={k}")
     return GrowthRow(k=k, rank=rank, nu1=nu1, exceeds_rank=nu1 > rank)

@@ -86,6 +86,13 @@ class TestCheck:
         assert result.exit_code == 0
         assert json.loads(result.output)["in_cone"] is True
 
+    def test_count_that_contradicts_dominance_exits_three(self, runner, monkeypatch):
+        # (2,1) dominates (1,1,1), so a count of 0 is an internal fault
+        monkeypatch.setattr(cli, "kostka_count", lambda lam, mu: 0)
+        result = run(runner, "check", "2,1", "1,1,1")
+        assert result.exit_code == 3
+        assert "internal check failed" in result.output
+
 
 class TestRyser:
     def test_json_payload(self, runner):
@@ -479,6 +486,17 @@ class TestBasis:
         payload = json.loads(result.output)
         assert payload["count"] == 3
         assert payload["fixture"] is None
+
+    @pytest.mark.parametrize("via", ["flag", "environment"])
+    def test_absent_fixture_directory_is_a_usage_error(self, runner, tmp_path, via):
+        # a mistyped directory must not turn the fixture check off
+        absent = str(tmp_path / "absent")
+        if via == "flag":
+            result = run(runner, "basis", "-r", "2", "--fixtures", absent)
+        else:
+            result = run(runner, "basis", "-r", "2", env={"KOSTKA_FIXTURES": absent})
+        assert result.exit_code == 2
+        assert f"Directory '{absent}' does not exist" in result.output
 
     def test_rank_cap_is_usage_error(self, runner):
         assert run(runner, "basis", "-r", "9").exit_code == 2

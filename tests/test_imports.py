@@ -9,7 +9,10 @@ no change to ``src/`` blinds a per-layer metric.  Each cap of
 ``config`` is read only by the functions that guard with it, so no
 caller re-tests the cap of a function it then calls.  Every exception
 the package raises is a :class:`KostkaError`, an ``AssertionError`` or
-a ``click.UsageError``, so the CLI gives each one its exit code."""
+a ``click.UsageError``, so the CLI gives each one its exit code.  The
+CLI exits only from ``_guarded`` (exit 2 or 3), ``_emit`` (exit 1) and
+``basis`` (a fixture mismatch, exit 3), and every command takes
+``--format``."""
 
 from __future__ import annotations
 
@@ -18,10 +21,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import click
 import pytest
 from test_config import CASES
 
-from kostka import errors
+from kostka import cli, errors
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPORTS = ROOT / "src" / "kostka" / "__init__.py"
@@ -352,3 +356,56 @@ def test_the_guard_sees_a_stray_raise():
         "b": "import a\na.f(2, click.UsageError)\nraise table[0]\nraise NotAWitness\n",
     }
     assert stray_raises(sources) == ["a:3 ValueError", "b:3 None", "a:5 KeyError"]
+
+
+def exit_sites(source: str) -> list[str]:
+    """The top-level function (or ``<module>``) around each call of
+    ``sys.exit`` or ``SystemExit`` in the module, in source order."""
+    sites: list[str] = []
+    for node in ast.parse(source).body:
+        scope = node.name if isinstance(node, ast.FunctionDef) else "<module>"
+        sites += (
+            scope
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and _named(call.func) in ("sys.exit", "SystemExit")
+        )
+    return sites
+
+
+def test_the_cli_exits_from_one_place_per_code():
+    source = (ROOT / "src" / "kostka" / "cli.py").read_text()
+    assert exit_sites(source) == ["_guarded", "_emit", "basis"]
+
+
+def test_the_guard_sees_a_stray_exit():
+    source = (
+        "import sys\n"
+        "def _emit(holds):\n    if not holds: sys.exit(1)\n"
+        "def check(member):\n"
+        "    def inner(): raise SystemExit(2)\n"
+        "    _emit(member)\n    sys.exit(0 if member else 1)\n"
+        "def quiet(): print(0)\n"
+        "if __name__ == '__main__':\n    sys.exit(main())\n"
+    )
+    assert exit_sites(source) == ["_emit", "check", "check", "<module>"]
+
+
+def formatless_commands(group: click.Group) -> list[str]:
+    """The names of the group's commands that take no ``--format``."""
+    return [
+        name
+        for name, command in group.commands.items()
+        if not any("--format" in param.opts for param in command.params)
+    ]
+
+
+def test_every_command_takes_a_format():
+    assert len(cli.main.commands) == 10
+    assert formatless_commands(cli.main) == []
+
+
+def test_the_guard_sees_a_formatless_command():
+    group = click.Group()
+    group.command(name="plain")(click.option("--rank")(lambda rank: None))
+    group.command(name="styled")(click.option("--format")(lambda format: None))
+    assert formatless_commands(group) == ["plain"]
