@@ -553,14 +553,13 @@ def extremal_rays(rank: int) -> tuple[RaySpec, ...]:
     _ray_rank_cap(rank)
     if rank < 1:
         return ()
+    # b < a, and b = 1 alone at a = 1, which stands for every (a, a, ell)
     specs = [
         RaySpec(a=a, b=b, ell=ell, rank=rank)
         for a in range(1, rank + 1)
-        for b in range(1, a)
-        for ell in range(0, rank - a + 1)
+        for b in range(1, a) or (1,)
+        for ell in range(rank - a + 1)
     ]
-    specs += [RaySpec(a=1, b=1, ell=ell, rank=rank) for ell in range(rank)]
-    specs.sort(key=lambda s: (s.a, s.b, s.ell))
     expected = math.comb(rank, 3) + math.comb(rank, 2) + math.comb(rank, 1)
     if len(specs) != expected:
         raise AssertionFailure(

@@ -40,7 +40,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import MalformedStarMatrix, NotAWitness
-from .partitions import KostkaPair
+from .partitions import KostkaPair, _non_integer
 from .ryser import StarMatrix, ryser_canonical, split_pair
 
 
@@ -187,11 +187,15 @@ class SubtreeWitness:
 
 def _ids_of(graph: KgrGraph, vertices: Iterable[Vertex]) -> np.ndarray | None:
     """The ids of the given vertices (repeats kept), or None when one of
-    them is not a vertex of the graph."""
+    them is not a vertex of the graph: a row, column or sign that is not
+    an integer names none."""
     r, w = graph.star.entries.shape
     cells, signs = [], []
-    for row, col, sign in vertices:
-        if not (1 <= row <= r and 1 <= col <= w and sign in (1, -1)):
+    for vertex in vertices:
+        row, col, sign = vertex
+        if any(map(_non_integer, vertex)) or not (
+            1 <= row <= r and 1 <= col <= w and sign in (1, -1)
+        ):
             return None
         cells.append((row - 1) * w + col - 1)
         signs.append(sign)

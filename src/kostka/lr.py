@@ -2,9 +2,10 @@
 
 c(lambda, mu; nu) counts skew semistandard tableaux of shape nu/lambda
 and content mu whose reading word (right to left, top to bottom) is a
-ballot sequence.  The counter below fills cells in reading order, so
-the ballot and content conditions prune as it goes; it is exact and
-meant for small shapes (|nu| capped).
+ballot sequence.  The counter lists the skew cells once in reading
+order, with their right and upper neighbours, and fills them by one
+backtracking search, so the ballot and content conditions prune as it
+goes; it is exact and meant for small shapes (|nu| capped).
 
 The family :func:`counterexample_family` produces, for each k >= 2, a
 primitive triple at rank r = 3k-1 with nu_1 = k(k-1) growing
@@ -67,43 +68,34 @@ def lr_coefficient(triple: LrTriple) -> int:
         raise ShapeError(f"lambda {lam} is not contained in nu {nu}")
     if size(lam) + size(mu) != size(nu):
         return 0
-    values = len(mu)
-    # skew cells in reading order: top row first, right to left
-    cells: list[tuple[int, int]] = []
-    for i, outer in enumerate(nu):
-        for j in range(outer - 1, lam_padded[i] - 1, -1):
-            cells.append((i, j))
-    if not cells:
-        return 1  # empty skew shape, empty content
-    grid: dict[tuple[int, int], int] = {}
-    counts = [0] * (values + 1)
+    # skew cells in reading order: top row first, right to left, so the
+    # skew cells to the right of and above a cell are filled before it
+    cells = [
+        (i, j)
+        for i, outer in enumerate(nu)
+        for j in range(outer - 1, lam_padded[i] - 1, -1)
+    ]
+    position = {cell: p for p, cell in enumerate(cells)}
+    right = [position.get((i, j + 1)) for i, j in cells]
+    above = [position.get((i - 1, j)) for i, j in cells]
+    value = [0] * len(cells)
+    # counts[0] outnumbers every letter, so the ballot test never binds for 1
+    counts = [len(cells)] + [0] * len(mu)
 
-    def above_value(i: int, j: int) -> int | None:
-        if i == 0 or j >= nu[i - 1] or j < lam_padded[i - 1]:
-            return None
-        return grid[(i - 1, j)]
-
-    def fill(idx: int) -> int:
-        if idx == len(cells):
+    def fill(p: int) -> int:
+        if p == len(cells):
             return 1
-        i, j = cells[idx]
-        right = grid.get((i, j + 1))
-        floor = above_value(i, j)
+        # columns strictly increase down, rows weakly increase rightwards
+        low = 0 if above[p] is None else value[above[p]]
+        high = len(mu) if right[p] is None else value[right[p]]
         total = 0
-        for v in range(1, values + 1):
-            if right is not None and v > right:
-                break  # rows weakly increase left to right
-            if floor is not None and v <= floor:
-                continue  # columns strictly increase top to bottom
-            if counts[v] >= mu[v - 1]:
-                continue  # content bound
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # ballot: prefix counts stay weakly decreasing
-            grid[(i, j)] = v
-            counts[v] += 1
-            total += fill(idx + 1)
-            counts[v] -= 1
-            del grid[(i, j)]
+        for v in range(low + 1, high + 1):
+            # content bound, and ballot: prefix counts stay weakly decreasing
+            if counts[v] < mu[v - 1] and counts[v] < counts[v - 1]:
+                value[p] = v
+                counts[v] += 1
+                total += fill(p + 1)
+                counts[v] -= 1
         return total
 
     return fill(0)
@@ -112,11 +104,12 @@ def lr_coefficient(triple: LrTriple) -> int:
 def counterexample_family(k: int) -> LrTriple:
     """The rank-(3k-1) triple with lambda = (k^(k-1), (k-1)^k),
     mu = three copies each of j(k-1) for j = k-1..1, and
-    nu = ((k(k-1))^2, mu).  Raises :class:`InvalidTriple` when k < 2 and
-    :class:`RankCapExceeded` when k > ``config.FAMILY_CAP``."""
+    nu = ((k(k-1))^2, mu).  Raises :class:`InvalidTriple` when k is not
+    an integer or k < 2 and :class:`RankCapExceeded` when
+    k > ``config.FAMILY_CAP``."""
+    _family_cap(k)
     if k < 2:
         raise InvalidTriple(f"family needs k >= 2, got {k}")
-    _family_cap(k)
     rank = 3 * k - 1
     lam = (k,) * (k - 1) + (k - 1,) * k
     mu = tuple(j * (k - 1) for j in range(k - 1, 0, -1) for _ in range(3))
@@ -136,6 +129,8 @@ def counterexample_family(k: int) -> LrTriple:
 
 
 def _family_cap(k: int) -> None:
+    if _non_integer(k):
+        raise InvalidTriple(f"non-integer k {k!r}")
     if k > config.FAMILY_CAP:
         raise RankCapExceeded(f"k = {k} exceeds cap {config.FAMILY_CAP}")
 
@@ -159,7 +154,8 @@ def _growth_row(k: int) -> GrowthRow:
 
 def growth_table(k_max: int) -> tuple[GrowthRow, ...]:
     """nu_1 = ((r+1)/3)((r+1)/3 - 1) versus r, for k = 2..k_max.
-    Raises :class:`RankCapExceeded` when k_max > ``config.FAMILY_CAP``."""
+    Raises :class:`InvalidTriple` when k_max is not an integer and
+    :class:`RankCapExceeded` when k_max > ``config.FAMILY_CAP``."""
     _family_cap(k_max)
     return tuple(map(_growth_row, range(2, k_max + 1)))
 

@@ -83,9 +83,11 @@ import numpy as np
 from . import config
 from .errors import MalformedStarMatrix, NotAWitness, WidthCapExceeded
 from .partitions import (
+    _INT_ONLY,
     KostkaPair,
     Partition,
     _conjugate,
+    _non_integer,
     as_partition,
     conjugate,
     pad,
@@ -555,13 +557,16 @@ def split_pair(
     """Split the canonical matrix's pair along a witnessing column subset
     into (selected, complement) summand pairs at the same rank.
 
-    Raises :class:`NotAWitness` when the subset is not a proper nonempty
-    subset of the columns or either half's row sums fail to be weakly
-    decreasing.
+    Raises :class:`NotAWitness` when a column is not an integer, the
+    subset is not a proper nonempty subset of the columns or either
+    half's row sums fail to be weakly decreasing.
     """
     pair = canonical.pair
     r, w = pair.rank, pair.width
-    chosen = {*map(int, columns)}
+    # one type census in C; only other types are checked one by one
+    if not {*map(type, columns)} <= _INT_ONLY and any(map(_non_integer, columns)):
+        raise NotAWitness(f"columns {columns!r} are not all integers")
+    chosen = {*columns}
     sel = sorted(chosen)
     if not sel or len(sel) == w or sel[0] < 1 or sel[-1] > w:
         raise NotAWitness(f"columns {columns} are not a proper nonempty subset")

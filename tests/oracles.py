@@ -19,8 +19,10 @@ from kostka.errors import (
     InvalidPartition,
     MalformedStarMatrix,
     NotAWitness,
+    ShapeError,
+    SizeCapExceeded,
 )
-from kostka.partitions import KostkaPair
+from kostka.partitions import KostkaPair, pad, size
 from kostka.sequences import CatalanSeq, catalan_reducible as sublist_witness
 
 
@@ -423,6 +425,61 @@ def horizontal_strip(inner: Sequence[int], outer: Sequence[int]) -> bool:
     if any(s > b for s, b in zip(small, big)):
         return False
     return all(big[i + 1] <= small[i] for i in range(length - 1))
+
+
+def lr_coefficient_grid(triple) -> int:
+    """c(lambda, mu; nu) for an LrTriple, with the library's checks and
+    refusals: the tableau search as first written, each filling held in
+    a dict keyed by (row, col) and each cell's neighbours looked up on
+    every visit."""
+    lam, mu, nu = triple.lam, triple.mu, triple.nu
+    if size(nu) > config.LR_BOX_CAP:
+        raise SizeCapExceeded(f"|nu| = {size(nu)} exceeds cap {config.LR_BOX_CAP}")
+    lam_padded = pad(lam, len(nu)) if len(lam) <= len(nu) else None
+    if lam_padded is None or any(l > n for l, n in zip(lam_padded, nu)):
+        raise ShapeError(f"lambda {lam} is not contained in nu {nu}")
+    if size(lam) + size(mu) != size(nu):
+        return 0
+    values = len(mu)
+    # skew cells in reading order: top row first, right to left
+    cells: list[tuple[int, int]] = []
+    for i, outer in enumerate(nu):
+        for j in range(outer - 1, lam_padded[i] - 1, -1):
+            cells.append((i, j))
+    if not cells:
+        return 1  # empty skew shape, empty content
+    grid: dict[tuple[int, int], int] = {}
+    counts = [0] * (values + 1)
+
+    def above_value(i: int, j: int) -> int | None:
+        if i == 0 or j >= nu[i - 1] or j < lam_padded[i - 1]:
+            return None
+        return grid[(i - 1, j)]
+
+    def fill(idx: int) -> int:
+        if idx == len(cells):
+            return 1
+        i, j = cells[idx]
+        right = grid.get((i, j + 1))
+        floor = above_value(i, j)
+        total = 0
+        for v in range(1, values + 1):
+            if right is not None and v > right:
+                break  # rows weakly increase left to right
+            if floor is not None and v <= floor:
+                continue  # columns strictly increase top to bottom
+            if counts[v] >= mu[v - 1]:
+                continue  # content bound
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue  # ballot: prefix counts stay weakly decreasing
+            grid[(i, j)] = v
+            counts[v] += 1
+            total += fill(idx + 1)
+            counts[v] -= 1
+            del grid[(i, j)]
+        return total
+
+    return fill(0)
 
 
 def compositions_below(bound: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -4,6 +4,7 @@ import math
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -415,6 +416,24 @@ class TestRefereeNegatives:
 
     def test_empty_set(self, running_pair):
         assert not verify_subtree(pair_graph(running_pair), ())
+
+    @pytest.mark.parametrize(
+        "spoil, verdict",
+        [
+            (tuple, True),
+            (lambda v: (float(v.row), v.col, v.sign), False),
+            (lambda v: (v.row, float(v.col), v.sign), False),
+            (lambda v: (np.int64(v.row), v.col, v.sign), False),
+            (lambda v: (v.row, v.col, v.sign == 1 or v.sign), False),
+        ],
+        ids=["ints", "float-row", "float-col", "numpy-row", "true-sign"],
+    )
+    def test_non_integer_vertices_name_none(self, running_pair, spoil, verdict):
+        # the running example's witness, its rows, columns or +1 signs
+        # retyped as equal non-integers
+        graph = pair_graph(running_pair)
+        witness = find_conservative_subtree(graph)
+        assert verify_subtree(graph, map(spoil, witness.vertices)) is verdict
 
 
 class TestDisconnectedGraphs:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -93,6 +94,30 @@ class TestCoefficient:
             right = coeff(mu, lam, nu)
             assert left == right, (lam, mu, nu)
 
+    def test_matches_the_grid_search_on_every_small_triple(self):
+        # every nu of at most 9 boxes and every lam, mu of matching total
+        # size, at most 4 parts each; lam outside nu must be refused alike
+        def outcome(count, triple):
+            try:
+                return count(triple)
+            except ShapeError:
+                return "ShapeError"
+
+        triples = positive = 0
+        for n in range(10):
+            shapes = [list(oracles.partitions(m, max_len=4)) for m in range(n + 1)]
+            for nu in shapes[n]:
+                for a in range(n + 1):
+                    for lam in shapes[a]:
+                        for mu in shapes[n - a]:
+                            triple = LrTriple(lam, mu, nu, rank=4)
+                            got = outcome(lr_coefficient, triple)
+                            want = outcome(oracles.lr_coefficient_grid, triple)
+                            assert got == want, triple
+                            triples += 1
+                            positive += got not in ("ShapeError", 0)
+        assert (triples, positive) == (8179, 1891)
+
     def test_product_expansion_matches_monomial_oracle(self):
         # sum_nu c(lam,mu;nu) K(nu,rho) must equal the monomial coefficient
         # of x^rho in s_lam * s_mu, for every content rho
@@ -126,6 +151,29 @@ class TestCounterexampleFamily:
     def test_rejects_k_below_two(self):
         with pytest.raises(InvalidTriple, match="family needs k >= 2, got 1"):
             counterexample_family(1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: counterexample_family(np.int64(3)),
+            lambda: counterexample_family(3.0),
+            lambda: counterexample_family(True),
+            lambda: verify_counterexample(2.5),
+            lambda: growth_table(2.5),
+            lambda: growth_table(np.int64(5)),
+        ],
+        ids=[
+            "family-numpy",
+            "family-float",
+            "family-bool",
+            "verify-float",
+            "growth-float",
+            "growth-numpy",
+        ],
+    )
+    def test_rejects_non_integer_k(self, build):
+        with pytest.raises(InvalidTriple, match="non-integer k"):
+            build()
 
     def test_identities_hold_for_large_k(self):
         for k in range(2, 51):

@@ -612,6 +612,21 @@ class TestSplitPair:
         with pytest.raises(NotAWitness):
             split_pair(canonical, (0, 3))
 
+    @pytest.mark.parametrize(
+        "columns",
+        [[1.5], [1.0], ["1"], [True], [np.int64(1)], [1, 1.9]],
+        ids=["fraction", "float", "string", "bool", "numpy", "int-and-fraction"],
+    )
+    def test_rejects_non_integer_columns(self, columns):
+        # column 1 of (2,2 | 2,2) is a witness, and int() reads each of these as 1
+        canonical = ryser_canonical(KostkaPair((2, 2), (2, 2)))
+        assert split_pair(canonical, [1]) == (
+            KostkaPair((1, 1), (1, 1)),
+            KostkaPair((1, 1), (1, 1)),
+        )
+        with pytest.raises(NotAWitness, match="not all integers"):
+            split_pair(canonical, columns)
+
     def test_rejects_non_witness(self, running_pair):
         # column 1 alone leaves complement row sums (6,6,3,3,3,3,4)
         with pytest.raises(NotAWitness):
