@@ -7,12 +7,24 @@ result is a planar forest in which every vertex has out-degree at most
 one, row i carries exactly mu*_i sources, and connectivity is
 equivalent to every non-leftmost column holding a -1.
 
-The graph is held as arrays over integer vertex ids 0..n-1, numbered
-in row-major order of the nonzeros: ``rows``, ``cols``, ``signs``, the
+The forest is one of columns.  All vertices of a column share a
+component: its +1s point to its -1, whose arc leads to the +1 just left
+of it, in an earlier column.  So a column with a -1 hangs under the
+column of that +1, and a column without one is a root holding a single
++1, the sink of its component.  One pass from the left gives every
+column its root.
+
+Vertices are integer ids 0..n-1, numbered in row-major order of the
+nonzeros, and the graph holds ``rows``, ``cols``, ``signs`` and the
 head ``out`` of each vertex's out-arc; a vertex's incoming arcs are
-the ids whose ``out`` names it.  Components come from one root-labelling
-pass (every vertex points, by pointer jumping, at the sink its out-walk
-ends in).
+the ids whose ``out`` names it.  Two engines give the same answers
+and run the same checks.  A graph of at most :data:`LIST_VERTICES`
+vertices is held on Python lists, and its components and subtree come
+from the column forest in one pass from the left.  A larger one is held
+on numpy arrays, and its components come from one root-labelling pass
+(every vertex points, by pointer jumping, at the sink its out-walk ends
+in).  The lists win on small graphs, where numpy's per-call cost
+dominates, and the arrays on large ones.
 :class:`Vertex` objects are built only for a witness and, lazily, for
 ``graph.vertices`` and ``graph.arcs``, which the renderers read.
 
@@ -25,9 +37,9 @@ column set is always such a witness; :func:`fast_reducibility` exploits
 this instead of sweeping all subsets.
 
 :func:`verify_subtree` is the referee for those conditions: it maps the
-given vertices to ids and checks everything from scratch on masks over
-all n vertices.  :func:`find_conservative_subtree` checks every witness
-it builds with the same referee body, run on the vertex ids it already
+given vertices to ids and checks everything from scratch over all n
+vertices.  :func:`find_conservative_subtree` checks every witness it
+builds with the same referee body, run on the vertex ids it already
 holds, so its self-check does not map its own vertices back to ids.
 """
 
@@ -42,6 +54,11 @@ import numpy as np
 from .errors import MalformedStarMatrix, NotAWitness
 from .partitions import KostkaPair, _non_integer
 from .ryser import StarMatrix, ryser_canonical, split_pair
+
+# Graphs of at most this many vertices (nonzeros of the star) are held
+# on lists, larger ones on arrays.  The list engine's time grows with the
+# vertices and the array engine's hardly does; they cross at 60-70.
+LIST_VERTICES = 64
 
 
 class Vertex(NamedTuple):
@@ -104,6 +121,51 @@ class KgrGraph:
         )
 
 
+@dataclass(eq=False)
+class _ListGraph(KgrGraph):
+    """The same graph with ``rows``, ``cols``, ``signs`` and ``out`` as
+    Python lists, and the column forest's table: ``minus[j]`` is the id
+    of the -1 in column j + 1, or -1 when that column is a root."""
+
+    minus: list[int] = field(repr=False)
+
+    @cached_property
+    def roots(self) -> list[int]:
+        """The same root labels, read off the column forest."""
+        root = _column_roots(self)
+        sink = [-1] * len(root)  # a root column's +1, the sink of its component
+        for v, (c, head) in enumerate(zip(self.cols, self.out)):
+            if head < 0:
+                sink[c - 1] = v
+        return [sink[root[c - 1]] for c in self.cols]
+
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(map(Vertex, self.rows, self.cols, self.signs))
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        vs = self.vertices
+        return tuple((vs[t], vs[h]) for t, h in enumerate(self.out) if h >= 0)
+
+
+def _column_roots(graph: _ListGraph) -> list[int]:
+    """The root column of every column (0-based), by one pass from the
+    left.  A parent column that does not lie left of its child would
+    make a cycle, and is refused."""
+    cols = graph.cols
+    root: list[int] = []
+    for j, m in enumerate(graph.minus):
+        if m < 0:
+            root.append(j)
+            continue
+        parent = cols[m - 1] - 1  # the column of the +1 just left of the -1
+        if parent >= j:
+            raise AssertionError("the arc graph has a cycle")
+        root.append(root[parent])
+    return root
+
+
 def _vertices(
     graph: KgrGraph, ids: np.ndarray
 ) -> tuple[tuple[Vertex, ...], tuple[int, ...]]:
@@ -114,9 +176,51 @@ def _vertices(
 
 
 def build_graph(star: StarMatrix) -> KgrGraph:
-    """The arc graph of a star matrix.  Refuses a column with two -1
-    entries and a -1 whose nearest nonzero on its left is not a +1 of
-    its row, naming the first offender in row-major order."""
+    """The arc graph of a star matrix, on lists up to
+    :data:`LIST_VERTICES` vertices and on arrays above.  Refuses a column
+    with two -1 entries and a -1 whose nearest nonzero on its left is not
+    a +1 of its row, naming the first offender in row-major order."""
+    if np.count_nonzero(star.entries) <= LIST_VERTICES:
+        return _build_lists(star)
+    return _build_arrays(star)
+
+
+def _build_lists(star: StarMatrix) -> _ListGraph:
+    """:func:`build_graph` on lists: one pass over the vertices checks
+    each -1 and fills the column forest's table."""
+    arr = star.entries
+    r0, c0 = arr.nonzero()  # row-major, so ids follow the sorted vertices
+    signs = arr[r0, c0].tolist()
+    rows, cols = (r0 + 1).tolist(), (c0 + 1).tolist()
+    minus = [-1] * star.pair.width
+    stray = -1  # the first -1 whose previous id is not a +1 of its row
+    for v, sign in enumerate(signs):
+        if sign < 0:
+            c = cols[v] - 1
+            if minus[c] >= 0:  # the first repeat in row-major order
+                raise MalformedStarMatrix(f"column {c + 1} has two -1 entries")
+            minus[c] = v
+            if stray < 0 and (not v or rows[v - 1] != rows[v] or signs[v - 1] < 0):
+                stray = v
+    if stray >= 0:
+        where = (rows[stray], cols[stray])
+        if not stray or rows[stray - 1] != rows[stray]:
+            raise MalformedStarMatrix(f"-1 at {where} has no +1 on its left")
+        raise MalformedStarMatrix(
+            f"-1 at {(rows[stray - 1], cols[stray - 1])} blocks the -1 at {where}"
+        )
+    # a -1 points to the previous id, a +1 to its column's -1, if any
+    out = [
+        v - 1 if s < 0 else minus[c - 1] for v, (c, s) in enumerate(zip(cols, signs))
+    ]
+    return _ListGraph(
+        star=star, rows=rows, cols=cols, signs=signs, out=out, minus=minus
+    )
+
+
+def _build_arrays(star: StarMatrix) -> KgrGraph:
+    """:func:`build_graph` on numpy arrays, the refusals found by fused
+    passes over all vertices."""
     arr = star.entries
     w = star.pair.width
     r0, c0 = arr.nonzero()  # row-major, so ids follow the sorted vertices
@@ -167,9 +271,24 @@ def _first_component(graph: KgrGraph) -> tuple[np.ndarray, bool]:
     return first, labelled
 
 
+def _first_columns(graph: _ListGraph) -> tuple[list[bool], bool]:
+    """:func:`_first_component` on lists: the mask of the columns of
+    vertex 0's component, and whether that is the whole graph."""
+    root = _column_roots(graph)
+    first = root[graph.cols[0] - 1]
+    inside = [r == first for r in root]
+    labelled = all(inside)
+    criterion = graph.signs.count(-1) == graph.star.pair.width - 1
+    if labelled != criterion:
+        raise AssertionError("connectivity criterion disagrees with root labelling")
+    return inside, labelled
+
+
 def is_connected(graph: KgrGraph) -> bool:
     """Single component; cross-checked against the column criterion
     (every column after the first contains a -1)."""
+    if isinstance(graph, _ListGraph):
+        return len(graph.out) <= 1 or _first_columns(graph)[1]
     return graph.out.size <= 1 or _first_component(graph)[1]
 
 
@@ -187,13 +306,16 @@ class SubtreeWitness:
 
 def _ids_of(graph: KgrGraph, vertices: Iterable[Vertex]) -> np.ndarray | None:
     """The ids of the given vertices (repeats kept), or None when one of
-    them is not a vertex of the graph: a row, column or sign that is not
-    an integer names none."""
+    them is not a vertex of the graph: anything but a (row, column,
+    sign) triple of integers names none."""
     r, w = graph.star.entries.shape
     cells, signs = [], []
     for vertex in vertices:
-        row, col, sign = vertex
-        if any(map(_non_integer, vertex)) or not (
+        try:
+            row, col, sign = vertex
+        except (TypeError, ValueError):
+            return None
+        if any(map(_non_integer, (row, col, sign))) or not (
             1 <= row <= r and 1 <= col <= w and sign in (1, -1)
         ):
             return None
@@ -203,14 +325,19 @@ def _ids_of(graph: KgrGraph, vertices: Iterable[Vertex]) -> np.ndarray | None:
     if np.count_nonzero(graph.star.entries.ravel()[cell] != signs):
         return None
     # row-major ids make the cells of the vertices increasing
-    return ((graph.rows - 1) * w + graph.cols - 1).searchsorted(cell)
+    rows, cols = np.asarray(graph.rows), np.asarray(graph.cols)
+    return ((rows - 1) * w + cols - 1).searchsorted(cell)
 
 
 def verify_subtree(graph: KgrGraph, vertices: Iterable[Vertex]) -> bool:
     """Referee for the conservative-subtree conditions; checks everything
     from scratch and never trusts how the candidate was produced."""
     given = _ids_of(graph, vertices)
-    return given is not None and _referee(graph, given)
+    if given is None:
+        return False
+    if isinstance(graph, _ListGraph):
+        return _list_referee(graph, given.tolist())
+    return _referee(graph, given)
 
 
 def _referee(graph: KgrGraph, given: np.ndarray) -> bool:
@@ -262,15 +389,84 @@ def _referee(graph: KgrGraph, given: np.ndarray) -> bool:
     return bool(np.count_nonzero(row_plus))
 
 
-def find_conservative_subtree(graph: KgrGraph) -> SubtreeWitness | None:
-    """Canonical conservative subtree, or None when the graph has none.
+def _list_referee(graph: _ListGraph, given: Iterable[int]) -> bool:
+    """:func:`_referee` on lists: the same tests, each a pass over the
+    members or over all n vertices."""
+    rows, cols, signs, out = graph.rows, graph.cols, graph.signs, graph.out
+    n = len(out)
+    members = sorted({*given})
+    m = len(members)
+    if not m or m == n:
+        return False  # must be a nonempty proper subgraph
+    inside = [False] * (n + 1)  # inside[-1], for no out-arc, stays False
+    for v in members:
+        inside[v] = True
+    # the graph is a forest, so a set with one induced arc fewer than
+    # vertices, that is with one member whose out-arc leaves it, is a tree
+    leaving = [v for v in members if not inside[out[v]]]
+    if len(leaving) != 1:
+        return False
+    sink = leaving[0]
+    if out[sink] < 0 and sum(map(inside.__getitem__, out)) == m - 1:
+        return True  # no arc leaves or enters: a full component
+    own = [v for v in members if v != sink]  # the tails of the set's arcs
+    closed = {cols[v] for v in own if signs[v] > 0}
+    if closed and any(c in closed and not inside[v] for v, c in enumerate(cols)):
+        return False
+    if signs[sink] != -1:
+        return False
+    fed = {out[v] for v in own}
+    sources = [v for v in members if v not in fed]
+    headed = set(out)
+    outsiders = [v for v in sources if v in headed]
+    if len(outsiders) > 1:
+        return False
+    return any(signs[v] > 0 and rows[v] == rows[sink] for v in outsiders or sources)
 
-    Disconnected graphs yield the component containing the smallest
-    (row, col) vertex.  Connected graphs are scanned for a -1 with a +1
-    strictly to its right in the same row, smallest (col of -1, row,
-    col of +1) first; the subtree is that +1 together with everything
-    that reaches the -1 without passing through it.
-    """
+
+def _find_on_lists(graph: _ListGraph) -> tuple[SubtreeWitness, list[int]] | None:
+    """:func:`find_conservative_subtree` on lists, from the column
+    forest: the witness and its ids."""
+    rows, cols, signs, minus = graph.rows, graph.cols, graph.signs, graph.minus
+    if not rows:
+        return None
+    inside, connected = _first_columns(graph)
+    sink = pivot = -1
+    if connected:
+        # the sink is the -1 of the leftmost column whose -1 has a +1
+        # right after it in its row, and that +1 is the pivot
+        last = len(rows) - 1
+        for sink_col, sink in enumerate(minus):
+            if 0 <= sink < last and rows[sink + 1] == rows[sink]:
+                break
+        else:
+            return None
+        pivot = sink + 1
+        # a later column is reached iff its -1's left neighbour is not
+        # the pivot and lies in a reached column
+        inside = [False] * len(minus)
+        inside[sink_col] = True
+        for j in range(sink_col + 1, len(minus)):
+            m = minus[j]
+            inside[j] = m >= 0 and m - 1 != pivot and inside[cols[m - 1] - 1]
+    ids = [v for v, c in enumerate(cols) if inside[c - 1] or v == pivot]
+    vertices = tuple(Vertex(rows[v], cols[v], signs[v]) for v in ids)
+    columns = tuple(sorted({cols[v] for v in ids}))
+    if not connected:
+        return SubtreeWitness(kind="component", vertices=vertices, columns=columns), ids
+    wit = SubtreeWitness(
+        kind="sink-source",
+        vertices=vertices,
+        columns=columns,
+        sink=vertices[ids.index(sink)],
+        source=vertices[ids.index(pivot)],
+    )
+    return wit, ids
+
+
+def _find_on_arrays(graph: KgrGraph) -> tuple[SubtreeWitness, np.ndarray] | None:
+    """:func:`find_conservative_subtree` on arrays, by root labelling:
+    the witness and its ids."""
     if not graph.out.size:
         return None
     first, connected = _first_component(graph)
@@ -305,7 +501,26 @@ def find_conservative_subtree(graph: KgrGraph) -> SubtreeWitness | None:
             sink=vertices[int(ids.searchsorted(sink))],
             source=vertices[int(ids.searchsorted(pivot))],
         )
-    if not _referee(graph, ids):
+    return wit, ids
+
+
+def find_conservative_subtree(graph: KgrGraph) -> SubtreeWitness | None:
+    """Canonical conservative subtree, or None when the graph has none.
+
+    Disconnected graphs yield the component containing the smallest
+    (row, col) vertex.  Connected graphs are scanned for a -1 with a +1
+    strictly to its right in the same row, smallest (col of -1, row,
+    col of +1) first; the subtree is that +1 together with everything
+    that reaches the -1 without passing through it.
+    """
+    if isinstance(graph, _ListGraph):
+        found, referee = _find_on_lists(graph), _list_referee
+    else:
+        found, referee = _find_on_arrays(graph), _referee
+    if found is None:
+        return None
+    wit, ids = found
+    if not referee(graph, ids):
         raise AssertionError(f"constructed subtree fails the referee: {wit}")
     return wit
 
