@@ -260,7 +260,8 @@ def kgr(lam: str, mu: str, rank: int | None, fmt: str) -> None:
 @_command(*_PAIR)
 def reduce(lam: str, mu: str, rank: int | None, fmt: str) -> None:
     """Reducibility: graph-driven fast detection plus the complete
-    decomposition search.  Exit 1 when the pair is irreducible.  Within
+    decomposition search.  Exit 1 when the pair is irreducible or zero
+    (no decomposition exists; the zero pair is not irreducible).  Within
     ``config.SWEEP_CAP`` the exhaustive column sweep of the same matrix
     must agree with fast detection on whether a column witness exists."""
     pair = _build_pair(lam, mu, rank)
@@ -293,7 +294,9 @@ def reduce(lam: str, mu: str, rank: int | None, fmt: str) -> None:
         "decomposition": None
         if found is None
         else {"small": _pair_payload(found[0]), "large": _pair_payload(found[1])},
-        "irreducible": found is None,
+        # irreducible points are nonzero: the zero pair has no summands
+        # but is not irreducible
+        "irreducible": found is None and pair.n > 0,
     }
     lines = [f"pair: {pair}"]
     if fast is None:
@@ -303,7 +306,9 @@ def reduce(lam: str, mu: str, rank: int | None, fmt: str) -> None:
             f"fast detection: columns {list(fast.columns)} -> "
             f"{fast.selected} + {fast.complement}"
         )
-    if found is None:
+    if pair.n == 0:
+        lines.append("decomposition search: zero pair")
+    elif found is None:
         lines.append("decomposition search: irreducible")
     else:
         lines.append(f"decomposition search: {found[0]} + {found[1]}")

@@ -5,14 +5,17 @@ nonzero cone points; the irreducible points form the Hilbert basis of
 the semigroup of lattice points.  :func:`decompose` searches for a
 summand by enumerating the ways each side can split into two partitions
 (parameterized by choices in the consecutive-difference boxes) and
-checking the two dominance conditions with vectorized prefix sums.
-Each side's splittings are cached as one read-only table of their
-prefix sums, sorted by size, in the smallest dtype that holds the
-side's size (a byte for every pair under the splitting cap), with the
-offsets of each size's block and a bitmask of the sizes that occur, so
-the candidate halves of one size are two slices and the sizes both
-sides share are one AND.  Only the first len(lambda) coordinates are
-compared: past the last part of lambda every candidate passes.
+checking the two dominance conditions on packed prefix sums.  Each
+side's splittings are cached as one ``bytes`` object of prefix-sum
+rows, each row packed big-endian in lanes of the fewest bytes whose
+top bit lies above the side's size (a byte for every pair under the
+splitting cap), sorted by size and then by row, with the offsets of
+each size's block and a bitmask of the sizes that occur, so the
+candidate halves of one size are two runs of rows and the sizes both
+sides share are one AND.  A pair of rows, read as Python integers, is
+tested in all its lanes at once by two subtractions that borrow across
+no lane.  Only the first len(lambda) coordinates are compared: past
+the last part of lambda every candidate passes.
 
 The Hilbert basis needs no splitting search.  The cone is cut out by
 3 * rank - 1 facet inequalities (the consecutive differences of lambda
@@ -70,6 +73,7 @@ import hashlib
 import itertools
 import json
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import mul, sub
@@ -88,40 +92,50 @@ from .errors import (
 )
 from .partitions import KostkaPair, Partition, _non_integer
 
+
+def _lane(n: int) -> int:
+    """The bytes of one lane of a splitting table of an n-box side: the
+    fewest whose top bit lies above n (one up to 127 boxes, two past
+    that), so that no entry of a row reaches its lane's top bit."""
+    return n.bit_length() // 8 + 1
+
+
 @functools.lru_cache(maxsize=2048)
-def _splittings(p: Partition) -> tuple[np.ndarray, list[int], int]:
+def _splittings(p: Partition) -> tuple[bytes, list[int], int]:
     """The prefix sums of all vectors v such that v and p - v are both
-    partitions, as a read-only (count, len(p)) table sorted by size |v|,
-    then by v lexicographically; the block offsets of the sizes (the
-    rows of size m are ``bounds[m]:bounds[m + 1]``, for m from 0 to
+    partitions, as rows of len(p) big-endian lanes of :func:`_lane`
+    bytes, joined into one ``bytes`` object and sorted by size |v|, then
+    by v lexicographically; the block offsets of the sizes (the rows of
+    size m are rows ``bounds[m]`` to ``bounds[m + 1]``, for m from 0 to
     |p|); and a bitmask with bit m set iff that block is nonempty.
 
     Such v correspond to independent choices d_i in [0, p_i - p_{i+1}],
     v_i being the suffix sum of the d's, and only the parts where p
     steps down (p_i > p_{i+1}) have a choice.  A choice d at step i adds
-    d * min(t + 1, i + 1) to the prefix sum V_t, so the table is one
-    product of the choices with those reaches.  v is constant on each
-    run of equal parts, so it is ordered by its entries at the run
-    starts, the suffix sums of the choices: one sort key per distinct
-    part.  The table is in the smallest signed dtype that holds
-    -|p| - 1, as in :func:`_box_dtype`: a byte up to 127 boxes, wider
-    rather than wrapped past that, so the difference of two prefix sums
-    fits too.
+    d * min(t + 1, i + 1) to the prefix sum V_t, and d * (i + 1) to the
+    size, so each row is one sum over the steps of d times the step's
+    packed reach row, with the size packed above it.  Big-endian lanes
+    order the packed rows as the bytes order them, which is the order of
+    the prefix sums and so of v: one sort of the packed sums orders the
+    table by size, then by v.
     """
     length, n = len(p), sum(p)
+    bits = 8 * _lane(n)
+    shift = bits * length
+    ones = ((1 << shift) - 1) // ((1 << bits) - 1)
     below = p[1:] + (0,)
-    at = [i for i in range(length) if p[i] > below[i]]
-    choices = [p[i] - below[i] + 1 for i in at]
-    combos = np.indices(choices).reshape(len(at), math.prod(choices)).T
-    reach = np.array(at, dtype=np.intp) + 1
-    prefixes = combos @ np.minimum.outer(reach, np.arange(1, length + 1))
-    sizes = combos @ reach
-    starts = combos[:, ::-1].cumsum(axis=1)[:, ::-1]
-    # lexsort's last key is its first: size, then v at each run start
-    order = np.lexsort((*starts.T[::-1], sizes))
-    table = prefixes[order].astype(np.min_scalar_type(-n - 1))
-    table.flags.writeable = False
-    bounds = np.searchsorted(sizes[order], np.arange(n + 2)).tolist()
+    reach, keys = 0, [0]
+    for i in range(length):
+        # lane t of reach now holds min(t + 1, i + 1)
+        reach += ones >> bits * i
+        if p[i] > below[i]:
+            step = reach | (i + 1) << shift
+            top = (p[i] - below[i] + 1) * step
+            keys = [key + d for d in range(0, top, step) for key in keys]
+    keys.sort()
+    row = (1 << shift) - 1
+    table = b"".join([(key & row).to_bytes(shift // 8, "big") for key in keys])
+    bounds = [bisect_left(keys, m << shift) for m in range(n + 2)]
     mask = sum(1 << m for m in range(n + 1) if bounds[m] < bounds[m + 1])
     return table, bounds, mask
 
@@ -143,60 +157,80 @@ def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
     order.  Raises :class:`SizeCapExceeded` when |lambda| >
     ``config.SPLIT_CAP``.
 
-    Each side's splittings come as one cached table of prefix sums
-    sorted by size, in blocks (:func:`_splittings`), so the halves of
-    size m are two slices.  Only the sizes m <= n // 2 set in both
-    sides' masks are searched (none: the pair is irreducible without
-    any array work).  A half (a, b) of size m works iff 0 <= A_t - B_t
-    <= Lambda_t - M_t at every coordinate t, capital letters for prefix
-    sums.  Only the first k = len(lambda) coordinates are compared:
-    lambda dominates mu, so mu has at least k parts, and at t >= k,
-    A_t = m >= B_t, while M_t - B_t, a prefix sum of mu - b, is at most
-    |mu - b| = n - m, which is the upper bound.  Each block is tested by
-    one unsigned compare: a negative difference wraps above every gap,
-    since the gaps are at most n, below half the dtype's range.  The
-    halves are the differences of the hit rows.
+    Each side's splittings come as one cached table of packed prefix-sum
+    rows sorted by size, in blocks (:func:`_splittings`).  Only the
+    sizes m <= n // 2 set in both sides' masks are searched (none: the
+    pair is irreducible without reading a row).  A half (a, b) of size
+    m works iff 0 <= A_t - B_t <= Lambda_t - M_t at every coordinate t,
+    capital letters for prefix sums.  Only the first k = len(lambda)
+    coordinates are compared, the first k lanes of a mu-row: lambda
+    dominates mu, so mu has at least k parts, and at t >= k, A_t = m >=
+    B_t, while M_t - B_t, a prefix sum of mu - b, is at most |mu - b| =
+    n - m, which is the upper bound.
+
+    The rows are compared as Python integers, every lane at once, as in
+    :func:`_covered`.  With H the top bit of every lane and G the packed
+    gaps Lambda_t - M_t, d = (a | H) - b has every H bit set iff every
+    A_t >= B_t, and then (G | H) - (d ^ H) has every H bit set iff every
+    A_t - B_t <= G_t.  No borrow crosses a lane, since every entry lies
+    below H.  The halves are the differences of the hit rows.
     """
     n = pair.n
     _split_cap(n)
     if n == 0:
         return None
-    lam_pre, lam_at, lam_mask = _splittings(pair.lam)
-    mu_pre, mu_at, mu_mask = _splittings(pair.mu)
+    lam_rows, lam_at, lam_mask = _splittings(pair.lam)
+    mu_rows, mu_at, mu_mask = _splittings(pair.mu)
     sizes = lam_mask & mu_mask & ((2 << n // 2) - 2)
     if not sizes:
         return None
-    k = len(pair.lam)
-    unsigned = np.dtype(f"u{lam_pre.itemsize}")
+    lane = _lane(n)
+    bits = 8 * lane
+    wide, mu_wide = len(pair.lam) * lane, len(pair.mu) * lane
+    high = ((1 << 8 * wide) - 1) // ((1 << bits) - 1) << bits - 1
     # the last row of each table is the whole side
-    gap = (lam_pre[-1] - mu_pre[-1, :k]).view(unsigned)
+    last = len(mu_rows) - mu_wide
+    gap = int.from_bytes(lam_rows[-wide:], "big")
+    gap -= int.from_bytes(mu_rows[last : last + wide], "big")
+    gap |= high
     while sizes:
         m = (sizes & -sizes).bit_length() - 1
         sizes &= sizes - 1
-        va = lam_pre[lam_at[m] : lam_at[m + 1]]
-        vb = mu_pre[mu_at[m] : mu_at[m + 1], :k]
-        ok = ((va[:, None] - vb).view(unsigned) <= gap).all(axis=2)
-        hit = int(ok.argmax())
-        if ok.flat[hit]:
-            i, j = divmod(hit, vb.shape[0])
-            small_lam = _differences(lam_pre[lam_at[m] + i])
-            small_mu = _differences(mu_pre[mu_at[m] + j])
-            r = pair.rank
-            return (
-                KostkaPair(small_lam, small_mu, r),
-                KostkaPair(
-                    list(map(sub, pair.lam, small_lam)),
-                    list(map(sub, pair.mu, small_mu)),
-                    r,
-                ),
-            )
+        first = mu_at[m] * mu_wide
+        block = [
+            int.from_bytes(mu_rows[at : at + wide], "big")
+            for at in range(first, mu_at[m + 1] * mu_wide, mu_wide)
+        ]
+        for at in range(lam_at[m] * wide, lam_at[m + 1] * wide, wide):
+            a = int.from_bytes(lam_rows[at : at + wide], "big") | high
+            for j, b in enumerate(block):
+                d = a - b
+                if d & high == high and (gap - (d ^ high)) & high == high:
+                    hit = first + j * mu_wide
+                    small_lam = _entries(lam_rows[at : at + wide], lane)
+                    small_mu = _entries(mu_rows[hit : hit + mu_wide], lane)
+                    r = pair.rank
+                    return (
+                        KostkaPair(small_lam, small_mu, r),
+                        KostkaPair(
+                            list(map(sub, pair.lam, small_lam)),
+                            list(map(sub, pair.mu, small_mu)),
+                            r,
+                        ),
+                    )
     return None
 
 
-def _differences(prefixes: np.ndarray) -> list[int]:
-    """The entries whose prefix sums are the given row."""
-    sums = prefixes.tolist()
-    return list(map(sub, sums, [0, *sums]))
+def _entries(row: bytes, lane: int) -> list[int]:
+    """The entries whose prefix sums are the packed row: the lanes of
+    the row less the row shifted one lane down, which cannot borrow
+    since prefix sums of entries >= 0 never decrease."""
+    packed = int.from_bytes(row, "big")
+    diffs = (packed - (packed >> 8 * lane)).to_bytes(len(row), "big")
+    entries = list(diffs[::lane])
+    for byte in range(1, lane):
+        entries = [e << 8 | x for e, x in zip(entries, diffs[byte::lane])]
+    return entries
 
 
 # --- Hilbert basis ----------------------------------------------------------

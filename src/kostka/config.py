@@ -21,7 +21,11 @@ from __future__ import annotations
 BOX_CAP = 40
 
 # Largest |lambda| for which decompose enumerates splittings.  Its
-# prefix-sum tables are int8 up to 127 boxes, and wider past that.  The
+# prefix-sum rows are packed in one-byte lanes up to 127 boxes, and in
+# wider lanes past that.  The slowest search found at the cap, over the
+# shipped basis elements of ranks 5-8 and a seeded sample of 500 40-box
+# pairs, (25,7,3,2,2,1 | 14,11,7,5,2,1), takes about 1.2 ms in a fresh
+# process (2026-10-20, 2 vCPUs, Python 3.11.7).  The
 # bitset subset-sum oracle takes the same cap on the 2A + 1 boxes
 # of an instance's reduction pair (values of total A), so it and the
 # search it is compared against refuse the same instances: A <= 19.

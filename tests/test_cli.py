@@ -695,7 +695,14 @@ def test_zero_pair_at_positive_rank(runner, command, code, fmt):
     result = run(runner, command, "0", "0", "-r", "2", "--format", fmt)
     assert result.exit_code == code
     if fmt == "json":
-        json.loads(result.stdout)
+        payload = json.loads(result.stdout)
+        if command == "reduce":
+            # irreducible points are nonzero: the zero pair has no
+            # decomposition, yet is not irreducible
+            assert payload["decomposition"] is None
+            assert payload["irreducible"] is False
+    elif command == "reduce":
+        assert "decomposition search: zero pair\n" in result.stdout
 
 
 def test_zero_width_rows_print_as_empty_lines(runner):

@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
 from itertools import accumulate
+from operator import sub
 from pathlib import Path
 
 import numpy as np
@@ -114,21 +116,22 @@ class TestDecompose:
         for p in shapes:
             table, bounds, mask = cone._splittings(p)
             n = size(p)
-            assert not table.flags.writeable
-            smallest = next(t for t in (np.int8, np.int16) if np.iinfo(t).max >= n)
-            assert table.dtype == smallest
-            assert len(bounds) == n + 2 and bounds[-1] == len(table)
+            assert isinstance(table, bytes)
+            rows, lane = table_rows(p, table, bounds)
+            assert lane == next(b for b in (1, 2) if 2 ** (8 * b - 1) > n)
+            assert len(bounds) == n + 2 and bounds[-1] == len(rows)
             vectors, _ = oracles._size_sorted_splittings(p)
-            assert (table == vectors.cumsum(axis=1)).all()
+            assert (rows == vectors.cumsum(axis=1)).all()
             for m in range(n + 1):
-                assert (table[bounds[m] : bounds[m + 1], -1] == m).all()
+                assert (rows[bounds[m] : bounds[m + 1], -1] == m).all()
                 assert bool(mask >> m & 1) == (bounds[m] < bounds[m + 1])
             assert mask >> (n + 1) == 0
         assert cone._splittings.cache_info().currsize <= limit
 
     # (conjugate lambda, conjugate mu): one reducible and one irreducible
-    # pair on either side of the int8 tables' 127 boxes, each with a size
-    # of small half that both sides share, so the blocks are compared
+    # pair on either side of the byte lanes' 127 boxes, each with a size
+    # of small half that both sides share, so the blocks are compared;
+    # the lanes are as wide as the signed dtype that holds the size
     @pytest.mark.parametrize(
         "lam_t, mu_t, dtype",
         [
@@ -142,8 +145,9 @@ class TestDecompose:
         monkeypatch.setattr(config, "SPLIT_CAP", 200)
         pair = KostkaPair(conjugate(lam_t), conjugate(mu_t))
         _, _, lam_mask = cone._splittings(pair.lam)
-        table, _, mu_mask = cone._splittings(pair.mu)
-        assert table.dtype == dtype
+        table, bounds, mu_mask = cone._splittings(pair.mu)
+        _, lane = table_rows(pair.mu, table, bounds)
+        assert lane == np.dtype(dtype).itemsize
         assert lam_mask & mu_mask & ((2 << pair.n // 2) - 2)
         assert decompose(pair) == oracles.splitting_decompose(pair), pair
 
@@ -176,6 +180,42 @@ class TestDecompose:
                 wide = KostkaPair(pair.lam, pair.mu, rank)
                 assert decompose(wide) == oracles.splitting_decompose(wide), wide
 
+    # lambda, mu, a lane t < len(lambda) that fails alone in some
+    # candidate the search visits, and whether the hit has a tight lane,
+    # A_t - B_t = Lambda_t - M_t > 0; mu is longer, so its rows have
+    # lanes past the compared ones
+    @pytest.mark.parametrize(
+        "lam, mu, alone, tight",
+        [
+            ((3, 3, 1), (3, 1, 1, 1, 1), 0, False),
+            # lane k - 1 never fails (see lane_checks), so k - 2 is the
+            # last lane that can
+            ((4, 3, 3), (3, 3, 1, 1, 1, 1), 1, False),
+            ((4, 3, 3), (3, 3, 2, 2), None, True),
+        ],
+        ids=["first-lane", "last-lane", "tight-gap"],
+    )
+    def test_lane_edges(self, lam, mu, alone, tight):
+        pair = KostkaPair(lam, mu)
+        checks = lane_checks(pair)
+        if alone is not None:
+            assert {alone} in [failed for failed, _ in checks]
+        failed, tight_lanes = checks[-1]
+        assert bool(tight_lanes and not failed) == tight
+        assert decompose(pair) == oracles.splitting_decompose(pair), pair
+
+    def test_wide_sample_matches_the_splitting_oracle(self):
+        """A seeded sample of cone pairs of 30-40 boxes, near the cap."""
+        rng = random.Random(34)
+        checked = 0
+        while checked < 1200:
+            n = rng.randint(30, 40)
+            lam, mu = random_partition(rng, n), random_partition(rng, n)
+            if oracles.dominance(lam, mu):
+                pair = KostkaPair(lam, mu)
+                assert decompose(pair) == oracles.splitting_decompose(pair), pair
+                checked += 1
+
     def test_reduction_witnesses_match_the_splitting_oracle(self):
         """Every subset-sum reduction pair of total at most 10: long,
         thin pairs at a rank well past len(lambda)."""
@@ -184,6 +224,44 @@ class TestDecompose:
                 for target in range(1, total + 1):
                     pair = reduce_to_kostka(SubsetSumInstance(values, target))
                     assert decompose(pair) == oracles.splitting_decompose(pair), pair
+
+
+def table_rows(p, table: bytes, bounds: list[int]) -> tuple[np.ndarray, int]:
+    """The rows of a splitting table of p as an integer array, one
+    column per part, and the bytes of one lane."""
+    lane = len(table) // (bounds[-1] * len(p))
+    return np.frombuffer(table, dtype=f">u{lane}").reshape(-1, len(p)), lane
+
+
+def lane_checks(pair: KostkaPair) -> list[tuple[set[int], set[int]]]:
+    """For each candidate (a, b) that the search visits, in its order,
+    up to and including the first hit: the coordinates t < len(lambda)
+    where 0 <= A_t - B_t <= Lambda_t - M_t fails, and those where
+    A_t - B_t = Lambda_t - M_t > 0.  No candidate fails at t =
+    len(lambda) - 1: there A_t = |a| >= B_t, and M_t - B_t <= |mu - b|,
+    so A_t - B_t <= n - M_t."""
+    k = len(pair.lam)
+    gap = np.cumsum(pair.lam) - np.cumsum(pair.mu)[:k]
+    lam_v, lam_sizes = oracles._size_sorted_splittings(pair.lam)
+    mu_v, mu_sizes = oracles._size_sorted_splittings(pair.mu)
+    checks = []
+    for m in range(1, pair.n // 2 + 1):
+        for a in lam_v[lam_sizes == m].cumsum(axis=1):
+            for b in mu_v[mu_sizes == m].cumsum(axis=1)[:, :k]:
+                diff = a - b
+                failed = set(np.flatnonzero((diff < 0) | (diff > gap)).tolist())
+                tight = set(np.flatnonzero((diff == gap) & (gap > 0)).tolist())
+                checks.append((failed, tight))
+                assert k - 1 not in failed
+                if not failed:
+                    return checks
+    return checks
+
+
+def random_partition(rng: random.Random, n: int) -> tuple[int, ...]:
+    """A partition of n > 0: the parts of a random composition, sorted."""
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    return tuple(sorted(map(sub, [*cuts, n], [0, *cuts]), reverse=True))
 
 
 def unpadded(row) -> tuple[int, ...]:
@@ -523,6 +601,14 @@ class TestHilbertBasis:
             for lam, mu in hilbert_basis(rank).keys():
                 pair = KostkaPair(lam, mu, rank=rank)
                 assert decompose(pair) is None
+
+    def test_shipped_elements_are_irreducible(self):
+        """Every shipped basis element of ranks 5-8 within the splitting
+        cap: each runs the search over every size both sides share."""
+        for rank in range(5, 9):
+            for pair in load_catalog(default_fixture_path(rank)).elements:
+                if pair.n <= config.SPLIT_CAP:
+                    assert decompose(pair) is None, pair
 
     def test_monotone_in_rank(self):
         previous: set = set()
