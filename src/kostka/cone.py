@@ -162,11 +162,12 @@ def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
     sizes m <= n // 2 set in both sides' masks are searched (none: the
     pair is irreducible without reading a row).  A half (a, b) of size
     m works iff 0 <= A_t - B_t <= Lambda_t - M_t at every coordinate t,
-    capital letters for prefix sums.  Only the first k = len(lambda)
-    coordinates are compared, the first k lanes of a mu-row: lambda
-    dominates mu, so mu has at least k parts, and at t >= k, A_t = m >=
-    B_t, while M_t - B_t, a prefix sum of mu - b, is at most |mu - b| =
-    n - m, which is the upper bound.
+    capital letters for prefix sums.  Only the first k - 1 coordinates,
+    k = len(lambda), are compared, the first k - 1 lanes of each row:
+    at t >= k - 1, A_t = m >= B_t, while M_t - B_t, a prefix sum of
+    mu - b, is at most |mu - b| = n - m, so A_t - B_t <= n - M_t, which
+    is the upper bound (lambda dominates mu, so mu has at least k parts
+    and Lambda_t = n there).  The hit halves are read from whole rows.
 
     The rows are compared as Python integers, every lane at once, as in
     :func:`_covered`.  With H the top bit of every lane and G the packed
@@ -187,22 +188,23 @@ def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
     lane = _lane(n)
     bits = 8 * lane
     wide, mu_wide = len(pair.lam) * lane, len(pair.mu) * lane
-    high = ((1 << 8 * wide) - 1) // ((1 << bits) - 1) << bits - 1
+    cut = wide - lane  # the bytes of the compared lanes
+    high = ((1 << 8 * cut) - 1) // ((1 << bits) - 1) << bits - 1
     # the last row of each table is the whole side
-    last = len(mu_rows) - mu_wide
-    gap = int.from_bytes(lam_rows[-wide:], "big")
-    gap -= int.from_bytes(mu_rows[last : last + wide], "big")
+    last, mu_last = len(lam_rows) - wide, len(mu_rows) - mu_wide
+    gap = int.from_bytes(lam_rows[last : last + cut], "big")
+    gap -= int.from_bytes(mu_rows[mu_last : mu_last + cut], "big")
     gap |= high
     while sizes:
         m = (sizes & -sizes).bit_length() - 1
         sizes &= sizes - 1
         first = mu_at[m] * mu_wide
         block = [
-            int.from_bytes(mu_rows[at : at + wide], "big")
+            int.from_bytes(mu_rows[at : at + cut], "big")
             for at in range(first, mu_at[m + 1] * mu_wide, mu_wide)
         ]
         for at in range(lam_at[m] * wide, lam_at[m + 1] * wide, wide):
-            a = int.from_bytes(lam_rows[at : at + wide], "big") | high
+            a = int.from_bytes(lam_rows[at : at + cut], "big") | high
             for j, b in enumerate(block):
                 d = a - b
                 if d & high == high and (gap - (d ^ high)) & high == high:

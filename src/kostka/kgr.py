@@ -18,13 +18,16 @@ Vertices are integer ids 0..n-1, numbered in row-major order of the
 nonzeros, and the graph holds ``rows``, ``cols``, ``signs`` and the
 head ``out`` of each vertex's out-arc; a vertex's incoming arcs are
 the ids whose ``out`` names it.  Two engines give the same answers
-and run the same checks.  A graph of at most :data:`LIST_VERTICES`
-vertices is held on Python lists, and its components and subtree come
-from the column forest in one pass from the left.  A larger one is held
-on numpy arrays, and its components come from one root-labelling pass
-(every vertex points, by pointer jumping, at the sink its out-walk ends
-in).  The lists win on small graphs, where numpy's per-call cost
-dominates, and the arrays on large ones.
+and run the same checks.  A graph of at most ``LIST_VERTICES`` vertices,
+the constant of :mod:`kostka.ryser`'s record gate, is held on Python
+lists, and its components and subtree come from the column forest in
+one pass from the left.  A star read off its fixing record hands over
+its vertices as those lists, without an array, and has at most three
+vertices a column, so every graph under the record gate is held on
+lists.  A larger graph is held on numpy arrays, and its components come
+from one root-labelling pass (every vertex points, by pointer jumping,
+at the sink its out-walk ends in).  The lists win on small graphs,
+where numpy's per-call cost dominates, and the arrays on large ones.
 :class:`Vertex` objects are built only for a witness and, lazily, for
 ``graph.vertices`` and ``graph.arcs``, which the renderers read.
 
@@ -53,12 +56,7 @@ import numpy as np
 
 from .errors import MalformedStarMatrix, NotAWitness
 from .partitions import KostkaPair, _non_integer
-from .ryser import StarMatrix, ryser_canonical, split_pair
-
-# Graphs of at most this many vertices (nonzeros of the star) are held
-# on lists, larger ones on arrays.  The list engine's time grows with the
-# vertices and the array engine's hardly does; they cross at 60-70.
-LIST_VERTICES = 64
+from .ryser import LIST_VERTICES, StarMatrix, _RecordStar, ryser_canonical, split_pair
 
 
 class Vertex(NamedTuple):
@@ -176,22 +174,28 @@ def _vertices(
 
 
 def build_graph(star: StarMatrix) -> KgrGraph:
-    """The arc graph of a star matrix, on lists up to
-    :data:`LIST_VERTICES` vertices and on arrays above.  Refuses a column
-    with two -1 entries and a -1 whose nearest nonzero on its left is not
-    a +1 of its row, naming the first offender in row-major order."""
-    if np.count_nonzero(star.entries) <= LIST_VERTICES:
+    """The arc graph of a star matrix: on lists for a star read off its
+    fixing record or of at most ``LIST_VERTICES`` vertices, on arrays
+    above.  Refuses a column with two -1 entries and a -1 whose nearest
+    nonzero on its left is not a +1 of its row, naming the first
+    offender in row-major order."""
+    if isinstance(star, _RecordStar) or np.count_nonzero(star.entries) <= LIST_VERTICES:
         return _build_lists(star)
     return _build_arrays(star)
 
 
 def _build_lists(star: StarMatrix) -> _ListGraph:
     """:func:`build_graph` on lists: one pass over the vertices checks
-    each -1 and fills the column forest's table."""
-    arr = star.entries
-    r0, c0 = arr.nonzero()  # row-major, so ids follow the sorted vertices
-    signs = arr[r0, c0].tolist()
-    rows, cols = (r0 + 1).tolist(), (c0 + 1).tolist()
+    each -1 and fills the column forest's table.  A star read off its
+    fixing record holds the vertices' lists already."""
+    # row-major, so ids follow the sorted vertices
+    if isinstance(star, _RecordStar):
+        rows, cols, signs = star.rows, star.cols, star.signs
+    else:
+        arr = star.entries
+        r0, c0 = arr.nonzero()
+        signs = arr[r0, c0].tolist()
+        rows, cols = (r0 + 1).tolist(), (c0 + 1).tolist()
     minus = [-1] * star.pair.width
     stray = -1  # the first -1 whose previous id is not a +1 of its row
     for v, sign in enumerate(signs):

@@ -13,11 +13,11 @@ largest sums takes at most two runs of rows: the top rows, whose sums
 exceed the k-th largest, and the southmost rows of the run equal to
 it.  A column costs a bisection and at most two list edits instead of
 a sort of all rows.  The procedure runs once per pair and records each
-column as its runs of 1s and 0s: :func:`ryser_canonical` writes the
-matrix from that record in one numpy repeat and keeps the last few
-matrices in a small LRU memo keyed by the pair, so the graph detector
-and the column sweep of one pair share one matrix.  One table of the
-matrix's prefix row sums, whose row i holds the row sums of its first
+column as its runs of 1s and 0s: :func:`ryser_canonical` builds the
+matrix from that record and keeps the last few matrices in a small LRU
+memo keyed by the pair, so the graph detector and the column sweep of
+one pair share one matrix.  One table of the matrix's prefix row sums,
+whose row i holds the row sums of its first
 lambda_1 - i columns, gives both the fixing chain and the shapes: stage
 i of :func:`fixing_chain` is the matrix's last i columns beside the
 flush-left rows of row i, since column s holds exactly the rows selected
@@ -51,22 +51,31 @@ recursion over the first columns: each head's own v* is tested alone,
 then added to those tail sums, one unsigned compare per block.  So the
 answer does not depend on the block size.
 
-Every matrix here, canonical, star or fixing-chain stage, is one
-read-only int8 array built once.  The canonical and star constructors
-validate it in a few fused whole-array numpy passes, since on the small
-matrices of most queries each numpy call costs more than its work:
+The canonical and star matrices are checked for:
 
-- canonical: 0/1 entries (one unsigned compare), row sums mu, column
-  sums lambda', and at most one run of 1s starting below the top row of
-  each column, anchored at the top in the leftmost column;
-- star: row sums mu*, the consecutive differences of the pair's mu, and
-  each column one of the three signatures, read off its int8 partial sums
-  from the bottom and its count of nonzeros.
+- canonical: 0/1 entries, row sums mu, column sums lambda', and at most
+  one run of 1s starting below the top row of each column, anchored at
+  the top in the leftmost column;
+- star: row sums mu*, the consecutive differences of the pair's mu, each
+  column one of the three signatures, and the leftmost a single +1.
 
-A failed check is located column by column only on the way to its error
-message.  A canonical matrix of more than
-``config.CELL_CAP`` cells is refused before the memo is consulted or the
-fixing procedure starts.
+Two paths build and check them, split by one gate: 3 * lambda_1 and the
+rank both at most :data:`LIST_VERTICES`.  Under it, where most queries
+fall and each numpy call would cost more than its work, both matrices
+are read off the fixing record in plain Python (:func:`_record_canonical`
+and :func:`star_matrix`): each column's cuts, 1s in rows [0, p) and
+[lo, q), and the star's vertices, at most three per column, come from
+one pass, every check above runs there, and a read-only int8 array is
+written only when a reader asks for ``entries``.  Above the gate, and
+for any matrix passed to ``CanonicalMatrix(pair, entries)`` or
+``StarMatrix(pair, entries)``, each matrix is one read-only int8 array
+built once and checked in a few fused whole-array numpy passes (0/1 by
+one unsigned compare, the signatures by int8 partial sums from the
+bottom and counts of nonzeros), a failed check located column by column
+only on the way to its error message.  Both paths refuse with the same
+exceptions and messages.  Every fixing-chain stage is one read-only
+int8 array.  A canonical matrix of more than ``config.CELL_CAP`` cells
+is refused before the memo is consulted or the fixing procedure starts.
 """
 
 from __future__ import annotations
@@ -75,6 +84,7 @@ import functools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import sub
 from typing import ClassVar, Iterator, Sequence
 
@@ -92,6 +102,14 @@ from .partitions import (
     conjugate,
     pad,
 )
+
+
+# Pairs with 3 * lambda_1 and the rank both at most this many have their
+# canonical and star matrices read off the fixing record; a star has at
+# most three nonzeros per column, so the graphs of :mod:`kostka.kgr` up
+# to this many vertices are held on lists.  Numpy's per-call cost
+# dominates below about this size, its per-cell cost above.
+LIST_VERTICES = 64
 
 
 def render_matrix(entries: np.ndarray | Sequence[Sequence[int]]) -> str:
@@ -128,8 +146,9 @@ def _cell_cap(cells: int, what: str) -> None:
 @dataclass(frozen=True, eq=False)
 class CanonicalMatrix:
     """Ryser's canonical matrix for a cone pair, held as one read-only
-    int8 array.  The fixing chain that produced it is rebuilt on demand
-    by :func:`fixing_chain`."""
+    int8 array (written on first read for a small pair, see
+    :class:`_RecordCanonical`).  The fixing chain that produced it is
+    rebuilt on demand by :func:`fixing_chain`."""
 
     pair: KostkaPair
     entries: np.ndarray
@@ -161,6 +180,11 @@ class CanonicalMatrix:
         """The star matrix, built and validated by :func:`star_matrix` on
         first use and shared by every later reader of this matrix."""
         return star_matrix(self)
+
+    def _row_sums(self, columns: list[int]) -> list[int]:
+        """The row sums of the given columns (1-based)."""
+        picked = self.entries.take([j - 1 for j in columns], axis=1)
+        return np.add.reduce(picked, axis=1).tolist()
 
 
 def _fixing_stages(pair: KostkaPair) -> list[int]:
@@ -262,13 +286,110 @@ def ryser_canonical(pair: KostkaPair) -> CanonicalMatrix:
 # both are frozen and their entries read-only.
 @functools.lru_cache(maxsize=8)
 def _canonical(pair: KostkaPair) -> CanonicalMatrix:
-    """Run the column-fixing procedure and return the canonical matrix,
-    written from the recorded runs in one step."""
+    """Run the column-fixing procedure and return the canonical matrix:
+    for a small pair read off the record by :func:`_record_canonical`,
+    for any other written from the record in one step and checked by
+    the constructor."""
     r, w = pair.rank, pair.width
     runs = _fixing_stages(pair)
-    # the record lists the columns right to left, each top to bottom
+    if 3 * w <= LIST_VERTICES and r <= LIST_VERTICES:
+        return _record_canonical(pair, runs)
+    return CanonicalMatrix(pair=pair, entries=_written(runs, r, w))
+
+
+def _written(runs: list[int], r: int, w: int) -> np.ndarray:
+    """The (r, w) 0/1 matrix of a fixing record, which lists the columns
+    right to left, each top to bottom."""
     flat = np.frombuffer(b"\x01\x00" * (2 * w), dtype=np.int8).repeat(runs)
-    return CanonicalMatrix(pair=pair, entries=flat.reshape(w, r)[::-1].T)
+    return flat.reshape(w, r)[::-1].T
+
+
+def _cut_sums(cuts: list[tuple[int, int, int]], r: int) -> list[int]:
+    """The row sums of columns with 1s in rows [0, p) and [lo, q), given
+    as their cuts (p, lo, q), from one difference table."""
+    starts = [0] * (r + 1)
+    starts[0] = len(cuts)
+    for p, lo, q in cuts:
+        starts[p] -= 1
+        starts[lo] += 1
+        starts[q] -= 1
+    starts.pop()
+    return list(accumulate(starts))
+
+
+def _record_canonical(pair: KostkaPair, runs: list[int]) -> CanonicalMatrix:
+    """The canonical matrix of a small pair, read off the fixing record
+    and checked there as the constructor checks its entries, with the
+    same exceptions and messages.
+
+    Column j's runs (p, lo - p, q - lo, r - q) of 1s, 0s, 1s and 0s give
+    its cuts: 1s in rows [0, p) and [lo, q).  Runs >= 0 that tile r rows
+    make a 0/1 column of at most two runs of 1s, the second under one at
+    the top, so the 0/1 and run checks hold by construction, and the row
+    sums come from one difference table.  The same pass records the
+    star's vertices: the column's differences with the row below are +1
+    at row p - 1, -1 at lo - 1 and +1 at q - 1, less those an empty run
+    cancels (an empty run of 0s merges the two runs of 1s, an empty
+    second run of 1s leaves the first alone).  A column whose runs do
+    not tile r rows has no matrix, and is refused before anything else."""
+    r, w = pair.rank, pair.width
+    heights = _conjugate(pair.lam)
+    cuts: list[tuple[int, int, int]] = []
+    # a vertex's key is 2 * (row * w + column), 0-based, plus 1 for a +1,
+    # so keys sort into row-major order
+    keys: list[int] = []
+    tall = False  # a column sum that is not lambda'
+    rest = iter(runs[::-1])  # left to right, each column bottom to top
+    w2 = 2 * w
+    for j, (d, c, b, a) in enumerate(zip(rest, rest, rest, rest)):
+        if (a | b | c | d) < 0 or a + b + c + d != r:
+            raise AssertionError(f"column {j + 1} runs {(a, b, c, d)} do not tile {r} rows")
+        lo = a + b
+        q = lo + c
+        cuts.append((a, lo, q))
+        tall = tall or a + c != heights[j]
+        at = 2 * j - w2  # the key of a -1 in row x - 1 is x * w2 + at
+        if c:
+            if b:
+                if a:
+                    keys.append(a * w2 + at + 1)
+                keys.append(lo * w2 + at)
+            keys.append(q * w2 + at + 1)
+        elif a:
+            keys.append(a * w2 + at + 1)
+    if _cut_sums(cuts, r) != list(pad(pair.mu, r)):
+        raise AssertionError("row sums do not match mu")
+    if tall:
+        raise AssertionError("column sums do not match conjugate(lambda)")
+    if w and not cuts[0][0] and 0 < cuts[0][1] < cuts[0][2]:
+        raise AssertionError("leftmost column not anchored at the top")
+    return _RecordCanonical(pair, runs, cuts, keys)
+
+
+class _RecordCanonical(CanonicalMatrix):
+    """A canonical matrix checked on its fixing record.  It keeps the
+    record, the columns' cuts and its star's vertices as sort keys, and
+    ``entries`` is written on first read."""
+
+    def __init__(
+        self,
+        pair: KostkaPair,
+        runs: list[int],
+        cuts: list[tuple[int, int, int]],
+        keys: list[int],
+    ) -> None:
+        for name, value in (("pair", pair), ("_runs", runs), ("_cuts", cuts), ("_keys", keys)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        arr = _written(self._runs, self.pair.rank, self.pair.width).copy()
+        arr.flags.writeable = False
+        return arr
+
+    def _row_sums(self, columns: list[int]) -> list[int]:
+        cuts = self._cuts
+        return _cut_sums([cuts[j - 1] for j in columns], self.pair.rank)
 
 
 def _prefix_sums(canonical: CanonicalMatrix) -> np.ndarray:
@@ -301,7 +422,8 @@ def fixing_chain(canonical: CanonicalMatrix) -> tuple[np.ndarray, ...]:
 class StarMatrix:
     """Row-difference matrix A*_{i,j} = A_{i,j} - A_{i+1,j} of a
     canonical matrix (phantom zero row below), with row sums
-    mu*_i = mu_i - mu_{i+1}, held as one read-only int8 array.
+    mu*_i = mu_i - mu_{i+1}, held as one read-only int8 array (written
+    on first read for a small pair, see :class:`_RecordStar`).
 
     Valid columns read, top to bottom, (+1), (-1, +1), or (+1, -1, +1);
     the leftmost column is a single +1.  The bottom row holds no -1, as
@@ -337,6 +459,27 @@ class StarMatrix:
             raise MalformedStarMatrix("leftmost column must be a single +1")
 
 
+class _RecordStar(StarMatrix):
+    """A star matrix read off a fixing record and checked there, held as
+    its nonzeros in row-major order: ``rows`` and ``cols`` (1-based) and
+    ``signs``.  ``entries`` is written on first read, a byte per vertex."""
+
+    def __init__(
+        self, pair: KostkaPair, rows: list[int], cols: list[int], signs: list[int]
+    ) -> None:
+        for name, value in (("pair", pair), ("rows", rows), ("cols", cols), ("signs", signs)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        r, w = self.pair.rank, self.pair.width
+        cells = bytearray(r * w)
+        for i, j, sign in zip(self.rows, self.cols, self.signs):
+            cells[(i - 1) * w + j - 1] = sign & 255  # -1 as int8
+        # a buffer of bytes makes the array read-only
+        return np.frombuffer(bytes(cells), dtype=np.int8).reshape(r, w)
+
+
 def _differences(mu: Partition, rank: int) -> tuple[int, ...]:
     """mu*_i = mu_i - mu_{i+1} over ``rank`` coordinates."""
     padded = pad(mu, rank)
@@ -345,11 +488,40 @@ def _differences(mu: Partition, rank: int) -> tuple[int, ...]:
 
 def star_matrix(canonical: CanonicalMatrix) -> StarMatrix:
     """The star matrix of a canonical matrix; readers share one through
-    ``canonical.star``."""
+    ``canonical.star``.  A matrix read off its fixing record gives the
+    star read off the same record, checked as the constructor checks
+    its entries: row sums mu*, a vertex in every column (the differences
+    of a 0/1 column make one of the three signatures unless the column
+    is empty) and the leftmost column a single +1."""
+    if isinstance(canonical, _RecordCanonical):
+        return _record_star(canonical)
     arr = canonical.entries
     star = arr.copy()
     star[:-1] -= arr[1:]
     return StarMatrix(pair=canonical.pair, entries=star)
+
+
+def _record_star(canonical: _RecordCanonical) -> StarMatrix:
+    """:func:`star_matrix` of a matrix read off its fixing record."""
+    pair = canonical.pair
+    r, w = pair.rank, pair.width
+    keys = sorted(canonical._keys)  # row-major order
+    w2 = 2 * w
+    rows = [k // w2 + 1 for k in keys]
+    cols = [(k >> 1) % w + 1 for k in keys]
+    signs = [2 * (k & 1) - 1 for k in keys]
+    sums = [0] * r
+    for i, sign in zip(rows, signs):
+        sums[i - 1] += sign
+    if tuple(sums) != _differences(pair.mu, r):
+        raise MalformedStarMatrix("row sums do not match mu*")
+    if len({*cols}) < w:
+        j = min({*range(1, w + 1)} - {*cols})
+        raise MalformedStarMatrix(f"column {j} pattern ()")
+    # column 1 holds one vertex unless it has a run of 0s between two of 1s
+    if w and canonical._cuts[0][0] < canonical._cuts[0][1] < canonical._cuts[0][2]:
+        raise MalformedStarMatrix("leftmost column must be a single +1")
+    return _RecordStar(pair, rows, cols, signs)
 
 
 # --- shape peeling ---------------------------------------------------------
@@ -573,8 +745,7 @@ def split_pair(
     # the row sums are mu, checked when the matrix was built, so the
     # complement's are what the selection leaves
     mu = pad(pair.mu, r)
-    picked = canonical.entries.take([j - 1 for j in sel], axis=1)
-    sums = np.add.reduce(picked, axis=1).tolist()
+    sums = canonical._row_sums(sel)
     # the column heights are lambda', checked when the matrix was built:
     # column j reaches row i exactly when j <= lambda_i, so row i of the
     # diagram of some columns counts those among the first lambda_i

@@ -28,7 +28,14 @@ from kostka.cone import (
 )
 from kostka.kgr import fast_reducibility, pair_graph, verify_subtree
 from kostka.lr import growth_table, verify_counterexample
-from kostka.partitions import KostkaPair, conjugate, dominates, kostka_count, kostka_positive
+from kostka.partitions import (
+    KostkaPair,
+    conjugate,
+    dominates,
+    kostka_count,
+    kostka_positive,
+    size,
+)
 from kostka.ryser import (
     fixing_chain,
     matrix_reducible,
@@ -201,6 +208,25 @@ def test_c05_pool_witnesses_are_pinned():
             )
         digest.update(repr(record).encode() + b"\n")
     assert digest.hexdigest() == POOL_WITNESS_SHA256
+
+
+def test_c05_pool_pairs_wider_than_their_rank_split_by_the_graph():
+    """The width theorem, one direction: a cone pair with lambda_1 >
+    rank is reducible.  Over the c05 pool each of the 1,917 such pairs
+    has a KGR witness, and its halves are cone pairs at the same rank
+    that add back to it."""
+    wide = [p for p in cone_pair_pool(13, max_width=7) if p.width > p.rank]
+    assert len(wide) == 1917
+    for pair in wide:
+        red = fast_reducibility(pair)
+        assert red is not None, pair
+        halves = (red.selected, red.complement)
+        for half in halves:
+            assert half.rank == pair.rank and half.n == size(half.mu) > 0, pair
+            assert dominates(half.lam, half.mu), pair
+        for side in (0, 1):
+            padded = [half.padded()[side] for half in halves]
+            assert tuple(map(sum, zip(*padded))) == pair.padded()[side], pair
 
 
 POOL_SWEEP_SHA256 = "75c7a8c18835ed0e10af5ea920f2537196b3418204e09ed5361f23e055e8557c"

@@ -12,7 +12,8 @@ the package raises is a :class:`KostkaError`, an ``AssertionError`` or
 a ``click.UsageError``, so the CLI gives each one its exit code.  The
 CLI exits only from ``_guarded`` (exit 2 or 3), ``_emit`` (exit 1) and
 ``basis`` (a fixture mismatch, exit 3), and every command takes
-``--format``."""
+``--format``.  The functions a small pair's graph detection runs
+through call no numpy."""
 
 from __future__ import annotations
 
@@ -189,6 +190,75 @@ def test_the_guard_sees_a_dead_helper():
         "b": "from .a import _Shape\nimport a\nprint(_Shape, a._SEEN)\n",
     }
     assert unread_private_names(sources) == ["a:_recursive", "a:_dead"]
+
+
+# the functions a small pair's graph detection runs through: Ryser's
+# procedure, the matrices read off its record, the graph on lists, its
+# subtree and the split, by module and qualified name
+RECORD_PATH = {
+    "ryser": (
+        "_fixing_stages",
+        "_cut_sums",
+        "_record_canonical",
+        "_RecordCanonical._row_sums",
+        "_record_star",
+        "split_pair",
+    ),
+    "kgr": (
+        "_build_lists",
+        "_column_roots",
+        "_first_columns",
+        "_list_referee",
+        "_find_on_lists",
+        "find_conservative_subtree",
+        "fast_reducibility",
+    ),
+}
+
+
+def numpy_reads(source: str, names) -> dict[str, list[int]]:
+    """For each of the module's functions or methods named (as
+    ``function`` or ``Class.method``), the lines where it reads an
+    attribute of ``np``; a name the module does not define maps to None."""
+    found: dict[str, list[int] | None] = dict.fromkeys(names)
+    tree = ast.parse(source)
+    defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [
+        (f"{node.name}.{item.name}", item)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+    ]
+    for name, node in defs:
+        if name in found:
+            found[name] = [
+                leaf.lineno
+                for leaf in ast.walk(node)
+                if (_named(leaf) or "").startswith("np.")
+            ]
+    return found
+
+
+def test_the_record_path_calls_no_numpy():
+    for module, names in RECORD_PATH.items():
+        source = (ROOT / "src" / "kostka" / f"{module}.py").read_text()
+        assert numpy_reads(source, names) == dict.fromkeys(names, []), module
+
+
+def test_the_guard_sees_numpy_on_the_record_path():
+    source = (
+        "import numpy as np\n"
+        "def pure(x): return sorted(x)\n"
+        "def mixed(x):\n    y = list(x)\n    return np.asarray(y)\n"
+        "class Held:\n    def sums(self):\n        return np.add.reduce(self.a)\n"
+    )
+    assert numpy_reads(source, ("pure", "mixed", "Held.sums", "gone")) == {
+        "pure": [],
+        "mixed": [5],
+        "Held.sums": [8],
+        "gone": None,
+    }
 
 
 def blind_spans(bindings, resolves) -> list[str]:

@@ -678,6 +678,88 @@ class TestTwoEngines:
             assert verify_subtree(graph, witness.vertices)
 
 
+def gate_pairs():
+    """Pairs on both sides of the record path's gate, 3 * lambda_1 <= 64
+    and rank <= 64: widths 21 and 22, ranks 64 and 65."""
+    rng = random.Random(35)
+    for w in (21, 22):
+        staircase = tuple(range(w, 0, -1))
+        yield KostkaPair(staircase, staircase)
+        yield KostkaPair((w,), (w - w // 2, w // 2))
+        yield from (basis_sum(rng.choice, rank, w) for rank in (4, 5, 6))
+    for r in (64, 65):
+        yield KostkaPair((21,) + (1,) * 43, (1,) * 64, rank=r)
+        yield KostkaPair((1,) * 64, (1,) * 64, rank=r)
+        yield KostkaPair((3, 2), (2, 2, 1), rank=r)
+        yield KostkaPair((4, 4), (4, 4), rank=r)
+
+
+def path_answers(canonical):
+    """What the detectors answer on one canonical matrix."""
+    graph = build_graph(canonical.star)
+    witness = find_conservative_subtree(graph)
+    halves = witness and split_pair(canonical, witness.columns)
+    sweep = outcome(matrix_reducible, canonical) or matrix_reducible(canonical)
+    return graph_payload(graph, witness), witness, halves, to_dot(graph, witness), sweep
+
+
+class TestRecordGate:
+    """Pairs under the gate are read off the fixing record, larger ones
+    written as arrays; either way every answer is the same."""
+
+    def test_both_paths_answer_alike_at_the_gate(self):
+        sides = set()
+        for pair in gate_pairs():
+            runs = ryser._fixing_stages(pair)
+            record = ryser._record_canonical(pair, runs)
+            arrays = ryser.CanonicalMatrix(
+                pair=pair, entries=ryser._written(runs, pair.rank, pair.width)
+            )
+            assert path_answers(record) == path_answers(arrays), pair
+            under = 3 * pair.width <= 64 and pair.rank <= 64
+            kind = ryser._RecordCanonical if under else ryser.CanonicalMatrix
+            assert type(ryser_canonical(pair)) is kind, pair
+            sides.add(under)
+        assert sides == {True, False}
+
+    def test_the_cli_prints_the_same_bytes_on_both_paths(self, monkeypatch):
+        from click.testing import CliRunner
+
+        from kostka.cli import main
+
+        def answers():
+            runner = CliRunner()
+            out = []
+            for pair in gate_pairs():
+                lam, mu = (",".join(map(str, side)) for side in pair.key())
+                for command, fmt in (
+                    ("ryser", "json"), ("kgr", "text"), ("kgr", "json"),
+                    ("kgr", "dot"), ("reduce", "json"),
+                ):
+                    args = [command, lam, mu, "-r", str(pair.rank), "--format", fmt]
+                    result = runner.invoke(main, args, catch_exceptions=False)
+                    out.append((result.exit_code, result.output))
+            return out
+
+        by_record = answers()
+        monkeypatch.setattr(ryser, "LIST_VERTICES", 0)  # every pair on arrays
+        ryser._canonical.cache_clear()
+        assert answers() == by_record
+
+    def test_a_pool_pair_writes_no_array(self, monkeypatch):
+        checked, fixed = [], []
+        for cls in (ryser.CanonicalMatrix, StarMatrix):
+            monkeypatch.setattr(cls, "__post_init__", lambda self: checked.append(self))
+        real = ryser._fixing_stages
+        monkeypatch.setattr(ryser, "_fixing_stages", lambda p: fixed.append(p) or real(p))
+        for pair in cone_pair_pool(13, max_width=7)[::97]:
+            fast_reducibility(pair)
+            canonical = ryser_canonical(pair)
+            assert "entries" not in vars(canonical) and "entries" not in vars(canonical.star)
+            assert fixed.count(pair) == 1
+        assert checked == []
+
+
 class TestInternalChecks:
     """Checks that no star can trip, on the running example's graph
     tampered with by hand."""

@@ -494,6 +494,177 @@ class TestFusedChecks:
         assert seen == set(STAR_CHECKS)
 
 
+def record_path(pair: KostkaPair) -> bool:
+    """Whether the pair's matrices are read off the fixing record."""
+    limit = ryser.LIST_VERTICES
+    return 3 * pair.width <= limit and pair.rank <= limit
+
+
+def record_pairs(running_pair: KostkaPair):
+    """The pairs under the record path's gate that the benchmark's
+    detector and wide-pairs workloads ask about: the c05 pool, the basis
+    sums of width 20 (the fixed ones and those of seeds 1-10), the ray
+    points primitive_point(RaySpec(a, a - 1, 2, a + 2)) under the gate,
+    and the running example."""
+    from test_kgr import basis_sum
+
+    yield running_pair
+    yield from cone_pair_pool(13, max_width=7)
+    for source in ("wide-pairs core", *range(1, 11)):
+        choose = random.Random(source).choice
+        yield from (basis_sum(choose, rank, 20) for rank in (4, 5, 6))
+    for a in range(5, 81):
+        point = primitive_point(RaySpec(a, a - 1, 2, a + 2))
+        if record_path(point):
+            yield point
+
+
+def written(pair: KostkaPair, runs: list[int]) -> np.ndarray:
+    """The matrix the array path writes from a fixing record."""
+    return ryser._written(runs, pair.rank, pair.width)
+
+
+def star_of(arr: np.ndarray) -> np.ndarray:
+    star = arr.copy()
+    star[:-1] -= arr[1:]
+    return star
+
+
+def run_mutations(runs: list[int], r: int, rng: random.Random):
+    """(kind, record) for mutations of a fixing record, whose columns
+    are listed right to left, each as its four runs of 1s, 0s, 1s, 0s."""
+    w = len(runs) // 4
+    for _ in range(2):
+        j = rng.randrange(w)
+        give, take = rng.sample(range(4), 2)
+        if runs[4 * j + give]:
+            mutant = list(runs)
+            mutant[4 * j + give] -= 1
+            mutant[4 * j + take] += 1
+            yield "unit moved", mutant
+    if w > 1:
+        j, k = sorted(rng.sample(range(w), 2))
+        mutant = list(runs)
+        mutant[4 * j : 4 * j + 4], mutant[4 * k : 4 * k + 4] = (
+            runs[4 * k : 4 * k + 4],
+            runs[4 * j : 4 * j + 4],
+        )
+        yield "columns swapped", mutant
+    # cut p, lo or q (the end of run 0, 1 or 2) one row up or down
+    j, cut = rng.randrange(w), rng.randrange(3)
+    for step in (1, -1):
+        at = 4 * j + cut
+        if runs[at + 1] - step >= 0 and runs[at] + step >= 0:
+            mutant = list(runs)
+            mutant[at] += step
+            mutant[at + 1] -= step
+            yield "cut shifted", mutant
+    # column 1, listed last, with its 1s moved one row down
+    ones = runs[-4] + runs[-2]
+    if ones < r:
+        yield "column 1 unanchored", runs[:-4] + [0, 1, ones, r - 1 - ones]
+    j, at = rng.randrange(w), rng.randrange(4)
+    for step in (1, -1):
+        if runs[4 * j + at] + step >= 0:
+            mutant = list(runs)
+            mutant[4 * j + at] += step
+            yield "tiles r + 1" if step > 0 else "tiles r - 1", mutant
+
+
+def record_outcome(pair: KostkaPair, runs: list[int]):
+    """The record path's verdict: its canonical matrix, then its star."""
+    return outcome(lambda: ryser._record_canonical(pair, runs).star)
+
+
+class TestRecordPath:
+    """The canonical and star matrices read off the fixing record, and
+    checked there, against the array path and the entries constructors
+    as referees."""
+
+    def test_every_gate_pair_takes_the_record_path(self, running_pair):
+        for pair in record_pairs(running_pair):
+            assert record_path(pair), pair
+            assert type(ryser_canonical(pair)) is ryser._RecordCanonical
+
+    def test_record_matrices_pass_the_constructors(self, running_pair):
+        for pair in record_pairs(running_pair):
+            canonical = ryser._record_canonical(pair, ryser._fixing_stages(pair))
+            star = canonical.star
+            arrays = CanonicalMatrix(pair=pair, entries=written(pair, canonical._runs))
+            for matrix, expected, kind in (
+                (canonical, arrays.entries, CanonicalMatrix),
+                (star, star_matrix(arrays).entries, StarMatrix),
+            ):
+                entries = matrix.entries
+                assert not entries.flags.writeable
+                assert entries.dtype == np.int8 and entries.shape == expected.shape
+                assert np.array_equal(entries, expected), pair
+                assert np.array_equal(kind(pair=pair, entries=entries).entries, expected)
+            r0, c0 = star.entries.nonzero()
+            assert star.rows == (r0 + 1).tolist() and star.cols == (c0 + 1).tolist()
+            assert star.signs == star.entries[r0, c0].tolist()
+
+    def test_mutated_records_are_refused_as_their_matrices(self, running_pair):
+        """A mutated record whose columns each tile r rows is refused by
+        the record checks exactly when the entries constructors refuse
+        the matrix the array path writes from it, with the same type and
+        message.  A column tiling r +- 1 has no such matrix: the record
+        checks refuse it, as the canonical constructor refuses the
+        record's repeat, by type."""
+        rng = random.Random(35)
+        kinds, messages = set(), set()
+        for pair in (running_pair, *cone_pair_pool(9)):
+            r, w = pair.rank, pair.width
+            for kind, runs in run_mutations(ryser._fixing_stages(pair), r, rng):
+                kinds.add(kind)
+                got = record_outcome(pair, runs)
+                if any(sum(runs[i : i + 4]) != r for i in range(0, 4 * w, 4)):
+                    assert got and got[0] is AssertionError, (pair, runs)
+                    assert "do not tile" in got[1]
+                    flat = np.frombuffer(b"\x01\x00" * (2 * w), np.int8).repeat(runs)
+                    assert outcome(CanonicalMatrix, pair, flat)[0] is AssertionError
+                    continue
+                arr = written(pair, runs)
+                expected = outcome(CanonicalMatrix, pair=pair, entries=arr)
+                if expected is None:
+                    expected = outcome(StarMatrix, pair=pair, entries=star_of(arr))
+                assert got == expected, (pair, kind, runs)
+                if got:
+                    messages.add(got[1])
+        assert len(kinds) == 6, kinds
+        assert messages >= {
+            "row sums do not match mu",
+            "column sums do not match conjugate(lambda)",
+            "leftmost column not anchored at the top",
+            "leftmost column must be a single +1",
+        }, messages
+
+    def test_star_checks_refuse_corrupted_vertices(self, running_pair):
+        """The star's own checks guard the vertices the record pass
+        derives: with one vertex dropped, or column 1 given a second run
+        of 1s, they refuse the star as the constructor refuses it."""
+        canonical = ryser_canonical(running_pair)
+        keys, cuts = canonical._keys, canonical._cuts
+        r, w = running_pair.rank, running_pair.width
+        for k in range(len(keys)):
+            corrupt = ryser._RecordCanonical(
+                running_pair, canonical._runs, cuts, keys[:k] + keys[k + 1 :]
+            )
+            entries = star_of(canonical.entries).ravel().copy()
+            entries[keys[k] >> 1] = 0
+            expected = outcome(StarMatrix, running_pair, entries.reshape(r, w))
+            assert outcome(star_matrix, corrupt) == expected
+            assert expected == (MalformedStarMatrix, "row sums do not match mu*")
+        # column 1 holds 1s in rows 1-6; make them rows 1-4 and row 6
+        assert cuts[0] == (0, 0, 6)
+        corrupt = ryser._RecordCanonical(
+            running_pair, canonical._runs, [(4, 5, 6), *cuts[1:]], keys
+        )
+        assert outcome(star_matrix, corrupt) == (
+            MalformedStarMatrix, "leftmost column must be a single +1"
+        )
+
+
 class TestStarMatrix:
     def test_golden_star(self, running_pair):
         star = star_matrix(ryser_canonical(running_pair))
