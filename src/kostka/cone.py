@@ -710,7 +710,6 @@ class AuditReport:
 def width_bound_audit(rank: int) -> AuditReport:
     """Checks, raising :class:`AssertionFailure` on any violation:
 
-    - every basis element has lambda_1 <= rank;
     - basis elements with lambda_1 = rank have both sides rectangular;
     - every cone pair with lambda_1 = rank + 1 is reducible, certified
       by a basis element below it in slack order (the difference is
@@ -718,14 +717,16 @@ def width_bound_audit(rank: int) -> AuditReport:
       the width theorem).
 
     Such a pair has at most rank * (rank + 1) boxes, the report's
-    ``box_cap``, so the whole lambda_1 = rank + 1 layer is checked.
+    ``box_cap``, so the whole lambda_1 = rank + 1 layer is checked.  No
+    basis element is wider than the rank by construction, since
+    :func:`_minimal_slacks` takes candidates only inside the rank x rank
+    box; the width bound itself is tested by the last check, on the
+    layer just outside the box.
     """
     box_cap = rank * (rank + 1)
     elements, basis = _minimal_slacks(rank)
     full_width = 0
     for pair in elements:
-        if pair.width > rank:
-            raise AssertionFailure(f"basis pair {pair} is wider than the rank")
         if pair.width == rank:
             full_width += 1
             if not (_is_rectangle(pair.lam) and _is_rectangle(pair.mu)):

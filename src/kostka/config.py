@@ -32,12 +32,12 @@ BOX_CAP = 40
 SPLIT_CAP = 40
 
 # Most cells a column-subset sweep of a matrix may visit, (2^w - 2) * rank,
-# checked before the sweep; it bounds the sweep's time, as CHUNK_BITS
-# bounds its memory.  It refuses every width >= 26, and width 25 above
-# rank 1.  A full miss near the cap, the primitive point of
-# RaySpec(20, 19, 11, 31) (width 20, rank 31, 32,505,794 cells), takes
-# 0.07-0.11 s at a 37 MB peak in a fresh process (2 vCPUs, Python 3.11.7,
-# numpy 2.4.6).
+# checked before the sweep; it bounds the sweep's time.  It refuses every
+# width >= 26, and width 25 above rank 1.  A full miss near the cap, the
+# primitive point of RaySpec(20, 19, 11, 31) (width 20, rank 31,
+# 32,505,794 cells), takes 0.1-0.2 ms, as the walk tests 210 of its
+# 2^20 - 2 subsets, in a fresh process of 33 MB max RSS (2 vCPUs, Python
+# 3.11.7).  A walk of that pair that skipped none took 0.39 s.
 SWEEP_CAP = 2**25
 
 # Most cells in a canonical matrix, rank * lambda_1, checked before the
@@ -80,12 +80,8 @@ FAMILY_CAP = 10_000
 # 64-bit integer so numpy paths never overflow.
 INT_CAP = 2**63 - 1
 
-# numpy broadcasts are chunked to at most 2^CHUNK_BITS cells to keep
-# peak memory flat: the column-subset sweep (ryser.sweep_proper_subsets),
-# whose table of tail subsets (ryser._tuple_order) and its product, one
-# row of rank cells per subset, take fewer subsets the wider the matrix;
-# and the Hilbert-basis slack scan (cone._covered), whose cells
-# are bytes: its chunks of slack rows and its uint64 word temporaries
+# The Hilbert-basis slack scan (cone._covered) is chunked to keep peak
+# memory flat: its chunks of slack rows and its uint64 word temporaries
 # hold at most 2^CHUNK_BITS bytes each, or one word-padded row when that
 # is wider.
 CHUNK_BITS = 20

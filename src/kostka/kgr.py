@@ -56,7 +56,14 @@ import numpy as np
 
 from .errors import MalformedStarMatrix, NotAWitness
 from .partitions import KostkaPair, _non_integer
-from .ryser import LIST_VERTICES, StarMatrix, _RecordStar, ryser_canonical, split_pair
+from .ryser import (
+    LIST_VERTICES,
+    StarMatrix,
+    _RecordStar,
+    _star_vertices,
+    ryser_canonical,
+    split_pair,
+)
 
 
 class Vertex(NamedTuple):
@@ -189,13 +196,7 @@ def _build_lists(star: StarMatrix) -> _ListGraph:
     each -1 and fills the column forest's table.  A star read off its
     fixing record holds the vertices' lists already."""
     # row-major, so ids follow the sorted vertices
-    if isinstance(star, _RecordStar):
-        rows, cols, signs = star.rows, star.cols, star.signs
-    else:
-        arr = star.entries
-        r0, c0 = arr.nonzero()
-        signs = arr[r0, c0].tolist()
-        rows, cols = (r0 + 1).tolist(), (c0 + 1).tolist()
+    rows, cols, signs = _star_vertices(star)
     minus = [-1] * star.pair.width
     stray = -1  # the first -1 whose previous id is not a +1 of its row
     for v, sign in enumerate(signs):

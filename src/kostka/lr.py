@@ -144,11 +144,10 @@ class GrowthRow:
 
 
 def _growth_row(k: int) -> GrowthRow:
-    """Row k of the growth table, with nu_1 > rank checked to start at k = 4."""
+    """Row k of the growth table; nu_1 > rank from k = 4 on, since
+    k(k - 1) > 3k - 1 iff k^2 - 4k + 1 > 0."""
     rank = 3 * k - 1
     nu1 = k * (k - 1)
-    if (nu1 > rank) != (k >= 4):
-        raise AssertionFailure(f"nu_1 > rank should first happen at k=4; k={k}")
     return GrowthRow(k=k, rank=rank, nu1=nu1, exceeds_rank=nu1 > rank)
 
 

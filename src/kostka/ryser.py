@@ -37,19 +37,18 @@ and complementary row-sum vectors stay weakly decreasing) is decided by
 swept cells, and :func:`split_pair` materializes the two summand pairs.
 Its test runs on the shared star matrix: the S-selected sums of each
 row's difference with the next, v*, must satisfy 0 <= v* <= mu*.  The
-decision is an exhaustive sweep, :func:`sweep_proper_subsets`: the
-2^w - 2 proper nonempty column subsets are tested in order of their
-sorted index tuples, and the sweep stops at the first accepted subset.
-That order has a recursion: (1), then (1) joined to each subset of the
-later columns in their order, then those subsets alone.
-:func:`_tuple_order` builds each width's table of the nonempty subsets
-from the next narrower one and keeps it read-only in an LRU cache of at
-most 16 widths.  Since v* is additive over S, the sweep takes the v* of
-every subset of the last columns in one int8 product with the widest
-table whose product fits 2^CHUNK_BITS cells, and walks the same
-recursion over the first columns: each head's own v* is tested alone,
-then added to those tail sums, one unsigned compare per block.  So the
-answer does not depend on the block size.
+decision is an exhaustive sweep, :func:`sweep_proper_subsets`, over the
+proper nonempty column subsets in order of their sorted index tuples,
+which stops at the first accepted subset.  That order is a depth-first
+walk: (1), then (1) joined to each subset of the later columns in their
+order, then those subsets alone.  The walk runs in plain Python on the
+star's nonzeros, at most three per column: v* of the subset at hand is
+one integer with a lane of bits per row, a column adds its packed
+entries, and both bounds are tested in every lane at once by
+subtractions that borrow across no lane, as :mod:`kostka.cone` tests
+dominance.  A subset whose v* leaves a bound in some row even with the
++1s (or the -1s) of every later column added cannot be extended to an
+accepted one, so the walk skips it and its extensions.
 
 The canonical and star matrices are checked for:
 
@@ -86,7 +85,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -187,7 +186,7 @@ class CanonicalMatrix:
         return np.add.reduce(picked, axis=1).tolist()
 
 
-def _fixing_stages(pair: KostkaPair) -> list[int]:
+def _fixing_stages(pair: KostkaPair) -> tuple[list[int], Partition]:
     """Run the column-fixing procedure and record its decisions.
 
     The row sums of the current prefix shape mu^(i) stay weakly
@@ -216,9 +215,10 @@ def _fixing_stages(pair: KostkaPair) -> list[int]:
 
     Returns the record, for s = lambda_1 down to 1 in turn, of column s
     read top to bottom as runs of 1s, 0s, 1s and 0s: p, lo - p, q - lo
-    and r - q.  A selected row's rightmost 1 moves into column s, which
-    no later step touches, so this is also column s of the canonical
-    matrix."""
+    and r - q, and lambda', which the record's reader checks the column
+    sums against.  A selected row's rightmost 1 moves into column s,
+    which no later step touches, so this is also column s of the
+    canonical matrix."""
     r, lam = pair.rank, pair.lam
     lam_conj = _conjugate(lam)
     # nu negated, so that it ascends for bisection, and closed by a
@@ -267,7 +267,7 @@ def _fixing_stages(pair: KostkaPair) -> list[int]:
         del neg[t - m : t]
         runs += (0, 0, k, r - k) * m
         s -= m
-    return runs
+    return runs, lam_conj
 
 
 def ryser_canonical(pair: KostkaPair) -> CanonicalMatrix:
@@ -291,9 +291,9 @@ def _canonical(pair: KostkaPair) -> CanonicalMatrix:
     for any other written from the record in one step and checked by
     the constructor."""
     r, w = pair.rank, pair.width
-    runs = _fixing_stages(pair)
+    runs, heights = _fixing_stages(pair)
     if 3 * w <= LIST_VERTICES and r <= LIST_VERTICES:
-        return _record_canonical(pair, runs)
+        return _record_canonical(pair, runs, heights)
     return CanonicalMatrix(pair=pair, entries=_written(runs, r, w))
 
 
@@ -317,10 +317,11 @@ def _cut_sums(cuts: list[tuple[int, int, int]], r: int) -> list[int]:
     return list(accumulate(starts))
 
 
-def _record_canonical(pair: KostkaPair, runs: list[int]) -> CanonicalMatrix:
+def _record_canonical(pair: KostkaPair, runs: list[int], heights: Partition) -> CanonicalMatrix:
     """The canonical matrix of a small pair, read off the fixing record
     and checked there as the constructor checks its entries, with the
-    same exceptions and messages.
+    same exceptions and messages; ``heights`` is lambda', the column
+    sums the matrix must have.
 
     Column j's runs (p, lo - p, q - lo, r - q) of 1s, 0s, 1s and 0s give
     its cuts: 1s in rows [0, p) and [lo, q).  Runs >= 0 that tile r rows
@@ -333,7 +334,6 @@ def _record_canonical(pair: KostkaPair, runs: list[int]) -> CanonicalMatrix:
     second run of 1s leaves the first alone).  A column whose runs do
     not tile r rows has no matrix, and is refused before anything else."""
     r, w = pair.rank, pair.width
-    heights = _conjugate(pair.lam)
     cuts: list[tuple[int, int, int]] = []
     # a vertex's key is 2 * (row * w + column), 0-based, plus 1 for a +1,
     # so keys sort into row-major order
@@ -478,6 +478,17 @@ class _RecordStar(StarMatrix):
             cells[(i - 1) * w + j - 1] = sign & 255  # -1 as int8
         # a buffer of bytes makes the array read-only
         return np.frombuffer(bytes(cells), dtype=np.int8).reshape(r, w)
+
+
+def _star_vertices(star: StarMatrix) -> tuple[list[int], list[int], list[int]]:
+    """The star's nonzeros in row-major order, as lists of their rows and
+    columns (1-based) and signs: a star read off its fixing record holds
+    them, another one's are read off its entries."""
+    if isinstance(star, _RecordStar):
+        return star.rows, star.cols, star.signs
+    arr = star.entries
+    r0, c0 = arr.nonzero()
+    return (r0 + 1).tolist(), (c0 + 1).tolist(), arr[r0, c0].tolist()
 
 
 def _differences(mu: Partition, rank: int) -> tuple[int, ...]:
@@ -628,76 +639,63 @@ def shape_sequence(canonical: CanonicalMatrix) -> ShapeSequence:
 # --- column-subset reducibility -------------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
-def _tuple_order(width: int) -> np.ndarray:
-    """The 2^width - 1 nonempty subsets of [1..width] as a read-only
-    (2^width - 1, width) int8 table of indicator rows, in sorted index
-    tuple order: (1), (1, 2), ..., (1, ..., width), (1, 3), ..., (width).
-
-    That order is (1), then (1) joined to each subset of [2..width] in
-    its own order, then those subsets alone, so the table is built from
-    the one a column narrower."""
-    table = np.zeros(((1 << width) - 1, width), dtype=np.int8)
-    if width:
-        rest = _tuple_order(width - 1)
-        half = len(rest) + 1
-        table[:half, 0] = 1
-        table[1:half, 1:] = rest
-        table[half:, 1:] = rest
-    table.flags.writeable = False
-    return table
-
-
-def _heads(
-    diff: np.ndarray, front: int, head: tuple[int, ...] = (), own=None, start: int = 0
-) -> Iterator[tuple[tuple[int, ...], np.ndarray | None, bool]]:
-    """The blocks of the tuple order whose head, its rows among the
-    first ``front`` of ``diff``, extends ``head`` (rows below ``start``,
-    summing to ``own``, None if empty) by rows from ``start`` on, as
-    (head, own, alone): the head that adds row ``start`` alone, its
-    extensions, those without it, and last ``head`` joined to each
-    nonempty subset of the rows from ``front`` on."""
-    if start == front:
-        yield head, own, False
-        return
-    joined = diff[start] if own is None else own + diff[start]
-    yield (*head, start), joined, True
-    yield from _heads(diff, front, (*head, start), joined, start + 1)
-    yield from _heads(diff, front, head, own, start + 1)
-
-
 def sweep_proper_subsets(
-    width: int, diff: np.ndarray, mu_star: np.ndarray
+    width: int, rows: Sequence[int], cols: Sequence[int], signs: Sequence[int],
+    mu_star: Sequence[int],
 ) -> tuple[int, ...] | None:
-    """First (by sorted-index-tuple order) proper nonempty subset of the
-    ``width`` int8 rows of ``diff``, as 1-based positions, whose sum v*
-    satisfies 0 <= v* <= ``mu_star``, or None.  v* is compared as uint8,
-    where a negative entry exceeds every bound of ``mu_star`` (uint8).
+    """First (by sorted-index-tuple order) proper nonempty subset S of
+    the ``width`` columns, as 1-based positions, whose sum v* satisfies
+    0 <= v* <= ``mu_star`` (one entry per row), or None.  The columns
+    hold the entries ``signs``, each +1 or -1, at the 1-based ``rows``
+    and ``cols``, at most one per cell, and 0 elsewhere.
 
-    The v* of the subsets of the last ``tail`` rows are one product with
-    the :func:`_tuple_order` table, of 2^tail - 1 rows of
-    max(width, rank) cells within 2^CHUNK_BITS (one row at least); each
-    head's own v* is tested alone, then added to them.  So no temporary
-    holds more than 2^CHUNK_BITS cells unless one row is wider.  The
-    sweep stops at the first block with a hit other than the full set,
-    row width - 1 of the order."""
+    The order is a depth-first walk: each subset, then its extensions by
+    later columns.  Row i is lane i, b bits wide, of a Python int, with
+    b = (width + max mu*).bit_length() + 1, so the counts P_i of +1s and
+    N_i of -1s in S, and mu*_i + N_i, lie below each lane's top bit H.
+    Then (P | H) - N and ((mu* + N) | H) - P borrow across no lane, and S
+    passes iff both keep every H bit; as P | H = P + H, the walk keeps
+    only D = P - N.  Before a subset is tested, the same test runs with
+    the +1s of every later column added to P and their -1s to N: a row
+    that fails even then fails in every extension, so the subset and its
+    extensions are skipped.  The full set is never an answer."""
     if width < 2:
         return None
-    chunk = max(1, (1 << config.CHUNK_BITS) // max(width, diff.shape[1]))
-    tail = min(width, (chunk + 1).bit_length() - 1)
-    front = width - tail
-    table = _tuple_order(tail)
-    sums = table @ diff[front:]
-    seen = 0
-    for head, own, alone in _heads(diff, front):
-        v = sums if own is None else own[None] if alone else own + sums
-        good = (v.view(np.uint8) <= mu_star).all(axis=1)
-        for at in good.nonzero()[0][:2].tolist():
-            if seen + at != width - 1:
-                rest = [] if alone else (table[at].nonzero()[0] + front).tolist()
-                return tuple(j + 1 for j in (*head, *rest))
-        seen += len(v)
-    return None
+    b = (width + max(mu_star, default=0)).bit_length() + 1
+    high = ((1 << len(mu_star) * b) - 1) // ((1 << b) - 1) << b - 1
+    bound = high
+    for i, m in enumerate(mu_star):
+        bound += m << i * b
+    plus, minus = [0] * width, [0] * width
+    for i, j, sign in zip(rows, cols, signs):
+        if sign > 0:
+            plus[j - 1] += 1 << (i - 1) * b
+        else:
+            minus[j - 1] += 1 << (i - 1) * b
+    column = list(map(sub, plus, minus))
+    # the bounds of a subset whose last column is j, loosened by the
+    # columns after j
+    low, top = [high] * width, [bound] * width
+    for j in range(width - 1, 0, -1):
+        low[j - 1] = low[j] + plus[j]
+        top[j - 1] = top[j] + minus[j]
+    path: list[int] = []  # the subset, 1-based
+    before: list[int] = []  # D of each shorter prefix of the path
+    j = d = 0  # the next column to try, 0-based, and D of the path
+    while True:
+        if j == width:  # no column left to add: drop the path's last
+            if not path:
+                return None
+            j, d = path.pop(), before.pop()
+            continue
+        e = d + column[j]
+        if (low[j] + e) & (top[j] - e) & high == high:
+            path.append(j + 1)
+            if (high + e) & (bound - e) & high == high and len(path) < width:
+                return tuple(path)
+            before.append(d)
+            d = e
+        j += 1
 
 
 def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:
@@ -709,7 +707,8 @@ def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:
     matrix (phantom zero row below): v*_i, the sum of D_ij over j in S,
     is s_i - s_(i+1) for the S row sums s, so they decrease iff v* >= 0,
     and the complement's iff v* <= mu*; the last row holds both always.
-    |v*_i| <= width <= 25 under the cap, so v* is exact in int8.
+    The sweep reads the star's nonzeros, at most three per column, so a
+    star read off its fixing record writes no array.
 
     Raises :class:`WidthCapExceeded` before sweeping above
     ``config.SWEEP_CAP`` swept cells, (2^width - 2) * rank, since every
@@ -720,7 +719,7 @@ def matrix_reducible(canonical: CanonicalMatrix) -> tuple[int, ...] | None:
     if cells > config.SWEEP_CAP:
         raise WidthCapExceeded(f"sweep of {cells} cells exceeds cap {config.SWEEP_CAP}")
     star = canonical.star
-    return sweep_proper_subsets(w, star.entries.T, np.asarray(star.mu_star, dtype=np.uint8))
+    return sweep_proper_subsets(w, *_star_vertices(star), star.mu_star)
 
 
 def split_pair(

@@ -57,42 +57,6 @@ def as_partition_calls(monkeypatch) -> list:
     return calls
 
 
-class _Recorded(np.ndarray):
-    """An array whose ufunc results, and theirs in turn, are logged as
-    (ufunc name, method, shape) in the list ``log`` it shares with
-    them."""
-
-    def __array_finalize__(self, obj) -> None:
-        self.log = getattr(obj, "log", None)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        plain = [x.view(np.ndarray) if isinstance(x, _Recorded) else x for x in inputs]
-        result = getattr(ufunc, method)(*plain, **kwargs)
-        self.log.append((ufunc.__name__, method, np.shape(result)))
-        if not isinstance(result, np.ndarray):
-            return result
-        out = result.view(_Recorded)
-        out.log = self.log
-        return out
-
-
-@pytest.fixture
-def sweep_log(monkeypatch) -> list:
-    """(ufunc name, method, shape) of every array that
-    ``ryser.sweep_proper_subsets`` computes from its rows from now on:
-    its temporaries, one ``less_equal`` per block it tests."""
-    log: list = []
-    real = ryser.sweep_proper_subsets
-
-    def spy(width, diff, mu_star):
-        rows = np.asarray(diff).view(_Recorded)
-        rows.log = log
-        return real(width, rows, mu_star)
-
-    monkeypatch.setattr(ryser, "sweep_proper_subsets", spy)
-    return log
-
-
 def read_matrix_blocks(name: str) -> list[tuple[tuple[int, ...], ...]]:
     """Blank-line separated integer matrices from tests/fixtures."""
     text = (FIXTURES / name).read_text()

@@ -278,23 +278,6 @@ def rank_order_sweep(width: int, predicate, cells: int) -> tuple[int, ...] | Non
     return tuple(j + 1 for j in range(width) if best >> j & 1)
 
 
-def rank_order_table(width: int) -> np.ndarray:
-    """The nonempty subsets of [1..width] as (2^width - 1, width) int8
-    indicator rows in sorted index tuple order, sorted by one integer.
-    Read a row as R, position j weighing 2^(width - j).  The tuples
-    before (i_1 < ... < i_k) are its k - 1 proper nonempty prefixes and,
-    for each m and each j strictly between i_(m-1) and i_m (i_0 = 0), the
-    2^(width - j) tuples that agree with it before m and take j at m.
-    They add up to 2^width - 1 + k - R - (R & -R), so the rows are
-    sorted by k - R - (R & -R)."""
-    reach = np.arange(1, 1 << width, dtype=np.int64)
-    bits = np.empty((reach.size, width), dtype=np.int8)
-    for j in range(width):
-        bits[:, j] = reach >> (width - 1 - j) & 1
-    rank = bits.sum(axis=1, dtype=np.int64) - reach - (reach & -reach)
-    return bits[np.argsort(rank)]
-
-
 def catalan_sweep(entries: Sequence[int]) -> tuple[int, ...] | None:
     """``catalan_reducible`` as the library first computed it: every one
     of the 2^t - 2 proper nonempty masks tested at once by int64 prefix

@@ -192,9 +192,10 @@ def test_the_guard_sees_a_dead_helper():
     assert unread_private_names(sources) == ["a:_recursive", "a:_dead"]
 
 
-# the functions a small pair's graph detection runs through: Ryser's
-# procedure, the matrices read off its record, the graph on lists, its
-# subtree and the split, by module and qualified name
+# the functions a small pair's graph detection and column sweep run
+# through: Ryser's procedure, the matrices read off its record, the
+# graph on lists, its subtree, the sweep and the split, by module and
+# qualified name
 RECORD_PATH = {
     "ryser": (
         "_fixing_stages",
@@ -202,6 +203,9 @@ RECORD_PATH = {
         "_record_canonical",
         "_RecordCanonical._row_sums",
         "_record_star",
+        "_star_vertices",
+        "matrix_reducible",
+        "sweep_proper_subsets",
         "split_pair",
     ),
     "kgr": (

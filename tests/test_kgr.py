@@ -710,8 +710,8 @@ class TestRecordGate:
     def test_both_paths_answer_alike_at_the_gate(self):
         sides = set()
         for pair in gate_pairs():
-            runs = ryser._fixing_stages(pair)
-            record = ryser._record_canonical(pair, runs)
+            runs, heights = ryser._fixing_stages(pair)
+            record = ryser._record_canonical(pair, runs, heights)
             arrays = ryser.CanonicalMatrix(
                 pair=pair, entries=ryser._written(runs, pair.rank, pair.width)
             )

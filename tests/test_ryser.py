@@ -573,7 +573,7 @@ def run_mutations(runs: list[int], r: int, rng: random.Random):
 
 def record_outcome(pair: KostkaPair, runs: list[int]):
     """The record path's verdict: its canonical matrix, then its star."""
-    return outcome(lambda: ryser._record_canonical(pair, runs).star)
+    return outcome(lambda: ryser._record_canonical(pair, runs, conjugate(pair.lam)).star)
 
 
 class TestRecordPath:
@@ -588,7 +588,7 @@ class TestRecordPath:
 
     def test_record_matrices_pass_the_constructors(self, running_pair):
         for pair in record_pairs(running_pair):
-            canonical = ryser._record_canonical(pair, ryser._fixing_stages(pair))
+            canonical = ryser._record_canonical(pair, *ryser._fixing_stages(pair))
             star = canonical.star
             arrays = CanonicalMatrix(pair=pair, entries=written(pair, canonical._runs))
             for matrix, expected, kind in (
@@ -615,7 +615,7 @@ class TestRecordPath:
         kinds, messages = set(), set()
         for pair in (running_pair, *cone_pair_pool(9)):
             r, w = pair.rank, pair.width
-            for kind, runs in run_mutations(ryser._fixing_stages(pair), r, rng):
+            for kind, runs in run_mutations(ryser._fixing_stages(pair)[0], r, rng):
                 kinds.add(kind)
                 got = record_outcome(pair, runs)
                 if any(sum(runs[i : i + 4]) != r for i in range(0, 4 * w, 4)):
@@ -686,7 +686,7 @@ class TestStarMatrix:
 class TestReducibility:
     @staticmethod
     def assert_referees_agree(pair: KostkaPair) -> tuple[int, ...] | None:
-        """The library's int8 sweep on row differences against the star
+        """The library's walk on packed row differences against the star
         matrix's 0 <= v* <= mu* and the int64 decreasing-row test."""
         canonical = ryser_canonical(pair)
         left = matrix_reducible(canonical)
@@ -703,8 +703,8 @@ class TestReducibility:
         assert pairs > 13000
 
     def test_referees_agree_on_wide_tall_pairs(self):
-        # up to 2^16 subsets per sweep, rows of up to 40 entries, so
-        # sweeps span buffers
+        # up to 2^16 subsets per sweep and rows of up to 40 entries, so
+        # the referees' sweeps span chunks
         rng = random.Random(22)
         found = []
         for _ in range(40):
@@ -730,26 +730,30 @@ class TestReducibility:
             matrix_reducible(canonical)
         assert not spy
 
-    def test_widest_sweep_under_the_cap_stops_at_its_first_buffer(self, sweep_log):
+    def test_widest_sweep_under_the_cap_stops_at_its_first_subset(self):
         # (2^25 - 2) * 1 cells: no cap refuses width 25 at rank 1, and
-        # the first block of the order, column 1 alone, splits the pair
+        # the first subset of the order, column 1 alone, splits the pair
         canonical = ryser_canonical(KostkaPair((25,), (25,)))
         assert matrix_reducible(canonical) == (1,)
-        assert [name for name, _, _ in sweep_log].count("less_equal") == 1
+        # 25 columns of one -1 each: every subset fails, and so does every
+        # extension of each first column, so the walk ends after 25 tests
+        # instead of 2^25 - 2
+        ones = [1] * 25
+        assert ryser.sweep_proper_subsets(25, ones, range(1, 26), [-1] * 25, [25]) is None
 
     @pytest.mark.parametrize("chunk_bits", [5, 7, 9])
     def test_small_chunks_keep_the_star_referee_witness(self, monkeypatch, chunk_bits):
-        # small chunks split each sweep into many head blocks; the
-        # referee's answer does not depend on its chunk size
+        # small chunks split the referee's masks into many blocks; its
+        # answer does not depend on its chunk size
         rng = random.Random(chunk_bits)
         pairs = list(cone_pair_pool(13, max_width=7)[chunk_bits::23])
         pairs += [random_cone_pair(rng, 40, max_width=16) for _ in range(12)]
         pairs.append(primitive_point(RaySpec(14, 13, 3, 30)))
-        expected = [oracles.star_reducible(ryser_canonical(p).star) for p in pairs]
+        expected = [matrix_reducible(ryser_canonical(p)) for p in pairs]
         assert None in expected and any(expected)
         monkeypatch.setattr(config, "CHUNK_BITS", chunk_bits)
         for pair, witness in zip(pairs, expected):
-            assert matrix_reducible(ryser_canonical(pair)) == witness, pair
+            assert oracles.star_reducible(ryser_canonical(pair).star) == witness, pair
 
     def test_witness_always_splits(self, running_pair):
         canonical = ryser_canonical(running_pair)

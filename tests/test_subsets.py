@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 import oracles
 from kostka import config, ryser
+from kostka.cone import RaySpec, primitive_point
 from kostka.partitions import KostkaPair
 from kostka.ryser import (
     matrix_reducible,
@@ -12,6 +15,7 @@ from kostka.ryser import (
     star_matrix,
     sweep_proper_subsets,
 )
+from test_kgr import basis_sum
 
 
 def mask_indices(mask: int, width: int) -> tuple[int, ...]:
@@ -68,101 +72,71 @@ def lone(mask: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 MIXES = ((0.9, 2), (0.7, 1), (0.5, 0), (0.2, 1))
 
 
-def blocks(log: list) -> list[int]:
-    """The rows of each block a logged sweep tested, in order."""
-    return [shape[0] for name, _, shape in log if name == "less_equal"]
+def sweep(diff: np.ndarray, mu_star: np.ndarray) -> tuple[int, ...] | None:
+    """``sweep_proper_subsets`` on the int8 rows of ``diff``, one per
+    column, passed as their nonzeros: rows and columns (1-based) and
+    signs."""
+    c0, r0 = diff.nonzero()
+    return sweep_proper_subsets(
+        len(diff), (r0 + 1).tolist(), (c0 + 1).tolist(), diff[c0, r0].tolist(), mu_star.tolist()
+    )
 
 
 class TestSweep:
-    @pytest.mark.parametrize("chunk_bits", [2, 3, 5, 20])
-    def test_witness_is_first_in_tuple_order(self, monkeypatch, chunk_bits):
-        monkeypatch.setattr(config, "CHUNK_BITS", chunk_bits)
-        rng = np.random.default_rng(chunk_bits)
+    @pytest.mark.parametrize("seed", [2, 3, 5, 20])
+    def test_witness_is_first_in_tuple_order(self, seed):
+        rng = np.random.default_rng(seed)
         found = []
-        for width in range(2, 11):
+        for width in range(2, 12):
             for rank in (1, 3, 6):
                 for zeros, top in MIXES:
                     diff, mu_star = random_rows(rng, width, rank, zeros, top)
-                    witness = sweep_proper_subsets(width, diff, mu_star)
+                    witness = sweep(diff, mu_star)
                     assert witness == first_by_tuple_order(diff, mu_star)
                     found.append(witness)
         assert None in found and any(found)
 
-    def test_each_single_accepted_subset_is_found(self, monkeypatch):
-        monkeypatch.setattr(config, "CHUNK_BITS", 3)
-        width = 6
+    def test_each_single_accepted_subset_is_found(self):
+        width = 8
         for mask in range(1, (1 << width) - 1):
-            diff, mu_star = lone(mask, width)
-            assert sweep_proper_subsets(width, diff, mu_star) == mask_indices(mask, width)
+            assert sweep(*lone(mask, width)) == mask_indices(mask, width)
 
     def test_too_narrow_and_empty(self):
         zero = np.zeros(1, dtype=np.uint8)
-        assert sweep_proper_subsets(1, np.zeros((1, 1), dtype=np.int8), zero) is None
-        assert sweep_proper_subsets(4, np.full((4, 1), -1, dtype=np.int8), zero) is None
+        assert sweep(np.zeros((1, 1), dtype=np.int8), zero) is None
+        assert sweep(np.full((4, 1), -1, dtype=np.int8), zero) is None
 
 
 class TestRankOrderReferee:
     @pytest.mark.parametrize("chunk_bits", [6, 8, 20])
     def test_same_witness_as_the_rank_order_sweep(self, monkeypatch, chunk_bits):
+        # the referee tests every mask in chunks of 2^CHUNK_BITS cells
         monkeypatch.setattr(config, "CHUNK_BITS", chunk_bits)
         rng = np.random.default_rng(100 + chunk_bits)
         for width in range(1, 13):
             for rank in (1, 5, 13, 40, 100):
                 for zeros, top in MIXES:
                     diff, mu_star = random_rows(rng, width, rank, zeros, top)
-                    assert sweep_proper_subsets(
-                        width, diff, mu_star
-                    ) == oracles.rank_order_sweep(width, accepts(diff, mu_star), rank)
+                    assert sweep(diff, mu_star) == oracles.rank_order_sweep(
+                        width, accepts(diff, mu_star), rank
+                    )
 
-    def test_a_hit_in_the_first_buffer_ends_the_sweep(self, monkeypatch, sweep_log):
-        # a block is the unit the sweep tests: 2^tail - 1 subsets that
-        # share a head of the first width - tail rows, or a head alone
-        monkeypatch.setattr(config, "CHUNK_BITS", 6)
-        width = 10
-        # a full miss tests every nonempty subset once, over many blocks
-        miss = np.full((width, 1), -1, dtype=np.int8)
-        assert ryser.sweep_proper_subsets(width, miss, np.zeros(1, dtype=np.uint8)) is None
-        rows = blocks(sweep_log)
-        assert len(rows) > 1 and sum(rows) == (1 << width) - 1
-        assert max(rows) <= (1 << 6) // width
-        # (1) alone is the first block, (1, 2) alone the second
-        for mask, tested in ((0b1, 1), (0b11, 2)):
-            sweep_log.clear()
-            assert ryser.sweep_proper_subsets(width, *lone(mask, width)) == mask_indices(
-                mask, width
-            )
-            assert len(blocks(sweep_log)) == tested
-
-    def test_a_table_that_fits_one_buffer_is_one_call(self, sweep_log):
-        # one product with the cached table and one compare
-        diff = np.full((7, 13), -1, dtype=np.int8)
-        assert ryser.sweep_proper_subsets(7, diff, np.zeros(13, dtype=np.uint8)) is None
-        subsets = (1 << 7) - 1
-        assert sweep_log == [
-            ("matmul", "__call__", (subsets, 13)),
-            ("less_equal", "__call__", (subsets, 13)),
-            ("logical_and", "reduce", (subsets,)),
-        ]
-        assert not ryser._tuple_order(7).flags.writeable
-
-    def test_tuple_order_tables_are_read_only_and_bounded(self):
-        limit = ryser._tuple_order.cache_info().maxsize
-        for width in range(limit + 2):
-            table = ryser._tuple_order(width)
-            assert not table.flags.writeable
-            assert table.shape == ((1 << width) - 1, width)
-            if width <= 8:
-                rows = [mask_positions(row) for row in table]
-                assert rows == sorted(set(rows)) and () not in rows
-        assert ryser._tuple_order.cache_info().currsize <= limit
-
-    def test_tuple_order_tables_match_the_rank_formula(self):
-        for width in range(18):
-            assert np.array_equal(ryser._tuple_order(width), oracles.rank_order_table(width))
-
-
-def mask_positions(row: np.ndarray) -> tuple[int, ...]:
-    return tuple(j + 1 for j in np.flatnonzero(row).tolist())
+    def test_same_witness_as_the_star_referee_where_the_walk_prunes(self):
+        # the primitive points of rays are Hilbert basis elements: every
+        # subset fails, and the walk skips all but w(w + 1) / 2 of the
+        # 2^w - 2; basis sums split, some only on several columns
+        rays = [primitive_point(RaySpec(a, a - 1, 2, a + 2)) for a in range(12, 17)]
+        rays += [primitive_point(RaySpec(a, 3, 1, a + 1)) for a in (13, 14, 16)]
+        rng = random.Random(36)
+        sums = [basis_sum(rng.choice, rank, w) for w in range(12, 21, 2) for rank in (4, 5, 6)]
+        found = []
+        for pair in rays + sums:
+            canonical = ryser_canonical(pair)
+            witness = matrix_reducible(canonical)
+            assert witness == oracles.star_reducible(canonical.star), pair
+            found.append(witness)
+        assert found[: len(rays)] == [None] * len(rays)
+        assert all(found[len(rays) :]) and max(map(len, found[len(rays) :])) > 1
 
 
 TALL = KostkaPair((6, 6, 6, 6), (1,) * 24)  # width 6, rank 24
@@ -199,24 +173,18 @@ class TestChunkCells:
         assert len(shapes) > 1
         assert all(rows * max(width, cells) <= 1 << 7 for rows, width in shapes)
 
+
+class TestRecordSweep:
     @pytest.mark.parametrize(
         "pair",
         [TALL, KostkaPair((10, 6, 3), (4,) * 4 + (1,) * 3), KostkaPair((12,), (1,) * 12)],
     )
-    def test_sweep_temporaries_hold_at_most_chunk_cells(self, monkeypatch, sweep_log, pair):
-        expected = matrix_reducible(ryser_canonical(pair))
-        sweep_log.clear()
-        tables = []
-        real = ryser._tuple_order
-
-        def spy(width):
-            tables.append(width)
-            return real(width)
-
-        monkeypatch.setattr(ryser, "_tuple_order", spy)
-        monkeypatch.setattr(config, "CHUNK_BITS", 7)
-        assert matrix_reducible(ryser_canonical(pair)) == expected
-        assert len(blocks(sweep_log)) > 1
-        assert all(np.prod(shape) <= 1 << 7 for _, _, shape in sweep_log)
-        cells = max(pair.width, pair.rank)
-        assert tables and all(((1 << t) - 1) * cells <= 1 << 7 for t in tables)
+    def test_the_sweep_of_a_record_star_reads_no_array(self, monkeypatch, pair):
+        canonical = ryser_canonical(pair)
+        star = canonical.star
+        assert type(star) is ryser._RecordStar
+        with monkeypatch.context() as m:
+            m.setattr(ryser, "np", None)  # any numpy call raises
+            witness = matrix_reducible(canonical)
+        assert "entries" not in vars(star)
+        assert witness == oracles.star_reducible(star)
