@@ -90,7 +90,7 @@ from .errors import (
     RefusedInput,
     SizeCapExceeded,
 )
-from .partitions import KostkaPair, Partition, _non_integer
+from .partitions import KostkaPair, Partition, _certified, _non_integer
 
 
 def _lane(n: int) -> int:
@@ -174,7 +174,9 @@ def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
     gaps Lambda_t - M_t, d = (a | H) - b has every H bit set iff every
     A_t >= B_t, and then (G | H) - (d ^ H) has every H bit set iff every
     A_t - B_t <= G_t.  No borrow crosses a lane, since every entry lies
-    below H.  The halves are the differences of the hit rows.
+    below H.  The halves are the differences of the hit rows, built by
+    :func:`~kostka.partitions._certified`: their parts are ints read off
+    the rows, so the type census is skipped, and every cone check runs.
     """
     n = pair.n
     _split_cap(n)
@@ -213,8 +215,8 @@ def decompose(pair: KostkaPair) -> tuple[KostkaPair, KostkaPair] | None:
                     small_mu = _entries(mu_rows[hit : hit + mu_wide], lane)
                     r = pair.rank
                     return (
-                        KostkaPair(small_lam, small_mu, r),
-                        KostkaPair(
+                        _certified(small_lam, small_mu, r),
+                        _certified(
                             list(map(sub, pair.lam, small_lam)),
                             list(map(sub, pair.mu, small_mu)),
                             r,
@@ -519,7 +521,7 @@ def _minimal_slacks(rank: int) -> tuple[tuple[KostkaPair, ...], np.ndarray]:
         lams += block[lam[kept]].tolist()
         mus += block[mu[kept]].tolist()
         basis = np.vstack([basis, slacks[kept]])
-    elements = tuple(KostkaPair(lam, mu, rank) for lam, mu in zip(lams, mus))
+    elements = tuple(_certified(lam, mu, rank) for lam, mu in zip(lams, mus))
     return elements, basis[:, :width]
 
 
@@ -561,7 +563,7 @@ class RaySpec:
     def pair(self) -> KostkaPair:
         lam = (self.a,) * (self.b + self.ell)
         mu = (self.a,) * self.ell + (self.b,) * self.a
-        return KostkaPair(lam, mu, self.rank)
+        return _certified(lam, mu, self.rank)
 
 
 def primitive_point(spec: RaySpec) -> KostkaPair:
@@ -570,7 +572,7 @@ def primitive_point(spec: RaySpec) -> KostkaPair:
     g = math.gcd(spec.a, spec.b)
     lam = (spec.a // g,) * (spec.b + spec.ell)
     mu = (spec.a // g,) * spec.ell + (spec.b // g,) * spec.a
-    return KostkaPair(lam, mu, spec.rank)
+    return _certified(lam, mu, spec.rank)
 
 
 def _ray_rank_cap(rank: int) -> None:

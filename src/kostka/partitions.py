@@ -3,9 +3,11 @@
 A partition is a trimmed, weakly decreasing tuple of positive integers;
 the empty tuple is the zero partition.  Every public function accepts
 any integer sequence and checks it once, through :func:`as_partition`,
-where it enters; the private kernels :func:`_dominated` and
-:func:`_conjugate` and the shapes that :func:`kostka_count` peels work
-on tuples that are already partitions and are not checked again.
+where it enters (the library's own pairs skip only its type census,
+through :func:`_certified`, see below); the private kernels
+:func:`_dominated` and :func:`_conjugate` and the shapes that
+:func:`kostka_count` peels work on tuples that are already partitions
+and are not checked again.
 :func:`_dominated`, the dominance test of every :class:`KostkaPair`,
 takes the running gaps of the prefix sums in one pass of builtins that
 run in C, with no Python-level walk.  :func:`as_partition` checks a
@@ -32,7 +34,14 @@ The central object is :class:`KostkaPair`: a pair (lambda, mu) of equal
 size with mu dominated by lambda, carried together with an explicit
 ambient rank r (number of coordinates of each side).  These are exactly
 the lattice points of the Kostka cone in 2r coordinates, and exactly
-the pairs with K(lambda, mu) > 0.
+the pairs with K(lambda, mu) > 0.  Its constructor is written for
+outside input and takes a census of the part types.  The pairs the
+library computes itself (halves of a decomposition or a column split,
+subset-sum reduction and proof pairs, basis elements and ray points),
+whose parts are ints it made, are built by :func:`_certified` instead:
+it skips only that census and runs every cone check of the
+constructor, and refuses, through the constructor, exactly what the
+constructor refuses.
 """
 
 from __future__ import annotations
@@ -72,15 +81,10 @@ def as_partition(seq: Sequence[int] | Iterable[int]) -> Partition:
     names the first offending part.
     """
     parts = tuple(seq)
-    if (
-        {*map(type, parts)} <= _INT_ONLY
-        and list(parts) == sorted(parts, reverse=True)
-        and (not parts or (parts[-1] >= 0 and parts[0] <= config.INT_CAP))
-    ):
-        if not parts or parts[-1]:
-            return parts
-        # decreasing and nonnegative, so the zeros are the trailing parts
-        return parts[: len(parts) - parts.count(0)]
+    if {*map(type, parts)} <= _INT_ONLY:
+        trimmed = _trimmed(parts)
+        if trimmed is not None:
+            return trimmed
     for p in parts:
         if _non_integer(p):
             raise InvalidPartition(f"non-integer part {p!r}")
@@ -94,6 +98,23 @@ def as_partition(seq: Sequence[int] | Iterable[int]) -> Partition:
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     return parts
+
+
+def _trimmed(parts: tuple) -> Partition | None:
+    """``parts`` less its trailing zeros if it is weakly decreasing, its
+    last part >= 0 and its first at most ``config.INT_CAP``, else None:
+    :func:`as_partition`'s checks but the type census, by builtins that
+    run in C."""
+    if parts and not (
+        parts[-1] >= 0
+        and parts[0] <= config.INT_CAP
+        and list(parts) == sorted(parts, reverse=True)
+    ):
+        return None
+    if not parts or parts[-1]:
+        return parts
+    # decreasing and nonnegative, so the zeros are the trailing parts
+    return parts[: len(parts) - parts.count(0)]
 
 
 def size(p: Sequence[int]) -> int:
@@ -157,6 +178,15 @@ def in_kostka_cone(lam: Sequence[int], mu: Sequence[int], rank: int) -> bool:
     )
 
 
+def _cone_check(lam: Partition, mu: Partition, rank: int) -> None:
+    """Refuse, with :class:`InvalidPair`, two partitions that are not a
+    cone point at ``rank``: at most ``rank`` parts a side, equal sizes
+    and lambda dominating mu.  The last check of every
+    :class:`KostkaPair`, whichever way it is built."""
+    if not (max(len(lam), len(mu)) <= rank and sum(lam) == sum(mu) and _dominated(lam, mu)):
+        raise InvalidPair(f"({lam}, {mu}) is not in the Kostka cone at rank {rank}")
+
+
 @dataclass(frozen=True)
 class KostkaPair:
     """A lattice point (lambda, mu) of the Kostka cone at a fixed rank.
@@ -181,14 +211,7 @@ class KostkaPair:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rank", rank)
-        if not (
-            max(len(lam), len(mu)) <= rank
-            and sum(lam) == sum(mu)
-            and _dominated(lam, mu)
-        ):
-            raise InvalidPair(
-                f"({lam}, {mu}) is not in the Kostka cone at rank {rank}"
-            )
+        _cone_check(lam, mu, rank)
 
     @property
     def n(self) -> int:
@@ -209,6 +232,26 @@ class KostkaPair:
     def __str__(self) -> str:
         # the sides are validated partitions already
         return f"({_joined(self.lam)} | {_joined(self.mu)}; r={self.rank})"
+
+
+def _certified(lam: Sequence[int], mu: Sequence[int], rank: int) -> KostkaPair:
+    """The :class:`KostkaPair` (lambda, mu) at ``rank``, for parts that
+    are ints the library computed and an int rank.
+
+    Every check of the constructor runs but its type census: each side
+    weakly decreasing with its last part >= 0 (trailing zeros are
+    trimmed) and its first at most ``config.INT_CAP``, then
+    :func:`_cone_check`.  Each field is set once.  A side that fails is
+    handed to the constructor, which refuses it with its own exception
+    and message, and :func:`_cone_check` is the constructor's own."""
+    pl, pm = _trimmed(tuple(lam)), _trimmed(tuple(mu))
+    if pl is None or pm is None:
+        return KostkaPair(lam, mu, rank)
+    _cone_check(pl, pm, rank)
+    pair = object.__new__(KostkaPair)
+    fields = pair.__dict__
+    fields["lam"], fields["mu"], fields["rank"] = pl, pm, rank
+    return pair
 
 
 def kostka_positive(lam: Sequence[int], mu: Sequence[int]) -> bool:

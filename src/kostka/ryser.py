@@ -95,6 +95,7 @@ from .partitions import (
     _INT_ONLY,
     KostkaPair,
     Partition,
+    _certified,
     _conjugate,
     _non_integer,
     as_partition,
@@ -422,8 +423,9 @@ def fixing_chain(canonical: CanonicalMatrix) -> tuple[np.ndarray, ...]:
 class StarMatrix:
     """Row-difference matrix A*_{i,j} = A_{i,j} - A_{i+1,j} of a
     canonical matrix (phantom zero row below), with row sums
-    mu*_i = mu_i - mu_{i+1}, held as one read-only int8 array (written
-    on first read for a small pair, see :class:`_RecordStar`).
+    mu*_i = mu_i - mu_{i+1} (``mu_star``, computed once), held as one
+    read-only int8 array (written on first read for a small pair, see
+    :class:`_RecordStar`).
 
     Valid columns read, top to bottom, (+1), (-1, +1), or (+1, -1, +1);
     the leftmost column is a single +1.  The bottom row holds no -1, as
@@ -433,7 +435,7 @@ class StarMatrix:
     pair: KostkaPair
     entries: np.ndarray
 
-    @property
+    @functools.cached_property
     def mu_star(self) -> tuple[int, ...]:
         return _differences(self.pair.mu, self.pair.rank)
 
@@ -462,12 +464,24 @@ class StarMatrix:
 class _RecordStar(StarMatrix):
     """A star matrix read off a fixing record and checked there, held as
     its nonzeros in row-major order: ``rows`` and ``cols`` (1-based) and
-    ``signs``.  ``entries`` is written on first read, a byte per vertex."""
+    ``signs``, with the ``mu_star`` its row sums were checked against.
+    ``entries`` is written on first read, a byte per vertex."""
 
     def __init__(
-        self, pair: KostkaPair, rows: list[int], cols: list[int], signs: list[int]
+        self,
+        pair: KostkaPair,
+        rows: list[int],
+        cols: list[int],
+        signs: list[int],
+        mu_star: tuple[int, ...],
     ) -> None:
-        for name, value in (("pair", pair), ("rows", rows), ("cols", cols), ("signs", signs)):
+        for name, value in (
+            ("pair", pair),
+            ("rows", rows),
+            ("cols", cols),
+            ("signs", signs),
+            ("mu_star", mu_star),
+        ):
             object.__setattr__(self, name, value)
 
     @functools.cached_property
@@ -524,7 +538,8 @@ def _record_star(canonical: _RecordCanonical) -> StarMatrix:
     sums = [0] * r
     for i, sign in zip(rows, signs):
         sums[i - 1] += sign
-    if tuple(sums) != _differences(pair.mu, r):
+    mu_star = _differences(pair.mu, r)
+    if tuple(sums) != mu_star:
         raise MalformedStarMatrix("row sums do not match mu*")
     if len({*cols}) < w:
         j = min({*range(1, w + 1)} - {*cols})
@@ -532,7 +547,7 @@ def _record_star(canonical: _RecordCanonical) -> StarMatrix:
     # column 1 holds one vertex unless it has a run of 0s between two of 1s
     if w and canonical._cuts[0][0] < canonical._cuts[0][1] < canonical._cuts[0][2]:
         raise MalformedStarMatrix("leftmost column must be a single +1")
-    return _RecordStar(pair, rows, cols, signs)
+    return _RecordStar(pair, rows, cols, signs, mu_star)
 
 
 # --- shape peeling ---------------------------------------------------------
@@ -730,7 +745,10 @@ def split_pair(
 
     Raises :class:`NotAWitness` when a column is not an integer, the
     subset is not a proper nonempty subset of the columns or either
-    half's row sums fail to be weakly decreasing.
+    half's row sums fail to be weakly decreasing.  The halves, whose
+    parts are counts of the matrix's cells, are built by
+    :func:`~kostka.partitions._certified`, which skips the type census
+    of outside input and runs every cone check.
     """
     pair = canonical.pair
     r, w = pair.rank, pair.width
@@ -758,5 +776,5 @@ def split_pair(
             if index_set is None:  # the complement, listed for the message
                 index_set = [j for j in range(1, w + 1) if j not in chosen]
             raise NotAWitness(f"row sums for columns {index_set} are not decreasing")
-        halves.append(KostkaPair(lam=half_lam, mu=row_sums, rank=r))
+        halves.append(_certified(half_lam, row_sums, r))
     return halves[0], halves[1]

@@ -14,22 +14,24 @@ linear in A, so the map is a polynomial reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import add
+from dataclasses import dataclass, field
+from operator import add, ge
 
 from . import config
 from .errors import AssertionFailure, InvalidInstance
-from .partitions import KostkaPair, _conjugate, _non_integer, pad, size
+from .partitions import KostkaPair, Partition, _certified, _conjugate, _non_integer, size
 from .cone import _split_cap, decompose
 
 
 @dataclass(frozen=True)
 class SubsetSumInstance:
     """Positive values and a positive target no larger than their sum
-    (larger targets are trivially 'no' and rejected up front)."""
+    (larger targets are trivially 'no' and rejected up front).  The sum
+    of the values is taken once, as ``total``."""
 
     values: tuple[int, ...]
     target: int
+    total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         values = tuple(self.values)
@@ -45,19 +47,21 @@ class SubsetSumInstance:
         if self.target <= 0:
             raise InvalidInstance(f"target must be positive: {self.target}")
         total = sum(values)
+        object.__setattr__(self, "total", total)
         if self.target > total:
             raise InvalidInstance(f"target {self.target} exceeds the total {total}")
         # the reduction pair's box count, 2A + 1, must fit int64
         if 2 * total + 1 > config.INT_CAP:
             raise InvalidInstance(f"total {total} exceeds 64-bit range")
 
-    @property
-    def total(self) -> int:
-        return sum(self.values)
-
     def sorted_desc(self) -> "SubsetSumInstance":
+        """The instance with its values in decreasing order: itself when
+        they already are."""
+        values = self.values
+        if all(map(ge, values, values[1:])):
+            return self
         return SubsetSumInstance(
-            values=tuple(sorted(self.values, reverse=True)), target=self.target
+            values=tuple(sorted(values, reverse=True)), target=self.target
         )
 
 
@@ -87,13 +91,16 @@ def subset_sum_oracle(inst: SubsetSumInstance) -> tuple[int, ...] | None:
 
 def reduce_to_kostka(inst: SubsetSumInstance) -> KostkaPair:
     """The reduction pair; values are sorted decreasingly first, and the
-    resulting pair always lies in the cone."""
-    values = tuple(sorted(inst.values, reverse=True))
-    total, target = sum(values), inst.target
-    # both tuples are decreasing already; KostkaPair validates the pair
-    lam = _conjugate((total + 1,) + values)
-    mu = _conjugate((2 * total - target + 1, target))
-    return KostkaPair(lam, mu, rank=2 * total - target + 1)
+    resulting pair always lies in the cone.  Its parts are computed
+    here, so it is built by :func:`~kostka.partitions._certified`,
+    which runs every cone check but the type census."""
+    canonical = inst.sorted_desc()
+    total, target = canonical.total, canonical.target
+    rank = 2 * total - target + 1
+    lam = _conjugate((total + 1,) + canonical.values)
+    # the conjugate of (rank, target)
+    mu = (2,) * target + (1,) * (rank - target)
+    return _certified(lam, mu, rank)
 
 
 def proof_decomposition(
@@ -102,26 +109,36 @@ def proof_decomposition(
     """The explicit decomposition induced by a yes-witness ``subset``
     (1-based positions into the decreasingly sorted values): the subset
     columns with mu-part (1^target), and everything else with mu-part
-    (1^rank).  The halves are checked to add back to ``whole``, the
-    reduction pair of ``inst``."""
-    values = tuple(sorted(inst.values, reverse=True))
-    total, target = sum(values), inst.target
+    (1^rank).  Both halves are built by
+    :func:`~kostka.partitions._certified`, so each is checked to be a
+    cone point at the rank, and they are checked to add back to
+    ``whole``, the reduction pair of ``inst``, on each side."""
+    canonical = inst.sorted_desc()
+    total, target = canonical.total, canonical.target
     rank = 2 * total - target + 1
     picked = set(subset)
-    chosen = [v for i, v in enumerate(values, 1) if i in picked]
+    # both lists keep the decreasing order of the values
+    chosen: list[int] = []
+    rest = [total + 1]
+    for i, v in enumerate(canonical.values, 1):
+        (chosen if i in picked else rest).append(v)
     if sum(chosen) != target:
         raise AssertionFailure(f"subset {subset} sums to {sum(chosen)}, not {target}")
-    # both lists keep the decreasing order of the values
-    rest = [total + 1] + [v for i, v in enumerate(values, 1) if i not in picked]
-    selected = KostkaPair(_conjugate(chosen), (1,) * target, rank)
-    complement = KostkaPair(_conjugate(rest), (1,) * rank, rank)
+    selected = _certified(_conjugate(chosen), (1,) * target, rank)
+    complement = _certified(_conjugate(rest), (1,) * rank, rank)
     for side in ("lam", "mu"):
-        small, large, both = (
-            pad(getattr(p, side), rank) for p in (selected, complement, whole)
-        )
-        if tuple(map(add, small, large)) != both:
+        if _added(getattr(selected, side), getattr(complement, side)) != getattr(whole, side):
             raise AssertionFailure(f"proof decomposition does not add back on {side}")
     return selected, complement
+
+
+def _added(p: Partition, q: Partition) -> Partition:
+    """The sum of two partitions, coordinate by coordinate: a partition,
+    since the longer one's last part is positive, so it equals a third
+    partition iff the two agree padded to any common length."""
+    if len(p) < len(q):
+        p, q = q, p
+    return tuple(map(add, p, q)) + p[len(q) :]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ a ``click.UsageError``, so the CLI gives each one its exit code.  The
 CLI exits only from ``_guarded`` (exit 2 or 3), ``_emit`` (exit 1) and
 ``basis`` (a fixture mismatch, exit 3), and every command takes
 ``--format``.  The functions a small pair's graph detection runs
-through call no numpy."""
+through call no numpy.  Only the functions that build the library's own
+pairs read ``partitions._certified``, so outside input (the CLI, a
+loaded catalog, a parsed partition) keeps the constructor's type
+census."""
 
 from __future__ import annotations
 
@@ -324,6 +327,66 @@ def cap_readers(sources: dict[str, str]) -> dict[str, set[str]]:
     for module, source in sources.items():
         visit(ast.parse(source), module)
     return readers
+
+
+def name_readers(sources: dict[str, str], name: str) -> set[str]:
+    """The ``module.function`` (or ``module.Class.method``) names of the
+    functions that read ``name``, alone or as an attribute; a read
+    outside any function counts for the module, and an import does not
+    count."""
+    readers: set[str] = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (
+                isinstance(child, ast.Name)
+                and child.id == name
+                and isinstance(child.ctx, ast.Load)
+                or isinstance(child, ast.Attribute)
+                and child.attr == name
+            ):
+                readers.add(scope)
+            visit(child, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return readers
+
+
+# the functions that hand ``partitions._certified`` parts they computed
+CERTIFIED_CALLERS = {
+    "cone.decompose",
+    "cone._minimal_slacks",
+    "cone.RaySpec.pair",
+    "cone.primitive_point",
+    "ryser.split_pair",
+    "subsetsum.reduce_to_kostka",
+    "subsetsum.proof_decomposition",
+}
+
+
+def test_only_the_library_s_own_pairs_skip_the_census():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert name_readers(sources, "_certified") == CERTIFIED_CALLERS
+
+
+def test_the_guard_sees_a_stray_builder_caller():
+    sources = {
+        "cli": (
+            "from .partitions import _certified\n"
+            "def parse(text):\n    return _certified(text, text, 1)\n"
+            "def fine(text): return KostkaPair(text, text, 1)\n"
+        ),
+        "cone": (
+            "from . import partitions\n"
+            "class RaySpec:\n    def pair(self): return partitions._certified((1,), (1,), 1)\n"
+            "build = _certified\n"
+        ),
+    }
+    assert name_readers(sources, "_certified") == {"cli.parse", "cone.RaySpec.pair", "cone"}
 
 
 # the readers of each cap that tests/test_config.py lowers: the guard

@@ -10,12 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import cone_pair_pool, partition_pool, partitions_st
-from kostka import config, partitions
+from conftest import cone_pair_pool, outcome, partition_pool, partitions_st
+from kostka import cone, config, partitions, ryser, subsetsum
 from kostka.config import INT_CAP
 from kostka.errors import InvalidPair, InvalidPartition, SizeCapExceeded
 from kostka.partitions import (
     KostkaPair,
+    _certified,
     as_partition,
     conjugate,
     dominates,
@@ -425,3 +426,103 @@ class TestAsPartitionFastPath:
             assert _outcome(as_partition, parts) == _outcome(
                 oracles.as_partition, parts
             ), parts
+
+
+def _same_pair(got: KostkaPair, want: KostkaPair) -> bool:
+    """Equal pairs of the same type whose fields hold the same types: a
+    tuple of plain ints per side and an int rank."""
+    return (
+        type(got) is type(want) is KostkaPair
+        and vars(got) == vars(want)
+        and {type(got.lam), type(got.mu)} == {tuple}
+        and {*map(type, got.lam + got.mu), type(got.rank)} <= {int}
+    )
+
+
+@pytest.fixture
+def certified_calls(monkeypatch) -> list:
+    """Every call of ``_certified`` made by the modules that build the
+    library's own pairs, each checked against the constructor on the
+    same arguments."""
+    calls = []
+
+    def spy(lam, mu, rank):
+        got = _certified(lam, mu, rank)
+        assert _same_pair(got, KostkaPair(lam, mu, rank)), (lam, mu, rank)
+        calls.append((lam, mu, rank))
+        return got
+
+    for module in (cone, ryser, subsetsum):
+        monkeypatch.setattr(module, "_certified", spy)
+    return calls
+
+
+# one input of each kind the builder refuses, and the one it trims
+TAMPERED = {
+    "rising lambda": ([1, 2], [2, 1], 2),
+    "rising mu": ([2, 1], (1, 2), 2),
+    "negative part": ([3, -1], [1, 1], 2),
+    "negative mu part": ((2,), [3, -1], 2),
+    "part above INT_CAP": ([INT_CAP + 1], [INT_CAP + 1], 1),
+    "unequal sizes": ([2, 1], [1, 1], 2),
+    "more parts than the rank": ([2, 1], [1, 1, 1], 2),
+    "undominated": ([2, 2], [3, 1], 2),
+}
+
+
+class TestCertifiedBuilder:
+    """``_certified`` builds the pairs the library computes without the
+    constructor's type census, and must return what the constructor
+    returns and refuse what it refuses, with the same message."""
+
+    @pytest.mark.parametrize("case", TAMPERED)
+    def test_refuses_as_the_constructor_does(self, case):
+        lam, mu, rank = TAMPERED[case]
+        refusal = outcome(KostkaPair, lam, mu, rank)
+        assert refusal is not None and refusal[0] in (InvalidPair, InvalidPartition)
+        assert outcome(_certified, lam, mu, rank) == refusal
+
+    def test_trailing_zeros_are_trimmed(self):
+        for lam, mu, rank in (([2, 1, 0], [1, 1, 1, 0], 4), ((0, 0), [0], 2), ([], [], 0)):
+            assert _same_pair(_certified(lam, mu, rank), KostkaPair(lam, mu, rank))
+        assert _certified([2, 1, 0], [1, 1, 1, 0], 4).lam == (2, 1)
+
+    def test_decompose_and_split_halves_match_the_constructor(self, certified_calls):
+        decomposed = split = 0
+        for pair in cone_pair_pool(13, max_width=7):
+            found = cone.decompose(pair)
+            canonical = ryser.ryser_canonical(pair)
+            columns = ryser.matrix_reducible(canonical)
+            if columns is not None:
+                ryser.split_pair(canonical, columns)
+            decomposed += found is not None
+            split += columns is not None
+        # the c05 census: 6,456 pairs decompose, 6,271 by a column split
+        assert (decomposed, split) == (6456, 6271)
+        assert len(certified_calls) == 2 * (6456 + 6271)
+
+    def test_reduction_and_proof_pairs_match_the_constructor(self, certified_calls):
+        instances = yes = 0
+        for total in range(1, 20):
+            for values in oracles.partitions(total, None, None):
+                for target in range(1, total + 1):
+                    inst = subsetsum.SubsetSumInstance(values, target)
+                    whole = subsetsum.reduce_to_kostka(inst)
+                    witness = subsetsum.subset_sum_oracle(inst)
+                    if witness is not None:
+                        subsetsum.proof_decomposition(inst, witness, whole)
+                    instances += 1
+                    yes += witness is not None
+        assert len(certified_calls) == instances + 2 * yes
+
+    def test_basis_elements_match_the_constructor(self, certified_calls):
+        counts = [cone.hilbert_basis(rank).count for rank in range(1, 9)]
+        assert len(certified_calls) == sum(counts)
+
+    def test_ray_points_match_the_constructor(self, certified_calls):
+        specs = cone.extremal_rays(9)
+        for spec in specs:
+            spec.pair()
+            cone.primitive_point(spec)
+        assert len(certified_calls) == 2 * len(specs)
+

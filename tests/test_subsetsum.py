@@ -124,6 +124,18 @@ class TestReduction:
             (2, 2, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1, 1, 1), rank=9
         )
 
+    def test_halves_that_do_not_add_back_are_rejected(self):
+        # a whole pair that differs from the reduction pair on one side:
+        # (4, 1, 1; 4) has the same total and target, so the same mu,
+        # and a mu dominated by the same lambda differs on mu alone
+        other = reduce_to_kostka(SubsetSumInstance((4, 1, 1), 4))
+        whole = reduce_to_kostka(GOLDEN)
+        other_mu = KostkaPair(whole.lam, (3, 2, 2, 1, 1, 1, 1, 1, 1), rank=9)
+        for tampered, side in ((other, "lam"), (other_mu, "mu")):
+            with pytest.raises(AssertionFailure) as err:
+                proof_decomposition(GOLDEN, (1, 3), tampered)
+            assert str(err.value) == f"proof decomposition does not add back on {side}"
+
     def test_bad_subset_is_rejected(self):
         with pytest.raises(AssertionFailure):
             # (1, 2) sums to 5, not 4
