@@ -117,14 +117,16 @@ def _splittings(p: Partition) -> tuple[bytes, list[int], int]:
     packed reach row, with the size packed above it.  Big-endian lanes
     order the packed rows as the bytes order them, which is the order of
     the prefix sums and so of v: one sort of the packed sums orders the
-    table by size, then by v.
+    table by size, then by v.  The sizes are the sums of d * (i + 1)
+    over the steps, so the mask is built with the rows, one shift of it
+    per unit of each choice.
     """
     length, n = len(p), sum(p)
     bits = 8 * _lane(n)
     shift = bits * length
     ones = ((1 << shift) - 1) // ((1 << bits) - 1)
     below = p[1:] + (0,)
-    reach, keys = 0, [0]
+    reach, keys, mask = 0, [0], 1
     for i in range(length):
         # lane t of reach now holds min(t + 1, i + 1)
         reach += ones >> bits * i
@@ -132,11 +134,12 @@ def _splittings(p: Partition) -> tuple[bytes, list[int], int]:
             step = reach | (i + 1) << shift
             top = (p[i] - below[i] + 1) * step
             keys = [key + d for d in range(0, top, step) for key in keys]
+            for _ in range(p[i] - below[i]):
+                mask |= mask << i + 1
     keys.sort()
     row = (1 << shift) - 1
     table = b"".join([(key & row).to_bytes(shift // 8, "big") for key in keys])
     bounds = [bisect_left(keys, m << shift) for m in range(n + 2)]
-    mask = sum(1 << m for m in range(n + 1) if bounds[m] < bounds[m + 1])
     return table, bounds, mask
 
 

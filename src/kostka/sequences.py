@@ -61,8 +61,24 @@ def runs(x: CatalanSeq) -> tuple[tuple[int, ...], ...]:
 
 
 def cost(x: CatalanSeq) -> int:
-    """Sum over sign runs of the largest absolute entry in the run."""
-    return sum(max(abs(v) for v in run) for run in runs(x))
+    """Sum over sign runs of the largest absolute entry in the run.
+
+    One pass over the entries, building none of :func:`runs`' tuples:
+    ``top`` is the largest |entry| of the current run, added to the sum
+    when the sign changes and once more at the end."""
+    total = top = 0
+    rising = True  # the sign of the current run
+    for v in x.entries:
+        if v > 0:
+            if not rising:
+                total, top, rising = total + top, v, True
+            elif v > top:
+                top = v
+        elif rising:
+            total, top, rising = total + top, -v, False
+        elif -v > top:
+            top = -v
+    return total + top
 
 
 def catalan_reducible(x: CatalanSeq) -> tuple[int, ...] | None:

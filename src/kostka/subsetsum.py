@@ -56,13 +56,18 @@ class SubsetSumInstance:
 
     def sorted_desc(self) -> "SubsetSumInstance":
         """The instance with its values in decreasing order: itself when
-        they already are."""
+        they already are.  A permutation of the values keeps every
+        property the constructor checks, and the total, so the sorted
+        copy does not run ``__post_init__`` again: its fields are set
+        once, the total taken from this instance."""
         values = self.values
         if all(map(ge, values, values[1:])):
             return self
-        return SubsetSumInstance(
-            values=tuple(sorted(values, reverse=True)), target=self.target
-        )
+        copy = object.__new__(SubsetSumInstance)
+        fields = copy.__dict__
+        fields["values"] = tuple(sorted(values, reverse=True))
+        fields["target"], fields["total"] = self.target, self.total
+        return copy
 
 
 def subset_sum_oracle(inst: SubsetSumInstance) -> tuple[int, ...] | None:
@@ -112,8 +117,24 @@ def proof_decomposition(
     (1^rank).  Both halves are built by
     :func:`~kostka.partitions._certified`, so each is checked to be a
     cone point at the rank, and they are checked to add back to
-    ``whole``, the reduction pair of ``inst``, on each side."""
-    canonical = inst.sorted_desc()
+    ``whole``, the reduction pair of ``inst``, on each side.
+    :func:`reduction_equivalence_check` runs the same step
+    (:func:`_proof_halves`) with the halves its search has just
+    certified, so that each distinct pair is certified once."""
+    return _proof_halves(inst.sorted_desc(), subset, whole, ())
+
+
+def _proof_halves(
+    canonical: SubsetSumInstance,
+    subset: tuple[int, ...],
+    whole: KostkaPair,
+    certified: tuple[KostkaPair, ...],
+) -> tuple[KostkaPair, KostkaPair]:
+    """:func:`proof_decomposition` of the sorted instance ``canonical``.
+    A half with the lambda, mu and rank of a pair in ``certified``,
+    pairs the caller has built by :func:`~kostka.partitions._certified`,
+    is that pair; any other half is built by ``_certified``.  The
+    add-back check runs on the halves returned either way."""
     total, target = canonical.total, canonical.target
     rank = 2 * total - target + 1
     picked = set(subset)
@@ -124,8 +145,12 @@ def proof_decomposition(
         (chosen if i in picked else rest).append(v)
     if sum(chosen) != target:
         raise AssertionFailure(f"subset {subset} sums to {sum(chosen)}, not {target}")
-    selected = _certified(_conjugate(chosen), (1,) * target, rank)
-    complement = _certified(_conjugate(rest), (1,) * rank, rank)
+    known = {(half.lam, half.mu): half for half in certified if half.rank == rank}
+    halves = []
+    for lam, mu in ((_conjugate(chosen), (1,) * target), (_conjugate(rest), (1,) * rank)):
+        half = known.get((lam, mu))
+        halves.append(_certified(lam, mu, rank) if half is None else half)
+    selected, complement = halves
     for side in ("lam", "mu"):
         if _added(getattr(selected, side), getattr(complement, side)) != getattr(whole, side):
             raise AssertionFailure(f"proof decomposition does not add back on {side}")
@@ -156,7 +181,14 @@ def reduction_equivalence_check(inst: SubsetSumInstance) -> EquivalenceReport:
     other.  Disagreement raises :class:`AssertionFailure`.  Both share
     ``config.SPLIT_CAP``, tested on the 2A + 1 boxes of the reduction
     pair before the pair is built, so an oversized instance is refused
-    before anything of its size is allocated."""
+    before anything of its size is allocated.
+
+    Each distinct pair is certified once: a yes-instance's proof halves
+    are built by :func:`_proof_halves`, handed the halves ``decompose``
+    has just certified, so a proof half with the same lambda, mu and
+    rank as one of them is reported as that pair, and only the others
+    go through :func:`~kostka.partitions._certified`.  The add-back
+    check runs on the reported halves either way."""
     _split_cap(2 * inst.total + 1)
     canonical = inst.sorted_desc()
     pair = reduce_to_kostka(canonical)
@@ -166,7 +198,7 @@ def reduction_equivalence_check(inst: SubsetSumInstance) -> EquivalenceReport:
         raise AssertionFailure(
             f"oracle says {witness}, decomposition search says {found} for {inst}"
         )
-    decomposition = proof_decomposition(canonical, witness, pair) if witness else None
+    decomposition = _proof_halves(canonical, witness, pair, found) if witness else None
     if size(pair.lam) != 2 * canonical.total + 1:
         raise AssertionFailure("reduction pair has the wrong box count")
     return EquivalenceReport(

@@ -356,6 +356,10 @@ GOLDEN_BYTES = [
     ("catalan", [CATALAN_24], "json", 0, "c46ed0c7a9241b6cd260c0ec4dbe7be6c448989759648234b7d25875cc70fb1a"),
     ("audit", ["-r", "3"], "json", 0, "7e84fcd7ebd93c514a3a9a994bde2fd85a5a0a5732a27dde5e505169863317b5"),
     ("subsetsum", ["3,2,1 : 4"], "json", 0, "b97aa50896ceb29b777816dd90dd191a4ecee18f34542e89a8e92b42b5257a38"),
+    ("subsetsum", ["3,2,1 : 4"], "text", 0, "44110180811558e7d33b86bb60068a46f9526bb332d4b94dab5ff70a64f5f32a"),
+    ("subsetsum", ["2,2 : 3"], "text", 1, "4a8ce6e560f276bda3a289c97518470c34a7b7b330b0caad39d4096a015c4b41"),
+    ("subsetsum", ["2,2 : 3"], "json", 1, "7f6c6294ccaa59731bb8a081418e2eb245d5a421b5475083c3fdbe4369e5c1e0"),
+    ("subsetsum", ["4,3,3,1,1 : 6"], "json", 0, "9b55bf7636776aeecf80474014c9f4726196c24047aa4c1374c976542ca50399"),
     ("rays", ["-r", "30"], "text", 0, "8b6db832f2a3002eb48203b7bcaef5b349f37f173fa124e20afb595aef7f61e2"),
     ("rays", ["-r", "30"], "json", 0, "98f9f3a492cfd6341fd41bd22f3284ff0db813eec4850e76c1b73085c2a8b3f8"),
     ("lr-family", ["--k", "2"], "json", 0, "ff3e43f470f0aaab3f9d0e16f1f3f3005eefe849c1e1e167a27c98a1b456b173"),

@@ -16,7 +16,9 @@ CLI exits only from ``_guarded`` (exit 2 or 3), ``_emit`` (exit 1) and
 through call no numpy.  Only the functions that build the library's own
 pairs read ``partitions._certified``, so outside input (the CLI, a
 loaded catalog, a parsed partition) keeps the constructor's type
-census."""
+census, and only the subset-sum proof and the equivalence check read
+``subsetsum._proof_halves``, which reports the halves it is handed
+unchecked."""
 
 from __future__ import annotations
 
@@ -364,7 +366,7 @@ CERTIFIED_CALLERS = {
     "cone.primitive_point",
     "ryser.split_pair",
     "subsetsum.reduce_to_kostka",
-    "subsetsum.proof_decomposition",
+    "subsetsum._proof_halves",
 }
 
 
@@ -387,6 +389,39 @@ def test_the_guard_sees_a_stray_builder_caller():
         ),
     }
     assert name_readers(sources, "_certified") == {"cli.parse", "cone.RaySpec.pair", "cone"}
+
+
+# the callers of ``subsetsum._proof_halves``, which reports a half equal
+# to one of the pairs it is handed without checking it: the public
+# proof, which hands it none, and the equivalence check, which hands it
+# the halves ``decompose`` has just certified
+PROOF_STEP_CALLERS = {
+    "subsetsum.proof_decomposition",
+    "subsetsum.reduction_equivalence_check",
+}
+
+
+def test_only_the_search_s_halves_reach_the_proof_unchecked():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert name_readers(sources, "_proof_halves") == PROOF_STEP_CALLERS
+
+
+def test_the_guard_sees_a_stray_proof_step_caller():
+    sources = {
+        "subsetsum": (
+            "def proof_decomposition(inst, subset, whole):\n"
+            "    return _proof_halves(inst.sorted_desc(), subset, whole, ())\n"
+        ),
+        "cli": (
+            "from . import subsetsum\n"
+            "def subsetsum_cmd(inst, pair):\n"
+            "    return subsetsum._proof_halves(inst, (1,), pair, (pair, pair))\n"
+        ),
+    }
+    assert name_readers(sources, "_proof_halves") == {
+        "subsetsum.proof_decomposition",
+        "cli.subsetsum_cmd",
+    }
 
 
 # the readers of each cap that tests/test_config.py lowers: the guard

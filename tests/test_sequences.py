@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import cone_pair_pool, cone_pairs_st
-from kostka import config
-from kostka.errors import InvalidSequence, LengthCapExceeded, NotAWitness
+from kostka import config, sequences
+from kostka.errors import AssertionFailure, InvalidSequence, LengthCapExceeded, NotAWitness
 from kostka.partitions import KostkaPair, conjugate, dominates
 from kostka.sequences import (
     CatalanSeq,
@@ -31,16 +31,19 @@ def strip_zeros(entries: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...
     return tuple(v for v, _ in kept), tuple(i for _, i in kept)
 
 
-def small_sequences() -> list[tuple[int, ...]]:
-    """Every valid sequence with entries in {-2,-1,1,2} and width <= 7."""
+def small_sequences(top: int = 2, width: int = 7) -> list[tuple[int, ...]]:
+    """Every valid sequence with entries in [-top, top] and at most
+    ``width`` of them, by default {-2,-1,1,2} and width <= 7."""
     out: list[tuple[int, ...]] = []
+    steps = [step for step in range(-top, top + 1) if step]
 
     def extend(prefix: list[int], height: int) -> None:
         if prefix and height == 0:
             out.append(tuple(prefix))
-        if len(prefix) == 7:
+        # a walk that cannot come back down in the entries left is cut
+        if len(prefix) == width or height > top * (width - len(prefix)):
             return
-        for step in (-2, -1, 1, 2):
+        for step in steps:
             if height + step >= 0:
                 prefix.append(step)
                 extend(prefix, height + step)
@@ -136,6 +139,17 @@ class TestCatalanSeq:
             (-2, -1, -1, -1),
         )
         assert cost(x) == 15
+
+    def test_cost_is_the_sum_of_the_run_maxima(self):
+        # every sequence of width <= 10 with |entries| <= 3, and the c09
+        # walks: the one-pass cost against the runs it is defined by
+        walks = small_sequences(top=3, width=10)
+        assert len(walks) == 539206
+        rng = random.Random(20260815)
+        walks += [random_walk(rng, top=5) for _ in range(10_000)]
+        for entries in walks:
+            x = CatalanSeq(entries)
+            assert cost(x) == sum(max(map(abs, run)) for run in runs(x)), entries
 
     def test_worked_example_decomposition(self):
         x = CatalanSeq(WORKED_SEQ)
@@ -326,6 +340,15 @@ class TestKimBound:
         # the check inherits the sublist search's cap where cost < width
         with pytest.raises(LengthCapExceeded, match="state bound 722400 exceeds"):
             kim_theorem_check(CatalanSeq((1,) * 600 + (-1,) * 600))
+
+    def test_missing_witness_is_an_assertion_failure(self, monkeypatch):
+        # a sublist search that finds nothing where cost < width
+        monkeypatch.setattr(sequences, "catalan_reducible", lambda x: None)
+        with pytest.raises(AssertionFailure) as err:
+            kim_theorem_check(CatalanSeq(WORKED_SEQ))
+        assert str(err.value) == (
+            f"cost 15 < width 16 but no sublist witness exists for {WORKED_SEQ}"
+        )
 
     def test_exhaustive_small_widths(self):
         for entries in SMALL_SEQUENCES:

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 import oracles
 
-from kostka import config, subsetsum
+from kostka import cone, config, partitions, subsetsum
 from kostka.cli import main
 from kostka.cone import decompose
 from kostka.errors import AssertionFailure, InvalidInstance, SizeCapExceeded
 from kostka.partitions import KostkaPair, dominates, size
 from kostka.subsetsum import (
+    EquivalenceReport,
     SubsetSumInstance,
     proof_decomposition,
     reduce_to_kostka,
@@ -24,6 +25,33 @@ from kostka.subsetsum import (
 )
 
 GOLDEN = SubsetSumInstance((3, 2, 1), 4)
+NO_INSTANCE = SubsetSumInstance((2, 2), 3)
+
+
+def small_instances() -> list[SubsetSumInstance]:
+    """Every multiset of 1 to 5 values from 1..6 with a total of at most
+    19, listed in rising order, with every target from 1 to the total."""
+    return [
+        SubsetSumInstance(values, target)
+        for d in range(1, 6)
+        for values in itertools.combinations_with_replacement(range(1, 7), d)
+        if sum(values) <= 19
+        for target in range(1, sum(values) + 1)
+    ]
+
+
+def certify_spy(monkeypatch) -> list[tuple]:
+    """The arguments of every call of ``partitions._certified`` through
+    the bindings that ``cone`` and ``subsetsum`` read."""
+    calls: list[tuple] = []
+
+    def spy(lam, mu, rank):
+        calls.append((tuple(lam), tuple(mu), rank))
+        return partitions._certified(lam, mu, rank)
+
+    monkeypatch.setattr(cone, "_certified", spy)
+    monkeypatch.setattr(subsetsum, "_certified", spy)
+    return calls
 
 
 class TestInstance:
@@ -62,6 +90,23 @@ class TestInstance:
     def test_accessors(self):
         assert GOLDEN.total == 6
         assert GOLDEN.sorted_desc().values == (3, 2, 1)
+
+    def test_sorted_copy_matches_the_constructor(self):
+        # the sorted copy skips __post_init__ but reads as the
+        # constructor's instance in every field, its repr and equality
+        instances = small_instances()
+        assert len(instances) == 4702
+        for inst in instances:
+            backward = SubsetSumInstance(inst.values[::-1], inst.target)
+            built = SubsetSumInstance(tuple(sorted(inst.values, reverse=True)), inst.target)
+            copy = backward.sorted_desc()
+            assert (copy.values, copy.target, copy.total) == (
+                built.values,
+                built.target,
+                built.total,
+            )
+            assert repr(copy) == repr(built)
+            assert copy == built and hash(copy) == hash(built)
 
 
 class TestOracle:
@@ -219,6 +264,54 @@ class TestReduction:
         result = CliRunner().invoke(main, ["subsetsum", "10,10 : 10"])
         assert result.exit_code == 2
         assert "|lambda| = 41 exceeds cap 40" in result.output
+
+    @pytest.mark.parametrize(
+        "values, target, certified, shared",
+        [((3, 2, 1), 4, 3, 2), ((4, 3, 3, 1, 1), 6, 5, 0)],
+        ids=["shared", "fallback"],
+    )
+    def test_each_distinct_pair_is_certified_once(
+        self, monkeypatch, values, target, certified, shared
+    ):
+        # the reduction pair and the search's two halves; the proof
+        # halves are the search's on 3,2,1 : 4, so they are not built
+        # again, and differ on 4,3,3,1,1 : 6, so both are built
+        calls = certify_spy(monkeypatch)
+        report = reduction_equivalence_check(SubsetSumInstance(values, target))
+        assert len(calls) == certified
+        assert len(set(report.decomposition) & set(decompose(report.pair))) == shared
+
+    def test_report_matches_the_proof_built_on_its_own(self):
+        for inst in small_instances():
+            canonical = inst.sorted_desc()
+            pair = reduce_to_kostka(canonical)
+            subset = subset_sum_oracle(canonical)
+            expected = EquivalenceReport(
+                instance=canonical,
+                pair=pair,
+                subset=subset,
+                decomposition=proof_decomposition(canonical, subset, pair) if subset else None,
+                coordinates=2 * pair.rank,
+            )
+            assert reduction_equivalence_check(inst) == expected, inst
+
+    def test_search_that_disagrees_with_the_oracle_is_an_assertion_failure(self, monkeypatch):
+        halves = decompose(reduce_to_kostka(GOLDEN))
+        for inst, found in ((GOLDEN, None), (NO_INSTANCE, halves)):
+            monkeypatch.setattr(subsetsum, "decompose", lambda pair: found)
+            witness = subset_sum_oracle(inst)
+            with pytest.raises(AssertionFailure) as err:
+                reduction_equivalence_check(inst)
+            assert str(err.value) == (
+                f"oracle says {witness}, decomposition search says {found} for {inst}"
+            )
+
+    def test_reduction_pair_of_another_size_is_an_assertion_failure(self, monkeypatch):
+        # an irreducible one-box pair: the search and the oracle agree
+        monkeypatch.setattr(subsetsum, "reduce_to_kostka", lambda inst: KostkaPair((1,), (1,)))
+        with pytest.raises(AssertionFailure) as err:
+            reduction_equivalence_check(NO_INSTANCE)
+        assert str(err.value) == "reduction pair has the wrong box count"
 
     def test_no_instances_give_irreducible_pairs(self):
         inst = SubsetSumInstance((4, 2), 3)
